@@ -8,6 +8,11 @@ The update at step t averages the example gradients over the selected batch:
 schedule realization on a dataset and on all n of its single-replacement
 neighbors, sharing one index matrix across the n+1 runs.  Both are thin
 wrappers over a core loop that is vectorized across stacked trajectories.
+Paired runs never copy the dataset per neighbor: by the counting identity,
+at step t only the m neighbors whose index is in K_t read a batch that
+differs from the base run, so each step gathers the base batch once and
+patches those m entries.  Working memory is O((n + T m) d + (n+1) m d)
+unless paths are kept.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -117,8 +122,9 @@ class PairedTrajectory:
 
     ``paths`` has shape (T+1, n+1, d): column 0 is the run on the base
     dataset, column i the run with example i replaced.  ``paths`` is None
-    when only finals were kept; ``finals`` is always (n+1, d).  All runs
-    share the starting point, the step plan, and the realized schedule.
+    when only finals were kept; ``finals`` is always (n+1, d).  Kept paths
+    are the only part whose size grows with T n d.  All runs share the
+    starting point, the step plan, and the realized schedule.
     """
 
     finals: np.ndarray
@@ -135,14 +141,6 @@ class PairedTrajectory:
     @property
     def base_final(self) -> np.ndarray:
         return self.finals[0]
-
-    @property
-    def base_path(self) -> np.ndarray:
-        return self.paths[:, 0, :]
-
-    def perturbed_path(self, i: int) -> np.ndarray:
-        """Path of the run on the i-th-replaced neighbor (1-based i)."""
-        return self.paths[:, i, :]
 
 
 def _resolve_w1(instance: ProblemInstance, w1) -> np.ndarray:
@@ -179,11 +177,15 @@ def _evolve(
     W: np.ndarray,
     keep_path: bool,
     track_grad_sup: bool,
+    replacements: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, float | None]:
     """Advance stacked trajectories W (R, d) through all T steps.
 
-    data is (n, d) shared or (R, n, d) per-trajectory; all trajectories read
-    the same (T, m) index matrix.
+    All trajectories read the same (T, m) index matrix from the (n, d) data.
+    With ``replacements`` (n, d), W holds the R = n+1 paired runs: row 0 reads
+    the data as is, row i reads it with example i-1 swapped for
+    ``replacements[i-1]``.  Each step then builds the (R, m, d) batch from the
+    m gathered base rows and overwrites only the entries (1 + K_t[k], k).
     """
     T = etas.shape[0]
     R = W.shape[0]
@@ -191,16 +193,24 @@ def _evolve(
     if keep_path:
         path = np.empty((T + 1, R, instance.d))
         path[0] = W
-    shared_data = data.ndim == 2
     limit = _huber_region_limit(instance, etas)
     w1d = instance.w1[-1]
     sup = None
     if track_grad_sup:
         sup = float(instance.grad_sup_norm(W).max())
+    if replacements is not None:
+        rows = 1 + batches
+        slots = np.arange(batches.shape[1])
+        patches = replacements[batches]
 
     for t in range(T):
-        idx = batches[t]
-        Zb = data[idx] if shared_data else data[:, idx, :]
+        Zb = data[batches[t]]
+        if replacements is not None:
+            # Batch axis outermost: the layout a gather from an (R, n, d)
+            # stack has, so reductions over the batch add in the same order.
+            Zb = np.repeat(Zb[:, None, :], R, axis=1)
+            Zb[slots, rows[t]] = patches[t]
+            Zb = Zb.transpose(1, 0, 2)
         g = instance.batch_grad_mean(W, Zb)
         W = W - etas[t] * g
         if not np.all(np.isfinite(W)):
@@ -274,7 +284,12 @@ def run_paired(
     ``replacements`` is (n, d); neighbor i swaps example i for
     ``replacements[i-1]``.  All n+1 runs start from the same point and read
     the identical realized index matrix, so trajectories can only diverge
-    after the first step that selects the replaced index.
+    after the first step that selects the replaced index.  No neighbor
+    dataset is materialized: per step only the m selected rows are gathered
+    and patched, so memory is O((n + T m) d + (n+1) m d), plus the
+    (T+1, n+1, d) paths when ``keep_path``.  ``track_grad_sup`` records the
+    largest ``grad_sup_norm`` along every path; it is honored for the
+    quadratic families only and ignored for the others.
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
@@ -284,18 +299,15 @@ def run_paired(
             f"replacements must be shaped (n, d) = {(S.n, instance.d)}, "
             f"got {replacements.shape}"
         )
-    n = S.n
-    stacked = np.repeat(S.examples[None, :, :], n + 1, axis=0)
-    stacked[np.arange(1, n + 1), np.arange(n)] = replacements
-    W0 = np.repeat(_resolve_w1(instance, w1)[None, :], n + 1, axis=0)
+    W0 = np.repeat(_resolve_w1(instance, w1)[None, :], S.n + 1, axis=0)
     if track_grad_sup and instance.family not in (
         "quadratic_nonconvex",
         "quadratic_strongly_convex",
     ):
         track_grad_sup = False
     finals, path, sup = _evolve(
-        instance, stacked, sched.batches, etas, W0, keep_path=keep_path,
-        track_grad_sup=track_grad_sup,
+        instance, S.examples, sched.batches, etas, W0, keep_path=keep_path,
+        track_grad_sup=track_grad_sup, replacements=replacements,
     )
     return PairedTrajectory(
         finals=finals, schedule=sched, etas=etas, m=sched.m, paths=path,

@@ -55,6 +55,7 @@ from batchstab.problems import (
     verify_regularity,
 )
 from batchstab.schedule import (
+    STOCHASTIC_KINDS,
     ScheduleSpec,
     check_counting_lemma,
     realize,
@@ -234,7 +235,7 @@ def _parallel_map(fn, items, jobs: int) -> list:
 def _trial_schedule(
     sspec: ScheduleSpec, master_seed: int, trial: int, s_idx: int
 ):
-    if sspec.kind in ("random_reshuffle", "single_shuffle", "uniform_random"):
+    if sspec.kind in STOCHASTIC_KINDS:
         sspec = dataclasses.replace(
             sspec, seed=seed_at(master_seed, trial, SCHEDULE, s_idx)
         )
@@ -306,7 +307,7 @@ def estimate_gen_error(
 
 
 def _stability_block(args) -> tuple[np.ndarray, np.ndarray]:
-    (instance, n, etas, sspec, s_idx, master_seed, t0, t1, track) = args
+    (instance, n, etas, sspec, s_idx, master_seed, t0, t1) = args
     finals = np.empty(t1 - t0)
     sups = np.full(t1 - t0, np.nan)
     plan = custom_plan(etas) if len(etas) else StepSizePlan("custom", 0, values=())
@@ -315,7 +316,7 @@ def _stability_block(args) -> tuple[np.ndarray, np.ndarray]:
         repl = sample_examples(instance, n, rng_at(master_seed, trial, REPLACEMENTS))
         sched = _trial_schedule(sspec, master_seed, trial, s_idx)
         pt = run_paired(
-            instance, S, repl, sched, plan, keep_path=False, track_grad_sup=track
+            instance, S, repl, sched, plan, keep_path=False, track_grad_sup=True
         )
         finals[trial - t0] = stability_mod.final_on_average_gap(pt)
         if pt.grad_sup is not None:
@@ -344,9 +345,8 @@ def estimate_stability(
     if trials < 1:
         raise ConfigError("estimate_stability requires trials >= 1")
     etas = plan.etas()
-    track = instance.family in ("quadratic_nonconvex", "quadratic_strongly_convex")
     tasks = [
-        (instance, n, etas, sspec, s_idx, master_seed, t0, t1, track)
+        (instance, n, etas, sspec, s_idx, master_seed, t0, t1)
         for t0, t1 in _blocks(trials, jobs)
     ]
     results = _parallel_map(_stability_block, tasks, jobs)
@@ -491,14 +491,9 @@ def _audit_paired_run(
         )
     )
     repl = sample_examples(instance, n, rng_at(config.master_seed, s_idx, AUDIT, 1))
-    sched = _trial_schedule(spec, config.master_seed, 0, s_idx) if spec.kind in (
-        "random_reshuffle",
-        "single_shuffle",
-        "uniform_random",
-    ) else realize(spec)
-    track = instance.family in ("quadratic_nonconvex", "quadratic_strongly_convex")
+    sched = _trial_schedule(spec, config.master_seed, 0, s_idx)
     return run_paired(
-        instance, S, repl, sched, config.plan, keep_path=True, track_grad_sup=track
+        instance, S, repl, sched, config.plan, keep_path=True, track_grad_sup=True
     )
 
 
@@ -591,11 +586,7 @@ def run_full_verification(config: ExperimentConfig) -> dict:
 
         audit_sched = None
         if {"counting_lemma", "oracle_equivalence", "growth_recursion"} & checks:
-            audit_sched = (
-                _trial_schedule(spec, config.master_seed, 0, s_idx)
-                if spec.kind in ("random_reshuffle", "single_shuffle", "uniform_random")
-                else realize(spec)
-            )
+            audit_sched = _trial_schedule(spec, config.master_seed, 0, s_idx)
 
         if "counting_lemma" in checks:
             verdict = check_counting_lemma(audit_sched)

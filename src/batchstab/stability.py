@@ -126,19 +126,25 @@ def check_growth_recursion(
             )
         factors = 1.0 - 0.5 * gamma * etas
 
-    gaps = np.linalg.norm(pt.paths[:, 1:, :] - pt.paths[:, :1, :], axis=-1)
+    # One step at a time, so only the previous per-neighbor gap is held.
+    paths = pt.paths
     selected = indicator_matrix(pt.schedule)  # (T, n)
-    kick = (2.0 * L / pt.m) * etas[:, None] * selected
-    rhs = factors[:, None] * gaps[:-1] + kick
-    lhs = gaps[1:]
-    margin = lhs - (rhs * (1.0 + REL_SLACK) + ABS_SLACK)
-    bad = np.argwhere(margin > 0)
-    violations = tuple(
-        (int(t) + 1, int(i) + 1, float(lhs[t, i]), float(rhs[t, i])) for t, i in bad
-    )
-    max_slack = float((lhs - rhs).max()) if lhs.size else 0.0
+    kick_scale = 2.0 * L / pt.m
+    gap = np.linalg.norm(paths[0, 1:, :] - paths[0, :1, :], axis=-1)
+    violations = []
+    slack = np.empty(etas.size)
+    for t in range(etas.size):
+        rhs = factors[t] * gap + kick_scale * etas[t] * selected[t]
+        gap = np.linalg.norm(paths[t + 1, 1:, :] - paths[t + 1, :1, :], axis=-1)
+        margin = gap - (rhs * (1.0 + REL_SLACK) + ABS_SLACK)
+        violations.extend(
+            (t + 1, int(i) + 1, float(gap[i]), float(rhs[i]))
+            for i in np.flatnonzero(margin > 0)
+        )
+        slack[t] = (gap - rhs).max()
+    max_slack = float(slack.max()) if slack.size else 0.0
     return RecursionVerdict(
-        loss_class=loss_class, violations=violations, max_slack=max_slack
+        loss_class=loss_class, violations=tuple(violations), max_slack=max_slack
     )
 
 

@@ -1,6 +1,7 @@
 """Engine: the iterate map, paired execution, and closed-form oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from batchstab.problems import (
     sample_dataset,
     sample_examples,
 )
-from batchstab.schedule import ScheduleSpec, indicator_matrix, realize
+from batchstab.schedule import (
+    RealizedSchedule,
+    ScheduleSpec,
+    indicator_matrix,
+    realize,
+)
 
 
 def test_linear_final_iterate_coordinatewise():
@@ -144,6 +150,110 @@ def test_paired_run_with_original_replacements_stays_identical():
     sched = realize(ScheduleSpec("uniform_random", n=6, m=3, T=15, seed=8))
     pt = run_paired(inst, S, S.examples.copy(), sched, plan)
     assert np.allclose(pt.paths, pt.paths[:, :1, :], atol=0.0)
+
+
+def _paired_by_explicit_stack(inst, S, repl, sched, etas, track):
+    """Reference: every neighbor holds its own copy of the dataset."""
+    n = S.n
+    stack = np.repeat(S.examples[None, :, :], n + 1, axis=0)
+    stack[np.arange(1, n + 1), np.arange(n)] = repl
+    W = np.repeat(inst.w1[None, :], n + 1, axis=0)
+    path = [W]
+    sup = float(inst.grad_sup_norm(W).max()) if track else None
+    for t, eta in enumerate(etas):
+        W = W - eta * inst.batch_grad_mean(W, stack[:, sched.batches[t], :])
+        path.append(W)
+        if track:
+            sup = max(sup, float(inst.grad_sup_norm(W).max()))
+    return W, np.stack(path), sup
+
+
+def _smooth_custom_instance(d):
+    def loss_fn(w, z):
+        return np.log(np.cosh(w - z)).sum(axis=-1)
+
+    def grad_fn(w, z):
+        shape = np.broadcast_shapes(w.shape, z.shape)
+        return np.broadcast_to(np.tanh(w - z), shape).copy()
+
+    return custom_smooth_instance(
+        d=d, loss_fn=loss_fn, grad_fn=grad_fn, scales=np.full(d, 0.7), beta=1.0
+    )
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["linear", "convex_huber", "quadratic_nonconvex", "quadratic_strongly_convex",
+     "custom_smooth"],
+)
+def test_paired_run_is_bitwise_equal_to_the_explicit_stack(family):
+    # m >= 8 matters for convex_huber: its batch mean sums in an order that
+    # depends on the memory layout of the batch.
+    n, d, T = 12, 9, 17
+    inst = {
+        "linear": lambda: linear_instance(d=d),
+        "convex_huber": lambda: convex_huber_instance(d=d, L=1.5, beta=2.0),
+        "quadratic_nonconvex": lambda: quadratic_nonconvex_instance(d=d, beta=1.0),
+        "quadratic_strongly_convex": lambda: quadratic_strongly_convex_instance(
+            d=d, L=1.0, beta=1.0, gamma=0.5
+        ),
+        "custom_smooth": lambda: _smooth_custom_instance(d),
+    }[family]()
+    plan = inverse_t_plan(0.4, T)
+    rng = np.random.default_rng(31)
+    S = sample_dataset(inst, n, seed=32)
+    repl = sample_examples(inst, n, rng)
+    track = family.startswith("quadratic")
+    cases = [("full_batch", n)] + [
+        (kind, m)
+        for kind in ("round_robin", "custom", "single_shuffle", "random_reshuffle",
+                     "uniform_random")
+        for m in (1, 3, 8, 10, n)
+    ]
+    for kind, m in cases:
+        custom = None
+        if kind == "custom":
+            custom = tuple(
+                tuple(int(i) + 1 for i in rng.permutation(n)[:m]) for _ in range(T)
+            )
+        sched = realize(ScheduleSpec(kind, n=n, m=m, T=T, seed=33, custom_indices=custom))
+        finals, paths, sup = _paired_by_explicit_stack(
+            inst, S, repl, sched, plan.etas(), track
+        )
+        for keep in (True, False):
+            pt = run_paired(
+                inst, S, repl, sched, plan, keep_path=keep, track_grad_sup=True
+            )
+            assert np.array_equal(pt.finals, finals), (kind, m, keep)
+            assert np.array_equal(pt.paths, paths) if keep else pt.paths is None
+            assert pt.grad_sup == sup, (kind, m, keep)
+
+
+def test_paired_run_patches_every_slot_of_a_repeated_index():
+    inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
+    S = sample_dataset(inst, 4, seed=34)
+    repl = sample_examples(inst, 4, np.random.default_rng(35))
+    sched = RealizedSchedule(batches=np.array([[2, 2, 0], [1, 3, 1]]), n=4)
+    plan = constant_plan(0.5, 2)
+    finals, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
+    pt = run_paired(inst, S, repl, sched, plan)
+    assert np.array_equal(pt.finals, finals) and np.array_equal(pt.paths, paths)
+
+
+def test_paired_run_memory_does_not_grow_with_n_squared():
+    # An (n+1, n, d) copy of the data would be about 128 MiB here.
+    inst = quadratic_strongly_convex_instance(d=4, L=1.0, beta=1.0, gamma=1.0)
+    n, T = 2000, 5
+    S = sample_dataset(inst, n, seed=36)
+    repl = sample_examples(inst, n, np.random.default_rng(37))
+    sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
+    tracemalloc.start()
+    try:
+        run_paired(inst, S, repl, sched, constant_plan(0.5, T), keep_path=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_full_batch_linear_paired_gap_closed_form():

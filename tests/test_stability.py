@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from batchstab._series import suffix_products
-from batchstab.engine import constant_plan, custom_plan, inverse_t_plan, run_paired
+from batchstab.engine import (
+    PairedTrajectory,
+    constant_plan,
+    custom_plan,
+    inverse_t_plan,
+    run_paired,
+)
 from batchstab.errors import RegimeError
 from batchstab.problems import (
     convex_huber_instance,
@@ -16,7 +22,7 @@ from batchstab.problems import (
     sample_dataset,
     sample_examples,
 )
-from batchstab.schedule import ScheduleSpec, indicator_matrix, realize
+from batchstab.schedule import RealizedSchedule, ScheduleSpec, indicator_matrix, realize
 from batchstab.stability import (
     check_growth_recursion,
     contraction_step_sum,
@@ -247,3 +253,42 @@ def test_recursion_regime_refusals():
     with pytest.raises(RegimeError, match="beta\\+gamma"):
         check_growth_recursion(bad, "strongly_convex", L=1.0, beta=1.0, gamma=1.0)
     assert check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
+
+
+def _hand_built_paired(gaps, batches):
+    """d = 1 paths with the base run at 0, so neighbor i's gap is its value."""
+    gaps = np.asarray(gaps, dtype=float)
+    paths = np.zeros((gaps.shape[0], gaps.shape[1] + 1, 1))
+    paths[:, 1:, 0] = gaps
+    sched = RealizedSchedule(batches=np.asarray(batches).reshape(-1, 1), n=gaps.shape[1])
+    return PairedTrajectory(
+        finals=paths[-1], schedule=sched, etas=np.full(sched.T, 0.5), m=1, paths=paths
+    )
+
+
+def test_convex_recursion_reports_every_violation_in_step_then_index_order():
+    # Convex class, L = 1, m = 1, eta = 1/2: the kick is 1 for the selected
+    # index and the bound is rhs = gap_t + kick.
+    pt = _hand_built_paired(
+        gaps=[
+            [0.0, 0.0, 0.0],
+            [0.5, 2.0, 0.0],  # t=1 selects i=1; i=2 jumps from 0
+            [3.5, 3.0, 0.25],  # t=2 selects i=2; i=1 and i=3 grow unselected
+            [3.5, 2.0, 1.0],  # t=3 selects i=3; all hold, i=1 with equality
+        ],
+        batches=[0, 1, 2],
+    )
+    verdict = check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
+    assert verdict.violations == (
+        (1, 2, 2.0, 0.0),
+        (2, 1, 3.5, 0.5),
+        (2, 3, 0.25, 0.0),
+    )
+    assert verdict.max_slack == 3.0
+    assert not verdict
+
+
+def test_recursion_over_zero_steps_is_vacuous():
+    pt = _hand_built_paired(gaps=[[0.0, 0.0]], batches=np.empty(0, dtype=int))
+    verdict = check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
+    assert verdict.violations == () and verdict.max_slack == 0.0
