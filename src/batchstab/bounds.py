@@ -34,7 +34,7 @@ import numpy as np
 from batchstab._series import suffix_products
 from batchstab.engine import StepSizePlan
 from batchstab.errors import CapabilityError, ConfigError, RegimeError
-from batchstab.problems import ProblemInstance, REL_SLACK
+from batchstab.problems import QUADRATIC_FAMILIES, ProblemInstance, REL_SLACK
 from batchstab.stability import nonconvex_step_sum, nonconvex_step_sum_cap
 
 BOUND_CLASSES = (
@@ -212,7 +212,7 @@ def analytic_gen_error(instance: ProblemInstance, plan: StepSizePlan, n: int) ->
         curved = beta * beta * float(scales[-1]) ** 2 * float((etas * tail).sum())
         flat = float((scales[:-1] ** 2).sum()) * float(etas.sum())
         return (curved + flat) / n
-    if instance.family in ("quadratic_nonconvex", "quadratic_strongly_convex"):
+    if instance.family in QUADRATIC_FAMILIES:
         if instance.family == "quadratic_nonconvex":
             _require(
                 plan.kind == "inverse_t",
@@ -282,6 +282,18 @@ def uniform_stability_constant(case: str, **kw) -> float:
     raise ConfigError(f"unknown uniform-stability case {case!r}")
 
 
+def path_gradient_bound(cls: str, L: float | None) -> float | None:
+    """Bound on every gradient met along the iterates, proven from L.
+
+    For the strongly-convex class it is 4 L, the construction's path-gradient
+    bound Ltilde; for the other classes the Lipschitz constant L itself.
+    None when L is unknown.
+    """
+    if L is None:
+        return None
+    return 4.0 * L if cls == "strongly_convex" else L
+
+
 @dataclass(eq=False)
 class BoundSet:
     """Upper/lower bounds and analytic oracle for one configuration.
@@ -335,8 +347,8 @@ def assemble_bound_set(
     if cls not in BOUND_CLASSES:
         raise ConfigError(f"unknown bound class {cls!r}")
     p = instance.params
-    if cls == "strongly_convex" and Ltilde is None and p.L is not None:
-        Ltilde = 4.0 * p.L  # the construction's proven path-gradient bound
+    if Ltilde is None:
+        Ltilde = path_gradient_bound(cls, p.L)
     out = BoundSet(cls=cls)
     try:
         out.upper = gen_error_upper(

@@ -18,11 +18,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from batchstab import bounds as bounds_mod
 from batchstab.engine import run, trajectory_to_csv
 from batchstab.experiments import (
+    class_for_instance,
     config_from_dict,
     estimate_gen_error,
     plan_from_dict,
@@ -231,12 +230,7 @@ def _grid_rows(cfg: dict, sweep: dict, jobs: int) -> tuple[list[dict], bool]:
             sched_cfg = dict(sched_cfg, kind=cell["schedule"])
             if cell["schedule"] == "full_batch":
                 sched_cfg["m"] = n
-        cls = merged.get("class") or {
-            "linear": "convex",
-            "convex_huber": "convex",
-            "quadratic_nonconvex": "nonconvex_smooth",
-            "quadratic_strongly_convex": "strongly_convex",
-        }.get(instance.family)
+        cls = merged.get("class") or class_for_instance(instance)
         bset = bounds_mod.assemble_bound_set(cls, instance, plan, n)
         row = dict(cell)
         row.update(
@@ -254,7 +248,7 @@ def _grid_rows(cfg: dict, sweep: dict, jobs: int) -> tuple[list[dict], bool]:
             )
             row.update(mc_mean=est.mean, mc_stderr=est.stderr)
             if bset.oracle is not None and est.stderr is not None:
-                mc_ok = abs(est.mean - bset.oracle) <= 3.0 * est.stderr
+                mc_ok = est.agrees_with(bset.oracle)
                 verdict = mc_ok if verdict is None else (verdict and mc_ok)
         row["verdict"] = "" if verdict is None else ("pass" if verdict else "fail")
         if verdict is False:

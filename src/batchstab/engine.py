@@ -34,7 +34,7 @@ from batchstab.errors import (
     DivergenceError,
     RegimeError,
 )
-from batchstab.problems import Dataset, ProblemInstance, REL_SLACK
+from batchstab.problems import QUADRATIC_FAMILIES, Dataset, ProblemInstance, REL_SLACK
 from batchstab.schedule import RealizedSchedule
 
 PLAN_KINDS = ("constant", "inverse_t", "custom")
@@ -137,10 +137,6 @@ class PairedTrajectory:
     @property
     def n(self) -> int:
         return self.finals.shape[0] - 1
-
-    @property
-    def base_final(self) -> np.ndarray:
-        return self.finals[0]
 
 
 def _resolve_w1(instance: ProblemInstance, w1) -> np.ndarray:
@@ -300,10 +296,7 @@ def run_paired(
             f"got {replacements.shape}"
         )
     W0 = np.repeat(_resolve_w1(instance, w1)[None, :], S.n + 1, axis=0)
-    if track_grad_sup and instance.family not in (
-        "quadratic_nonconvex",
-        "quadratic_strongly_convex",
-    ):
+    if track_grad_sup and instance.family not in QUADRATIC_FAMILIES:
         track_grad_sup = False
     finals, path, sup = _evolve(
         instance, S.examples, sched.batches, etas, W0, keep_path=keep_path,
@@ -377,7 +370,7 @@ def closed_form_final(
         ).sum()
         return out
 
-    if instance.family in ("quadratic_nonconvex", "quadratic_strongly_convex"):
+    if instance.family in QUADRATIC_FAMILIES:
         factors = 1.0 - etas[:, None] * instance.lam  # (T, d)
         tail = suffix_products(factors)
         homogeneous = factors.prod(axis=0) * w1v

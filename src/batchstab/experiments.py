@@ -7,16 +7,24 @@ use, or how trials are split into worker blocks.  Reruns with the same
 master seed reproduce every number bit-identically.
 
 ``run_full_verification`` executes the enabled checks for one configuration
-and aggregates a single report with a top-level pass/fail:
+and aggregates a single report with a top-level pass/fail.  The checks run
+in this order, which is also the order of ``report["failures"]``:
 
     regularity           sampled Lipschitz/smoothness/strong-convexity checks
-    counting_lemma       every realized step selects exactly m indices
-    oracle_equivalence   iterative runs match the closed-form final iterate
-    growth_recursion     per-step gap inequalities on paired runs
-    stability_mc         measured on-average stability vs the class bound
-    gen_error_mc         Monte Carlo generalization error vs the oracle
     sandwich             lower <= oracle <= upper for the bound set
+    per schedule, in config order:
+      counting_lemma       every realized step selects exactly m indices
+      oracle_equivalence   iterative runs match the closed-form final iterate
+      growth_recursion     per-step gap inequalities on paired runs
+      stability_mc         measured on-average stability vs the class bound
+      gen_error_mc         Monte Carlo generalization error vs the oracle
     schedule_equivalence all schedules' means agree with the one oracle
+
+A check that cannot run on the configuration raises ``RegimeError`` or
+``CapabilityError`` (a step-size regime not met; no bound class, oracle or
+gradient bound); the runner records it as ``skipped`` with the message as
+its reason, and a skip is not a failure.  ``gen_error_mc`` also skips, with
+its estimate attached, when the stderr or the oracle is undefined.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ import numpy as np
 from batchstab import bounds as bounds_mod
 from batchstab import stability as stability_mod
 from batchstab.engine import (
-    PairedTrajectory,
     StepSizePlan,
     closed_form_final,
     custom_plan,
@@ -62,17 +69,6 @@ from batchstab.schedule import (
 )
 from batchstab.seeding import AUDIT, DATA, REPLACEMENTS, SCHEDULE, rng_at, seed_at
 
-ALL_CHECKS = (
-    "regularity",
-    "counting_lemma",
-    "oracle_equivalence",
-    "growth_recursion",
-    "stability_mc",
-    "gen_error_mc",
-    "sandwich",
-    "schedule_equivalence",
-)
-
 _CLASS_BY_FAMILY = {
     "linear": "convex",
     "convex_huber": "convex",
@@ -101,7 +97,8 @@ class ExperimentConfig:
     schedules: tuple[ScheduleSpec, ...]
     trials: int
     master_seed: int
-    checks: tuple[str, ...] = ALL_CHECKS
+    # ALL_CHECKS is derived from the check tables at the end of this module.
+    checks: tuple[str, ...] = field(default_factory=lambda: ALL_CHECKS)
     stability_trials: int = 20
     regularity_trials: int = 200
     jobs: int = 1
@@ -140,6 +137,12 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     for c in checks:
         if c not in ALL_CHECKS:
             raise ConfigError(f"unknown check {c!r}; valid checks: {ALL_CHECKS}")
+    bound_class = cfg.get("class")
+    if bound_class is not None and bound_class not in bounds_mod.BOUND_CLASSES:
+        raise ConfigError(
+            f"field 'class' must be one of {bounds_mod.BOUND_CLASSES}, "
+            f"got {bound_class!r}"
+        )
     return ExperimentConfig(
         name=cfg.get("name", "experiment"),
         instance=instance,
@@ -153,7 +156,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
         regularity_trials=int(cfg.get("regularity_trials", 200)),
         jobs=int(cfg.get("jobs", 1)),
         allow_divergence=bool(cfg.get("allow_divergence", False)),
-        bound_class=cfg.get("class"),
+        bound_class=bound_class,
     )
 
 
@@ -214,8 +217,9 @@ class MonteCarloEstimate:
     max_value: float | None = None
     grad_sup_max: float | None = None
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def agrees_with(self, value: float) -> bool:
+        """The mean lies within 3 standard errors of ``value``; needs a stderr."""
+        return abs(self.mean - value) <= 3.0 * self.stderr
 
 
 def _blocks(trials: int, jobs: int) -> list[tuple[int, int]]:
@@ -396,13 +400,17 @@ def schedule_equivalence(
             )
             for i, spec in enumerate(config.schedules)
         }
+    return _equivalence(oracle, estimates)
+
+
+def _equivalence(oracle: float, estimates: dict[str, MonteCarloEstimate]) -> dict:
     per_schedule = {}
     passed = True
     for label, est in estimates.items():
         if est.stderr is None:
             per_schedule[label] = {"status": "skipped", "reason": "stderr undefined"}
             continue
-        ok = abs(est.mean - oracle) <= 3.0 * est.stderr
+        ok = est.agrees_with(oracle)
         passed = passed and ok
         per_schedule[label] = {
             "status": "pass" if ok else "fail",
@@ -481,290 +489,243 @@ def uniform_stability_failure_demo(
 # -- full verification --------------------------------------------------------
 
 
-def _audit_paired_run(
-    config: ExperimentConfig, spec: ScheduleSpec, s_idx: int
-) -> PairedTrajectory:
-    instance, n = config.instance, config.n
-    S = Dataset(
-        examples=sample_examples(
-            instance, n, rng_at(config.master_seed, s_idx, AUDIT, 0)
-        )
-    )
-    repl = sample_examples(instance, n, rng_at(config.master_seed, s_idx, AUDIT, 1))
-    sched = _trial_schedule(spec, config.master_seed, 0, s_idx)
-    return run_paired(
-        instance, S, repl, sched, config.plan, keep_path=True, track_grad_sup=True
+class _Context:
+    """Facts the checks of one run share, each worked out once."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.cls = config.resolved_class()
+        self.rec_class = _RECURSION_BY_CLASS.get(self.cls)
+        wants_bounds = {"sandwich", "schedule_equivalence"} & set(config.checks)
+        self.bound_set = None
+        if self.cls is not None and wants_bounds:
+            self.bound_set = bounds_mod.assemble_bound_set(
+                self.cls, config.instance, config.plan, config.n
+            )
+            self.oracle = self.bound_set.oracle
+        else:
+            try:
+                self.oracle = bounds_mod.analytic_gen_error(
+                    config.instance, config.plan, config.n
+                )
+            except (RegimeError, CapabilityError):
+                self.oracle = None
+        self.gen_estimates: dict[str, MonteCarloEstimate] = {}
+        self.excluded_trials = 0
+
+    def gradient_bound(self, observed: float | None) -> float:
+        """Gradient bound of the perturbation term: the class's bound from L,
+        else the largest gradient norm observed along the paths."""
+        bound = bounds_mod.path_gradient_bound(self.cls, self.config.instance.params.L)
+        if bound is None:
+            bound = observed
+        if bound is None:
+            raise CapabilityError("no gradient bound is available for this family")
+        return bound
+
+    def audit_examples(self, s_idx: int, k: int) -> np.ndarray:
+        """Audit draws of schedule s_idx: the dataset (k=0), its replacements (k=1)."""
+        config = self.config
+        rng = rng_at(config.master_seed, s_idx, AUDIT, k)
+        return sample_examples(config.instance, config.n, rng)
+
+    def audit_schedule(self, s_idx: int, spec: ScheduleSpec):
+        return _trial_schedule(spec, self.config.master_seed, 0, s_idx)
+
+
+def _status(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def _check_regularity(ctx: _Context):
+    config = ctx.config
+    seed = seed_at(config.master_seed, 9001)
+    rv = verify_regularity(config.instance, config.regularity_trials, seed=seed)
+    return _status(rv.passed), dict(
+        failures=list(rv.failures),
+        max_lipschitz_ratio=rv.max_lipschitz_ratio,
+        max_smoothness_ratio=rv.max_smoothness_ratio,
     )
 
 
-def _recursion_gradient_bound(
-    config: ExperimentConfig, cls: str, pt: PairedTrajectory
-) -> float:
-    p = config.instance.params
-    if cls == "strongly_convex":
-        return 4.0 * p.L
-    if p.L is not None:
-        return p.L
-    if pt.grad_sup is None:
+def _check_sandwich(ctx: _Context):
+    bs = ctx.bound_set
+    if bs is None:
+        raise CapabilityError("no bound class for this family")
+    if bs.sandwich_ok is None:
         raise CapabilityError(
-            "growth recursion needs a gradient bound; none is available"
+            "; ".join(f"{k}: {v}" for k, v in bs.reasons.items())
+            or "not all of lower/oracle/upper are defined"
         )
-    return pt.grad_sup
+    return _status(bs.sandwich_ok), dict(
+        lower=bs.lower, oracle=bs.oracle, upper=bs.upper
+    )
+
+
+def _check_counting_lemma(ctx: _Context, s_idx: int, spec: ScheduleSpec):
+    verdict = check_counting_lemma(ctx.audit_schedule(s_idx, spec))
+    return _status(verdict.passed), dict(first_violation_t=verdict.first_violation_t)
+
+
+def _check_oracle_equivalence(ctx: _Context, s_idx: int, spec: ScheduleSpec):
+    instance, plan = ctx.config.instance, ctx.config.plan
+    if instance.family == "custom_smooth":
+        raise CapabilityError("no closed form for custom_smooth")
+    S = Dataset(examples=ctx.audit_examples(s_idx, 0))
+    sched = ctx.audit_schedule(s_idx, spec)
+    w_run = run_final(instance, S, sched, plan)
+    w_cf = closed_form_final(instance, S, sched, plan)
+    dev = float(np.linalg.norm(w_run - w_cf) / (1.0 + np.linalg.norm(w_cf)))
+    return _status(dev < 1e-9), dict(max_rel_dev=dev)
+
+
+def _check_growth_recursion(ctx: _Context, s_idx: int, spec: ScheduleSpec):
+    if ctx.rec_class is None:
+        raise CapabilityError("no recursion class for this family")
+    instance = ctx.config.instance
+    pt = run_paired(
+        instance,
+        Dataset(examples=ctx.audit_examples(s_idx, 0)),
+        ctx.audit_examples(s_idx, 1),
+        ctx.audit_schedule(s_idx, spec),
+        ctx.config.plan,
+        keep_path=True,
+        track_grad_sup=True,
+    )
+    L = ctx.gradient_bound(pt.grad_sup)
+    verdict = stability_mod.check_growth_recursion(
+        pt, ctx.rec_class, L=L, beta=instance.params.beta,
+        gamma=instance.params.gamma or None,
+    )
+    return _status(verdict), dict(
+        violations=len(verdict.violations),
+        max_slack=verdict.max_slack,
+        gradient_bound=L,
+    )
+
+
+def _check_stability_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
+    if ctx.rec_class is None:
+        raise CapabilityError("no stability class for this family")
+    config = ctx.config
+    p = config.instance.params
+    est = estimate_stability(
+        config.instance, config.n, config.plan, spec, config.stability_trials,
+        config.master_seed, s_idx=s_idx, jobs=config.jobs,
+    )
+    L = ctx.gradient_bound(est.grad_sup_max)
+    bound = stability_mod.stability_bound(
+        ctx.rec_class, L, config.plan.etas(), config.n, spec.m,
+        beta=p.beta, gamma=p.gamma or None,
+    )
+    ok = est.max_value <= bound * (1.0 + 1e-9) + 1e-12
+    cap = None
+    if ctx.rec_class == "strongly_convex" and est.grad_sup_max is not None:
+        cap = L
+        ok = ok and est.grad_sup_max <= cap * (1.0 + 1e-9)
+    return _status(ok), dict(
+        mean=est.mean,
+        stderr=est.stderr,
+        max=est.max_value,
+        bound=bound,
+        gradient_bound=L,
+        grad_sup_max=est.grad_sup_max,
+        grad_sup_cap=cap,
+    )
+
+
+def _check_gen_error_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
+    config = ctx.config
+    try:
+        est = estimate_gen_error(
+            config.instance, config.n, config.plan, spec, config.trials,
+            config.master_seed, s_idx=s_idx, jobs=config.jobs,
+            allow_divergence=config.allow_divergence,
+        )
+    except AnalyticRegionError as e:
+        raise CapabilityError(str(e)) from e
+    ctx.gen_estimates[spec.label()] = est
+    ctx.excluded_trials += est.excluded
+    fields = dict(
+        mean=est.mean, stderr=est.stderr, trials=est.trials,
+        excluded=est.excluded, oracle=ctx.oracle,
+    )
+    if est.stderr is None:
+        return "skipped", dict(reason="stderr undefined with trials < 2", **fields)
+    if ctx.oracle is None:
+        reason = "no analytic oracle for this configuration"
+        return "skipped", dict(reason=reason, **fields)
+    return _status(est.agrees_with(ctx.oracle)), fields
+
+
+def _check_schedule_equivalence(ctx: _Context):
+    if len(ctx.config.schedules) < 2:
+        raise CapabilityError("needs at least two schedules")
+    if ctx.oracle is None:
+        raise CapabilityError("no analytic oracle for this configuration")
+    if not ctx.gen_estimates:
+        raise CapabilityError("gen_error_mc is disabled")
+    fields = _equivalence(ctx.oracle, ctx.gen_estimates)
+    return _status(fields.pop("passed")), fields
+
+
+# The checks in the order they run and list failures: run-wide, then per
+# schedule, then the final cross-schedule check.  Each maps (ctx, ...) to
+# (status, fields).
+_RUN_CHECKS = (("regularity", _check_regularity), ("sandwich", _check_sandwich))
+_SCHEDULE_CHECKS = (
+    ("counting_lemma", _check_counting_lemma),
+    ("oracle_equivalence", _check_oracle_equivalence),
+    ("growth_recursion", _check_growth_recursion),
+    ("stability_mc", _check_stability_mc),
+    ("gen_error_mc", _check_gen_error_mc),
+)
+_FINAL_CHECKS = (("schedule_equivalence", _check_schedule_equivalence),)
+ALL_CHECKS = tuple(
+    name
+    for table in (_RUN_CHECKS, _SCHEDULE_CHECKS, _FINAL_CHECKS)
+    for name, _ in table
+)
 
 
 def run_full_verification(config: ExperimentConfig) -> dict:
     """Execute every enabled check and aggregate one pass/fail report."""
-    instance, plan, n = config.instance, config.plan, config.n
-    cls = config.resolved_class()
-    checks = set(config.checks)
-    failures: list[str] = []
+    ctx = _Context(config)
     report: dict = {
         "name": config.name,
         "master_seed": config.master_seed,
-        "n": n,
+        "n": config.n,
         "trials": config.trials,
-        "loss_class": cls,
-        "instance": instance.to_config(),
-        "plan": plan.to_config(),
+        "loss_class": ctx.cls,
+        "instance": config.instance.to_config(),
+        "plan": config.plan.to_config(),
         "checks": {},
         "schedules": {},
     }
-
-    def record(section: dict, name: str, status: str, **fields) -> None:
-        section[name] = {"status": status, **fields}
-        if status == "fail":
-            failures.append(name)
-
-    if "regularity" in checks:
-        rv = verify_regularity(
-            instance, config.regularity_trials, seed=seed_at(config.master_seed, 9001)
-        )
-        record(
-            report["checks"],
-            "regularity",
-            "pass" if rv.passed else "fail",
-            failures=list(rv.failures),
-            max_lipschitz_ratio=rv.max_lipschitz_ratio,
-            max_smoothness_ratio=rv.max_smoothness_ratio,
-        )
-
-    bound_set = None
-    if "sandwich" in checks or "schedule_equivalence" in checks:
-        if cls is None:
-            record(
-                report["checks"], "sandwich", "skipped",
-                reason="no bound class for this family",
-            )
-        else:
-            bound_set = bounds_mod.assemble_bound_set(cls, instance, plan, n)
-            report["bounds"] = bound_set.to_dict()
-            if "sandwich" in checks:
-                if bound_set.sandwich_ok is None:
-                    record(
-                        report["checks"], "sandwich", "skipped",
-                        reason="; ".join(
-                            f"{k}: {v}" for k, v in bound_set.reasons.items()
-                        )
-                        or "not all of lower/oracle/upper are defined",
-                    )
-                else:
-                    record(
-                        report["checks"],
-                        "sandwich",
-                        "pass" if bound_set.sandwich_ok else "fail",
-                        lower=bound_set.lower,
-                        oracle=bound_set.oracle,
-                        upper=bound_set.upper,
-                    )
-
-    gen_estimates: dict[str, MonteCarloEstimate] = {}
-    total_excluded = 0
+    if ctx.bound_set is not None:
+        report["bounds"] = ctx.bound_set.to_dict()
+    runs = [(report["checks"], _RUN_CHECKS, ())]
     for s_idx, spec in enumerate(config.schedules):
-        label = spec.label()
-        sched_report: dict = {"spec": {"kind": spec.kind, "m": spec.m, "T": spec.T}}
-        report["schedules"][label] = sched_report
+        section = {"spec": {"kind": spec.kind, "m": spec.m, "T": spec.T}}
+        report["schedules"][spec.label()] = section
+        runs.append((section, _SCHEDULE_CHECKS, (s_idx, spec)))
+    runs.append((report["checks"], _FINAL_CHECKS, ()))
 
-        audit_sched = None
-        if {"counting_lemma", "oracle_equivalence", "growth_recursion"} & checks:
-            audit_sched = _trial_schedule(spec, config.master_seed, 0, s_idx)
-
-        if "counting_lemma" in checks:
-            verdict = check_counting_lemma(audit_sched)
-            record(
-                sched_report,
-                "counting_lemma",
-                "pass" if verdict.passed else "fail",
-                first_violation_t=verdict.first_violation_t,
-            )
-
-        if "oracle_equivalence" in checks:
-            if instance.family == "custom_smooth":
-                record(
-                    sched_report, "oracle_equivalence", "skipped",
-                    reason="no closed form for custom_smooth",
-                )
-            else:
-                S = Dataset(
-                    examples=sample_examples(
-                        instance, n, rng_at(config.master_seed, s_idx, AUDIT, 0)
-                    )
-                )
-                try:
-                    w_run = run_final(instance, S, audit_sched, plan)
-                    w_cf = closed_form_final(instance, S, audit_sched, plan)
-                    dev = float(
-                        np.linalg.norm(w_run - w_cf)
-                        / (1.0 + np.linalg.norm(w_cf))
-                    )
-                    record(
-                        sched_report,
-                        "oracle_equivalence",
-                        "pass" if dev < 1e-9 else "fail",
-                        max_rel_dev=dev,
-                    )
-                except (RegimeError, CapabilityError) as e:
-                    record(sched_report, "oracle_equivalence", "skipped", reason=str(e))
-
-        if "growth_recursion" in checks:
-            rec_class = _RECURSION_BY_CLASS.get(cls or "", None)
-            if rec_class is None:
-                record(
-                    sched_report, "growth_recursion", "skipped",
-                    reason="no recursion class for this family",
-                )
-            else:
-                pt = _audit_paired_run(config, spec, s_idx)
-                try:
-                    L_used = _recursion_gradient_bound(config, cls, pt)
-                    verdict = stability_mod.check_growth_recursion(
-                        pt,
-                        rec_class,
-                        L=L_used,
-                        beta=instance.params.beta,
-                        gamma=instance.params.gamma or None,
-                    )
-                    record(
-                        sched_report,
-                        "growth_recursion",
-                        "pass" if verdict else "fail",
-                        violations=len(verdict.violations),
-                        max_slack=verdict.max_slack,
-                        gradient_bound=L_used,
-                    )
-                except (RegimeError, CapabilityError) as e:
-                    record(sched_report, "growth_recursion", "skipped", reason=str(e))
-
-        if "stability_mc" in checks:
-            rec_class = _RECURSION_BY_CLASS.get(cls or "", None)
-            if rec_class is None:
-                record(
-                    sched_report, "stability_mc", "skipped",
-                    reason="no stability class for this family",
-                )
-            else:
-                est = estimate_stability(
-                    instance, n, plan, spec, config.stability_trials,
-                    config.master_seed, s_idx=s_idx, jobs=config.jobs,
-                )
-                p = instance.params
-                L_stab = 4.0 * p.L if rec_class == "strongly_convex" else (
-                    p.L if p.L is not None else est.grad_sup_max
-                )
-                try:
-                    bound = stability_mod.stability_bound(
-                        rec_class, L_stab, plan.etas(), n, spec.m,
-                        beta=p.beta, gamma=p.gamma or None,
-                    )
-                    ok = est.max_value <= bound * (1.0 + 1e-9) + 1e-12
-                    sup_ok = True
-                    cap = None
-                    if rec_class == "strongly_convex" and est.grad_sup_max is not None:
-                        cap = 4.0 * p.L
-                        sup_ok = est.grad_sup_max <= cap * (1.0 + 1e-9)
-                    record(
-                        sched_report,
-                        "stability_mc",
-                        "pass" if (ok and sup_ok) else "fail",
-                        mean=est.mean,
-                        stderr=est.stderr,
-                        max=est.max_value,
-                        bound=bound,
-                        gradient_bound=L_stab,
-                        grad_sup_max=est.grad_sup_max,
-                        grad_sup_cap=cap,
-                    )
-                except (RegimeError, CapabilityError) as e:
-                    record(sched_report, "stability_mc", "skipped", reason=str(e))
-
-        if "gen_error_mc" in checks:
-            est = None
+    failures: list[str] = []
+    for section, table, args in runs:
+        for name, check in table:
+            if name not in config.checks:
+                continue
             try:
-                est = estimate_gen_error(
-                    instance, n, plan, spec, config.trials, config.master_seed,
-                    s_idx=s_idx, jobs=config.jobs,
-                    allow_divergence=config.allow_divergence,
-                )
-            except (AnalyticRegionError, CapabilityError) as e:
-                record(sched_report, "gen_error_mc", "skipped", reason=str(e))
-            if est is not None:
-                gen_estimates[label] = est
-                total_excluded += est.excluded
-                oracle = bound_set.oracle if bound_set is not None else None
-                if oracle is None and cls is not None and bound_set is None:
-                    try:
-                        oracle = bounds_mod.analytic_gen_error(instance, plan, n)
-                    except (RegimeError, CapabilityError):
-                        oracle = None
-                fields = dict(
-                    mean=est.mean, stderr=est.stderr, trials=est.trials,
-                    excluded=est.excluded, oracle=oracle,
-                )
-                if est.stderr is None:
-                    record(
-                        sched_report, "gen_error_mc", "skipped",
-                        reason="stderr undefined with trials < 2", **fields,
-                    )
-                elif oracle is None:
-                    record(
-                        sched_report, "gen_error_mc", "skipped",
-                        reason="no analytic oracle for this configuration", **fields,
-                    )
-                else:
-                    ok = abs(est.mean - oracle) <= 3.0 * est.stderr
-                    record(
-                        sched_report, "gen_error_mc", "pass" if ok else "fail",
-                        **fields,
-                    )
+                status, fields = check(ctx, *args)
+            except (RegimeError, CapabilityError) as e:
+                status, fields = "skipped", {"reason": str(e)}
+            section[name] = {"status": status, **fields}
+            if status == "fail":
+                failures.append(name)
 
-    if "schedule_equivalence" in checks:
-        if len(config.schedules) < 2:
-            record(
-                report["checks"], "schedule_equivalence", "skipped",
-                reason="needs at least two schedules",
-            )
-        elif bound_set is None or bound_set.oracle is None:
-            record(
-                report["checks"], "schedule_equivalence", "skipped",
-                reason="no analytic oracle for this configuration",
-            )
-        elif not gen_estimates:
-            record(
-                report["checks"], "schedule_equivalence", "skipped",
-                reason="gen_error_mc is disabled",
-            )
-        else:
-            eq = schedule_equivalence(config, estimates=gen_estimates)
-            record(
-                report["checks"],
-                "schedule_equivalence",
-                "pass" if eq["passed"] else "fail",
-                oracle=eq["oracle"],
-                spread=eq["spread"],
-                per_schedule=eq["per_schedule"],
-            )
-
-    report["excluded_trials"] = total_excluded
-    report["divergence_flag"] = total_excluded > 0
+    report["excluded_trials"] = ctx.excluded_trials
+    report["divergence_flag"] = ctx.excluded_trials > 0
     report["failures"] = failures
     report["passed"] = not failures
     return report

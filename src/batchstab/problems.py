@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,13 +37,8 @@ from numpy.random import Generator
 from batchstab.errors import AnalyticRegionError, CapabilityError, ConfigError
 from batchstab.seeding import rng_at
 
-FAMILIES = (
-    "linear",
-    "convex_huber",
-    "quadratic_nonconvex",
-    "quadratic_strongly_convex",
-    "custom_smooth",
-)
+QUADRATIC_FAMILIES = ("quadratic_nonconvex", "quadratic_strongly_convex")
+FAMILIES = ("linear", "convex_huber", *QUADRATIC_FAMILIES, "custom_smooth")
 
 # Relative slack absorbing float rounding in exact-inequality checks.
 REL_SLACK = 1e-9
@@ -115,7 +110,7 @@ class ProblemInstance:
             quad = 0.5 * beta * u * u
             ramp = beta * tau * (au - 0.5 * tau)
             return lin + np.where(au <= tau, quad, ramp)
-        if self.family in ("quadratic_nonconvex", "quadratic_strongly_convex"):
+        if self.family in QUADRATIC_FAMILIES:
             diff = w - z
             return 0.5 * (diff * diff * self.lam).sum(axis=-1)
         if self.loss_fn is None:
@@ -138,7 +133,7 @@ class ProblemInstance:
             # quadratic branch is used there.
             g[..., -1] = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
             return g
-        if self.family in ("quadratic_nonconvex", "quadratic_strongly_convex"):
+        if self.family in QUADRATIC_FAMILIES:
             return self.lam * (w - z)
         if self.grad_fn is None:
             raise CapabilityError("custom_smooth instance has no grad_fn")
@@ -158,7 +153,7 @@ class ProblemInstance:
             g[..., :-1] = lin
             g[..., -1] = hub.mean(axis=-1)
             return g
-        if self.family in ("quadratic_nonconvex", "quadratic_strongly_convex"):
+        if self.family in QUADRATIC_FAMILIES:
             return self.lam * (W - Z.mean(axis=-2))
         return self.grad(W[..., None, :], Z).mean(axis=-2)
 
@@ -180,7 +175,7 @@ class ProblemInstance:
                     f"|w^d - w1^d| <= {limit!r}; iterates should never leave it"
                 )
             return 0.5 * beta * (v * v + s_d * s_d)
-        if self.family in ("quadratic_nonconvex", "quadratic_strongly_convex"):
+        if self.family in QUADRATIC_FAMILIES:
             const = float((self.lam * self.scales**2).sum())
             return 0.5 * ((w * w * self.lam).sum(axis=-1) + const)
         raise CapabilityError(
@@ -193,7 +188,7 @@ class ProblemInstance:
         Defined for the quadratic families, where the per-coordinate worst
         case is the sign of z opposing w: max_z ||Lam (w - z)||.
         """
-        if self.family not in ("quadratic_nonconvex", "quadratic_strongly_convex"):
+        if self.family not in QUADRATIC_FAMILIES:
             raise CapabilityError("grad_sup_norm is defined for quadratic families")
         worst = (np.abs(W) + self.scales) * self.lam
         return np.sqrt((worst * worst).sum(axis=-1))
@@ -362,7 +357,6 @@ class Dataset:
     """n examples of length d; every coordinate is +/- its configured scale."""
 
     examples: np.ndarray
-    origin_seed: int | None = None
 
     def __post_init__(self) -> None:
         self.examples = np.asarray(self.examples, dtype=float)
@@ -386,7 +380,7 @@ def sample_dataset(
             raise ConfigError("sample_dataset needs a seed or an rng")
         rng = rng_at(seed)
     signs = np.where(rng.random((n, instance.d)) < 0.5, -1.0, 1.0)
-    return Dataset(examples=signs * instance.scales, origin_seed=seed)
+    return Dataset(examples=signs * instance.scales)
 
 
 def sample_examples(instance: ProblemInstance, count: int, rng: Generator) -> np.ndarray:
@@ -400,7 +394,7 @@ def neighbor(dataset: Dataset, i: int, replacement: np.ndarray) -> Dataset:
         raise ValueError(f"index i must be in [1, {dataset.n}], got {i}")
     examples = dataset.examples.copy()
     examples[i - 1] = np.asarray(replacement, dtype=float)
-    return Dataset(examples=examples, origin_seed=dataset.origin_seed)
+    return Dataset(examples=examples)
 
 
 def empirical_risk(instance: ProblemInstance, w: np.ndarray, S: Dataset) -> float:
@@ -415,15 +409,6 @@ def dataset_to_csv(dataset: Dataset, path: str) -> None:
         writer = csv.writer(fh)
         for row in dataset.examples:
             writer.writerow([repr(float(v)) for v in row])
-
-
-def dataset_from_csv(path: str) -> Dataset:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(v) for v in row])
-    return Dataset(examples=np.asarray(rows, dtype=float))
 
 
 # -- regularity checks -------------------------------------------------------

@@ -258,14 +258,3 @@ def schedule_to_csv(sched: RealizedSchedule, path: str) -> None:
         writer = csv.writer(fh)
         for t in range(sched.T):
             writer.writerow([int(i) + 1 for i in sched.batches[t]])
-
-
-def schedule_from_csv(path: str, n: int) -> RealizedSchedule:
-    """Read a realized schedule written by :func:`schedule_to_csv`."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([int(v) - 1 for v in row])
-    batches = np.asarray(rows, dtype=np.int64) if rows else np.empty((0, n), np.int64)
-    return RealizedSchedule(batches=batches, n=n)

@@ -44,10 +44,6 @@ class StabilityRecord:
     def final_on_average(self) -> float:
         return float(self.per_step_gaps[-1].mean())
 
-    @property
-    def final_max(self) -> float:
-        return float(self.per_step_gaps[-1].max())
-
 
 def on_average_stability(pt: PairedTrajectory) -> StabilityRecord:
     """Exact Euclidean gaps between the base run and every neighbor run."""
@@ -61,16 +57,6 @@ def final_on_average_gap(pt: PairedTrajectory) -> float:
     """Final-iterate on-average gap; works for runs without stored paths."""
     diffs = pt.finals[1:] - pt.finals[0]
     return float(np.linalg.norm(diffs, axis=-1).mean())
-
-
-def stability_record_to_csv(record: StabilityRecord, path: str) -> None:
-    """Dump the (T+1) x n gap matrix, one step per row."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in record.per_step_gaps:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,16 @@ def test_invariant_violation_names_the_field(tmp_path, capsys):
     assert "m must satisfy" in capsys.readouterr().err
 
 
+def test_unknown_bound_class_names_the_field(tmp_path, capsys):
+    bad = mini_verify_config()
+    bad["class"] = "convx"
+    bad["checks"] = ["growth_recursion", "stability_mc"]
+    cfg = write_config(tmp_path, bad)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "field 'class'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_seed_override_wins_over_config(tmp_path):
     cfg = write_config(tmp_path, mini_verify_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"

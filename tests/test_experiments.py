@@ -20,6 +20,7 @@ from batchstab.experiments import (
 )
 from batchstab.problems import (
     convex_huber_instance,
+    custom_smooth_instance,
     linear_instance,
     quadratic_strongly_convex_instance,
 )
@@ -269,3 +270,102 @@ def test_linear_demo_gen_error_sits_at_half_the_bound():
     est = estimate_gen_error(inst, n, plan, spec, trials=800, master_seed=29)
     expected = d / n * etas.sum()
     assert abs(est.mean - expected) <= 3 * est.stderr
+
+
+def test_skip_reasons_of_a_nonconvex_constant_plan():
+    # The constant plan is outside every nonconvex regime: no upper bound,
+    # no lower bound and no oracle, so the three oracle-backed checks skip
+    # while the per-step checks still run.
+    report = run_full_verification(
+        small_config(
+            instance={"family": "quadratic_nonconvex", "d": 3, "beta": 1.0},
+            plan={"kind": "constant", "eta": 0.3, "T": 15},
+            trials=20,
+            stability_trials=2,
+            regularity_trials=20,
+        )
+    )
+    per_schedule = {
+        "counting_lemma": "pass",
+        "oracle_equivalence": "pass",
+        "growth_recursion": "pass",
+        "stability_mc": "pass",
+        "gen_error_mc": "skipped",
+    }
+    statuses = {"checks": {k: v["status"] for k, v in report["checks"].items()}}
+    for label, section in report["schedules"].items():
+        statuses[label] = {k: v["status"] for k, v in section.items() if k != "spec"}
+    assert statuses == {
+        "checks": {
+            "regularity": "pass",
+            "sandwich": "skipped",
+            "schedule_equivalence": "skipped",
+        },
+        "full_batch": per_schedule,
+        "round_robin_m1": per_schedule,
+        "uniform_random_m3": per_schedule,
+    }
+    assert report["checks"]["sandwich"]["reason"] == (
+        "upper: no in-scope upper bound for smooth non-Lipschitz losses; the "
+        "full-batch reference rate from prior work is not evaluated here; "
+        "lower: nonconvex lower bound requires eta_t = c/(beta t); "
+        "oracle: the nonconvex oracle requires the decreasing plan eta_t = coeff/t"
+    )
+    no_oracle = "no analytic oracle for this configuration"
+    assert report["checks"]["schedule_equivalence"]["reason"] == no_oracle
+    for section in report["schedules"].values():
+        gen = section["gen_error_mc"]
+        assert gen["reason"] == no_oracle
+        assert gen["oracle"] is None and gen["trials"] == 20
+    assert report["failures"] == []
+
+
+def custom_config(checks, bound_class=None):
+    inst = custom_smooth_instance(
+        d=2,
+        loss_fn=lambda w, z: 0.5 * ((w - z) ** 2).sum(axis=-1),
+        grad_fn=lambda w, z: w - z,
+        scales=[1.0, 1.0],
+        beta=1.0,
+    )
+    n, T = 6, 5
+    return ExperimentConfig(
+        name="custom",
+        instance=inst,
+        n=n,
+        plan=constant_plan(0.3, T),
+        schedules=(
+            ScheduleSpec("round_robin", n=n, m=1, T=T),
+            ScheduleSpec("full_batch", n=n, m=n, T=T),
+        ),
+        trials=4,
+        master_seed=3,
+        checks=checks,
+        stability_trials=2,
+        bound_class=bound_class,
+    )
+
+
+def test_missing_gradient_bound_skips_both_paired_checks():
+    # No Lipschitz constant and no tracked path gradient for a custom loss:
+    # both checks that need a gradient bound skip with the same reason.
+    report = run_full_verification(
+        custom_config(("growth_recursion", "stability_mc"), "nonconvex_smooth")
+    )
+    for section in report["schedules"].values():
+        for check in ("growth_recursion", "stability_mc"):
+            assert section[check] == {
+                "status": "skipped",
+                "reason": "no gradient bound is available for this family",
+            }
+
+
+def test_disabled_sandwich_leaves_no_entry():
+    report = run_full_verification(custom_config(("schedule_equivalence",)))
+    assert report["checks"] == {
+        "schedule_equivalence": {
+            "status": "skipped",
+            "reason": "no analytic oracle for this configuration",
+        }
+    }
+    assert "bounds" not in report

@@ -227,23 +227,6 @@ def test_measured_stability_below_class_bounds_nonconvex_and_sc():
     assert pt2.grad_sup <= 4.0 * (1 + 1e-9)
 
 
-def test_stability_record_csv_export(tmp_path):
-    inst = linear_instance(d=2)
-    S = sample_dataset(inst, 3, seed=700)
-    repl = sample_examples(inst, 3, np.random.default_rng(701))
-    sched = realize(ScheduleSpec("round_robin", n=3, m=1, T=4))
-    pt = run_paired(inst, S, repl, sched, constant_plan(0.2, 4))
-    rec = on_average_stability(pt)
-    from batchstab.stability import stability_record_to_csv
-
-    path = tmp_path / "gaps.csv"
-    stability_record_to_csv(rec, str(path))
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    assert len(rows) == 5 and all(len(r) == 3 for r in rows)
-    assert [float(v) for v in rows[0]] == [0.0, 0.0, 0.0]
-    assert float(rows[-1][0]) == pytest.approx(rec.per_step_gaps[-1, 0])
-
-
 def test_recursion_regime_refusals():
     inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
     pt = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=600)
