@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from batchstab._series import suffix_products
+from batchstab._series import affine_steps
 from batchstab.engine import StepSizePlan
 from batchstab.errors import CapabilityError, ConfigError, RegimeError
-from batchstab.problems import QUADRATIC_FAMILIES, ProblemInstance, REL_SLACK
+from batchstab.problems import ProblemInstance, REL_SLACK
 from batchstab.stability import nonconvex_step_sum, nonconvex_step_sum_cap
 
 BOUND_CLASSES = (
@@ -50,6 +50,14 @@ def _require(cond: bool, message: str) -> None:
         raise RegimeError(message)
 
 
+def _require_constants(what: str, **constants) -> None:
+    """ConfigError naming each constant that is None; a gamma of 0 (a loss
+    that is not strongly convex) counts as missing."""
+    missing = [k for k, v in constants.items() if v is None or (k == "gamma" and not v)]
+    if missing:
+        raise ConfigError(f"{what} requires {' and '.join(missing)}")
+
+
 def gen_error_upper(
     cls: str,
     plan: StepSizePlan,
@@ -63,16 +71,14 @@ def gen_error_upper(
     """Worst-case generalization-error upper bound for one loss class."""
     etas = plan.etas()
     if cls == "convex":
-        if L is None or beta is None:
-            raise ConfigError("convex upper bound requires L and beta")
+        _require_constants("convex upper bound", L=L, beta=beta)
         _require(
             etas.size == 0 or etas.max() < (2.0 / beta) * (1.0 + REL_SLACK),
             "convex upper bound requires eta_t < 2/beta",
         )
         return float(2.0 * L * L / n * etas.sum())
     if cls == "nonconvex_lipschitz":
-        if L is None or beta is None:
-            raise ConfigError("nonconvex upper bound requires L and beta")
+        _require_constants("nonconvex upper bound", L=L, beta=beta)
         _require(
             plan.kind == "inverse_t",
             "nonconvex upper bound requires a decreasing step size eta_t = C/t",
@@ -85,10 +91,9 @@ def gen_error_upper(
             return 0.0
         return float(2.0 * L * L / n * nonconvex_step_sum_cap(plan.coeff, beta, plan.T))
     if cls == "strongly_convex":
-        if Ltilde is None or beta is None or gamma is None:
-            raise ConfigError(
-                "strongly-convex upper bound requires Ltilde, beta, and gamma"
-            )
+        _require_constants(
+            "strongly-convex upper bound", Ltilde=Ltilde, beta=beta, gamma=gamma
+        )
         _require(
             plan.kind == "constant",
             "strongly-convex upper bound requires a constant step size",
@@ -129,16 +134,14 @@ def gen_error_lower(
     """Minimax generalization-error lower bound for one loss class."""
     etas = plan.etas()
     if cls == "convex":
-        if L is None or beta is None:
-            raise ConfigError("convex lower bound requires L and beta")
+        _require_constants("convex lower bound", L=L, beta=beta)
         _require(
             etas.size == 0 or etas.max() <= (1.0 / beta) * (1.0 + REL_SLACK),
             "convex lower bound requires eta_t <= 1/beta",
         )
         return float(L * L / (2.0 * n) * etas.sum())
     if cls == "nonconvex_smooth":
-        if beta is None:
-            raise ConfigError("nonconvex lower bound requires beta")
+        _require_constants("nonconvex lower bound", beta=beta)
         _require(
             plan.kind == "inverse_t",
             "nonconvex lower bound requires eta_t = c/(beta t)",
@@ -147,10 +150,9 @@ def gen_error_lower(
         _require(0.0 < c <= 1.0 + REL_SLACK, "nonconvex lower bound requires c in (0, 1]")
         return float(((plan.T + 1) ** math.log1p(c) - 1.0) / (2.0 * n))
     if cls == "strongly_convex":
-        if Ltilde is None or beta is None or gamma is None or d is None:
-            raise ConfigError(
-                "strongly-convex lower bound requires Ltilde, beta, gamma, and d"
-            )
+        _require_constants(
+            "strongly-convex lower bound", Ltilde=Ltilde, beta=beta, gamma=gamma, d=d
+        )
         _require(
             d >= (beta * beta - gamma * gamma) / (3.0 * gamma * gamma),
             "strongly-convex lower bound requires d >= (beta^2 - gamma^2)/(3 gamma^2)",
@@ -176,68 +178,36 @@ def gen_error_lower(
 def analytic_gen_error(instance: ProblemInstance, plan: StepSizePlan, n: int) -> float:
     """Exact expected generalization error of a built-in construction.
 
+    With the family's affine form (a, e, c) it is one series:
+
+        (1/n) sum_k (s_k e_k)^2 sum_t eta_t prod_{j>t} (1 - eta_j a_k)
+
     The value is identical for every data-independent schedule and every
-    batch size, so no schedule argument exists.  Families and admissible
-    plans:
-
-    linear                      any plan:
-                                (sum_k s_k^2 / n) * sum_t eta_t
-    convex_huber                eta_t <= 1/beta (iterates then provably stay
-                                inside the Huber region):
-                                (1/n) [ beta^2 s_d^2 * sum_t eta_t
-                                        prod_{j>t} (1 - beta eta_j)
-                                      + (sum_{k<d} s_k^2) * sum_t eta_t ]
-    quadratic_nonconvex         decreasing eta_t = coeff/t
-    quadratic_strongly_convex   constant eta <= 1/(beta+gamma)
-
-    Both quadratics share one exact series:
-    (1/n) sum_k s_k^2 lam_k^2 sum_t eta_t prod_{j>t} (1 - eta_j lam_k).
+    batch size, so no schedule argument exists.  Admissible plans: any for
+    linear; eta_t <= 1/beta and tau >= 2 s_d for convex_huber (iterates then
+    stay inside the Huber region); the decreasing eta_t = coeff/t for
+    quadratic_nonconvex; a constant eta <= 1/(beta+gamma) for
+    quadratic_strongly_convex.
     """
     etas = plan.etas()
-    scales = instance.scales
-    if instance.family == "linear":
-        return float((scales**2).sum() / n * etas.sum())
-    if instance.family == "convex_huber":
-        beta = instance.params.beta
+    if instance.family == "quadratic_nonconvex":
         _require(
-            etas.size == 0 or etas.max() <= (1.0 / beta) * (1.0 + REL_SLACK),
-            "the convex oracle requires eta_t <= 1/beta",
+            plan.kind == "inverse_t",
+            "the nonconvex oracle requires the decreasing plan eta_t = coeff/t",
         )
-        if instance.params.tau < 2.0 * scales[-1] * (1.0 - REL_SLACK):
-            raise RegimeError(
-                "the convex oracle requires tau >= twice the last data scale "
-                "so iterates stay inside the Huber region"
-            )
-        tail = suffix_products(1.0 - beta * etas)
-        curved = beta * beta * float(scales[-1]) ** 2 * float((etas * tail).sum())
-        flat = float((scales[:-1] ** 2).sum()) * float(etas.sum())
-        return (curved + flat) / n
-    if instance.family in QUADRATIC_FAMILIES:
-        if instance.family == "quadratic_nonconvex":
-            _require(
-                plan.kind == "inverse_t",
-                "the nonconvex oracle requires the decreasing plan eta_t = coeff/t",
-            )
-        else:
-            beta, gamma = instance.params.beta, instance.params.gamma
-            _require(
-                plan.kind == "constant",
-                "the strongly-convex oracle requires a constant step size",
-            )
-            _require(
-                plan.T == 0
-                or plan.eta <= (1.0 / (beta + gamma)) * (1.0 + REL_SLACK),
-                "the strongly-convex oracle requires eta <= 1/(beta+gamma)",
-            )
-        if etas.size == 0:
-            return 0.0
-        factors = 1.0 - etas[:, None] * instance.lam  # (T, d)
-        tail = suffix_products(factors)
-        series = (etas[:, None] * tail).sum(axis=0)  # (d,)
-        return float((scales**2 * instance.lam**2 * series).sum() / n)
-    raise CapabilityError(
-        f"no analytic generalization error for family {instance.family!r}"
-    )
+    if instance.family == "quadratic_strongly_convex":
+        beta, gamma = instance.params.beta, instance.params.gamma
+        _require(
+            plan.kind == "constant",
+            "the strongly-convex oracle requires a constant step size",
+        )
+        _require(
+            plan.T == 0 or plan.eta <= (1.0 / (beta + gamma)) * (1.0 + REL_SLACK),
+            "the strongly-convex oracle requires eta <= 1/(beta+gamma)",
+        )
+    e, _, _, tail = affine_steps(instance, etas)
+    series = (etas[:, None] * tail).sum(axis=0)  # (d,)
+    return float((instance.scales**2 * e**2 * series).sum() / n)
 
 
 def uniform_stability_constant(case: str, **kw) -> float:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from batchstab import bounds as bounds_mod
 from batchstab.engine import run, trajectory_to_csv
+from batchstab.errors import AnalyticRegionError
 from batchstab.experiments import (
     class_for_instance,
     config_from_dict,
@@ -192,7 +193,9 @@ def _grid_rows(cfg: dict, sweep: dict, jobs: int) -> tuple[list[dict], bool]:
     """One row per grid cell: bounds, oracle, optional Monte Carlo estimate.
 
     Swappable axes: n, T, eta (constant plans), c (decreasing plans), and
-    schedule kind.  Refusals become per-row fields, never fatal errors.
+    schedule kind.  Refusals become per-row fields, never fatal errors; a
+    Monte Carlo run that leaves the analytic region leaves mc_mean and
+    mc_stderr null, and the verdict then rests on the sandwich alone.
     """
     axes: dict = sweep.get("axes") or {}
     if not axes or any(not vals for vals in axes.values()):
@@ -242,14 +245,20 @@ def _grid_rows(cfg: dict, sweep: dict, jobs: int) -> tuple[list[dict], bool]:
         verdict = bset.sandwich_ok
         if trials > 0:
             spec = schedule_spec_from_dict(sched_cfg, n=n, T=plan.T)
-            est = estimate_gen_error(
-                instance, n, plan, spec, trials, master_seed,
-                s_idx=cell_idx, jobs=jobs,
-            )
-            row.update(mc_mean=est.mean, mc_stderr=est.stderr)
-            if bset.oracle is not None and est.stderr is not None:
-                mc_ok = est.agrees_with(bset.oracle)
-                verdict = mc_ok if verdict is None else (verdict and mc_ok)
+            try:
+                est = estimate_gen_error(
+                    instance, n, plan, spec, trials, master_seed,
+                    s_idx=cell_idx, jobs=jobs,
+                )
+            except AnalyticRegionError as e:
+                # Every row keeps every key: sweep.csv takes its header from row 0.
+                row.update(mc_mean=None, mc_stderr=None)
+                row["refusals"] = "; ".join(filter(None, (row["refusals"], f"mc: {e}")))
+            else:
+                row.update(mc_mean=est.mean, mc_stderr=est.stderr)
+                if bset.oracle is not None and est.stderr is not None:
+                    mc_ok = est.agrees_with(bset.oracle)
+                    verdict = mc_ok if verdict is None else (verdict and mc_ok)
         row["verdict"] = "" if verdict is None else ("pass" if verdict else "fail")
         if verdict is False:
             all_ok = False

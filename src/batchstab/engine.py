@@ -22,18 +22,13 @@ The engine never projects or clips: a non-finite iterate raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from batchstab._series import suffix_products
-from batchstab.errors import (
-    AnalyticRegionError,
-    CapabilityError,
-    ConfigError,
-    DivergenceError,
-    RegimeError,
-)
+from batchstab._series import affine_steps
+from batchstab.errors import AnalyticRegionError, ConfigError, DivergenceError
 from batchstab.problems import QUADRATIC_FAMILIES, Dataset, ProblemInstance, REL_SLACK
 from batchstab.schedule import RealizedSchedule
 
@@ -53,18 +48,23 @@ class StepSizePlan:
     def validate(self) -> None:
         if self.kind not in PLAN_KINDS:
             raise ConfigError(f"plan kind {self.kind!r} is not one of {PLAN_KINDS}")
+        if not isinstance(self.T, (int, np.integer)) or isinstance(self.T, bool):
+            raise ConfigError(f"plan horizon T must be an integer, got {self.T!r}")
         if self.T < 0:
             raise ConfigError(f"plan horizon T must be >= 0, got {self.T}")
-        if self.kind == "constant" and (self.eta is None or self.eta <= 0):
-            raise ConfigError("constant plan requires eta > 0")
-        if self.kind == "inverse_t" and (self.coeff is None or self.coeff <= 0):
-            raise ConfigError("inverse_t plan requires coeff > 0")
+        # Chained comparisons are False for NaN, so these also refuse NaN.
+        if self.kind == "constant" and not 0 < (self.eta or 0) < math.inf:
+            raise ConfigError(f"constant plan requires finite eta > 0, got {self.eta}")
+        if self.kind == "inverse_t" and not 0 < (self.coeff or 0) < math.inf:
+            raise ConfigError(
+                f"inverse_t plan requires finite coeff > 0, got {self.coeff}"
+            )
         if self.kind == "custom":
             if self.values is None or len(self.values) != self.T:
                 raise ConfigError("custom plan requires exactly T values")
             # zero entries are allowed so frozen-step controls stay expressible
-            if any(v < 0 for v in self.values):
-                raise ConfigError("custom plan requires every eta_t >= 0")
+            if not all(0 <= v < math.inf for v in self.values):
+                raise ConfigError("custom plan requires finite values >= 0")
 
     def etas(self) -> np.ndarray:
         self.validate()
@@ -153,18 +153,6 @@ def _resolve_w1(instance: ProblemInstance, w1) -> np.ndarray:
     return w1.copy()
 
 
-def _huber_region_limit(instance: ProblemInstance, etas: np.ndarray) -> float | None:
-    """Half-width of the invariant region, when the plan guarantees one."""
-    if instance.family != "convex_huber" or etas.size == 0:
-        return None
-    p = instance.params
-    if etas.max() > (1.0 / p.beta) * (1.0 + REL_SLACK):
-        return None
-    if p.tau < 2.0 * instance.scales[-1] * (1.0 - REL_SLACK):
-        return None
-    return 0.5 * p.tau
-
-
 def _evolve(
     instance: ProblemInstance,
     data: np.ndarray,
@@ -189,7 +177,7 @@ def _evolve(
     if keep_path:
         path = np.empty((T + 1, R, instance.d))
         path[0] = W
-    limit = _huber_region_limit(instance, etas)
+    limit = instance.huber_region_limit(etas)
     w1d = instance.w1[-1]
     sup = None
     if track_grad_sup:
@@ -334,52 +322,22 @@ def closed_form_final(
 ) -> np.ndarray:
     """Analytic final iterate for the built-in families; oracle for ``run``.
 
-    linear:      w1 - (1/m) sum_t eta_t sum_{z in K_t} z
-    convex_huber: the linear form on the first d-1 coordinates, and on the
-                 last one the affine recursion solved in closed form with
-                 suffix products of (1 - beta eta_j); valid while iterates
-                 stay inside the Huber region, which requires eta_t <= 1/beta.
-    quadratics:  per coordinate k, the affine recursion with factors
-                 (1 - eta_t lam_k) solved the same way, any step plan.
+    With the family's affine form (a, e, c) the update is an affine
+    recursion, solved per coordinate:
+
+        c + prod_t (1 - eta_t a) (w1 - c)
+          - (e/m) sum_t eta_t prod_{j>t} (1 - eta_j a) sum_{z in K_t} z
+
+    Refused for a convex_huber plan under which iterates could leave the
+    Huber region (see ``affine_steps``).
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
     w1v = _resolve_w1(instance, w1)
-    T, m = sched.T, sched.m
-    if T == 0:
-        return w1v
+    e, c, factors, tail = affine_steps(instance, etas)
     batch_sums = S.examples[sched.batches].sum(axis=1)  # (T, d)
-
-    if instance.family == "linear":
-        return w1v - (etas[:, None] * batch_sums).sum(axis=0) / m
-
-    if instance.family == "convex_huber":
-        beta = instance.params.beta
-        if etas.max() > (1.0 / beta) * (1.0 + REL_SLACK):
-            raise RegimeError(
-                "the closed form for convex_huber requires eta_t <= 1/beta "
-                "(outside it iterates may leave the Huber region)"
-            )
-        out = np.empty(instance.d)
-        out[:-1] = w1v[:-1] - (etas[:, None] * batch_sums[:, :-1]).sum(axis=0) / m
-        factors = 1.0 - beta * etas
-        tail = suffix_products(factors)
-        anchor_mult = factors.prod() + beta * (etas * tail).sum()
-        out[-1] = w1v[-1] * anchor_mult + (beta / m) * (
-            etas * tail * batch_sums[:, -1]
-        ).sum()
-        return out
-
-    if instance.family in QUADRATIC_FAMILIES:
-        factors = 1.0 - etas[:, None] * instance.lam  # (T, d)
-        tail = suffix_products(factors)
-        homogeneous = factors.prod(axis=0) * w1v
-        driven = (etas[:, None] * tail * instance.lam * batch_sums).sum(axis=0) / m
-        return homogeneous + driven
-
-    raise CapabilityError(
-        f"no closed-form final iterate for family {instance.family!r}"
-    )
+    driven = (etas[:, None] * tail * e * batch_sums).sum(axis=0) / sched.m
+    return c + factors.prod(axis=0) * (w1v - c) - driven
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:

@@ -569,12 +569,10 @@ def _check_counting_lemma(ctx: _Context, s_idx: int, spec: ScheduleSpec):
 
 def _check_oracle_equivalence(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     instance, plan = ctx.config.instance, ctx.config.plan
-    if instance.family == "custom_smooth":
-        raise CapabilityError("no closed form for custom_smooth")
     S = Dataset(examples=ctx.audit_examples(s_idx, 0))
     sched = ctx.audit_schedule(s_idx, spec)
-    w_run = run_final(instance, S, sched, plan)
     w_cf = closed_form_final(instance, S, sched, plan)
+    w_run = run_final(instance, S, sched, plan)
     dev = float(np.linalg.norm(w_run - w_cf) / (1.0 + np.linalg.norm(w_cf)))
     return _status(dev < 1e-9), dict(max_rel_dev=dev)
 
@@ -595,7 +593,7 @@ def _check_growth_recursion(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     L = ctx.gradient_bound(pt.grad_sup)
     verdict = stability_mod.check_growth_recursion(
         pt, ctx.rec_class, L=L, beta=instance.params.beta,
-        gamma=instance.params.gamma or None,
+        gamma=instance.params.gamma,
     )
     return _status(verdict), dict(
         violations=len(verdict.violations),
@@ -616,7 +614,7 @@ def _check_stability_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     L = ctx.gradient_bound(est.grad_sup_max)
     bound = stability_mod.stability_bound(
         ctx.rec_class, L, config.plan.etas(), config.n, spec.m,
-        beta=p.beta, gamma=p.gamma or None,
+        beta=p.beta, gamma=p.gamma,
     )
     ok = est.max_value <= bound * (1.0 + 1e-9) + 1e-12
     cap = None

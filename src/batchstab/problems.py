@@ -22,6 +22,20 @@ Examples are drawn coordinatewise from symmetric two-point laws: each
 coordinate equals +/- its configured scale with probability 1/2, all
 coordinates independent.  That makes the population risk of every built-in
 family available in closed form.
+
+Every built-in family has a gradient that is affine in w and z on its
+analytic region, grad f(w, z) = a * (w - c) + e * z coordinatewise; the
+closed-form final iterate, the exact generalization error and the
+population risk are each one formula in (a, e, c):
+
+    family          a                e                   c
+    linear          0                1                   0
+    convex_huber    (0, ..., 0, b)   (1, ..., 1, -b)     (0, ..., 0, w1^d)
+    quadratics      lam              -lam                0
+
+For convex_huber (b = beta) the region is |w^d - w1^d - z^d| <= tau; the
+iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
+(``ProblemInstance.huber_region_limit``).
 """
 
 from __future__ import annotations
@@ -157,30 +171,52 @@ class ProblemInstance:
             return self.lam * (W - Z.mean(axis=-2))
         return self.grad(W[..., None, :], Z).mean(axis=-2)
 
-    # -- risks -------------------------------------------------------------
+    # -- closed-form data --------------------------------------------------
+
+    def affine_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, e, c), each (d,), with grad f(w, z) = a * (w - c) + e * z on
+        the analytic region; see the module docstring for the table."""
+        d = self.d
+        if self.family == "linear":
+            return np.zeros(d), np.ones(d), np.zeros(d)
+        if self.family == "convex_huber":
+            a, e, c = np.zeros(d), np.ones(d), np.zeros(d)
+            a[-1], e[-1], c[-1] = self.params.beta, -self.params.beta, self.w1[-1]
+            return a, e, c
+        if self.family in QUADRATIC_FAMILIES:
+            return self.lam, -self.lam, np.zeros(d)
+        raise CapabilityError(f"family {self.family!r} has no affine gradient form")
+
+    def huber_region_limit(self, etas: np.ndarray) -> float | None:
+        """Half-width tau/2 of the band |w^d - w1^d| that convex_huber iterates
+        never leave under the step sizes ``etas``.
+
+        The band is invariant when every eta_t <= 1/beta and tau >= 2 s_d; the
+        limit is None when either fails, and for every other family.
+        """
+        if self.family != "convex_huber":
+            return None
+        p = self.params
+        if etas.size and etas.max() > (1.0 / p.beta) * (1.0 + REL_SLACK):
+            return None
+        if p.tau < 2.0 * self.scales[-1] * (1.0 - REL_SLACK):
+            return None
+        return 0.5 * p.tau
 
     def population_risk(self, w: np.ndarray) -> np.ndarray:
-        """Exact expectation of the loss under the example distribution."""
+        """Exact expectation of the loss under the example distribution:
+        (1/2) [sum_k a_k (w_k - c_k)^2 + sum_k a_k s_k^2]."""
         w = np.asarray(w, dtype=float)
-        if self.family == "linear":
-            return np.zeros(w.shape[:-1])
+        a, _, c = self.affine_form()
         if self.family == "convex_huber":
-            beta, tau = self.params.beta, self.params.tau
-            s_d = self.scales[-1]
-            v = w[..., -1] - self.w1[-1]
-            limit = tau - s_d
+            v = w[..., -1] - c[-1]
+            limit = self.params.tau - self.scales[-1]
             if np.any(np.abs(v) > limit * (1.0 + REL_SLACK) + ABS_SLACK):
                 raise AnalyticRegionError(
                     "population risk queried outside the analytic region "
                     f"|w^d - w1^d| <= {limit!r}; iterates should never leave it"
                 )
-            return 0.5 * beta * (v * v + s_d * s_d)
-        if self.family in QUADRATIC_FAMILIES:
-            const = float((self.lam * self.scales**2).sum())
-            return 0.5 * ((w * w * self.lam).sum(axis=-1) + const)
-        raise CapabilityError(
-            "population_risk has no closed form for custom_smooth instances"
-        )
+        return 0.5 * ((a * (w - c) ** 2).sum(axis=-1) + (a * self.scales**2).sum())
 
     def grad_sup_norm(self, W: np.ndarray) -> np.ndarray:
         """Largest gradient norm over the example support, per point of W.

@@ -84,33 +84,10 @@ def check_growth_recursion(
     max_slack is the largest lhs - rhs over all pairs (negative when all
     hold strictly).
     """
-    if loss_class not in LOSS_CLASSES:
-        raise ConfigError(f"loss_class must be one of {LOSS_CLASSES}")
     if pt.paths is None:
         raise ConfigError("check_growth_recursion needs a paired run with paths")
     etas = pt.etas
-    if loss_class == "convex":
-        if beta is None:
-            raise ConfigError("convex recursion requires beta")
-        if etas.size and etas.max() >= (2.0 / beta) * (1.0 + REL_SLACK):
-            raise RegimeError(
-                "convex growth recursion requires eta_t < 2/beta; "
-                f"got max eta_t = {etas.max()!r}"
-            )
-        factors = np.ones_like(etas)
-    elif loss_class == "nonconvex":
-        if beta is None:
-            raise ConfigError("nonconvex recursion requires beta")
-        factors = 1.0 + beta * etas
-    else:
-        if gamma is None or beta is None:
-            raise ConfigError("strongly_convex recursion requires beta and gamma")
-        if etas.size and etas.max() > (2.0 / (beta + gamma)) * (1.0 + REL_SLACK):
-            raise RegimeError(
-                "strongly-convex growth recursion requires eta_t <= 2/(beta+gamma); "
-                f"got max eta_t = {etas.max()!r}"
-            )
-        factors = 1.0 - 0.5 * gamma * etas
+    factors = growth_factors(loss_class, etas, beta, gamma)
 
     # One step at a time, so only the previous per-neighbor gap is held.
     paths = pt.paths
@@ -134,6 +111,43 @@ def check_growth_recursion(
     )
 
 
+def growth_factors(
+    loss_class: str,
+    etas: np.ndarray,
+    beta: float | None,
+    gamma: float | None = None,
+) -> np.ndarray:
+    """Per-step factors of the growth recursion of one loss class.
+
+    1 for convex (requires eta_t < 2/beta), 1 + beta eta_t for nonconvex,
+    1 - gamma eta_t / 2 for strongly convex (requires eta_t <= 2/(beta+gamma)).
+    A gamma of 0 means the loss is not strongly convex and counts as missing.
+    """
+    if loss_class not in LOSS_CLASSES:
+        raise ConfigError(f"loss_class must be one of {LOSS_CLASSES}")
+    if beta is None:
+        raise ConfigError(f"{loss_class} growth recursion requires beta")
+    etas = np.asarray(etas, dtype=float)
+    top = float(etas.max()) if etas.size else 0.0
+    if loss_class == "convex":
+        if top >= 2.0 / beta:
+            raise RegimeError(
+                "convex growth recursion requires eta_t < 2/beta; "
+                f"got max eta_t = {top!r}"
+            )
+        return np.ones_like(etas)
+    if loss_class == "nonconvex":
+        return 1.0 + beta * etas
+    if not gamma:
+        raise ConfigError("strongly_convex growth recursion requires gamma > 0")
+    if top > (2.0 / (beta + gamma)) * (1.0 + REL_SLACK):
+        raise RegimeError(
+            "strongly-convex growth recursion requires eta_t <= 2/(beta+gamma); "
+            f"got max eta_t = {top!r}"
+        )
+    return 1.0 - 0.5 * gamma * etas
+
+
 def stability_bound(
     loss_class: str,
     L: float,
@@ -143,37 +157,17 @@ def stability_bound(
     beta: float | None = None,
     gamma: float | None = None,
 ) -> float:
-    """Closed-form on-average stability bound for one loss class.
+    """Closed-form on-average stability bound for one loss class:
+    2 L / n * sum_t eta_t prod_{j>t} factor_j, with ``growth_factors``.
 
     The value is independent of the batch size m: the per-step perturbation
     count m cancels against the 1/m in the update.  m participates only in
     validation so callers can assert that invariance.
     """
-    if loss_class not in LOSS_CLASSES:
-        raise ConfigError(f"loss_class must be one of {LOSS_CLASSES}")
     if not 1 <= m <= n:
         raise ConfigError(f"batch size m must satisfy 1 <= m <= n, got {m}")
     etas = np.asarray(etas, dtype=float)
-    if etas.size == 0:
-        return 0.0
-    if loss_class == "convex":
-        if beta is None:
-            raise ConfigError("convex bound requires beta")
-        if etas.max() >= (2.0 / beta) * (1.0 + REL_SLACK):
-            raise RegimeError("convex stability bound requires eta_t < 2/beta")
-        return float(2.0 * L / n * etas.sum())
-    if loss_class == "nonconvex":
-        if beta is None:
-            raise ConfigError("nonconvex bound requires beta")
-        tail = suffix_products(1.0 + beta * etas)
-        return float(2.0 * L / n * (etas * tail).sum())
-    if gamma is None or beta is None:
-        raise ConfigError("strongly_convex bound requires beta and gamma")
-    if etas.max() > (2.0 / (beta + gamma)) * (1.0 + REL_SLACK):
-        raise RegimeError(
-            "strongly-convex stability bound requires eta_t <= 2/(beta+gamma)"
-        )
-    tail = suffix_products(1.0 - 0.5 * gamma * etas)
+    tail = suffix_products(growth_factors(loss_class, etas, beta, gamma))
     return float(2.0 * L / n * (etas * tail).sum())
 
 
@@ -189,9 +183,8 @@ def contraction_step_sum(C: float, gamma: float, T: int) -> float:
 def nonconvex_step_sum(etas: np.ndarray, beta: float) -> float:
     """sum_t eta_t prod_{j>t} (1 + beta eta_j), the pre-simplification series."""
     etas = np.asarray(etas, dtype=float)
-    if etas.size == 0:
-        return 0.0
-    return float((etas * suffix_products(1.0 + beta * etas)).sum())
+    tail = suffix_products(growth_factors("nonconvex", etas, beta))
+    return float((etas * tail).sum())
 
 
 def nonconvex_step_sum_cap(C: float, beta: float, T: int) -> float:

@@ -224,3 +224,89 @@ def test_shipped_flagship_config_parses():
     config = config_from_dict(cfg)
     assert config.n == 50 and config.trials == 2000
     assert math.isclose(config.plan.etas().sum(), 50.0)
+
+
+def huber_grid_config():
+    return {
+        "master_seed": 1,
+        "sweep": {
+            "mode": "grid",
+            "axes": {"eta": [0.3, 0.5, 1.5]},
+            "trials": 40,
+            "base": {
+                "instance": {"family": "convex_huber", "d": 3, "L": 1.0, "beta": 1.0},
+                "n": 8,
+                "plan": {"kind": "constant", "eta": 0.3, "T": 10},
+                "schedule": {"kind": "round_robin", "m": 1},
+            },
+        },
+    }
+
+
+def test_grid_cell_leaving_the_huber_region_refuses_its_monte_carlo(tmp_path):
+    cfg = write_config(tmp_path, huber_grid_config())
+    out = tmp_path / "g"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads((out / "sweep.json").read_text())
+    assert all(list(r) == list(rows[0]) for r in rows)
+    assert [r["verdict"] for r in rows] == ["pass", "pass", ""]
+    assert rows[0]["mc_mean"] is not None
+    outside = rows[2]
+    assert outside["mc_mean"] is None and outside["mc_stderr"] is None
+    assert "; mc: population risk queried outside the analytic region" in (
+        outside["refusals"]
+    )
+    header = (out / "sweep.csv").read_text().splitlines()[0]
+    assert header == "eta,lower,oracle,upper,refusals,mc_mean,mc_stderr,verdict"
+
+
+@pytest.mark.parametrize(
+    "instance, bound_class, plan, missing",
+    [
+        (
+            {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0},
+            "strongly_convex",
+            {"kind": "constant", "eta": 0.5, "T": 15},
+            "gamma",
+        ),
+        (
+            {"family": "quadratic_nonconvex", "d": 3, "beta": 1.0},
+            "nonconvex_lipschitz",
+            {"kind": "inverse_t", "coeff": 0.5, "T": 15},
+            "L",
+        ),
+    ],
+)
+def test_class_override_without_its_constants_names_the_missing_one(
+    tmp_path, capsys, instance, bound_class, plan, missing
+):
+    cfg = dict(mini_verify_config(), instance=instance, plan=plan)
+    cfg["class"] = bound_class
+    out = tmp_path / "o"
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"requires {missing}" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "plan, field",
+    [
+        ({"kind": "constant", "eta": 0.5, "T": 10.0}, "T"),
+        ({"kind": "constant", "eta": math.nan, "T": 10}, "eta"),
+        ({"kind": "constant", "eta": math.inf, "T": 10}, "eta"),
+        ({"kind": "inverse_t", "coeff": math.nan, "T": 10}, "coeff"),
+        ({"kind": "custom", "values": [0.5] * 9 + [math.nan], "T": 10}, "values"),
+    ],
+)
+def test_malformed_plan_names_its_field(tmp_path, capsys, plan, field):
+    cfg = dict(mini_verify_config(), plan=plan)
+    out = tmp_path / "o"
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert field in err
+    assert not (out / "report.json").exists()

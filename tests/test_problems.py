@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from batchstab.errors import AnalyticRegionError, ConfigError
+from batchstab.errors import AnalyticRegionError, CapabilityError, ConfigError
 from batchstab.problems import (
     Dataset,
     convex_huber_instance,
+    custom_smooth_instance,
     dataset_to_csv,
     empirical_risk,
     linear_instance,
@@ -17,6 +18,7 @@ from batchstab.problems import (
     quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
     sample_dataset,
+    sample_examples,
     verify_regularity,
 )
 from conftest import exact_population_risk_by_enumeration
@@ -116,6 +118,44 @@ def test_gradients_match_central_finite_differences(make):
             fd = (inst.loss(w + e, z) - inst.loss(w - e, z)) / (2 * h)
             assert abs(fd - g[k]) <= 1e-5 * (1.0 + abs(g[k]))
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: linear_instance(d=3),
+        lambda: convex_huber_instance(
+            d=4, L=1.0, beta=2.0, w1=[0.1, -0.2, 0.3, 0.4]
+        ),
+        lambda: quadratic_nonconvex_instance(d=3, beta=1.5, lam=[-1.5, -0.5, -1.0]),
+        lambda: quadratic_strongly_convex_instance(d=3, L=1.0, beta=2.0, gamma=1.0),
+    ],
+)
+def test_affine_form_is_the_gradient_on_the_analytic_region(make):
+    inst = make()
+    a, e, c = inst.affine_form()
+    rng = np.random.default_rng(6)
+    for _ in range(25):
+        w = inst.w1 + rng.normal(size=inst.d)
+        if inst.family == "convex_huber":
+            half_width = inst.params.tau - inst.scales[-1]
+            w[-1] = inst.w1[-1] + rng.uniform(-1.0, 1.0) * half_width
+        z = sample_examples(inst, 1, rng)[0]
+        np.testing.assert_allclose(
+            a * (w - c) + e * z, inst.grad(w, z), rtol=1e-12, atol=1e-12
+        )
+
+
+def test_custom_smooth_has_no_affine_form():
+    inst = custom_smooth_instance(
+        d=2,
+        loss_fn=lambda w, z: 0.5 * ((w - z) ** 2).sum(axis=-1),
+        grad_fn=lambda w, z: w - z,
+        scales=[1.0, 1.0],
+        beta=1.0,
+    )
+    with pytest.raises(CapabilityError):
+        inst.affine_form()
 
 
 def test_empirical_risk_basics():

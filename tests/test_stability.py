@@ -13,7 +13,7 @@ from batchstab.engine import (
     inverse_t_plan,
     run_paired,
 )
-from batchstab.errors import RegimeError
+from batchstab.errors import ConfigError, RegimeError
 from batchstab.problems import (
     convex_huber_instance,
     linear_instance,
@@ -26,6 +26,7 @@ from batchstab.schedule import RealizedSchedule, ScheduleSpec, indicator_matrix,
 from batchstab.stability import (
     check_growth_recursion,
     contraction_step_sum,
+    growth_factors,
     nonconvex_step_sum,
     nonconvex_step_sum_cap,
     on_average_stability,
@@ -236,6 +237,48 @@ def test_recursion_regime_refusals():
     with pytest.raises(RegimeError, match="beta\\+gamma"):
         check_growth_recursion(bad, "strongly_convex", L=1.0, beta=1.0, gamma=1.0)
     assert check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
+
+
+def test_growth_factors_per_class_and_refusals():
+    etas = np.array([0.5, 0.25])
+    assert np.array_equal(growth_factors("convex", etas, 1.0), [1.0, 1.0])
+    assert np.array_equal(growth_factors("nonconvex", etas, 2.0), [2.0, 1.5])
+    assert np.array_equal(
+        growth_factors("strongly_convex", etas, 1.0, 1.0), [0.75, 0.875]
+    )
+    beta, gamma = 2.0, 0.5
+    with pytest.raises(RegimeError, match="2/beta"):
+        growth_factors("convex", np.full(3, 2.0 / beta), beta)
+    edge = 2.0 / (beta + gamma)
+    assert growth_factors("strongly_convex", np.full(3, edge), beta, gamma).size == 3
+    with pytest.raises(RegimeError, match="beta\\+gamma"):
+        growth_factors("strongly_convex", np.full(3, edge * (1 + 1e-6)), beta, gamma)
+    with pytest.raises(ConfigError, match="gamma > 0"):
+        growth_factors("strongly_convex", etas, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "loss_class, eta, gamma",
+    [
+        ("convex", 2.5, None),
+        ("strongly_convex", 1.5, 1.0),
+        ("strongly_convex", 0.1, 0.0),
+    ],
+)
+def test_bound_and_recursion_refuse_with_one_message(loss_class, eta, gamma):
+    inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
+    pt = paired(inst, 4, 5, "round_robin", 1, custom_plan([eta] * 5), seed=602)
+    messages = []
+    for call in (
+        lambda: stability_bound(
+            loss_class, 1.0, pt.etas, 4, 1, beta=1.0, gamma=gamma
+        ),
+        lambda: check_growth_recursion(pt, loss_class, L=1.0, beta=1.0, gamma=gamma),
+    ):
+        with pytest.raises((RegimeError, ConfigError)) as info:
+            call()
+        messages.append((type(info.value), str(info.value)))
+    assert messages[0] == messages[1]
 
 
 def _hand_built_paired(gaps, batches):
