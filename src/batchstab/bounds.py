@@ -73,7 +73,7 @@ def gen_error_upper(
     if cls == "convex":
         _require_constants("convex upper bound", L=L, beta=beta)
         _require(
-            etas.size == 0 or etas.max() < (2.0 / beta) * (1.0 + REL_SLACK),
+            etas.size == 0 or etas.max() < 2.0 / beta,
             "convex upper bound requires eta_t < 2/beta",
         )
         return float(2.0 * L * L / n * etas.sum())

@@ -11,8 +11,12 @@ wrappers over a core loop that is vectorized across stacked trajectories.
 Paired runs never copy the dataset per neighbor: by the counting identity,
 at step t only the m neighbors whose index is in K_t read a batch that
 differs from the base run, so each step gathers the base batch once and
-patches those m entries.  Working memory is O((n + T m) d + (n+1) m d)
-unless paths are kept.
+patches those m entries.
+The loop steps in blocks of B steps, B set so that a block's iterates and
+batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
+batches once and checks its iterates once (see ``_evolve``).  Working memory
+is O((n + B m) d + B R d) for R stacked runs, plus the (R, m, d) batch of a
+paired step, plus the paths when they are kept.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -33,6 +37,12 @@ from batchstab.problems import QUADRATIC_FAMILIES, Dataset, ProblemInstance, REL
 from batchstab.schedule import RealizedSchedule
 
 PLAN_KINDS = ("constant", "inverse_t", "custom")
+
+# Elements of one block's (B, R, d) iterates and (B, m, d) batches together:
+# enough steps per block that the per-block gathers and checks cost little per
+# step, few enough numbers that the buffers and the block checks' temporaries
+# (a few times the block) add no visible memory to a large paired run.
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -170,47 +180,82 @@ def _evolve(
     the data as is, row i reads it with example i-1 swapped for
     ``replacements[i-1]``.  Each step then builds the (R, m, d) batch from the
     m gathered base rows and overwrites only the entries (1 + K_t[k], k).
+
+    The steps run in blocks of B = max(1, _BLOCK_ELEMENTS // ((R + m) d)).
+    Per block, the batches of its B steps (and their replacements) are
+    gathered at once, and each step writes its iterates into one (B, R, d)
+    buffer: the block's slice of the path when it is kept, else a scratch
+    buffer.  The checks then run once over the buffer and raise at the first
+    offending step, with its number:
+
+    * a non-finite iterate raises ``DivergenceError``.  Scanning after the
+      fact is exact: under w - eta g a non-finite coordinate never becomes
+      finite again, so a later step cannot hide an earlier one;
+    * a convex_huber iterate outside the invariant band of
+      ``huber_region_limit`` raises ``AnalyticRegionError``; at the same step
+      the divergence wins;
+    * ``track_grad_sup`` takes the max of ``grad_sup_norm`` over the buffer.
+
+    Working memory is O((n + B m) d + B R d), plus the (R, m, d) batch of a
+    paired step, plus the (T+1, R, d) path when kept.  Once an iterate is
+    non-finite, a custom ``grad_fn`` may still be called on it for the rest
+    of its block before ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
-    R = W.shape[0]
+    R, d = W.shape
+    m = batches.shape[1]
+    B = max(1, _BLOCK_ELEMENTS // ((R + m) * d))
     path = None
     if keep_path:
-        path = np.empty((T + 1, R, instance.d))
+        path = np.empty((T + 1, R, d))
         path[0] = W
+    else:
+        scratch = np.empty((min(B, T), R, d))
     limit = instance.huber_region_limit(etas)
     w1d = instance.w1[-1]
     sup = None
     if track_grad_sup:
         sup = float(instance.grad_sup_norm(W).max())
-    if replacements is not None:
-        rows = 1 + batches
-        slots = np.arange(batches.shape[1])
-        patches = replacements[batches]
+    slots = np.arange(m)
+    eta = etas.tolist()
 
-    for t in range(T):
-        Zb = data[batches[t]]
+    for t0 in range(0, T, B):
+        t1 = min(t0 + B, T)
+        block = path[t0 + 1 : t1 + 1] if keep_path else scratch[: t1 - t0]
+        gathered = data[batches[t0:t1]]
         if replacements is not None:
-            # Batch axis outermost: the layout a gather from an (R, n, d)
-            # stack has, so reductions over the batch add in the same order.
-            Zb = np.repeat(Zb[:, None, :], R, axis=1)
-            Zb[slots, rows[t]] = patches[t]
-            Zb = Zb.transpose(1, 0, 2)
-        g = instance.batch_grad_mean(W, Zb)
-        W = W - etas[t] * g
-        if not np.all(np.isfinite(W)):
-            raise DivergenceError(f"non-finite iterate produced at step {t + 1}")
+            rows = 1 + batches[t0:t1]
+            patches = replacements[batches[t0:t1]]
+        for k in range(t1 - t0):
+            Zb = gathered[k]
+            if replacements is not None:
+                # Batch axis outermost: the layout a gather from an (R, n, d)
+                # stack has, so reductions over the batch add in the same order.
+                Zb = np.repeat(Zb[:, None, :], R, axis=1)
+                Zb[slots, rows[k]] = patches[k]
+                Zb = Zb.transpose(1, 0, 2)
+            g = instance.batch_grad_mean(W, Zb)
+            W = np.subtract(W, eta[t0 + k] * g, out=block[k])
+
+        finite = np.isfinite(block)
+        bad = None
+        if not finite.all():
+            bad = int(np.argmin(finite.reshape(t1 - t0, -1).all(axis=1)))
         if limit is not None:
-            drift = np.abs(W[..., -1] - w1d).max()
-            if drift > limit * (1.0 + REL_SLACK):
+            drift = np.abs(block[..., -1] - w1d).max(axis=1)
+            out = np.flatnonzero(drift > limit * (1.0 + REL_SLACK))
+            if out.size and (bad is None or out[0] < bad):
+                k = int(out[0])
                 raise AnalyticRegionError(
-                    f"step {t + 1}: |w^d - w1^d| = {drift!r} exceeded the "
-                    f"invariant half-width {limit!r}; this indicates an engine bug"
+                    f"step {t0 + k + 1}: |w^d - w1^d| = {float(drift[k])!r} "
+                    f"exceeded the invariant half-width {float(limit)!r}; "
+                    "this indicates an engine bug"
                 )
+        if bad is not None:
+            raise DivergenceError(f"non-finite iterate produced at step {t0 + bad + 1}")
         if track_grad_sup:
-            sup = max(sup, float(instance.grad_sup_norm(W).max()))
-        if keep_path:
-            path[t + 1] = W
-    return W, path, sup
+            sup = max(sup, float(instance.grad_sup_norm(block).max()))
+    return W.copy(), path, sup
 
 
 def run(
@@ -270,7 +315,7 @@ def run_paired(
     the identical realized index matrix, so trajectories can only diverge
     after the first step that selects the replaced index.  No neighbor
     dataset is materialized: per step only the m selected rows are gathered
-    and patched, so memory is O((n + T m) d + (n+1) m d), plus the
+    and patched, so memory is that of ``_evolve`` with R = n+1, plus the
     (T+1, n+1, d) paths when ``keep_path``.  ``track_grad_sup`` records the
     largest ``grad_sup_norm`` along every path; it is honored for the
     quadratic families only and ignored for the others.

@@ -130,10 +130,12 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     )
     for spec in schedules:
         spec.validate()
-    trials = cfg.get("trials", 0)
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"field 'trials' must be >= 1, got {trials!r}")
-    checks = tuple(cfg.get("checks", ALL_CHECKS))
+    checks = cfg.get("checks", ALL_CHECKS)
+    if not isinstance(checks, (list, tuple)) or not all(
+        isinstance(c, str) for c in checks
+    ):
+        raise ConfigError(f"field 'checks' must be a list of check names, got {checks!r}")
+    checks = tuple(checks)
     for c in checks:
         if c not in ALL_CHECKS:
             raise ConfigError(f"unknown check {c!r}; valid checks: {ALL_CHECKS}")
@@ -149,15 +151,28 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
         n=n,
         plan=plan,
         schedules=schedules,
-        trials=trials,
+        trials=_count_field(cfg, "trials", 0, minimum=1),
         master_seed=int(cfg.get("master_seed", 0)),
         checks=checks,
-        stability_trials=int(cfg.get("stability_trials", 20)),
-        regularity_trials=int(cfg.get("regularity_trials", 200)),
-        jobs=int(cfg.get("jobs", 1)),
+        stability_trials=_count_field(cfg, "stability_trials", 20),
+        regularity_trials=_count_field(cfg, "regularity_trials", 200),
+        jobs=_count_field(cfg, "jobs", 1),
         allow_divergence=bool(cfg.get("allow_divergence", False)),
         bound_class=bound_class,
     )
+
+
+def _count_field(cfg: dict, name: str, default: int, minimum: int | None = None) -> int:
+    """The integer field ``name``; a bool, float or string is refused."""
+    value = cfg.get(name, default)
+    if (
+        not isinstance(value, (int, np.integer))
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"field {name!r} must be an integer{at_least}, got {value!r}")
+    return int(value)
 
 
 def plan_from_dict(cfg: dict | None, instance: ProblemInstance) -> StepSizePlan:

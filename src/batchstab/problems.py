@@ -154,21 +154,26 @@ class ProblemInstance:
         return self.grad_fn(w, z)
 
     def batch_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Mean gradient over a batch: W is (..., d), Z is (..., m, d)."""
+        """Mean gradient over a batch: W is (..., d), Z is (..., m, d).
+
+        Each mean is ``np.add.reduce(., axis) / m``, which is what ``np.mean``
+        computes, bit for bit, without its Python-level dispatch; this runs
+        once per step.
+        """
+        m = Z.shape[-2]
         if self.family == "linear":
-            return Z.mean(axis=-2)
+            return np.add.reduce(Z, -2) / m
         if self.family == "convex_huber":
             beta, tau = self.params.beta, self.params.tau
-            lin = Z[..., :-1].mean(axis=-2)
+            lin = np.add.reduce(Z[..., :-1], -2) / m
             u = W[..., -1:] - self.w1[-1] - Z[..., -1]
             hub = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
-            shape = np.broadcast_shapes(W.shape[:-1], lin.shape[:-1])
-            g = np.empty(shape + (self.d,), dtype=float)
+            g = np.empty(hub.shape[:-1] + (self.d,), dtype=float)
             g[..., :-1] = lin
-            g[..., -1] = hub.mean(axis=-1)
+            g[..., -1] = np.add.reduce(hub, -1) / m
             return g
         if self.family in QUADRATIC_FAMILIES:
-            return self.lam * (W - Z.mean(axis=-2))
+            return self.lam * (W - np.add.reduce(Z, -2) / m)
         return self.grad(W[..., None, :], Z).mean(axis=-2)
 
     # -- closed-form data --------------------------------------------------
@@ -214,7 +219,7 @@ class ProblemInstance:
             if np.any(np.abs(v) > limit * (1.0 + REL_SLACK) + ABS_SLACK):
                 raise AnalyticRegionError(
                     "population risk queried outside the analytic region "
-                    f"|w^d - w1^d| <= {limit!r}; iterates should never leave it"
+                    f"|w^d - w1^d| <= {float(limit)!r}; iterates should never leave it"
                 )
         return 0.5 * ((a * (w - c) ** 2).sum(axis=-1) + (a * self.scales**2).sum())
 

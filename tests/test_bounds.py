@@ -22,6 +22,7 @@ from batchstab.problems import (
     quadratic_strongly_convex_instance,
 )
 from batchstab.schedule import ScheduleSpec, realize
+from batchstab.stability import growth_factors
 from conftest import exact_gen_error_by_enumeration
 
 
@@ -39,6 +40,18 @@ def test_convex_regime_gates():
     too_big = constant_plan(2.5, 10)
     with pytest.raises(RegimeError, match="2/beta"):
         gen_error_upper("convex", too_big, 10, L=1.0, beta=1.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.3, 3.0])
+def test_convex_bound_and_growth_recursion_share_the_regime_edge(beta):
+    edge = constant_plan(2.0 / beta, 5)
+    below = constant_plan(np.nextafter(2.0 / beta, 0.0), 5)
+    with pytest.raises(RegimeError, match="2/beta"):
+        gen_error_upper("convex", edge, 10, L=1.0, beta=beta)
+    with pytest.raises(RegimeError, match="2/beta"):
+        growth_factors("convex", edge.etas(), beta)
+    assert gen_error_upper("convex", below, 10, L=1.0, beta=beta) > 0
+    assert np.array_equal(growth_factors("convex", below.etas(), beta), np.ones(5))
 
 
 def test_nonconvex_lower_value():

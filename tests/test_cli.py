@@ -310,3 +310,39 @@ def test_malformed_plan_names_its_field(tmp_path, capsys, plan, field):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert field in err
     assert not (out / "report.json").exists()
+
+
+def test_region_skip_reason_prints_a_plain_float(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "convex_sandwich.json").read_text())
+    cfg["plan"]["eta"] = 1e6
+    cfg["checks"] = ["gen_error_mc"]
+    out = tmp_path / "o"
+    main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    text = (out / "report.json").read_text()
+    reasons = [
+        s["gen_error_mc"]["reason"] for s in json.loads(text)["schedules"].values()
+    ]
+    assert reasons and all("<= 0.17677669529663687;" in r for r in reasons)
+    assert "np.float64" not in text
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", True),
+        ("stability_trials", True),
+        ("regularity_trials", "50"),
+        ("regularity_trials", 50.0),
+        ("checks", "sandwich"),
+        ("checks", ["sandwich", 3]),
+    ],
+)
+def test_malformed_count_or_check_field_names_it(tmp_path, capsys, field, value):
+    cfg = dict(mini_verify_config(), **{field: value})
+    out = tmp_path / "o"
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"field {field!r}" in err
+    assert not (out / "report.json").exists()

@@ -2,10 +2,13 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from batchstab import engine
 from batchstab.engine import (
     closed_form_final,
     constant_plan,
@@ -15,8 +18,14 @@ from batchstab.engine import (
     run_final,
     run_paired,
 )
-from batchstab.errors import ConfigError, DivergenceError, RegimeError
+from batchstab.errors import (
+    AnalyticRegionError,
+    ConfigError,
+    DivergenceError,
+    RegimeError,
+)
 from batchstab.problems import (
+    ProblemInstance,
     convex_huber_instance,
     custom_smooth_instance,
     linear_instance,
@@ -26,6 +35,7 @@ from batchstab.problems import (
     sample_examples,
 )
 from batchstab.schedule import (
+    VALID_KINDS,
     RealizedSchedule,
     ScheduleSpec,
     indicator_matrix,
@@ -361,3 +371,156 @@ def test_t_zero_returns_the_start_point():
     plan = constant_plan(0.5, 0)
     assert np.array_equal(run(inst, S, sched, plan).final, inst.w1)
     assert np.array_equal(closed_form_final(inst, S, sched, plan), inst.w1)
+
+
+def _block_of(B, R, m, d):
+    """Patch the engine so that runs of R stacked rows step in blocks of B."""
+    return mock.patch.object(engine, "_BLOCK_ELEMENTS", B * (R + m) * d)
+
+
+def _instance_of(family, d, beta):
+    return {
+        "linear": lambda: linear_instance(d=d, beta=beta),
+        "convex_huber": lambda: convex_huber_instance(d=d, L=1.0, beta=beta),
+        "quadratic_nonconvex": lambda: quadratic_nonconvex_instance(d=d, beta=beta),
+        "quadratic_strongly_convex": lambda: quadratic_strongly_convex_instance(
+            d=d, L=1.0, beta=beta, gamma=beta
+        ),
+        "custom_smooth": lambda: _smooth_custom_instance(d),
+    }[family]()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(
+        ["linear", "convex_huber", "quadratic_nonconvex", "quadratic_strongly_convex",
+         "custom_smooth"]
+    ),
+    kind=st.sampled_from(VALID_KINDS),
+    n=st.integers(min_value=2, max_value=9),
+    d=st.integers(min_value=2, max_value=5),
+    T=st.integers(min_value=0, max_value=23),
+    m_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_block_size_does_not_change_any_result(family, kind, n, d, T, m_frac, seed):
+    # B = 1 is the step-by-step order; 2 and 7 put block edges inside T, and
+    # T + 1 runs every step in one block.
+    m = n if kind == "full_batch" else 1 + int(m_frac * (n - 1))
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.5, 2.0))
+    inst = _instance_of(family, d, beta)
+    S = sample_dataset(inst, n, seed=seed)
+    repl = sample_examples(inst, n, rng)
+    plan = custom_plan(rng.uniform(0.0, 1.0 / beta, size=T))
+    custom = None
+    if kind == "custom":
+        custom = tuple(
+            tuple(int(i) + 1 for i in rng.permutation(n)[:m]) for _ in range(T)
+        )
+    sched = realize(ScheduleSpec(kind, n=n, m=m, T=T, seed=seed, custom_indices=custom))
+
+    results = []
+    for B in (1, 2, 7, T + 1):
+        with _block_of(B, 1, m, d):
+            iterates = run(inst, S, sched, plan).iterates
+            final = run_final(inst, S, sched, plan)
+        with _block_of(B, n + 1, m, d):
+            kept = run_paired(inst, S, repl, sched, plan, track_grad_sup=True)
+            bare = run_paired(
+                inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True
+            )
+        assert bare.paths is None and bare.grad_sup == kept.grad_sup
+        results.append((iterates, final, kept.paths, kept.finals, bare.finals, kept.grad_sup))
+    for got in results[1:]:
+        for a, b in zip(results[0][:-1], got[:-1]):
+            assert np.array_equal(a, b)
+        assert got[-1] == results[0][-1]
+
+
+def _reference_path(inst, S, sched, etas):
+    """Step-by-step iterates of one run, on the same per-step map as the engine."""
+    W = inst.w1[None, :]
+    path = [W]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, eta in enumerate(etas):
+            W = W - eta * inst.batch_grad_mean(W, S.examples[sched.batches[t]])
+            path.append(W)
+    return np.stack(path)[:, 0, :]
+
+
+def _first_bad_step(path):
+    """1-based step of the first non-finite row of a (T+1, d) path."""
+    for t in range(1, path.shape[0]):
+        if not np.isfinite(path[t]).all():
+            return t
+    return None
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_divergence_names_the_first_non_finite_step_wherever_it_falls(where):
+    inst = quadratic_nonconvex_instance(d=2, beta=1.0)
+    S = sample_dataset(inst, 3, seed=15)
+    sched = realize(ScheduleSpec("full_batch", n=3, m=3, T=120))
+    plan = constant_plan(1e6, 120)
+    s = _first_bad_step(_reference_path(inst, S, sched, plan.etas()))
+    assert s is not None and 3 < s < sched.T - 3
+    # Step s is 0-based index s - 1: first of its block when B = s - 1,
+    # last when B = s, inside it when B = s + 2.
+    B = {"first": s - 1, "mid": s + 2, "last": s}[where]
+    repl = sample_examples(inst, S.n, np.random.default_rng(16))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with _block_of(B, 1, sched.m, inst.d):
+            for call in (
+                lambda: run(inst, S, sched, plan),
+                lambda: run_final(inst, S, sched, plan),
+            ):
+                with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+                    call()
+        with _block_of(B, S.n + 1, sched.m, inst.d):
+            # the base run of the stack diverges first, at the same step
+            with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+                run_paired(inst, S, repl, sched, plan, keep_path=False)
+
+
+def _huber_run(T=40):
+    inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
+    S = sample_dataset(inst, 6, seed=40)
+    sched = realize(ScheduleSpec("uniform_random", n=6, m=1, T=T, seed=41))
+    return inst, S, sched, np.full(T, 0.5)
+
+
+def _drift(inst, path):
+    return np.abs(path[1:, -1] - inst.w1[-1])
+
+
+def test_drift_before_the_divergence_raises_the_region_error(monkeypatch):
+    inst, S, sched, etas = _huber_run()
+    drift = _drift(inst, _reference_path(inst, S, sched, etas))
+    # A limit the early iterates respect and a later one exceeds.
+    limit = float(np.sort(drift)[-4])
+    k = int(np.flatnonzero(drift > limit * (1.0 + 1e-9))[0])  # 0-based step
+    assert 0 < k < sched.T - 2
+    etas[k + 1] = math.inf  # a divergence one step later, in the same block
+    assert _first_bad_step(_reference_path(inst, S, sched, etas)) == k + 2
+    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    with np.errstate(invalid="ignore"), pytest.raises(AnalyticRegionError) as info:
+        run_final(inst, S, sched, etas)
+    assert str(info.value).startswith(
+        f"step {k + 1}: |w^d - w1^d| = {float(drift[k])!r} exceeded the "
+        f"invariant half-width {limit!r}"
+    )
+
+
+def test_drift_at_the_divergence_step_raises_the_divergence(monkeypatch):
+    inst, S, sched, etas = _huber_run()
+    limit = float(_drift(inst, _reference_path(inst, S, sched, etas)).max())
+    s = 17
+    etas[s - 1] = math.inf
+    path = _reference_path(inst, S, sched, etas)
+    assert _first_bad_step(path) == s
+    assert _drift(inst, path)[s - 1] > limit  # both checks fire at step s
+    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+            run_final(inst, S, sched, etas)

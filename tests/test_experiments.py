@@ -255,6 +255,10 @@ def test_config_validation_messages():
                 "checks": ["sorcery"],
             }
         )
+    # the CLI sets jobs from --jobs, so the config field is checked here
+    for jobs in (True, 2.0, "2"):
+        with pytest.raises(ConfigError, match="field 'jobs' must be an integer"):
+            small_config(jobs=jobs)
 
 
 def test_linear_demo_gen_error_sits_at_half_the_bound():
