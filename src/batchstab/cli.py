@@ -4,38 +4,32 @@ All experiment inputs live in one JSON config file; the command line only
 selects the subcommand, the output directory, and the master-seed /
 parallelism overrides.  Outputs are deterministic: rerunning a manifest
 reproduces byte-identical files (wall time goes to stderr, never into a
-file).  Exit status is 0 iff every enabled check passed, 1 on check
-failures, 2 on config or usage errors.
+file).  Exit status is 0 when no enabled check failed and at least one
+passed, 1 when a check failed or every check skipped, and 2 on config or
+usage errors.  A grid-sweep cell is a verify run of its own config.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
-from batchstab import bounds as bounds_mod
 from batchstab.engine import run, trajectory_to_csv
-from batchstab.errors import AnalyticRegionError
+from batchstab.errors import ConfigError
 from batchstab.experiments import (
-    class_for_instance,
+    config_field,
     config_from_dict,
-    estimate_gen_error,
+    instance_from_config,
     plan_from_dict,
     run_full_verification,
     schedule_spec_from_dict,
     uniform_stability_failure_demo,
 )
-from batchstab.problems import (
-    Dataset,
-    dataset_to_csv,
-    instance_from_config,
-    sample_examples,
-)
+from batchstab.problems import Dataset, dataset_to_csv, sample_examples
 from batchstab.schedule import realize, schedule_to_csv
 from batchstab.seeding import rng_at
 
@@ -79,14 +73,17 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: config not found: {e.filename}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
+    return cfg
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -113,7 +110,7 @@ def _cmd_verify(cfg: dict, args, out_dir: Path) -> int:
     if args.format in ("json", "both"):
         _write_json(out_dir / "report.json", report)
     if args.format in ("csv", "both"):
-        _write_summary_csv(report, out_dir / "summary.csv")
+        _write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, _summary_rows(report))
     print(
         f"{report['name']}: {'PASS' if report['passed'] else 'FAIL'} "
         f"({len(report['failures'])} failing checks)"
@@ -121,184 +118,160 @@ def _cmd_verify(cfg: dict, args, out_dir: Path) -> int:
     return 0 if report["passed"] else 1
 
 
-def _write_summary_csv(report: dict, path: Path) -> None:
-    columns = (
-        "schedule", "gen_mean", "gen_stderr", "oracle", "lower", "upper",
-        "stability_mean", "stability_max", "stability_bound",
-        "counting_lemma", "oracle_equivalence", "growth_recursion",
-        "stability_mc", "gen_error_mc",
-    )
+_SUMMARY_STATUSES = (
+    "counting_lemma", "oracle_equivalence", "growth_recursion", "stability_mc",
+    "gen_error_mc",
+)
+_SUMMARY_HEADER = (
+    "schedule", "gen_mean", "gen_stderr", "oracle", "lower", "upper",
+    "stability_mean", "stability_max", "stability_bound", *_SUMMARY_STATUSES,
+)
+
+
+def _summary_rows(report: dict):
     bounds = report.get("bounds", {})
+    for label, sched in report["schedules"].items():
+        gen, stab = sched.get("gen_error_mc", {}), sched.get("stability_mc", {})
+        yield [
+            label, gen.get("mean"), gen.get("stderr"), bounds.get("oracle"),
+            bounds.get("lower"), bounds.get("upper"), stab.get("mean"),
+            stab.get("max"), stab.get("bound"),
+            *(sched.get(c, {}).get("status") for c in _SUMMARY_STATUSES),
+        ]
+
+
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for label, sched in report["schedules"].items():
-            gen = sched.get("gen_error_mc", {})
-            stab = sched.get("stability_mc", {})
-            writer.writerow(
-                [
-                    label,
-                    _fmt(gen.get("mean")),
-                    _fmt(gen.get("stderr")),
-                    _fmt(bounds.get("oracle")),
-                    _fmt(bounds.get("lower")),
-                    _fmt(bounds.get("upper")),
-                    _fmt(stab.get("mean")),
-                    _fmt(stab.get("max")),
-                    _fmt(stab.get("bound")),
-                    sched.get("counting_lemma", {}).get("status", ""),
-                    sched.get("oracle_equivalence", {}).get("status", ""),
-                    sched.get("growth_recursion", {}).get("status", ""),
-                    stab.get("status", ""),
-                    gen.get("status", ""),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _cmd_sweep(cfg: dict, args, out_dir: Path) -> int:
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict) or "mode" not in sweep:
-        raise ValueError("sweep config requires a 'sweep' object with a 'mode'")
+    sweep = config_field(cfg, "sweep", dict)
+    mode = config_field(sweep, "mode", str)
     cfg = _apply_overrides(cfg, args)
-    mode = sweep["mode"]
     if mode == "uniform_stability_demo":
         rows = uniform_stability_failure_demo(
-            ns=list(sweep["ns"]),
-            epochs=int(sweep["epochs"]),
-            d=int(sweep["d"]),
-            trials=int(sweep.get("trials", 200)),
-            master_seed=int(cfg.get("master_seed", 0)),
+            ns=config_field(sweep, "ns", list, of=int, minimum=1),
+            epochs=config_field(sweep, "epochs", int, minimum=1),
+            d=config_field(sweep, "d", int, minimum=1),
+            trials=config_field(sweep, "trials", int, 200, minimum=1),
+            master_seed=config_field(cfg, "master_seed", int, 0, minimum=0),
             jobs=args.jobs,
         )
         ok = all(r["within_bound"] for r in rows)
     elif mode == "grid":
-        rows, ok = _grid_rows(cfg, sweep, args.jobs)
+        rows, ok = _grid_rows(cfg, sweep)
     else:
-        raise ValueError(f"unknown sweep mode {mode!r}")
+        raise ConfigError(f"unknown sweep mode {mode!r}")
     if not rows:
-        raise ValueError("sweep produced no rows; is the grid empty?")
+        raise ConfigError("sweep produced no rows; is the grid empty?")
     if args.format in ("json", "both"):
         _write_json(out_dir / "sweep.json", rows)
     if args.format in ("csv", "both"):
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row.values()])
+        _write_csv(out_dir / "sweep.csv", rows[0].keys(), (row.values() for row in rows))
     print(f"sweep: {len(rows)} rows, {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def _grid_rows(cfg: dict, sweep: dict, jobs: int) -> tuple[list[dict], bool]:
+_GRID_AXES = {"n": int, "T": int, "eta": float, "c": float, "schedule": str}
+
+
+def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
     """One row per grid cell: bounds, oracle, optional Monte Carlo estimate.
 
-    Swappable axes: n, T, eta (constant plans), c (decreasing plans), and
-    schedule kind.  Refusals become per-row fields, never fatal errors; a
-    Monte Carlo run that leaves the analytic region leaves mc_mean and
-    mc_stderr null, and the verdict then rests on the sandwich alone.
+    A cell is verified as ``base`` with the cell's axis values (n, T, eta for
+    constant plans, c for decreasing plans, schedule kind), one schedule, and
+    the checks ``sandwich`` plus, with trials, ``gen_error_mc``.  ``refusals``
+    joins the bound reasons and a Monte Carlo skip reason; the verdict is
+    that of the checks that ran, empty when none did.
     """
-    axes: dict = sweep.get("axes") or {}
-    if not axes or any(not vals for vals in axes.values()):
-        raise ValueError("grid sweep requires non-empty 'axes'")
-    allowed = {"n", "T", "eta", "c", "schedule"}
-    unknown = set(axes) - allowed
+    axes = config_field(sweep, "axes", dict)
+    unknown = set(axes) - set(_GRID_AXES)
     if unknown:
-        raise ValueError(f"unknown sweep axes {sorted(unknown)}; allowed: {sorted(allowed)}")
-    base = dict(sweep.get("base") or {})
-    trials = int(sweep.get("trials", 0))
-    master_seed = int(cfg.get("master_seed", 0))
+        raise ConfigError(
+            f"unknown sweep axes {sorted(unknown)}; allowed: {sorted(_GRID_AXES)}"
+        )
+    if not axes or not all(config_field(axes, a, list, of=_GRID_AXES[a]) for a in axes):
+        raise ConfigError("grid sweep requires non-empty 'axes'")
+    base = config_field(sweep, "base", dict, {})
+    trials = config_field(sweep, "trials", int, 0, minimum=0)
 
+    # Each row repeats its axis values as the config wrote them.
     grid: list[dict] = [{}]
     for axis, values in axes.items():
         grid = [dict(cell, **{axis: v}) for cell in grid for v in values]
 
     rows: list[dict] = []
-    all_ok = True
-    for cell_idx, cell in enumerate(grid):
-        merged = dict(base)
-        merged.update({k: v for k, v in cell.items() if k in ("n",)})
-        instance = instance_from_config(merged["instance"])
-        n = int(cell.get("n", merged.get("n")))
-        plan_cfg = dict(merged.get("plan") or {})
+    for cell in grid:
+        n = cell.get("n", base.get("n"))
+        plan = dict(config_field(base, "plan", dict, {}))
         if "T" in cell:
-            plan_cfg["T"] = int(cell["T"])
+            plan["T"] = cell["T"]
         if "eta" in cell:
-            plan_cfg.update(kind="constant", eta=float(cell["eta"]))
+            plan.update(kind="constant", eta=cell["eta"])
         if "c" in cell:
-            plan_cfg.update(kind="inverse_t", c=float(cell["c"]))
-            plan_cfg.pop("eta", None)
-        plan = plan_from_dict(plan_cfg, instance)
-        sched_cfg = merged.get("schedule") or {"kind": "full_batch"}
+            plan.update(kind="inverse_t", c=cell["c"], eta=None, coeff=None)
+        schedule = config_field(base, "schedule", dict, {"kind": "full_batch"})
         if "schedule" in cell:
-            sched_cfg = dict(sched_cfg, kind=cell["schedule"])
+            schedule = dict(schedule, kind=cell["schedule"])
             if cell["schedule"] == "full_batch":
-                sched_cfg["m"] = n
-        cls = merged.get("class") or class_for_instance(instance)
-        bset = bounds_mod.assemble_bound_set(cls, instance, plan, n)
-        row = dict(cell)
-        row.update(
-            lower=bset.lower,
-            oracle=bset.oracle,
-            upper=bset.upper,
-            refusals="; ".join(f"{k}: {v}" for k, v in bset.reasons.items()),
+                schedule["m"] = n
+        report = run_full_verification(config_from_dict(dict(
+            base, n=n, plan=plan, schedules=[schedule],
+            checks=["sandwich", "gen_error_mc"] if trials else ["sandwich"],
+            # without gen_error_mc the trial count is never read
+            trials=max(trials, 1), master_seed=cfg.get("master_seed"),
+            jobs=cfg["jobs"],
+        )))
+        bounds = report.get("bounds", {})
+        (mc,) = [s.get("gen_error_mc") for s in report["schedules"].values()]
+        refusals = [f"{k}: {v}" for k, v in bounds.get("reasons", {}).items()]
+        if mc and mc["status"] == "skipped":
+            refusals.append(f"mc: {mc['reason']}")
+        # Every row keeps every key: sweep.csv takes its header from row 0.
+        row = dict(cell, lower=bounds.get("lower"), oracle=bounds.get("oracle"),
+                   upper=bounds.get("upper"), refusals="; ".join(refusals))
+        if mc:
+            row.update(mc_mean=mc.get("mean"), mc_stderr=mc.get("stderr"))
+        row["verdict"] = (
+            "fail" if report["failures"] else "pass" if report["passed"] else ""
         )
-        verdict = bset.sandwich_ok
-        if trials > 0:
-            spec = schedule_spec_from_dict(sched_cfg, n=n, T=plan.T)
-            try:
-                est = estimate_gen_error(
-                    instance, n, plan, spec, trials, master_seed,
-                    s_idx=cell_idx, jobs=jobs,
-                )
-            except AnalyticRegionError as e:
-                # Every row keeps every key: sweep.csv takes its header from row 0.
-                row.update(mc_mean=None, mc_stderr=None)
-                row["refusals"] = "; ".join(filter(None, (row["refusals"], f"mc: {e}")))
-            else:
-                row.update(mc_mean=est.mean, mc_stderr=est.stderr)
-                if bset.oracle is not None and est.stderr is not None:
-                    mc_ok = est.agrees_with(bset.oracle)
-                    verdict = mc_ok if verdict is None else (verdict and mc_ok)
-        row["verdict"] = "" if verdict is None else ("pass" if verdict else "fail")
-        if verdict is False:
-            all_ok = False
         rows.append(row)
-    return rows, all_ok
+    return rows, all(row["verdict"] != "fail" for row in rows)
 
 
 def _cmd_dump(cfg: dict, args, out_dir: Path) -> int:
-    dump = cfg.get("dump")
-    if not isinstance(dump, dict) or "what" not in dump:
-        raise ValueError("dump config requires a 'dump' object with 'what'")
-    cfg = _apply_overrides(cfg, args)
-    what = dump["what"]
-    seed = int(cfg.get("master_seed", 0))
+    dump = config_field(cfg, "dump", dict)
+    what = config_field(dump, "what", str)
+    if what not in ("schedule", "dataset", "trajectory"):
+        raise ConfigError(f"unknown dump target {what!r}")
+    seed = config_field(_apply_overrides(cfg, args), "master_seed", int, 0, minimum=0)
+    n = config_field(dump, "n", int, minimum=1)
     if what == "schedule":
+        # The master seed is the default seed of the dumped schedule.
         spec = schedule_spec_from_dict(
-            dump["schedule"], n=int(dump["n"]), T=int(dump["T"])
+            {"seed": seed, **config_field(dump, "schedule", dict)},
+            n=n, T=config_field(dump, "T", int, minimum=0),
         )
-        if "seed" not in dump["schedule"]:
-            spec = dataclasses.replace(spec, seed=seed)
         schedule_to_csv(realize(spec), out_dir / "schedule.csv")
         print(f"wrote schedule.csv ({spec.T} rows)")
         return 0
-    instance = instance_from_config(dump["instance"])
-    n = int(dump["n"])
+    instance = instance_from_config(config_field(dump, "instance", dict))
     dataset = Dataset(examples=sample_examples(instance, n, rng_at(seed, 0)))
     if what == "dataset":
         dataset_to_csv(dataset, out_dir / "dataset.csv")
         print(f"wrote dataset.csv ({n} rows)")
         return 0
-    if what == "trajectory":
-        plan = plan_from_dict(dump["plan"], instance)
-        spec = schedule_spec_from_dict(dump["schedule"], n=n, T=plan.T)
-        if "seed" not in dump["schedule"]:
-            spec = dataclasses.replace(spec, seed=seed)
-        traj = run(instance, dataset, realize(spec), plan)
-        trajectory_to_csv(traj, out_dir / "trajectory.csv")
-        print(f"wrote trajectory.csv ({plan.T + 1} rows)")
-        return 0
-    raise ValueError(f"unknown dump target {what!r}")
+    plan = plan_from_dict(config_field(dump, "plan", dict), instance)
+    spec = schedule_spec_from_dict(
+        {"seed": seed, **config_field(dump, "schedule", dict)}, n=n, T=plan.T
+    )
+    traj = run(instance, dataset, realize(spec), plan)
+    trajectory_to_csv(traj, out_dir / "trajectory.csv")
+    print(f"wrote trajectory.csv ({plan.T + 1} rows)")
+    return 0
 
 
 if __name__ == "__main__":

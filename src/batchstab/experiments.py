@@ -24,15 +24,22 @@ A check that cannot run on the configuration raises ``RegimeError`` or
 ``CapabilityError`` (a step-size regime not met; no bound class, oracle or
 gradient bound); the runner records it as ``skipped`` with the message as
 its reason, and a skip is not a failure.  ``gen_error_mc`` also skips, with
-its estimate attached, when the stderr or the oracle is undefined.
+its estimate attached, when the stderr or the oracle is undefined.  A run
+that diverges is a ``fail`` with the engine's message as its reason.  A
+report passes when no check failed and at least one passed.
+
+Every config value is read by ``config_field``, which refuses a malformed
+field with a ``ConfigError`` naming it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -53,11 +60,14 @@ from batchstab.errors import (
     RegimeError,
 )
 from batchstab.problems import (
+    QUADRATIC_FAMILIES,
     Dataset,
     ProblemInstance,
+    convex_huber_instance,
     empirical_risk,
-    instance_from_config,
     linear_instance,
+    quadratic_nonconvex_instance,
+    quadratic_strongly_convex_instance,
     sample_examples,
     verify_regularity,
 )
@@ -84,10 +94,6 @@ _RECURSION_BY_CLASS = {
 }
 
 
-def class_for_instance(instance: ProblemInstance) -> str | None:
-    return _CLASS_BY_FAMILY.get(instance.family)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -106,7 +112,83 @@ class ExperimentConfig:
     bound_class: str | None = None
 
     def resolved_class(self) -> str | None:
-        return self.bound_class or class_for_instance(self.instance)
+        return self.bound_class or _CLASS_BY_FAMILY.get(self.instance.family)
+
+
+# -- config readers -----------------------------------------------------------
+
+_REQUIRED, _REFUSED = object(), object()
+_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def config_field(cfg, name: str, kind, default=_REQUIRED, *, minimum=None, of=None):
+    """Field ``name`` of the config object ``cfg``, read as ``kind``.
+
+    ``kind`` is bool, int, float, str, list or dict, or ``list[k]`` for a
+    list whose items are read as ``k``; ``of=k`` is short for
+    ``kind=list[k]``.  A bool is only a bool, an int is never a float or a
+    string, and a float is any number, returned as a float.  ``minimum``
+    bounds a number, or every number of a list.  A missing or null field
+    gives ``default``.  Every refusal is a ``ConfigError`` naming the field.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected an object holding field {name!r}, got {cfg!r}")
+    value = cfg.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing required field {name!r}")
+        return default
+    kind = kind if of is None else list[of]
+    typed = _typed(value, kind, minimum)
+    if typed is _REFUSED:
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(
+            f"field {name!r} must be {_describe(kind)}{at_least}, got {value!r}"
+        )
+    return typed
+
+
+def _typed(value, kind, minimum):
+    """``value`` read as ``kind``, or ``_REFUSED`` when it is not one."""
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            return _REFUSED
+        items = [_typed(v, get_args(kind)[0], minimum) for v in value]
+        return _REFUSED if any(v is _REFUSED for v in items) else items
+    if isinstance(value, bool) and kind is not bool:
+        return _REFUSED
+    if kind is float and isinstance(value, int) and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not isinstance(value, kind) or (minimum is not None and not value >= minimum):
+        return _REFUSED
+    return value
+
+
+def _describe(kind) -> str:
+    if get_origin(kind) is list:
+        return "a list of items each " + _describe(get_args(kind)[0])
+    return _NOUNS[kind]
+
+
+def instance_from_config(cfg: dict) -> ProblemInstance:
+    """Build an instance from its config object (see README for the schema)."""
+    family = config_field(cfg, "family", str)
+    if family not in ("linear", "convex_huber", *QUADRATIC_FAMILIES):
+        raise ConfigError(f"cannot build family {family!r} from a config file")
+    d = config_field(cfg, "d", int, minimum=1)
+    w1 = config_field(cfg, "w1", list, None, of=float)
+    beta = config_field(cfg, "beta", float, 1.0 if family == "linear" else _REQUIRED)
+    if family == "linear":
+        return linear_instance(d, beta=beta, w1=w1)
+    if family == "convex_huber":
+        L, tau = config_field(cfg, "L", float), config_field(cfg, "tau", float, None)
+        return convex_huber_instance(d, L=L, beta=beta, tau=tau, w1=w1)
+    if family == "quadratic_nonconvex":
+        lam = config_field(cfg, "lam", list, None, of=float)
+        return quadratic_nonconvex_instance(d, beta=beta, lam=lam, w1=w1)
+    L, gamma = config_field(cfg, "L", float), config_field(cfg, "gamma", float)
+    return quadratic_strongly_convex_instance(d, L=L, beta=beta, gamma=gamma, w1=w1)
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
@@ -114,88 +196,56 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
 
     Error messages name the offending field and the violated constraint.
     """
-    try:
-        instance = instance_from_config(cfg["instance"])
-    except KeyError as e:
-        raise ConfigError(f"config is missing required field {e.args[0]!r}")
-    n = cfg.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"field 'n' must be a positive integer, got {n!r}")
-    plan = plan_from_dict(cfg.get("plan"), instance)
-    raw_scheds = cfg.get("schedules")
-    if not raw_scheds:
-        raise ConfigError("field 'schedules' must list at least one schedule")
+    instance = instance_from_config(config_field(cfg, "instance", dict))
+    n = config_field(cfg, "n", int, minimum=1)
+    plan = plan_from_dict(config_field(cfg, "plan", dict), instance)
     schedules = tuple(
-        schedule_spec_from_dict(s, n=n, T=plan.T) for s in raw_scheds
+        schedule_spec_from_dict(s, n=n, T=plan.T)
+        for s in config_field(cfg, "schedules", list, of=dict)
     )
+    if not schedules:
+        raise ConfigError("field 'schedules' must list at least one schedule")
     for spec in schedules:
         spec.validate()
-    checks = cfg.get("checks", ALL_CHECKS)
-    if not isinstance(checks, (list, tuple)) or not all(
-        isinstance(c, str) for c in checks
-    ):
-        raise ConfigError(f"field 'checks' must be a list of check names, got {checks!r}")
-    checks = tuple(checks)
+    checks = tuple(config_field(cfg, "checks", list, ALL_CHECKS, of=str))
     for c in checks:
         if c not in ALL_CHECKS:
             raise ConfigError(f"unknown check {c!r}; valid checks: {ALL_CHECKS}")
-    bound_class = cfg.get("class")
-    if bound_class is not None and bound_class not in bounds_mod.BOUND_CLASSES:
-        raise ConfigError(
-            f"field 'class' must be one of {bounds_mod.BOUND_CLASSES}, "
-            f"got {bound_class!r}"
-        )
+    bound_class = config_field(cfg, "class", str, None)
+    if bound_class not in (None, *bounds_mod.BOUND_CLASSES):
+        raise ConfigError(f"field 'class' must be one of "
+                          f"{bounds_mod.BOUND_CLASSES}, got {bound_class!r}")
     return ExperimentConfig(
-        name=cfg.get("name", "experiment"),
-        instance=instance,
-        n=n,
-        plan=plan,
-        schedules=schedules,
-        trials=_count_field(cfg, "trials", 0, minimum=1),
-        master_seed=int(cfg.get("master_seed", 0)),
+        name=config_field(cfg, "name", str, "experiment"),
+        instance=instance, n=n, plan=plan, schedules=schedules,
+        trials=config_field(cfg, "trials", int, minimum=1),
+        master_seed=config_field(cfg, "master_seed", int, 0, minimum=0),
         checks=checks,
-        stability_trials=_count_field(cfg, "stability_trials", 20),
-        regularity_trials=_count_field(cfg, "regularity_trials", 200),
-        jobs=_count_field(cfg, "jobs", 1),
-        allow_divergence=bool(cfg.get("allow_divergence", False)),
+        stability_trials=config_field(cfg, "stability_trials", int, 20, minimum=1),
+        regularity_trials=config_field(cfg, "regularity_trials", int, 200, minimum=1),
+        jobs=config_field(cfg, "jobs", int, 1),
+        allow_divergence=config_field(cfg, "allow_divergence", bool, False),
         bound_class=bound_class,
     )
 
 
-def _count_field(cfg: dict, name: str, default: int, minimum: int | None = None) -> int:
-    """The integer field ``name``; a bool, float or string is refused."""
-    value = cfg.get(name, default)
-    if (
-        not isinstance(value, (int, np.integer))
-        or isinstance(value, bool)
-        or (minimum is not None and value < minimum)
-    ):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"field {name!r} must be an integer{at_least}, got {value!r}")
-    return int(value)
-
-
-def plan_from_dict(cfg: dict | None, instance: ProblemInstance) -> StepSizePlan:
-    if not isinstance(cfg, dict) or "kind" not in cfg or "T" not in cfg:
-        raise ConfigError("field 'plan' must carry 'kind' and 'T'")
-    kind, T = cfg["kind"], cfg["T"]
+def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
+    kind = config_field(cfg, "kind", str)
+    T = config_field(cfg, "T", int, minimum=0)
     if kind == "constant":
-        if "eta" not in cfg:
-            raise ConfigError("constant plan requires field 'eta'")
-        plan = StepSizePlan(kind="constant", T=T, eta=float(cfg["eta"]))
+        plan = StepSizePlan(kind="constant", T=T, eta=config_field(cfg, "eta", float))
     elif kind == "inverse_t":
-        if "coeff" in cfg:
-            coeff = float(cfg["coeff"])
-        elif "c" in cfg:
+        coeff = config_field(cfg, "coeff", float, None)
+        if coeff is None:
             # eta_t = c / (beta t), resolved against the instance smoothness
-            coeff = float(cfg["c"]) / instance.params.beta
-        else:
-            raise ConfigError("inverse_t plan requires field 'coeff' or 'c'")
+            c = config_field(cfg, "c", float, None)
+            if c is None:
+                raise ConfigError("inverse_t plan requires field 'coeff' or 'c'")
+            coeff = c / instance.params.beta
         plan = StepSizePlan(kind="inverse_t", T=T, coeff=coeff)
     elif kind == "custom":
-        plan = StepSizePlan(
-            kind="custom", T=T, values=tuple(float(v) for v in cfg.get("values", ()))
-        )
+        values = tuple(config_field(cfg, "values", list, (), of=float))
+        plan = StepSizePlan(kind="custom", T=T, values=values)
     else:
         raise ConfigError(f"plan kind {kind!r} must be constant, inverse_t, or custom")
     plan.validate()
@@ -203,20 +253,13 @@ def plan_from_dict(cfg: dict | None, instance: ProblemInstance) -> StepSizePlan:
 
 
 def schedule_spec_from_dict(cfg: dict, n: int, T: int) -> ScheduleSpec:
-    if "kind" not in cfg:
-        raise ConfigError("every schedule needs a 'kind'")
-    kind = cfg["kind"]
-    m = cfg.get("m", n if kind == "full_batch" else 1)
-    custom = cfg.get("custom_indices")
-    if custom is not None:
-        custom = tuple(tuple(int(i) for i in row) for row in custom)
+    kind = config_field(cfg, "kind", str)
+    custom = config_field(cfg, "custom_indices", list, None, of=list[int])
     return ScheduleSpec(
-        kind=kind,
-        n=n,
-        m=int(m),
-        T=T,
-        seed=int(cfg.get("seed", 0)),
-        custom_indices=custom,
+        kind=kind, n=n, T=T,
+        m=config_field(cfg, "m", int, n if kind == "full_batch" else 1),
+        seed=config_field(cfg, "seed", int, 0, minimum=0),
+        custom_indices=None if custom is None else tuple(map(tuple, custom)),
     )
 
 
@@ -242,6 +285,11 @@ def _blocks(trials: int, jobs: int) -> list[tuple[int, int]]:
         return [(0, trials)]
     size = max(1, -(-trials // (jobs * 4)))
     return [(t0, min(t0 + size, trials)) for t0 in range(0, trials, size)]
+
+
+def _stderr(values: np.ndarray) -> float | None:
+    """Standard error of the mean; undefined below two values."""
+    return float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else None
 
 
 def _parallel_map(fn, items, jobs: int) -> list:
@@ -317,19 +365,15 @@ def estimate_gen_error(
     excluded = sum(r[1] for r in results)
     kept = values[np.isfinite(values)]
     mean = float(kept.mean()) if kept.size else math.nan
-    stderr = (
-        float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else None
-    )
     return MonteCarloEstimate(
-        mean=mean, stderr=stderr, trials=trials, excluded=excluded
+        mean=mean, stderr=_stderr(kept), trials=trials, excluded=excluded
     )
 
 
 def _stability_block(args) -> tuple[np.ndarray, np.ndarray]:
-    (instance, n, etas, sspec, s_idx, master_seed, t0, t1) = args
+    (instance, n, plan, sspec, s_idx, master_seed, t0, t1) = args
     finals = np.empty(t1 - t0)
     sups = np.full(t1 - t0, np.nan)
-    plan = custom_plan(etas) if len(etas) else StepSizePlan("custom", 0, values=())
     for trial in range(t0, t1):
         S = _trial_dataset(instance, n, master_seed, trial)
         repl = sample_examples(instance, n, rng_at(master_seed, trial, REPLACEMENTS))
@@ -363,21 +407,17 @@ def estimate_stability(
     """
     if trials < 1:
         raise ConfigError("estimate_stability requires trials >= 1")
-    etas = plan.etas()
     tasks = [
-        (instance, n, etas, sspec, s_idx, master_seed, t0, t1)
+        (instance, n, plan, sspec, s_idx, master_seed, t0, t1)
         for t0, t1 in _blocks(trials, jobs)
     ]
     results = _parallel_map(_stability_block, tasks, jobs)
     finals = np.concatenate([r[0] for r in results])
     sups = np.concatenate([r[1] for r in results])
-    stderr = (
-        float(finals.std(ddof=1) / math.sqrt(finals.size)) if finals.size > 1 else None
-    )
     sup_max = float(np.nanmax(sups)) if np.isfinite(sups).any() else None
     return MonteCarloEstimate(
         mean=float(finals.mean()),
-        stderr=stderr,
+        stderr=_stderr(finals),
         trials=trials,
         max_value=float(finals.max()),
         grad_sup_max=sup_max,
@@ -702,7 +742,8 @@ ALL_CHECKS = tuple(
 
 
 def run_full_verification(config: ExperimentConfig) -> dict:
-    """Execute every enabled check and aggregate one pass/fail report."""
+    """Execute every enabled check and aggregate one pass/fail report;
+    it passes when no check failed and at least one passed."""
     ctx = _Context(config)
     report: dict = {
         "name": config.name,
@@ -725,6 +766,7 @@ def run_full_verification(config: ExperimentConfig) -> dict:
     runs.append((report["checks"], _FINAL_CHECKS, ()))
 
     failures: list[str] = []
+    passes = 0
     for section, table, args in runs:
         for name, check in table:
             if name not in config.checks:
@@ -733,12 +775,15 @@ def run_full_verification(config: ExperimentConfig) -> dict:
                 status, fields = check(ctx, *args)
             except (RegimeError, CapabilityError) as e:
                 status, fields = "skipped", {"reason": str(e)}
+            except DivergenceError as e:
+                status, fields = "fail", {"reason": str(e)}
             section[name] = {"status": status, **fields}
             if status == "fail":
                 failures.append(name)
+            passes += status == "pass"
 
     report["excluded_trials"] = ctx.excluded_trials
     report["divergence_flag"] = ctx.excluded_trials > 0
     report["failures"] = failures
-    report["passed"] = not failures
+    report["passed"] = not failures and passes > 0
     return report

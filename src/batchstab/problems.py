@@ -274,9 +274,9 @@ def convex_huber_instance(
     tau_max = L / (math.sqrt(d) * beta)
     if tau is None:
         tau = tau_max
-    if tau > tau_max * (1 + REL_SLACK):
+    if not 0 < tau <= tau_max * (1 + REL_SLACK):
         raise ConfigError(
-            f"tau must satisfy tau <= L/(sqrt(d) beta) = {tau_max!r}, got {tau!r}"
+            f"tau must satisfy 0 < tau <= L/(sqrt(d) beta) = {tau_max!r}, got {tau!r}"
         )
     scales = np.full(d, L / math.sqrt(d))
     scales[-1] = L / (2.0 * beta * math.sqrt(d))
@@ -314,8 +314,8 @@ def quadratic_strongly_convex_instance(
     Requires beta >= gamma > 0 and d >= (beta^2 - gamma^2) / (3 gamma^2), the
     dimension at which path gradients stay below 4L.
     """
-    if gamma <= 0 or beta < gamma:
-        raise ConfigError("strongly-convex family requires beta >= gamma > 0")
+    if d < 1 or gamma <= 0 or beta < gamma:
+        raise ConfigError("strongly-convex family requires d >= 1 and beta >= gamma > 0")
     if L <= 0:
         raise ConfigError("strongly-convex family requires L > 0")
     d_min = (beta**2 - gamma**2) / (3.0 * gamma**2)
@@ -366,30 +366,6 @@ def _w1_tuple(w1, d: int) -> tuple[float, ...]:
     return tuple(float(v) for v in arr)
 
 
-def instance_from_config(cfg: dict) -> ProblemInstance:
-    """Build an instance from a config mapping (see README for the schema)."""
-    family = cfg.get("family")
-    d = cfg.get("d")
-    if family is None or d is None:
-        raise ConfigError("instance config requires 'family' and 'd'")
-    kw = {k: cfg[k] for k in ("w1",) if k in cfg}
-    if family == "linear":
-        return linear_instance(d, beta=cfg.get("beta", 1.0), **kw)
-    if family == "convex_huber":
-        return convex_huber_instance(
-            d, L=cfg["L"], beta=cfg["beta"], tau=cfg.get("tau"), **kw
-        )
-    if family == "quadratic_nonconvex":
-        return quadratic_nonconvex_instance(
-            d, beta=cfg["beta"], lam=cfg.get("lam"), **kw
-        )
-    if family == "quadratic_strongly_convex":
-        return quadratic_strongly_convex_instance(
-            d, L=cfg["L"], beta=cfg["beta"], gamma=cfg["gamma"], **kw
-        )
-    raise ConfigError(f"cannot build family {family!r} from a config file")
-
-
 # -- datasets ----------------------------------------------------------------
 
 
@@ -420,8 +396,7 @@ def sample_dataset(
         if seed is None:
             raise ConfigError("sample_dataset needs a seed or an rng")
         rng = rng_at(seed)
-    signs = np.where(rng.random((n, instance.d)) < 0.5, -1.0, 1.0)
-    return Dataset(examples=signs * instance.scales)
+    return Dataset(examples=sample_examples(instance, n, rng))
 
 
 def sample_examples(instance: ProblemInstance, count: int, rng: Generator) -> np.ndarray:

@@ -45,6 +45,9 @@ VALID_KINDS = (
 
 STOCHASTIC_KINDS = ("random_reshuffle", "single_shuffle", "uniform_random")
 
+# Uniform keys drawn at once by a uniform_random realization, at most.
+_UNIFORM_BLOCK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -164,13 +167,15 @@ def realize(spec: ScheduleSpec) -> RealizedSchedule:
         )
         batches = _epoch_chunks(perms, n, m, T)
     elif spec.kind == "uniform_random":
+        # Each step's batch is the first m of the argsort of n uniform keys.
+        # The keys are drawn in blocks of rows, which reads the stream exactly
+        # as one (T, n) draw would, so the block size never changes a batch.
         rng = default_rng(substream(spec.seed, 0))
-        if T * n <= 20_000_000:
-            batches = np.argsort(rng.random((T, n)), axis=1)[:, :m].astype(np.int64)
-        else:
-            batches = np.stack(
-                [rng.choice(n, size=m, replace=False) for _ in range(T)]
-            ).astype(np.int64)
+        batches = np.empty((T, m), dtype=np.int64)
+        rows = max(1, _UNIFORM_BLOCK_ELEMENTS // n)
+        for t0 in range(0, T, rows):
+            keys = rng.random((min(rows, T - t0), n))
+            batches[t0 : t0 + len(keys)] = np.argsort(keys, axis=1)[:, :m]
     else:  # pragma: no cover - guarded by validate
         raise ConfigError(f"unhandled kind {spec.kind!r}")
 

@@ -1,13 +1,20 @@
 """CLI subcommands: exit codes, file outputs, and byte-level determinism."""
 
+import functools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from batchstab.bounds import BOUND_CLASSES
 from batchstab.cli import main
+from batchstab.engine import PLAN_KINDS
+from batchstab.experiments import ALL_CHECKS
+from batchstab.problems import FAMILIES
+from batchstab.schedule import VALID_KINDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -346,3 +353,222 @@ def test_malformed_count_or_check_field_names_it(tmp_path, capsys, field, value)
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert f"field {field!r}" in err
     assert not (out / "report.json").exists()
+
+
+def demo_sweep_config():
+    return {
+        "master_seed": 41,
+        "sweep": {
+            "mode": "uniform_stability_demo", "ns": [10, 30], "epochs": 2, "d": 5,
+            "trials": 120,
+        },
+    }
+
+
+def dump_schedule_config():
+    return {"dump": {"what": "schedule", "n": 3, "T": 5, "schedule": {"kind": "round_robin"}}}
+
+
+DELETE = object()
+
+
+def changed(cfg, path, value):
+    """``cfg`` with the field at ``path`` set to ``value``, or deleted for DELETE."""
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+CUSTOM_ROWS = [["1"]] * 15
+
+# (command, base config, path of the malformed field, its value, what the
+# error must name).  Each of these once ended in a traceback, ran on a
+# silently coerced value, or failed with a message that did not name the field.
+MALFORMED = [
+    ("verify", mini_verify_config, ("instance", "d"), "3", "field 'd'"),
+    ("verify", mini_verify_config, ("instance", "beta"), "1", "field 'beta'"),
+    ("verify", mini_verify_config, ("instance", "d"), 8.0, "field 'd'"),
+    ("verify", mini_verify_config, ("instance", "L"), True, "field 'L'"),
+    ("verify", mini_verify_config, ("schedules",), {"kind": "full_batch"}, "field 'schedules'"),
+    ("verify", mini_verify_config, ("instance",), [1], "field 'instance'"),
+    ("verify", list, (), None, "JSON object"),
+    ("verify", mini_verify_config, ("schedules", 1, "m"), 2.7, "field 'm'"),
+    ("verify", mini_verify_config, ("schedules", 1, "m"), "2", "field 'm'"),
+    ("verify", mini_verify_config, ("schedules", 1, "seed"), 1.5, "field 'seed'"),
+    ("verify", mini_verify_config, ("allow_divergence",), "no", "field 'allow_divergence'"),
+    ("verify", mini_verify_config, ("master_seed",), "5", "field 'master_seed'"),
+    ("verify", mini_verify_config, ("plan", "eta"), "0.5", "field 'eta'"),
+    ("verify", mini_verify_config, ("plan",), {"kind": "inverse_t", "coeff": "0.5", "T": 15},
+     "field 'coeff'"),
+    ("verify", mini_verify_config, ("schedules",),
+     [{"kind": "custom", "m": 1, "custom_indices": CUSTOM_ROWS}], "field 'custom_indices'"),
+    ("sweep", demo_sweep_config, ("sweep", "ns"), 10, "field 'ns'"),
+    ("sweep", demo_sweep_config, ("sweep", "ns"), DELETE, "field 'ns'"),
+    ("sweep", demo_sweep_config, ("sweep", "trials"), "3", "field 'trials'"),
+    ("sweep", demo_sweep_config, ("sweep", "epochs"), 2.5, "field 'epochs'"),
+    ("sweep", demo_sweep_config, ("sweep", "d"), 5.0, "field 'd'"),
+    ("sweep", huber_grid_config, ("sweep", "axes"), {"T": [10.5]}, "field 'T'"),
+    ("sweep", huber_grid_config, ("sweep", "axes"), {"eta": ["0.3"]}, "field 'eta'"),
+    ("sweep", huber_grid_config, ("sweep", "trials"), "2", "field 'trials'"),
+    ("dump", dump_schedule_config, ("dump", "n"), "3", "field 'n'"),
+    ("dump", dump_schedule_config, ("dump", "T"), 2.5, "field 'T'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value, named", MALFORMED,
+    ids=[f"{i:02d}-{c[0]}-{'.'.join(map(str, c[2])) or 'top'}" for i, c in enumerate(MALFORMED)],
+)
+def test_malformed_field_exits_two_naming_it(tmp_path, capsys, command, base, path, value, named):
+    cfg = changed(base(), path, value) if path else base()
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "instance, plan",
+    [
+        # every schedule leaves the Huber region: gen_error_mc skips throughout
+        ({"family": "convex_huber", "d": 8, "L": 1.0, "beta": 1.0},
+         {"kind": "constant", "eta": 1e6, "T": 100}),
+        # no nonconvex oracle for a constant plan: gen_error_mc skips throughout
+        ({"family": "quadratic_nonconvex", "d": 3, "beta": 1.0},
+         {"kind": "constant", "eta": 0.3, "T": 15}),
+    ],
+)
+def test_a_run_whose_every_check_skipped_does_not_pass(tmp_path, capsys, instance, plan):
+    cfg = dict(mini_verify_config(), instance=instance, plan=plan, checks=["gen_error_mc"])
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    statuses = [s["gen_error_mc"]["status"] for s in report["schedules"].values()]
+    assert statuses == ["skipped", "skipped"]
+    assert report["passed"] is False and report["failures"] == []
+    assert "cli-mini: FAIL (0 failing checks)" in capsys.readouterr().out
+
+
+def test_divergence_during_verify_is_a_recorded_failure(tmp_path):
+    cfg = dict(
+        mini_verify_config(),
+        instance={"family": "quadratic_nonconvex", "d": 3, "beta": 1.0},
+        plan={"kind": "constant", "eta": 1e6, "T": 400},
+        checks=["gen_error_mc"],
+    )
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    for section in report["schedules"].values():
+        assert section["gen_error_mc"]["status"] == "fail"
+        assert section["gen_error_mc"]["reason"].startswith("non-finite iterate produced at step")
+    assert report["failures"] == ["gen_error_mc", "gen_error_mc"]
+    assert (out / "summary.csv").exists()
+
+    cfg["allow_divergence"] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["excluded_trials"] > 0 and report["divergence_flag"] is True
+    assert {s["gen_error_mc"]["status"] for s in report["schedules"].values()} == {"skipped"}
+
+
+def test_a_grid_cell_is_the_verify_run_of_its_config(tmp_path):
+    grid = huber_grid_config()
+    out = tmp_path / "g"
+    assert main(["sweep", "--config", write_config(tmp_path, grid), "--out", str(out)]) == 0
+    row = json.loads((out / "sweep.json").read_text())[1]
+    cell = dict(
+        grid["sweep"]["base"], plan={"kind": "constant", "eta": 0.5, "T": 10},
+        schedules=[grid["sweep"]["base"]["schedule"]], checks=["sandwich", "gen_error_mc"],
+        trials=grid["sweep"]["trials"], master_seed=grid["master_seed"],
+    )
+    out = tmp_path / "v"
+    assert main(["verify", "--config", write_config(tmp_path, cell), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    mc = report["schedules"]["round_robin_m1"]["gen_error_mc"]
+    assert (row["lower"], row["oracle"], row["upper"]) == tuple(
+        report["bounds"][k] for k in ("lower", "oracle", "upper")
+    )
+    assert (row["mc_mean"], row["mc_stderr"], row["verdict"]) == (mc["mean"], mc["stderr"], "pass")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+FUZZ_BASES = {
+    "verify": lambda: dict(
+        mini_verify_config(), n=4, trials=3, stability_trials=2, regularity_trials=5,
+        plan={"kind": "constant", "eta": 0.5, "T": 5},
+        schedules=[{"kind": "full_batch"}, {"kind": "uniform_random", "m": 2}],
+    ),
+    "sweep": demo_sweep_config,
+    "grid": huber_grid_config,
+    "dump": dump_schedule_config,
+    "trajectory": lambda: {
+        "dump": {
+            "what": "trajectory", "n": 4, "instance": {"family": "linear", "d": 3},
+            "plan": {"kind": "inverse_t", "c": 0.5, "T": 6},
+            "schedule": {"kind": "random_reshuffle", "m": 2},
+        },
+    },
+}
+COMMANDS = {"grid": "sweep", "trajectory": "dump"}
+NAMES = sorted({
+    *VALID_KINDS, *PLAN_KINDS, *FAMILIES, *ALL_CHECKS, *BOUND_CLASSES,
+    "grid", "uniform_stability_demo", "schedule", "dataset", "trajectory",
+})
+
+
+def nearby(value):
+    """Values of the JSON type of ``value``: a well-typed field with a new value."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-3, 30)
+    if isinstance(value, float):
+        return st.floats()
+    if isinstance(value, str):
+        return st.sampled_from(NAMES)
+    return JSON_VALUES
+
+
+def field_paths(node, prefix=()):
+    """Every path into a config, containers included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from field_paths(child, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_main_never_raises_on_a_config_with_one_field_replaced(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+    cfg = FUZZ_BASES[name]()
+    if name == "sweep":
+        cfg["sweep"].update(ns=[4, 6], trials=4)
+    if name == "grid":
+        cfg["sweep"].update(trials=4)
+    path = data.draw(st.sampled_from(list(field_paths(cfg))))
+    old = functools.reduce(lambda node, key: node[key], path, cfg)
+    value = data.draw(st.one_of(nearby(old), JSON_VALUES))
+    cfg = changed(cfg, path, value) if path else value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    with np.errstate(all="ignore"):
+        status = main([COMMANDS.get(name, name), "--config", write_config(tmp, cfg),
+                       "--out", str(tmp / "o")])
+    assert status in (0, 1, 2)

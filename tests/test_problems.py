@@ -271,6 +271,12 @@ def test_constructor_invariants():
         quadratic_strongly_convex_instance(d=1, L=1.0, beta=10.0, gamma=1.0)
     with pytest.raises(ConfigError):
         quadratic_strongly_convex_instance(d=4, L=1.0, beta=1.0, gamma=2.0)
+    # a non-positive tau makes the Huber ramp concave; d = 0 has no beta axis
+    for tau in (0.0, -0.5):
+        with pytest.raises(ConfigError, match="0 < tau"):
+            convex_huber_instance(d=4, L=1.0, beta=1.0, tau=tau)
+    with pytest.raises(ConfigError, match="d >= 1"):
+        quadratic_strongly_convex_instance(d=0, L=1.0, beta=1.0, gamma=1.0)
 
 
 def test_dataset_csv_roundtrip(tmp_path):

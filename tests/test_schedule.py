@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batchstab import schedule as schedule_mod
 from batchstab.errors import ConfigError
 from batchstab.schedule import (
     CountingVerdict,
@@ -16,6 +17,7 @@ from batchstab.schedule import (
     schedule_to_csv,
     selection_totals,
 )
+from batchstab.seeding import substream
 
 
 def rows(sched):
@@ -184,3 +186,15 @@ def test_every_realization_satisfies_the_counting_identity(kind, n, T, seed, dat
     assert check_counting_lemma(sched).passed
     if T:
         assert sched.batches.min() >= 0 and sched.batches.max() < n
+
+
+@pytest.mark.parametrize("n, m, T", [(7, 3, 11), (5, 5, 4), (6, 2, 0), (1, 1, 3)])
+@pytest.mark.parametrize("block", [1, 6, 13, 1 << 20])
+def test_uniform_random_is_the_same_at_every_block_size(monkeypatch, n, m, T, block):
+    spec = ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=19)
+    keys = np.random.default_rng(substream(19, 0)).random((T, n))
+    one_shot = np.argsort(keys, axis=1)[:, :m]
+    monkeypatch.setattr(schedule_mod, "_UNIFORM_BLOCK_ELEMENTS", block)
+    sched = realize(spec)
+    assert sched.batches.shape == (T, m) and sched.batches.dtype == np.int64
+    assert np.array_equal(sched.batches, one_shot)
