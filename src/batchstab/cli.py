@@ -158,7 +158,7 @@ def _cmd_sweep(cfg: dict, args, out_dir: Path) -> int:
             d=config_field(sweep, "d", int, minimum=1),
             trials=config_field(sweep, "trials", int, 200, minimum=1),
             master_seed=config_field(cfg, "master_seed", int, 0, minimum=0),
-            jobs=args.jobs,
+            jobs=config_field(cfg, "jobs", int, minimum=1),
         )
         ok = all(r["within_bound"] for r in rows)
     elif mode == "grid":

@@ -16,7 +16,10 @@ The loop steps in blocks of B steps, B set so that a block's iterates and
 batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
 batches once and checks its iterates once (see ``_evolve``).  Working memory
 is O((n + B m) d + B R d) for R stacked runs, plus the (R, m, d) batch of a
-paired step, plus the paths when they are kept.
+paired step, plus the paths when they are kept.  A caller that needs every
+iterate without keeping the paths passes an ``on_block`` hook, which sees
+each block once it has passed its checks; the growth-recursion audit of
+``stability`` streams through it in O((n + B n) d + T m) memory.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -172,6 +175,7 @@ def _evolve(
     keep_path: bool,
     track_grad_sup: bool,
     replacements: np.ndarray | None = None,
+    on_block=None,
 ) -> tuple[np.ndarray, np.ndarray | None, float | None]:
     """Advance stacked trajectories W (R, d) through all T steps.
 
@@ -196,6 +200,11 @@ def _evolve(
       the divergence wins;
     * ``track_grad_sup`` takes the max of ``grad_sup_norm`` over the buffer.
 
+    ``on_block``, when given, sees the iterates in path order: first the
+    (1, R, d) start, then each block's (B, R, d) buffer once it has passed
+    the checks.  The buffer is reused by the next block, so the hook must
+    copy what it keeps.
+
     Working memory is O((n + B m) d + B R d), plus the (R, m, d) batch of a
     paired step, plus the (T+1, R, d) path when kept.  Once an iterate is
     non-finite, a custom ``grad_fn`` may still be called on it for the rest
@@ -216,6 +225,8 @@ def _evolve(
     sup = None
     if track_grad_sup:
         sup = float(instance.grad_sup_norm(W).max())
+    if on_block is not None:
+        on_block(W[None])
     slots = np.arange(m)
     eta = etas.tolist()
 
@@ -255,6 +266,8 @@ def _evolve(
             raise DivergenceError(f"non-finite iterate produced at step {t0 + bad + 1}")
         if track_grad_sup:
             sup = max(sup, float(instance.grad_sup_norm(block).max()))
+        if on_block is not None:
+            on_block(block)
     return W.copy(), path, sup
 
 
@@ -307,6 +320,7 @@ def run_paired(
     w1=None,
     keep_path: bool = True,
     track_grad_sup: bool = False,
+    on_block=None,
 ) -> PairedTrajectory:
     """Run on S and on all n single-replacement neighbors, one shared schedule.
 
@@ -318,7 +332,9 @@ def run_paired(
     and patched, so memory is that of ``_evolve`` with R = n+1, plus the
     (T+1, n+1, d) paths when ``keep_path``.  ``track_grad_sup`` records the
     largest ``grad_sup_norm`` along every path; it is honored for the
-    quadratic families only and ignored for the others.
+    quadratic families only and ignored for the others.  ``on_block`` sees
+    the (k, n+1, d) iterates in path order, as in ``_evolve``, so a check
+    over every step need not keep the paths.
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
@@ -334,6 +350,7 @@ def run_paired(
     finals, path, sup = _evolve(
         instance, S.examples, sched.batches, etas, W0, keep_path=keep_path,
         track_grad_sup=track_grad_sup, replacements=replacements,
+        on_block=on_block,
     )
     return PairedTrajectory(
         finals=finals, schedule=sched, etas=etas, m=sched.m, paths=path,

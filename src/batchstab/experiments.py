@@ -24,9 +24,11 @@ A check that cannot run on the configuration raises ``RegimeError`` or
 ``CapabilityError`` (a step-size regime not met; no bound class, oracle or
 gradient bound); the runner records it as ``skipped`` with the message as
 its reason, and a skip is not a failure.  ``gen_error_mc`` also skips, with
-its estimate attached, when the stderr or the oracle is undefined.  A run
-that diverges is a ``fail`` with the engine's message as its reason.  A
-report passes when no check failed and at least one passed.
+its estimate attached, when the stderr or the oracle is undefined, or when
+the population risk is queried outside the Huber region.  A run that
+diverges, or whose iterates leave the Huber band the engine asserts, is a
+``fail`` with the engine's message as its reason.  A report passes when no
+check failed and at least one passed.
 
 Every config value is read by ``config_field``, which refuses a malformed
 field with a ``ConfigError`` naming it.
@@ -223,7 +225,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
         checks=checks,
         stability_trials=config_field(cfg, "stability_trials", int, 20, minimum=1),
         regularity_trials=config_field(cfg, "regularity_trials", int, 200, minimum=1),
-        jobs=config_field(cfg, "jobs", int, 1),
+        jobs=config_field(cfg, "jobs", int, 1, minimum=1),
         allow_divergence=config_field(cfg, "allow_divergence", bool, False),
         bound_class=bound_class,
     )
@@ -329,9 +331,11 @@ def _gen_error_block(args) -> tuple[np.ndarray, int]:
             values[trial - t0] = np.nan
             excluded += 1
             continue
-        values[trial - t0] = float(instance.population_risk(w)) - empirical_risk(
-            instance, w, S
-        )
+        try:
+            risk = float(instance.population_risk(w))
+        except AnalyticRegionError as e:
+            raise CapabilityError(str(e)) from e
+        values[trial - t0] = risk - empirical_risk(instance, w, S)
     return values, excluded
 
 
@@ -351,7 +355,8 @@ def estimate_gen_error(
     Per trial: sample a dataset, realize the schedule from the trial's own
     substream, run, and evaluate population risk minus empirical risk at the
     final iterate.  The population side is analytic, so dataset sampling and
-    schedule randomness are the only noise sources.
+    schedule randomness are the only noise sources.  A population risk
+    queried outside the Huber region is refused with ``CapabilityError``.
     """
     if trials < 1:
         raise ConfigError("estimate_gen_error requires trials >= 1")
@@ -635,21 +640,33 @@ def _check_oracle_equivalence(ctx: _Context, s_idx: int, spec: ScheduleSpec):
 def _check_growth_recursion(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     if ctx.rec_class is None:
         raise CapabilityError("no recursion class for this family")
-    instance = ctx.config.instance
+    instance, plan = ctx.config.instance, ctx.config.plan
+    sched = ctx.audit_schedule(s_idx, spec)
+    # A class refused on this plan still runs the paired run first: a run
+    # that diverges fails, and a missing gradient bound skips with its own
+    # reason, whatever the class's step-size regime.
+    audit = refusal = None
+    try:
+        audit = stability_mod.GrowthRecursionAudit(
+            ctx.rec_class, plan.etas(), sched, instance.params.beta,
+            instance.params.gamma,
+        )
+    except (RegimeError, ConfigError) as e:
+        refusal = e
     pt = run_paired(
         instance,
         Dataset(examples=ctx.audit_examples(s_idx, 0)),
         ctx.audit_examples(s_idx, 1),
-        ctx.audit_schedule(s_idx, spec),
-        ctx.config.plan,
-        keep_path=True,
+        sched,
+        plan,
+        keep_path=False,
         track_grad_sup=True,
+        on_block=audit,
     )
     L = ctx.gradient_bound(pt.grad_sup)
-    verdict = stability_mod.check_growth_recursion(
-        pt, ctx.rec_class, L=L, beta=instance.params.beta,
-        gamma=instance.params.gamma,
-    )
+    if refusal is not None:
+        raise refusal
+    verdict = audit.verdict(L)
     return _status(verdict), dict(
         violations=len(verdict.violations),
         max_slack=verdict.max_slack,
@@ -689,14 +706,11 @@ def _check_stability_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
 
 def _check_gen_error_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     config = ctx.config
-    try:
-        est = estimate_gen_error(
-            config.instance, config.n, config.plan, spec, config.trials,
-            config.master_seed, s_idx=s_idx, jobs=config.jobs,
-            allow_divergence=config.allow_divergence,
-        )
-    except AnalyticRegionError as e:
-        raise CapabilityError(str(e)) from e
+    est = estimate_gen_error(
+        config.instance, config.n, config.plan, spec, config.trials,
+        config.master_seed, s_idx=s_idx, jobs=config.jobs,
+        allow_divergence=config.allow_divergence,
+    )
     ctx.gen_estimates[spec.label()] = est
     ctx.excluded_trials += est.excluded
     fields = dict(
@@ -775,7 +789,7 @@ def run_full_verification(config: ExperimentConfig) -> dict:
                 status, fields = check(ctx, *args)
             except (RegimeError, CapabilityError) as e:
                 status, fields = "skipped", {"reason": str(e)}
-            except DivergenceError as e:
+            except (DivergenceError, AnalyticRegionError) as e:
                 status, fields = "fail", {"reason": str(e)}
             section[name] = {"status": status, **fields}
             if status == "fail":

@@ -227,12 +227,17 @@ class ProblemInstance:
         """Largest gradient norm over the example support, per point of W.
 
         Defined for the quadratic families, where the per-coordinate worst
-        case is the sign of z opposing w: max_z ||Lam (w - z)||.
+        case is the sign of z opposing w: max_z ||Lam (w - z)||.  It runs
+        once per block of every tracked paired run, so it works in place on
+        one temporary the size of W.
         """
         if self.family not in QUADRATIC_FAMILIES:
             raise CapabilityError("grad_sup_norm is defined for quadratic families")
-        worst = (np.abs(W) + self.scales) * self.lam
-        return np.sqrt((worst * worst).sum(axis=-1))
+        worst = np.abs(W)
+        worst += self.scales
+        worst *= self.lam
+        np.square(worst, out=worst)
+        return np.sqrt(worst.sum(axis=-1))
 
     def to_config(self) -> dict:
         cfg = {"family": self.family, "d": self.d}

@@ -46,7 +46,7 @@ VALID_KINDS = (
 STOCHASTIC_KINDS = ("random_reshuffle", "single_shuffle", "uniform_random")
 
 # Uniform keys drawn at once by a uniform_random realization, at most.
-_UNIFORM_BLOCK_ELEMENTS = 1 << 20
+_UNIFORM_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,17 @@ gap_{t+1} by gap_t:
 Solving each recursion and summing 1{i selected} over i (which totals m at
 every step for any data-independent rule) yields the closed-form on-average
 stability bounds; the batch size cancels, so the bounds are m-free.
+
+``GrowthRecursionAudit`` checks the recursion as the iterates stream past,
+from the engine's ``on_block`` hook or from kept paths, so a paired run need
+not keep its (T+1, n+1, d) paths to be audited.  Only the m pairs selected at
+a step get the kick, the one term holding L; every other pair is settled as
+its block arrives, and the T m selected ones once L is known.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +33,7 @@ from batchstab._series import suffix_products
 from batchstab.engine import PairedTrajectory
 from batchstab.errors import ConfigError, RegimeError
 from batchstab.problems import ABS_SLACK, REL_SLACK
-from batchstab.schedule import indicator_matrix
+from batchstab.schedule import RealizedSchedule
 
 LOSS_CLASSES = ("convex", "nonconvex", "strongly_convex")
 
@@ -69,6 +76,84 @@ class RecursionVerdict:
         return not self.violations
 
 
+class GrowthRecursionAudit:
+    """Streaming check of the growth recursion of one paired run.
+
+    Call it with the (k, n+1, d) paired iterates in path order, in blocks of
+    any size: first a block starting with w_1, then the rest; then ask for
+    the ``verdict``.  It holds the previous (n,) gap, and for each selected
+    pair (t, i), i one of the distinct indices of step t, the gap and
+    factor_t gap_{t-1}: O(n + T m) numbers, plus a block's temporaries.
+    Every other pair is settled as its block arrives, since its bound
+    factor_t gap_{t-1} holds no L.
+    """
+
+    def __init__(
+        self,
+        loss_class: str,
+        etas: np.ndarray,
+        schedule: RealizedSchedule,
+        beta: float | None = None,
+        gamma: float | None = None,
+    ):
+        self.loss_class = loss_class
+        self.etas = np.asarray(etas, dtype=float)
+        self.factors = growth_factors(loss_class, self.etas, beta, gamma)
+        self.schedule = schedule
+        self.steps = 0
+        self.gap = None
+        self.slack = -np.inf
+        self.violations: list[tuple[int, int, float, float]] = []
+        self.selected: list[tuple[np.ndarray, ...]] = []
+
+    def __call__(self, rows: np.ndarray) -> None:
+        gaps = np.linalg.norm(rows[:, 1:, :] - rows[:, :1, :], axis=-1)
+        if self.gap is None:
+            self.gap, gaps = gaps[0], gaps[1:]
+        if not gaps.shape[0]:
+            return
+        t0, t1 = self.steps, self.steps + gaps.shape[0]
+        prev = np.concatenate([self.gap[None], gaps[:-1]])
+        held = self.factors[t0:t1, None] * prev
+        picked = np.zeros(gaps.shape, dtype=bool)
+        picked[np.arange(t1 - t0)[:, None], self.schedule.batches[t0:t1]] = True
+        free = ~picked
+        if free.any():
+            self.slack = max(self.slack, float((gaps - held)[free].max()))
+        margin = gaps - (held * (1.0 + REL_SLACK) + ABS_SLACK)
+        k, i = np.nonzero(free & (margin > 0))
+        self.violations.extend(_pairs(t0 + k, i, gaps[k, i], held[k, i]))
+        k, i = np.nonzero(picked)
+        self.selected.append((t0 + k, i, gaps[k, i], held[k, i]))
+        self.gap, self.steps = gaps[-1], t1
+
+    def verdict(self, L: float) -> RecursionVerdict:
+        """Settle the selected pairs with the gradient bound ``L`` and merge
+        their violations with the others' in (t, i) order."""
+        if self.gap is None or self.steps != self.etas.size:
+            raise ConfigError(
+                f"the audit saw {self.steps} of {self.etas.size} steps"
+            )
+        if not self.steps:
+            return RecursionVerdict(self.loss_class, (), 0.0)
+        t, i, gap, held = (np.concatenate(a) for a in zip(*self.selected))
+        rhs = held + 2.0 * L / self.schedule.m * self.etas[t]
+        slack = max(self.slack, float((gap - rhs).max()))
+        margin = gap - (rhs * (1.0 + REL_SLACK) + ABS_SLACK)
+        bad = np.flatnonzero(margin > 0)
+        kicked = _pairs(t[bad], i[bad], gap[bad], rhs[bad])
+        return RecursionVerdict(
+            loss_class=self.loss_class,
+            violations=tuple(heapq.merge(self.violations, kicked)),
+            max_slack=slack,
+        )
+
+
+def _pairs(t, i, lhs, rhs) -> list[tuple[int, int, float, float]]:
+    """Violation tuples of 0-based pairs (t, i), reported 1-based."""
+    return list(zip((t + 1).tolist(), (i + 1).tolist(), lhs.tolist(), rhs.tolist()))
+
+
 def check_growth_recursion(
     pt: PairedTrajectory,
     loss_class: str,
@@ -82,33 +167,14 @@ def check_growth_recursion(
     constant for Lipschitz losses, a path-gradient bound otherwise.
     Violations are reported as (t, i, lhs, rhs) with 1-based t and i;
     max_slack is the largest lhs - rhs over all pairs (negative when all
-    hold strictly).
+    hold strictly).  The kept paths go through ``GrowthRecursionAudit`` as
+    one block; a run without paths is audited through its ``on_block`` hook.
     """
     if pt.paths is None:
         raise ConfigError("check_growth_recursion needs a paired run with paths")
-    etas = pt.etas
-    factors = growth_factors(loss_class, etas, beta, gamma)
-
-    # One step at a time, so only the previous per-neighbor gap is held.
-    paths = pt.paths
-    selected = indicator_matrix(pt.schedule)  # (T, n)
-    kick_scale = 2.0 * L / pt.m
-    gap = np.linalg.norm(paths[0, 1:, :] - paths[0, :1, :], axis=-1)
-    violations = []
-    slack = np.empty(etas.size)
-    for t in range(etas.size):
-        rhs = factors[t] * gap + kick_scale * etas[t] * selected[t]
-        gap = np.linalg.norm(paths[t + 1, 1:, :] - paths[t + 1, :1, :], axis=-1)
-        margin = gap - (rhs * (1.0 + REL_SLACK) + ABS_SLACK)
-        violations.extend(
-            (t + 1, int(i) + 1, float(gap[i]), float(rhs[i]))
-            for i in np.flatnonzero(margin > 0)
-        )
-        slack[t] = (gap - rhs).max()
-    max_slack = float(slack.max()) if slack.size else 0.0
-    return RecursionVerdict(
-        loss_class=loss_class, violations=tuple(violations), max_slack=max_slack
-    )
+    audit = GrowthRecursionAudit(loss_class, pt.etas, pt.schedule, beta, gamma)
+    audit(pt.paths)
+    return audit.verdict(L)
 
 
 def growth_factors(

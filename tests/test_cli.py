@@ -13,7 +13,7 @@ from batchstab.bounds import BOUND_CLASSES
 from batchstab.cli import main
 from batchstab.engine import PLAN_KINDS
 from batchstab.experiments import ALL_CHECKS
-from batchstab.problems import FAMILIES
+from batchstab.problems import FAMILIES, ProblemInstance
 from batchstab.schedule import VALID_KINDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -479,6 +479,43 @@ def test_divergence_during_verify_is_a_recorded_failure(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["excluded_trials"] > 0 and report["divergence_flag"] is True
     assert {s["gen_error_mc"]["status"] for s in report["schedules"].values()} == {"skipped"}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("verify", mini_verify_config),
+        ("sweep", lambda: json.loads((CONFIG_DIR / "sweep_nonconvex_T.json").read_text())),
+        ("sweep", demo_sweep_config),
+    ],
+    ids=["verify", "grid-sweep", "demo-sweep"],
+)
+def test_jobs_below_one_is_refused_naming_it(tmp_path, capsys, command, config, jobs):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, config())
+    assert main([command, "--config", path, "--out", str(out), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "field 'jobs'" in err
+    assert not any(out.glob("*"))
+
+
+def test_an_engine_region_violation_is_a_recorded_failure(tmp_path, monkeypatch):
+    # A band no convex_huber iterate keeps: the engine's own assertion fires
+    # in every check that runs it, as it would on an engine bug.
+    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, etas: 1e-12)
+    out = tmp_path / "o"
+    path = write_config(tmp_path, mini_verify_config())
+    assert main(["verify", "--config", path, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    engine_checks = ["oracle_equivalence", "growth_recursion", "stability_mc", "gen_error_mc"]
+    for section in report["schedules"].values():
+        for name in engine_checks:
+            assert section[name]["status"] == "fail", name
+            assert "this indicates an engine bug" in section[name]["reason"]
+    assert report["failures"] == 2 * engine_checks
+    assert (out / "summary.csv").exists()
 
 
 def test_a_grid_cell_is_the_verify_run_of_its_config(tmp_path):

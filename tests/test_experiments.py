@@ -373,3 +373,22 @@ def test_disabled_sandwich_leaves_no_entry():
         }
     }
     assert "bounds" not in report
+
+
+@pytest.mark.parametrize("T, status", [(20, "skipped"), (200, "fail")])
+def test_a_refused_recursion_class_still_reports_a_divergence(T, status):
+    # eta = 1e3 is outside the strongly convex regime eta <= 2/(beta+gamma);
+    # the growth factor 1 - eta beta = -999 overflows within 200 steps.
+    config = small_config(
+        instance={"family": "quadratic_strongly_convex", "d": 2, "L": 1.0,
+                  "beta": 1.0, "gamma": 1.0},
+        plan={"kind": "constant", "eta": 1e3, "T": T},
+        schedules=[{"kind": "round_robin", "m": 1}],
+        checks=["growth_recursion"],
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_full_verification(config)
+    check = report["schedules"]["round_robin_m1"]["growth_recursion"]
+    assert check["status"] == status
+    reason = "non-finite iterate" if status == "fail" else "requires eta_t <= 2/(beta+gamma)"
+    assert reason in check["reason"]

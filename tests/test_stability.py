@@ -1,10 +1,14 @@
 """Stability measurements, growth recursions, and the closed-form bounds."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from batchstab import engine
 from batchstab._series import suffix_products
 from batchstab.engine import (
     PairedTrajectory,
@@ -14,7 +18,10 @@ from batchstab.engine import (
     run_paired,
 )
 from batchstab.errors import ConfigError, RegimeError
+from batchstab.experiments import config_from_dict, run_full_verification
 from batchstab.problems import (
+    ABS_SLACK,
+    REL_SLACK,
     convex_huber_instance,
     linear_instance,
     quadratic_nonconvex_instance,
@@ -22,8 +29,16 @@ from batchstab.problems import (
     sample_dataset,
     sample_examples,
 )
-from batchstab.schedule import RealizedSchedule, ScheduleSpec, indicator_matrix, realize
+from batchstab.schedule import (
+    VALID_KINDS,
+    RealizedSchedule,
+    ScheduleSpec,
+    indicator_matrix,
+    realize,
+)
 from batchstab.stability import (
+    GrowthRecursionAudit,
+    RecursionVerdict,
     check_growth_recursion,
     contraction_step_sum,
     growth_factors,
@@ -318,3 +333,159 @@ def test_recursion_over_zero_steps_is_vacuous():
     pt = _hand_built_paired(gaps=[[0.0, 0.0]], batches=np.empty(0, dtype=int))
     verdict = check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
     assert verdict.violations == () and verdict.max_slack == 0.0
+
+
+def _recursion_by_steps(pt, loss_class, L, beta=None, gamma=None):
+    """Reference: the recursion checked one step at a time over kept paths,
+    with the selected pairs read from the (T, n) indicator matrix."""
+    etas = pt.etas
+    factors = growth_factors(loss_class, etas, beta, gamma)
+    paths = pt.paths
+    selected = indicator_matrix(pt.schedule)
+    kick_scale = 2.0 * L / pt.m
+    gap = np.linalg.norm(paths[0, 1:, :] - paths[0, :1, :], axis=-1)
+    violations = []
+    slack = np.empty(etas.size)
+    for t in range(etas.size):
+        rhs = factors[t] * gap + kick_scale * etas[t] * selected[t]
+        gap = np.linalg.norm(paths[t + 1, 1:, :] - paths[t + 1, :1, :], axis=-1)
+        margin = gap - (rhs * (1.0 + REL_SLACK) + ABS_SLACK)
+        violations.extend(
+            (t + 1, int(i) + 1, float(gap[i]), float(rhs[i]))
+            for i in np.flatnonzero(margin > 0)
+        )
+        slack[t] = (gap - rhs).max()
+    max_slack = float(slack.max()) if slack.size else 0.0
+    return RecursionVerdict(loss_class, tuple(violations), max_slack)
+
+
+_CLASS_OF = {
+    "linear": "convex",
+    "convex_huber": "convex",
+    "quadratic_nonconvex": "nonconvex",
+    "quadratic_strongly_convex": "strongly_convex",
+}
+
+
+def _instance_of(family, d, beta):
+    return {
+        "linear": lambda: linear_instance(d=d, beta=beta),
+        "convex_huber": lambda: convex_huber_instance(d=max(d, 2), L=1.0, beta=beta),
+        "quadratic_nonconvex": lambda: quadratic_nonconvex_instance(d=d, beta=beta),
+        "quadratic_strongly_convex": lambda: quadratic_strongly_convex_instance(
+            d=d, L=1.0, beta=beta, gamma=beta
+        ),
+    }[family]()
+
+
+def _schedule(kind, n, m, T, rng, seed):
+    """A realized schedule; ``repeated`` is a custom one whose first row
+    selects one index twice."""
+    if kind in ("custom", "repeated"):
+        rows = np.array([rng.permutation(n)[:m] for _ in range(T)], dtype=int)
+        rows = rows.reshape(T, m)
+        if kind == "repeated" and T and m > 1:
+            rows[0, 1] = rows[0, 0]
+        return RealizedSchedule(batches=rows, n=n)
+    return realize(ScheduleSpec(kind, n=n, m=m, T=T, seed=seed))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(_CLASS_OF)),
+    kind=st.sampled_from((*VALID_KINDS, "repeated")),
+    n=st.integers(min_value=3, max_value=9),
+    d=st.integers(min_value=1, max_value=4),
+    T=st.integers(min_value=0, max_value=23),
+    m_of=st.sampled_from(("1", "3", "n")),
+    bound=st.sampled_from(("given", "observed", "shrunk")),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_streamed_audit_equals_the_step_by_step_check(
+    family, kind, n, d, T, m_of, bound, seed
+):
+    # B = 1 is the step-by-step order; 2 and 7 put block edges inside T, and
+    # T + 1 runs every step in one block.
+    m = n if kind == "full_batch" else {"1": 1, "3": 3, "n": n}[m_of]
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.5, 2.0))
+    inst = _instance_of(family, d, beta)
+    d = inst.d
+    S = sample_dataset(inst, n, seed=seed)
+    repl = sample_examples(inst, n, rng)
+    plan = custom_plan(rng.uniform(0.0, 1.0 / beta, size=T))
+    sched = _schedule(kind, n, m, T, rng, seed)
+    kept = run_paired(inst, S, repl, sched, plan, track_grad_sup=True)
+    p = inst.params
+    args = (_CLASS_OF[family], p.beta, p.gamma)
+    L = p.L if p.L is not None else 1.0
+    if bound == "observed" and kept.grad_sup is not None:
+        L = kept.grad_sup
+    elif bound == "shrunk":
+        # a contraction no run obeys and a tiny kick: both the pairs settled
+        # as their block arrives and those settled at the end can fail
+        L, args = 1e-3 * L, ("strongly_convex", beta, beta)
+    expected = _recursion_by_steps(kept, args[0], L, *args[1:])
+    assert check_growth_recursion(kept, args[0], L, *args[1:]) == expected
+    for B in (1, 2, 7, T + 1):
+        audit = GrowthRecursionAudit(args[0], plan.etas(), sched, *args[1:])
+        with mock.patch.object(engine, "_BLOCK_ELEMENTS", B * (n + 1 + m) * d):
+            bare = run_paired(
+                inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
+                on_block=audit,
+            )
+        assert bare.paths is None and np.array_equal(bare.finals, kept.finals)
+        assert audit.verdict(L) == expected, B
+
+
+def test_violations_settled_in_stream_and_at_the_end_merge_in_step_order():
+    # A linear run keeps an unselected pair's gap, so a strongly convex
+    # contraction fails it as its block arrives; a tiny L fails the kicked
+    # pairs, which are settled at the end.
+    inst = linear_instance(d=2)
+    n, T = 4, 12
+    S = sample_dataset(inst, n, seed=60)
+    repl = sample_examples(inst, n, np.random.default_rng(61))
+    sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
+    plan = constant_plan(0.5, T)
+    kept = run_paired(inst, S, repl, sched, plan)
+    expected = _recursion_by_steps(kept, "strongly_convex", 1e-3, 1.0, 1.0)
+    audit = GrowthRecursionAudit("strongly_convex", plan.etas(), sched, 1.0, 1.0)
+    with mock.patch.object(engine, "_BLOCK_ELEMENTS", 3 * (n + 2) * 2):
+        run_paired(inst, S, repl, sched, plan, keep_path=False, on_block=audit)
+    verdict = audit.verdict(1e-3)
+    assert verdict == expected
+    kicked = {(t, i) for t, i, _, _ in verdict.violations if i == (t - 1) % n + 1}
+    assert kicked and len(kicked) < len(verdict.violations)
+    assert [v[:2] for v in verdict.violations] == sorted(v[:2] for v in verdict.violations)
+
+
+def test_an_audit_that_missed_steps_gives_no_verdict():
+    inst = linear_instance(d=2)
+    pt = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=62)
+    audit = GrowthRecursionAudit("convex", pt.etas, pt.schedule, beta=1.0)
+    audit(pt.paths[:3])
+    with pytest.raises(ConfigError, match="saw 2 of 5 steps"):
+        audit.verdict(1.0)
+
+
+def test_growth_recursion_check_does_not_keep_the_paths():
+    # The (T+1, n+1, d) paths alone would be 12.3 MiB here.
+    cfg = config_from_dict({
+        "instance": {"family": "quadratic_strongly_convex", "d": 4, "L": 1.0,
+                     "beta": 1.0, "gamma": 1.0},
+        "n": 2000,
+        "plan": {"kind": "constant", "eta": 0.5, "T": 200},
+        "schedules": [{"kind": "round_robin", "m": 1}],
+        "checks": ["growth_recursion"],
+        "trials": 1,
+        "master_seed": 63,
+    })
+    tracemalloc.start()
+    try:
+        report = run_full_verification(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["schedules"]["round_robin_m1"]["growth_recursion"]["status"] == "pass"
+    assert peak < 4 * 2**20
