@@ -14,7 +14,11 @@ differs from the base run, so each step gathers the base batch once and
 patches those m entries.
 The loop steps in blocks of B steps, B set so that a block's iterates and
 batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
-batches once and checks its iterates once (see ``_evolve``).  Working memory
+batches once and checks its iterates once (see ``_evolve``).  When the
+gradient does not read w (``ProblemInstance.grad_reads_w``, the linear
+family) a block's updates eta_t g_t are known before it steps, so the block
+runs as one cumulative subtraction instead of a Python loop over its steps,
+with the same floating-point operations in the same order.  Working memory
 is O((n + B m) d + B R d) for R stacked runs, plus the (R, m, d) batch of a
 paired step, plus the paths when they are kept.  A caller that needs every
 iterate without keeping the paths passes an ``on_block`` hook, which sees
@@ -189,7 +193,13 @@ def _evolve(
     Per block, the batches of its B steps (and their replacements) are
     gathered at once, and each step writes its iterates into one (B, R, d)
     buffer: the block's slice of the path when it is kept, else a scratch
-    buffer.  The checks then run once over the buffer and raise at the first
+    buffer.  When ``instance.grad_reads_w`` is False the buffer first holds
+    the block's means g_k: one ``batch_grad_mean`` call on the gathered
+    (B, m, d) batches, or for paired runs one per step on the patched
+    (R, m, d) batch.  One multiply makes them eta_k g_k, the first row
+    becomes W - eta_0 g_0, and ``np.subtract.accumulate`` along the step axis
+    finishes w_{k+1} = w_k - eta_k g_k in place, bit for bit the per-step
+    update.  The checks then run once over the buffer and raise at the first
     offending step, with its number:
 
     * a non-finite iterate raises ``DivergenceError``.  Scanning after the
@@ -206,9 +216,10 @@ def _evolve(
     copy what it keeps.
 
     Working memory is O((n + B m) d + B R d), plus the (R, m, d) batch of a
-    paired step, plus the (T+1, R, d) path when kept.  Once an iterate is
-    non-finite, a custom ``grad_fn`` may still be called on it for the rest
-    of its block before ``DivergenceError`` is raised.
+    paired step, plus the (T+1, R, d) path when kept; the cumulative update
+    adds only the (B, d) means of a block.  Once an iterate is non-finite, a
+    custom ``grad_fn`` may still be called on it for the rest of its block
+    before ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
     R, d = W.shape
@@ -229,6 +240,7 @@ def _evolve(
         on_block(W[None])
     slots = np.arange(m)
     eta = etas.tolist()
+    reads_w = instance.grad_reads_w
 
     for t0 in range(0, T, B):
         t1 = min(t0 + B, T)
@@ -237,16 +249,30 @@ def _evolve(
         if replacements is not None:
             rows = 1 + batches[t0:t1]
             patches = replacements[batches[t0:t1]]
-        for k in range(t1 - t0):
-            Zb = gathered[k]
-            if replacements is not None:
-                # Batch axis outermost: the layout a gather from an (R, n, d)
-                # stack has, so reductions over the batch add in the same order.
-                Zb = np.repeat(Zb[:, None, :], R, axis=1)
-                Zb[slots, rows[k]] = patches[k]
-                Zb = Zb.transpose(1, 0, 2)
-            g = instance.batch_grad_mean(W, Zb)
-            W = np.subtract(W, eta[t0 + k] * g, out=block[k])
+        if reads_w or replacements is not None:
+            for k in range(t1 - t0):
+                Zb = gathered[k]
+                if replacements is not None:
+                    # Batch axis outermost: the layout a gather from an (R, n, d)
+                    # stack has, so reductions over the batch add in the same order.
+                    Zb = np.repeat(Zb[:, None, :], R, axis=1)
+                    Zb[slots, rows[k]] = patches[k]
+                    Zb = Zb.transpose(1, 0, 2)
+                g = instance.batch_grad_mean(W, Zb)
+                if reads_w:
+                    W = np.subtract(W, eta[t0 + k] * g, out=block[k])
+                else:
+                    block[k] = g
+        else:
+            block[:] = instance.batch_grad_mean(W, gathered)[:, None, :]
+        if not reads_w:
+            # The means did not read W, so the block holds g_k; scale them to
+            # eta_k g_k and run w_{k+1} = w_k - eta_k g_k as one cumulative
+            # subtraction.  W must not alias the buffer the next block reuses.
+            block *= etas[t0:t1, None, None]
+            np.subtract(W, block[0], out=block[0])
+            np.subtract.accumulate(block, axis=0, out=block)
+            W = block[-1].copy()
 
         finite = np.isfinite(block)
         bad = None

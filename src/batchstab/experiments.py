@@ -730,8 +730,14 @@ def _check_schedule_equivalence(ctx: _Context):
         raise CapabilityError("needs at least two schedules")
     if ctx.oracle is None:
         raise CapabilityError("no analytic oracle for this configuration")
-    if not ctx.gen_estimates:
+    if "gen_error_mc" not in ctx.config.checks:
         raise CapabilityError("gen_error_mc is disabled")
+    missing = [
+        spec.label() for spec in ctx.config.schedules
+        if spec.label() not in ctx.gen_estimates
+    ]
+    if missing:
+        raise CapabilityError(f"gen_error_mc gave no estimate for {', '.join(missing)}")
     fields = _equivalence(ctx.oracle, ctx.gen_estimates)
     return _status(fields.pop("passed")), fields
 

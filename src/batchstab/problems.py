@@ -26,12 +26,15 @@ family available in closed form.
 Every built-in family has a gradient that is affine in w and z on its
 analytic region, grad f(w, z) = a * (w - c) + e * z coordinatewise; the
 closed-form final iterate, the exact generalization error and the
-population risk are each one formula in (a, e, c):
+population risk are each one formula in (a, e, c).  The last column is
+``ProblemInstance.grad_reads_w``: whether the batch gradient depends on the
+iterate at all (custom_smooth's ``grad_fn`` is opaque, so it is taken to):
 
-    family          a                e                   c
-    linear          0                1                   0
-    convex_huber    (0, ..., 0, b)   (1, ..., 1, -b)     (0, ..., 0, w1^d)
-    quadratics      lam              -lam                0
+    family          a                e                   c                  reads w
+    linear          0                1                   0                  no
+    convex_huber    (0, ..., 0, b)   (1, ..., 1, -b)     (0, ..., 0, w1^d)  yes
+    quadratics      lam              -lam                0                  yes
+    custom_smooth   -                -                   -                  yes
 
 For convex_huber (b = beta) the region is |w^d - w1^d - z^d| <= tau; the
 iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
@@ -101,6 +104,9 @@ class ProblemInstance:
         self.loss_fn = loss_fn
         self.grad_fn = grad_fn
         self.d = params.d
+        # The linear gradient is the example itself: the engine may then
+        # compute a block's updates before it steps (see ``engine._evolve``).
+        self.grad_reads_w = family != "linear"
         w1 = params.w1 if params.w1 is not None else (0.0,) * params.d
         self.w1 = np.asarray(w1, dtype=float)
         if self.w1.shape != (self.d,):

@@ -524,3 +524,108 @@ def test_drift_at_the_divergence_step_raises_the_divergence(monkeypatch):
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError, match=rf"at step {s}$"):
             run_final(inst, S, sched, etas)
+
+
+def _linear_by_steps(S, repl, sched, etas, w1):
+    """Reference for the linear family: one update w - eta_t g_t per step,
+    from an explicit (R, n, d) stack of the dataset and, with ``repl``, its n
+    neighbors.  Returns the (T+1, R, d) path."""
+    stack = S.examples[None]
+    if repl is not None:
+        stack = np.repeat(stack, S.n + 1, axis=0)
+        stack[np.arange(1, S.n + 1), np.arange(S.n)] = repl
+    W = np.repeat(w1[None], stack.shape[0], axis=0)
+    path = [W]
+    for t, eta in enumerate(etas):
+        W = W - eta * (stack[:, sched.batches[t], :].sum(axis=1) / sched.m)
+        path.append(W)
+    return np.stack(path)
+
+
+def test_linear_runs_are_bitwise_equal_to_a_per_step_loop():
+    # The linear family steps a whole block as one cumulative subtraction;
+    # it must give the per-step loop's bits at every block size.
+    n, d, T = 6, 3, 25
+    w1 = np.array([0.25, -1.5, 3.0])
+    inst = linear_instance(d=d, w1=w1)
+    rng = np.random.default_rng(51)
+    S = sample_dataset(inst, n, seed=52)
+    repl = sample_examples(inst, n, rng)
+    plan = inverse_t_plan(0.7, T)
+    for kind in VALID_KINDS:
+        for m in (n,) if kind == "full_batch" else (1, 3, n):
+            custom = None
+            if kind == "custom":
+                custom = tuple(
+                    tuple(int(i) + 1 for i in rng.permutation(n)[:m]) for _ in range(T)
+                )
+            sched = realize(
+                ScheduleSpec(kind, n=n, m=m, T=T, seed=53, custom_indices=custom)
+            )
+            single = _linear_by_steps(S, None, sched, plan.etas(), w1)[:, 0]
+            paired = _linear_by_steps(S, repl, sched, plan.etas(), w1)
+            for B in (1, 2, 7, T + 1):
+                case = (kind, m, B)
+                with _block_of(B, 1, m, d):
+                    assert np.array_equal(run(inst, S, sched, plan).iterates, single), case
+                    assert np.array_equal(run_final(inst, S, sched, plan), single[-1]), case
+                with _block_of(B, n + 1, m, d):
+                    kept = run_paired(inst, S, repl, sched, plan)
+                    bare = run_paired(inst, S, repl, sched, plan, keep_path=False)
+                assert np.array_equal(kept.paths, paired), case
+                assert np.array_equal(kept.finals, paired[-1]), case
+                assert bare.paths is None and np.array_equal(bare.finals, paired[-1]), case
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_linear_divergence_names_the_first_non_finite_step(where):
+    # One example, so steps s-1 and s both subtract 1e308 z from the same
+    # coordinates: step s overflows, every earlier step stays finite.
+    d, s, T = 3, 17, 40
+    inst = linear_instance(d=d)
+    S = sample_dataset(inst, 1, seed=54)
+    repl = sample_examples(inst, 1, np.random.default_rng(55))
+    etas = np.full(T, 0.5)
+    etas[s - 2 : s] = 1e308
+    plan = custom_plan(etas)
+    sched = realize(ScheduleSpec("round_robin", n=1, m=1, T=T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = _linear_by_steps(S, None, sched, plan.etas(), inst.w1)[:, 0]
+    assert _first_bad_step(path) == s
+    # Step s is the first of its block when B = s - 1, the last when B = s,
+    # inside it when B = s + 2.
+    B = {"first": s - 1, "mid": s + 2, "last": s}[where]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with _block_of(B, 1, 1, d):
+            for call in (
+                lambda: run(inst, S, sched, plan),
+                lambda: run_final(inst, S, sched, plan),
+            ):
+                with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+                    call()
+        with _block_of(B, 2, 1, d):
+            for keep in (True, False):
+                with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+                    run_paired(inst, S, repl, sched, plan, keep_path=keep)
+
+
+def test_linear_run_final_takes_one_batch_mean_per_block():
+    # A structural guard on the linear block update: its batch means come
+    # from one call on the block's gathered batches, not one call per step.
+    d, n, T = 5, 100, 2000
+    inst = linear_instance(d=d)
+    S = sample_dataset(inst, n, seed=56)
+    sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
+    B = engine._BLOCK_ELEMENTS // ((1 + 1) * d)
+    assert B < T
+    shapes = []
+    mean = ProblemInstance.batch_grad_mean
+
+    def counted(self, W, Z):
+        shapes.append(Z.shape)
+        return mean(self, W, Z)
+
+    with mock.patch.object(ProblemInstance, "batch_grad_mean", counted):
+        run_final(inst, S, sched, constant_plan(0.1, T))
+    assert len(shapes) == -(-T // B)
+    assert shapes[0] == (B, 1, d) and shapes[-1] == (T - (len(shapes) - 1) * B, 1, d)

@@ -8,7 +8,8 @@ import pytest
 
 from batchstab.bounds import analytic_gen_error
 from batchstab.engine import constant_plan, inverse_t_plan
-from batchstab.errors import ConfigError
+from batchstab import experiments
+from batchstab.errors import ConfigError, DivergenceError
 from batchstab.experiments import (
     ExperimentConfig,
     config_from_dict,
@@ -19,6 +20,7 @@ from batchstab.experiments import (
     uniform_stability_failure_demo,
 )
 from batchstab.problems import (
+    ProblemInstance,
     convex_huber_instance,
     custom_smooth_instance,
     linear_instance,
@@ -392,3 +394,35 @@ def test_a_refused_recursion_class_still_reports_a_divergence(T, status):
     assert check["status"] == status
     reason = "non-finite iterate" if status == "fail" else "requires eta_t <= 2/(beta+gamma)"
     assert reason in check["reason"]
+
+
+def test_a_failed_gen_error_mc_skips_the_equivalence_naming_its_schedules(monkeypatch):
+    # A band no convex_huber iterate keeps: every gen_error_mc run fails.
+    config = small_config(trials=10, checks=["gen_error_mc", "schedule_equivalence"])
+    with monkeypatch.context() as patch:
+        patch.setattr(ProblemInstance, "huber_region_limit", lambda self, etas: 1e-12)
+        report = run_full_verification(config)
+    for section in report["schedules"].values():
+        assert section["gen_error_mc"]["status"] == "fail"
+    assert report["checks"]["schedule_equivalence"] == {
+        "status": "skipped",
+        "reason": "gen_error_mc gave no estimate for "
+        "full_batch, round_robin_m1, uniform_random_m3",
+    }
+
+    # One schedule failing is enough: the others are not compared on their own.
+    estimate = experiments.estimate_gen_error
+
+    def fail_round_robin(instance, n, plan, sspec, *args, **kwargs):
+        if sspec.kind == "round_robin":
+            raise DivergenceError("non-finite iterate produced at step 1")
+        return estimate(instance, n, plan, sspec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "estimate_gen_error", fail_round_robin)
+    report = run_full_verification(config)
+    statuses = [s["gen_error_mc"]["status"] for s in report["schedules"].values()]
+    assert statuses == ["pass", "fail", "pass"]
+    assert report["checks"]["schedule_equivalence"] == {
+        "status": "skipped",
+        "reason": "gen_error_mc gave no estimate for round_robin_m1",
+    }
