@@ -16,9 +16,10 @@ The loop steps in blocks of B steps, B set so that a block's iterates and
 batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
 batches once and checks its iterates once (see ``_evolve``).  When the
 gradient does not read w (``ProblemInstance.grad_reads_w``, the linear
-family) a block's updates eta_t g_t are known before it steps, so the block
-runs as one cumulative subtraction instead of a Python loop over its steps,
-with the same floating-point operations in the same order.  Working memory
+family) a block's updates eta_t g_t are known before it steps, so its
+iterates come from one cumulative subtraction (and, outside paired runs, one
+batch-mean call) instead of a Python loop over its steps, with the same
+floating-point operations in the same order.  Working memory
 is O((n + B m) d + B R d) for R stacked runs, plus the (R, m, d) batch of a
 paired step, plus the paths when they are kept.  A caller that needs every
 iterate without keeping the paths passes an ``on_block`` hook, which sees

@@ -526,25 +526,9 @@ def test_drift_at_the_divergence_step_raises_the_divergence(monkeypatch):
             run_final(inst, S, sched, etas)
 
 
-def _linear_by_steps(S, repl, sched, etas, w1):
-    """Reference for the linear family: one update w - eta_t g_t per step,
-    from an explicit (R, n, d) stack of the dataset and, with ``repl``, its n
-    neighbors.  Returns the (T+1, R, d) path."""
-    stack = S.examples[None]
-    if repl is not None:
-        stack = np.repeat(stack, S.n + 1, axis=0)
-        stack[np.arange(1, S.n + 1), np.arange(S.n)] = repl
-    W = np.repeat(w1[None], stack.shape[0], axis=0)
-    path = [W]
-    for t, eta in enumerate(etas):
-        W = W - eta * (stack[:, sched.batches[t], :].sum(axis=1) / sched.m)
-        path.append(W)
-    return np.stack(path)
-
-
 def test_linear_runs_are_bitwise_equal_to_a_per_step_loop():
     # The linear family steps a whole block as one cumulative subtraction;
-    # it must give the per-step loop's bits at every block size.
+    # it must give the bits of the step-by-step references at every block size.
     n, d, T = 6, 3, 25
     w1 = np.array([0.25, -1.5, 3.0])
     inst = linear_instance(d=d, w1=w1)
@@ -562,8 +546,10 @@ def test_linear_runs_are_bitwise_equal_to_a_per_step_loop():
             sched = realize(
                 ScheduleSpec(kind, n=n, m=m, T=T, seed=53, custom_indices=custom)
             )
-            single = _linear_by_steps(S, None, sched, plan.etas(), w1)[:, 0]
-            paired = _linear_by_steps(S, repl, sched, plan.etas(), w1)
+            single = _reference_path(inst, S, sched, plan.etas())
+            _, paired, _ = _paired_by_explicit_stack(
+                inst, S, repl, sched, plan.etas(), False
+            )
             for B in (1, 2, 7, T + 1):
                 case = (kind, m, B)
                 with _block_of(B, 1, m, d):
@@ -589,9 +575,7 @@ def test_linear_divergence_names_the_first_non_finite_step(where):
     etas[s - 2 : s] = 1e308
     plan = custom_plan(etas)
     sched = realize(ScheduleSpec("round_robin", n=1, m=1, T=T))
-    with np.errstate(over="ignore", invalid="ignore"):
-        path = _linear_by_steps(S, None, sched, plan.etas(), inst.w1)[:, 0]
-    assert _first_bad_step(path) == s
+    assert _first_bad_step(_reference_path(inst, S, sched, plan.etas())) == s
     # Step s is the first of its block when B = s - 1, the last when B = s,
     # inside it when B = s + 2.
     B = {"first": s - 1, "mid": s + 2, "last": s}[where]
