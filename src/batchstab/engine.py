@@ -14,12 +14,14 @@ differs from the base run, so each step gathers the base batch once and
 patches those m entries.
 The loop steps in blocks of B steps, B set so that a block's iterates and
 batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
-batches once and checks its iterates once (see ``_evolve``).  When the
-gradient does not read w (``ProblemInstance.grad_reads_w``, the linear
-family) a block's updates eta_t g_t are known before it steps, so its
-iterates come from one cumulative subtraction (and, outside paired runs, one
-batch-mean call) instead of a Python loop over its steps, with the same
-floating-point operations in the same order.  Working memory
+batches once and checks its iterates once (see ``_evolve``).  The gradient
+coordinates that do not read w (the first ``ProblemInstance.grad_free_coords``:
+all of linear's, all but the Huber one of convex_huber's) have updates
+eta_t g_t known before the block steps, so they come from one cumulative
+subtraction (and, outside paired runs, one batch-mean call) instead of a
+Python loop over the block's steps; only the coordinates that read w step
+one step at a time.  Both are the floating-point operations of the per-step
+update in the same order.  Working memory
 is O((n + B m) d + B R d) for R stacked runs, plus the (R, m, d) batch of a
 paired step, plus the paths when they are kept.  A caller that needs every
 iterate without keeping the paths passes an ``on_block`` hook, which sees
@@ -171,6 +173,16 @@ def _resolve_w1(instance: ProblemInstance, w1) -> np.ndarray:
     return w1.copy()
 
 
+def _patched(Zb, rows, patch, R, slots) -> np.ndarray:
+    """The (R, m, d) batch of one paired step: the (m, d) base batch Zb for
+    every run, with entry (rows[k], k) replaced by patch[k]."""
+    # Batch axis outermost: the layout a gather from an (R, n, d) stack has,
+    # so reductions over the batch add in the same order.
+    Zr = np.repeat(Zb[:, None, :], R, axis=1)
+    Zr[slots, rows] = patch
+    return Zr.transpose(1, 0, 2)
+
+
 def _evolve(
     instance: ProblemInstance,
     data: np.ndarray,
@@ -194,14 +206,24 @@ def _evolve(
     Per block, the batches of its B steps (and their replacements) are
     gathered at once, and each step writes its iterates into one (B, R, d)
     buffer: the block's slice of the path when it is kept, else a scratch
-    buffer.  When ``instance.grad_reads_w`` is False the buffer first holds
-    the block's means g_k: one ``batch_grad_mean`` call on the gathered
-    (B, m, d) batches, or for paired runs one per step on the patched
-    (R, m, d) batch.  One multiply makes them eta_k g_k, the first row
-    becomes W - eta_0 g_0, and ``np.subtract.accumulate`` along the step axis
-    finishes w_{k+1} = w_k - eta_k g_k in place, bit for bit the per-step
-    update.  The checks then run once over the buffer and raise at the first
-    offending step, with its number:
+    buffer.  The buffer is filled in two parts, by coordinate:
+
+    * the first c coordinates, whose means do not read W: c is
+      ``instance.grad_free_coords``, or for paired runs d when every
+      coordinate is free and else 0.  The buffer first holds their means g_k:
+      one ``batch_grad_mean`` call on the gathered (B, m, d) batches, or for
+      paired runs one per step on the patched (R, m, d) batch.  One multiply
+      makes them eta_k g_k, the first row becomes W - eta_0 g_0, and
+      ``np.subtract.accumulate`` along the step axis finishes
+      w_{k+1} = w_k - eta_k g_k;
+    * the other d - c coordinates, one step at a time: row k reads w_k from
+      the row before, whose first c coordinates are already final, through
+      ``reading_grad_mean`` on the step's batch, or for paired runs through
+      ``batch_grad_mean`` on its patched batch.
+
+    Either part is bit for bit the per-step update.  The checks then run
+    once over the buffer and raise at the first offending step, with its
+    number:
 
     * a non-finite iterate raises ``DivergenceError``.  Scanning after the
       fact is exact: under w - eta g a non-finite coordinate never becomes
@@ -241,7 +263,11 @@ def _evolve(
         on_block(W[None])
     slots = np.arange(m)
     eta = etas.tolist()
-    reads_w = instance.grad_reads_w
+    # Coordinates [:c] step a block at a time and [c:] one step at a time.  A
+    # paired step patches its own batch, so it steps every coordinate per
+    # step unless none reads w.
+    f = instance.grad_free_coords
+    c = f if replacements is None or f == d else 0
 
     for t0 in range(0, T, B):
         t1 = min(t0 + B, T)
@@ -250,30 +276,37 @@ def _evolve(
         if replacements is not None:
             rows = 1 + batches[t0:t1]
             patches = replacements[batches[t0:t1]]
-        if reads_w or replacements is not None:
+        if c:
+            # These coordinates of the means do not read W, so the block holds
+            # them for every step at once; scale them to eta_k g_k and run
+            # w_{k+1} = w_k - eta_k g_k as one cumulative subtraction.
+            free = block[..., :c]
+            if replacements is None:
+                free[:] = instance.batch_grad_mean(W[0], gathered)[:, None, :c]
+            else:
+                for k in range(t1 - t0):
+                    free[k] = instance.batch_grad_mean(
+                        W, _patched(gathered[k], rows[k], patches[k], R, slots)
+                    )
+            free *= etas[t0:t1, None, None]
+            np.subtract(W[:, :c], free[0], out=free[0])
+            np.subtract.accumulate(free, axis=0, out=free)
+        if c < d:
+            # Row k reads w_k from the row before, whose first c coordinates
+            # are already final.
+            stepped = block[..., c:]
+            prev = W
             for k in range(t1 - t0):
-                Zb = gathered[k]
-                if replacements is not None:
-                    # Batch axis outermost: the layout a gather from an (R, n, d)
-                    # stack has, so reductions over the batch add in the same order.
-                    Zb = np.repeat(Zb[:, None, :], R, axis=1)
-                    Zb[slots, rows[k]] = patches[k]
-                    Zb = Zb.transpose(1, 0, 2)
-                g = instance.batch_grad_mean(W, Zb)
-                if reads_w:
-                    W = np.subtract(W, eta[t0 + k] * g, out=block[k])
+                if replacements is None:
+                    g = instance.reading_grad_mean(prev, gathered[k])
                 else:
-                    block[k] = g
-        else:
-            block[:] = instance.batch_grad_mean(W, gathered)[:, None, :]
-        if not reads_w:
-            # The means did not read W, so the block holds g_k; scale them to
-            # eta_k g_k and run w_{k+1} = w_k - eta_k g_k as one cumulative
-            # subtraction.  W must not alias the buffer the next block reuses.
-            block *= etas[t0:t1, None, None]
-            np.subtract(W, block[0], out=block[0])
-            np.subtract.accumulate(block, axis=0, out=block)
-            W = block[-1].copy()
+                    g = instance.batch_grad_mean(
+                        prev, _patched(gathered[k], rows[k], patches[k], R, slots)
+                    )
+                np.subtract(prev[:, c:], eta[t0 + k] * g, out=stepped[k])
+                prev = block[k]
+        # W must not alias the buffer the next block reuses.
+        W = block[-1].copy()
 
         finite = np.isfinite(block)
         bad = None
@@ -295,7 +328,7 @@ def _evolve(
             sup = max(sup, float(instance.grad_sup_norm(block).max()))
         if on_block is not None:
             on_block(block)
-    return W.copy(), path, sup
+    return W, path, sup
 
 
 def run(

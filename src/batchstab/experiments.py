@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import get_args, get_origin
 
@@ -207,8 +206,15 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     )
     if not schedules:
         raise ConfigError("field 'schedules' must list at least one schedule")
+    labels = set()
     for spec in schedules:
         spec.validate()
+        # The report and the Monte Carlo estimates are keyed by label.
+        if spec.label() in labels:
+            raise ConfigError(
+                f"field 'schedules' lists two schedules labelled {spec.label()!r}"
+            )
+        labels.add(spec.label())
     checks = tuple(config_field(cfg, "checks", list, ALL_CHECKS, of=str))
     for c in checks:
         if c not in ALL_CHECKS:
@@ -297,6 +303,9 @@ def _stderr(values: np.ndarray) -> float | None:
 def _parallel_map(fn, items, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    # Imported here: the import costs a serial run about 15 ms of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))
 

@@ -26,15 +26,17 @@ family available in closed form.
 Every built-in family has a gradient that is affine in w and z on its
 analytic region, grad f(w, z) = a * (w - c) + e * z coordinatewise; the
 closed-form final iterate, the exact generalization error and the
-population risk are each one formula in (a, e, c).  The last column is
-``ProblemInstance.grad_reads_w``: whether the batch gradient depends on the
-iterate at all (custom_smooth's ``grad_fn`` is opaque, so it is taken to):
+population risk are each one formula in (a, e, c).  The last column says
+which gradient coordinates read the iterate; every other coordinate is z
+itself.  ``ProblemInstance.grad_free_coords`` counts the leading coordinates
+that do not read w (custom_smooth's ``grad_fn`` is opaque, so all of its
+coordinates are taken to read w):
 
     family          a                e                   c                  reads w
-    linear          0                1                   0                  no
-    convex_huber    (0, ..., 0, b)   (1, ..., 1, -b)     (0, ..., 0, w1^d)  yes
-    quadratics      lam              -lam                0                  yes
-    custom_smooth   -                -                   -                  yes
+    linear          0                1                   0                  none
+    convex_huber    (0, ..., 0, b)   (1, ..., 1, -b)     (0, ..., 0, w1^d)  the last
+    quadratics      lam              -lam                0                  all
+    custom_smooth   -                -                   -                  all
 
 For convex_huber (b = beta) the region is |w^d - w1^d - z^d| <= tau; the
 iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
@@ -104,9 +106,12 @@ class ProblemInstance:
         self.loss_fn = loss_fn
         self.grad_fn = grad_fn
         self.d = params.d
-        # The linear gradient is the example itself: the engine may then
-        # compute a block's updates before it steps (see ``engine._evolve``).
-        self.grad_reads_w = family != "linear"
+        # The leading gradient coordinates that are the example itself: the
+        # engine may compute their updates for a block of steps before it
+        # steps (see ``engine._evolve``).
+        self.grad_free_coords = {"linear": params.d, "convex_huber": params.d - 1}.get(
+            family, 0
+        )
         w1 = params.w1 if params.w1 is not None else (0.0,) * params.d
         self.w1 = np.asarray(w1, dtype=float)
         if self.w1.shape != (self.d,):
@@ -144,14 +149,10 @@ class ProblemInstance:
         if self.family == "linear":
             return np.broadcast_to(z, np.broadcast_shapes(w.shape, z.shape)).copy()
         if self.family == "convex_huber":
-            beta, tau = self.params.beta, self.params.tau
             shape = np.broadcast_shapes(w.shape, z.shape)
             g = np.empty(shape, dtype=float)
             g[..., :-1] = np.broadcast_to(z[..., :-1], shape[:-1] + (self.d - 1,))
-            u = w[..., -1] - self.w1[-1] - z[..., -1]
-            # At |u| = tau both branches agree (the loss is C^1); the
-            # quadratic branch is used there.
-            g[..., -1] = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
+            g[..., -1] = self._huber_slope(w[..., -1] - self.w1[-1] - z[..., -1])
             return g
         if self.family in QUADRATIC_FAMILIES:
             return self.lam * (w - z)
@@ -162,25 +163,49 @@ class ProblemInstance:
     def batch_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Mean gradient over a batch: W is (..., d), Z is (..., m, d).
 
-        Each mean is ``np.add.reduce(., axis) / m``, which is what ``np.mean``
-        computes, bit for bit, without its Python-level dispatch; this runs
-        once per step.
+        The first ``grad_free_coords`` coordinates are the mean of z itself;
+        the rest are :meth:`reading_grad_mean`.  Each mean is
+        ``np.add.reduce(., axis) / m``, which is what ``np.mean`` computes,
+        bit for bit, without its Python-level dispatch.
+        """
+        f = self.grad_free_coords
+        if f == 0:
+            return self.reading_grad_mean(W, Z)
+        free = np.add.reduce(Z[..., :f], -2) / Z.shape[-2]
+        if f == self.d:
+            return free
+        reading = self.reading_grad_mean(W, Z)
+        g = np.empty(reading.shape[:-1] + (self.d,))
+        g[..., :f] = free
+        g[..., f:] = reading
+        return g
+
+    def reading_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Mean over a batch of the gradient coordinates that read w, the last
+        d - ``grad_free_coords``: W is (..., d), Z is (..., m, d).
+
+        Empty for linear.  The engine calls it once per step of a run.
         """
         m = Z.shape[-2]
-        if self.family == "linear":
-            return np.add.reduce(Z, -2) / m
         if self.family == "convex_huber":
-            beta, tau = self.params.beta, self.params.tau
-            lin = np.add.reduce(Z[..., :-1], -2) / m
             u = W[..., -1:] - self.w1[-1] - Z[..., -1]
-            hub = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
-            g = np.empty(hub.shape[:-1] + (self.d,), dtype=float)
-            g[..., :-1] = lin
-            g[..., -1] = np.add.reduce(hub, -1) / m
-            return g
+            return (np.add.reduce(self._huber_slope(u), -1) / m)[..., None]
         if self.family in QUADRATIC_FAMILIES:
             return self.lam * (W - np.add.reduce(Z, -2) / m)
-        return self.grad(W[..., None, :], Z).mean(axis=-2)
+        if self.family == "custom_smooth":
+            return self.grad(W[..., None, :], Z).mean(axis=-2)
+        return np.empty(np.broadcast_shapes(W.shape[:-1], Z.shape[:-2]) + (0,))
+
+    def _huber_slope(self, u: np.ndarray) -> np.ndarray:
+        """Derivative of the convex_huber term in u: beta u clipped to
+        [-beta tau, beta tau].
+
+        Rounding is monotone, so this is ``where(|u| <= tau, beta u,
+        beta tau sign(u))`` bit for bit: both give +/- fl(beta tau) from
+        |u| = tau on, where the loss is C^1.
+        """
+        cap = self.params.beta * self.params.tau
+        return np.minimum(np.maximum(self.params.beta * u, -cap), cap)
 
     # -- closed-form data --------------------------------------------------
 

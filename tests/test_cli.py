@@ -3,12 +3,16 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import batchstab
 from batchstab.bounds import BOUND_CLASSES
 from batchstab.cli import main
 from batchstab.engine import PLAN_KINDS
@@ -96,6 +100,48 @@ def test_unknown_bound_class_names_the_field(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "field 'class'" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "schedules, label",
+    [
+        ([{"kind": "uniform_random", "m": 3, "seed": 1},
+          {"kind": "uniform_random", "m": 3, "seed": 2}], "uniform_random_m3"),
+        ([{"kind": "custom", "m": 1, "custom_indices": [[1]] * 15},
+          {"kind": "custom", "m": 1, "custom_indices": [[2]] * 15}], "custom_m1"),
+    ],
+    ids=["uniform_random", "custom"],
+)
+def test_two_schedules_with_one_label_are_refused_naming_it(
+    tmp_path, capsys, schedules, label
+):
+    # The report and the Monte Carlo estimates are keyed by label: a second
+    # schedule with the same label would overwrite the first.
+    cfg = dict(
+        mini_verify_config(), schedules=schedules,
+        checks=["gen_error_mc", "schedule_equivalence"],
+    )
+    out = tmp_path / "o"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'schedules'" in err and repr(label) in err
+    assert not any(out.glob("*"))
+
+
+def test_a_serial_verify_never_imports_the_process_pool(tmp_path):
+    cfg = dict(mini_verify_config(), trials=4, stability_trials=2, regularity_trials=5)
+    code = (
+        "import sys; from batchstab.cli import main; "
+        f"code = main(['verify', '--config', {write_config(tmp_path, cfg)!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}, '--jobs', '1']); "
+        "print(code, 'concurrent.futures' in sys.modules)"
+    )
+    src = str(Path(batchstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_seed_override_wins_over_config(tmp_path):

@@ -1,0 +1,65 @@
+"""Negative controls: seeded known-bad inputs that a check must report as a
+``fail``, never as a ``pass`` or ``skipped``, so that a passing check means
+something."""
+
+import pytest
+
+from batchstab.experiments import config_from_dict, run_full_verification
+from batchstab.problems import ProblemInstance
+
+
+def _control_config(checks):
+    return config_from_dict({
+        "name": "control",
+        "instance": {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0},
+        "n": 10,
+        "plan": {"kind": "constant", "eta": 0.5, "T": 20},
+        # small batches, where m / (m + 1) is far from 1
+        "schedules": [{"kind": "round_robin", "m": 1},
+                      {"kind": "random_reshuffle", "m": 2}],
+        "trials": 200,
+        "master_seed": 7,
+        "checks": checks,
+    })
+
+
+def _over_m_plus_1(method):
+    def mutant(self, W, Z):
+        m = Z.shape[-2]
+        return method(self, W, Z) * (m / (m + 1))
+
+    return mutant
+
+
+def test_the_controls_pass_without_a_mutant():
+    report = run_full_verification(_control_config(["oracle_equivalence", "gen_error_mc"]))
+    assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "mutated, checks",
+    [
+        # The whole batch mean over m + 1: a run_final takes its first d - 1
+        # coordinates from batch_grad_mean and its Huber coordinate from
+        # reading_grad_mean, so each of its coordinates is mutated once.
+        (("batch_grad_mean", "reading_grad_mean"), ["oracle_equivalence", "gen_error_mc"]),
+        # Only the Huber coordinate, stepped one step at a time.  Its share of
+        # the generalization error is too small for 200 trials to see, so
+        # only the exact check is asked to fail.
+        (("reading_grad_mean",), ["oracle_equivalence"]),
+    ],
+    ids=["whole-mean", "huber-coordinate"],
+)
+def test_batch_means_over_m_plus_1_fail_the_checks_that_run_the_engine(
+    monkeypatch, mutated, checks
+):
+    for name in mutated:
+        monkeypatch.setattr(
+            ProblemInstance, name, _over_m_plus_1(getattr(ProblemInstance, name))
+        )
+    report = run_full_verification(_control_config(checks))
+    for label, section in report["schedules"].items():
+        for check in checks:
+            assert section[check]["status"] == "fail", (label, check)
+            assert "reason" not in section[check], (label, check)
+    assert report["passed"] is False

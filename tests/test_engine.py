@@ -526,18 +526,13 @@ def test_drift_at_the_divergence_step_raises_the_divergence(monkeypatch):
             run_final(inst, S, sched, etas)
 
 
-def test_linear_runs_are_bitwise_equal_to_a_per_step_loop():
-    # The linear family steps a whole block as one cumulative subtraction;
-    # it must give the bits of the step-by-step references at every block size.
-    n, d, T = 6, 3, 25
-    w1 = np.array([0.25, -1.5, 3.0])
-    inst = linear_instance(d=d, w1=w1)
-    rng = np.random.default_rng(51)
-    S = sample_dataset(inst, n, seed=52)
-    repl = sample_examples(inst, n, rng)
-    plan = inverse_t_plan(0.7, T)
+def _assert_runs_equal_the_references(inst, S, repl, plan, ms, rng):
+    """``run``, ``run_final`` and ``run_paired`` (paths kept and not) are
+    bitwise the step-by-step references on every kind, m in ``ms`` (n for
+    full_batch) and block size 1, 2, 7 and T + 1."""
+    n, d, T = S.n, inst.d, plan.T
     for kind in VALID_KINDS:
-        for m in (n,) if kind == "full_batch" else (1, 3, n):
+        for m in (n,) if kind == "full_batch" else ms:
             custom = None
             if kind == "custom":
                 custom = tuple(
@@ -563,12 +558,23 @@ def test_linear_runs_are_bitwise_equal_to_a_per_step_loop():
                 assert bare.paths is None and np.array_equal(bare.finals, paired[-1]), case
 
 
-@pytest.mark.parametrize("where", ["first", "mid", "last"])
-def test_linear_divergence_names_the_first_non_finite_step(where):
-    # One example, so steps s-1 and s both subtract 1e308 z from the same
-    # coordinates: step s overflows, every earlier step stays finite.
-    d, s, T = 3, 17, 40
-    inst = linear_instance(d=d)
+def test_linear_runs_are_bitwise_equal_to_a_per_step_loop():
+    # The linear family steps a whole block as one cumulative subtraction;
+    # it must give the bits of the step-by-step references at every block size.
+    n, d, T = 6, 3, 25
+    inst = linear_instance(d=d, w1=np.array([0.25, -1.5, 3.0]))
+    rng = np.random.default_rng(51)
+    S = sample_dataset(inst, n, seed=52)
+    repl = sample_examples(inst, n, rng)
+    _assert_runs_equal_the_references(inst, S, repl, inverse_t_plan(0.7, T), (1, 3, n), rng)
+
+
+def _assert_divergence_names_step(inst, s, where):
+    """One example with |z_k| = 1 in every coordinate that does not read w:
+    steps s - 1 and s both subtract 1e308 z there, so step s overflows and
+    every earlier step stays finite.  Every run function names step s,
+    placed first, inside or last in its block."""
+    T = 40
     S = sample_dataset(inst, 1, seed=54)
     repl = sample_examples(inst, 1, np.random.default_rng(55))
     etas = np.full(T, 0.5)
@@ -580,17 +586,22 @@ def test_linear_divergence_names_the_first_non_finite_step(where):
     # inside it when B = s + 2.
     B = {"first": s - 1, "mid": s + 2, "last": s}[where]
     with np.errstate(over="ignore", invalid="ignore"):
-        with _block_of(B, 1, 1, d):
+        with _block_of(B, 1, 1, inst.d):
             for call in (
                 lambda: run(inst, S, sched, plan),
                 lambda: run_final(inst, S, sched, plan),
             ):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     call()
-        with _block_of(B, 2, 1, d):
+        with _block_of(B, 2, 1, inst.d):
             for keep in (True, False):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     run_paired(inst, S, repl, sched, plan, keep_path=keep)
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_linear_divergence_names_the_first_non_finite_step(where):
+    _assert_divergence_names_step(linear_instance(d=3), 17, where)
 
 
 def test_linear_run_final_takes_one_batch_mean_per_block():
@@ -613,3 +624,126 @@ def test_linear_run_final_takes_one_batch_mean_per_block():
         run_final(inst, S, sched, constant_plan(0.1, T))
     assert len(shapes) == -(-T // B)
     assert shapes[0] == (B, 1, d) and shapes[-1] == (T - (len(shapes) - 1) * B, 1, d)
+
+
+@pytest.mark.parametrize("tau_frac", [1.0, 0.3])
+@pytest.mark.parametrize("d", [2, 5])
+def test_convex_huber_runs_are_bitwise_equal_to_the_step_by_step_references(d, tau_frac):
+    # The first d - 1 coordinates step a block at a time, the Huber one step
+    # at a time.  At tau_frac = 1 (the default tau) iterates keep to the
+    # Huber band; at 0.3 the slope is clipped along the run.  m = 8 and
+    # n = 12 sum in an order that depends on the memory layout of the batch.
+    n, T, beta = 12, 25, 1.5
+    inst = convex_huber_instance(
+        d=d, L=1.0, beta=beta, tau=tau_frac / (math.sqrt(d) * beta),
+        w1=np.linspace(-0.5, 0.75, d),
+    )
+    rng = np.random.default_rng(61)
+    S = sample_dataset(inst, n, seed=62)
+    repl = sample_examples(inst, n, rng)
+    _assert_runs_equal_the_references(inst, S, repl, inverse_t_plan(0.6, T), (1, 3, 8, n), rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    beta=st.floats(min_value=1e-3, max_value=1e3),
+    tau=st.floats(min_value=1e-3, max_value=1e3),
+    us=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(
+                ["tau", "-tau", "tau+", "-tau-", "tau-", 0.0, -0.0, math.inf, -math.inf,
+                 math.nan]
+            ),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
+    # d = 2, w1 = 0 and z = 0, so the Huber coordinate's u is w^d exactly.
+    inst = convex_huber_instance(d=2, L=tau * math.sqrt(2) * beta, beta=beta, tau=tau)
+    named = {
+        "tau": tau, "-tau": -tau, "tau+": np.nextafter(tau, math.inf),
+        "-tau-": np.nextafter(-tau, -math.inf), "tau-": np.nextafter(tau, 0.0),
+    }
+    u = np.array([named.get(v, v) if isinstance(v, str) else v for v in us], dtype=float)
+    W = np.stack([np.zeros_like(u), u], axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        slope = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
+        by_grad = inst.grad(W, np.zeros(2))[:, -1]
+        # a batch of one example: the mean of the where form over it
+        by_mean = inst.reading_grad_mean(W, np.zeros((len(u), 1, 2)))[:, 0]
+    for got, expected in ((by_grad, slope), (by_mean, np.add.reduce(slope[:, None], -1))):
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
+    # A structural guard on the convex_huber block update: the first d - 1
+    # coordinates come from one full batch-mean call per block; only the
+    # Huber coordinate is stepped one step at a time.
+    d, n, m, T = 4, 50, 5, 2000
+    inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
+    S = sample_dataset(inst, n, seed=64)
+    sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=65))
+    B = engine._BLOCK_ELEMENTS // ((1 + m) * d)
+    assert B < T
+    calls = {"batch_grad_mean": [], "reading_grad_mean": []}
+
+    def counted(name):
+        method = getattr(ProblemInstance, name)
+
+        def call(self, W, Z):
+            calls[name].append(Z.shape)
+            return method(self, W, Z)
+
+        return call
+
+    with mock.patch.multiple(
+        ProblemInstance, **{name: counted(name) for name in calls}
+    ):
+        run_final(inst, S, sched, constant_plan(0.5, T))
+    full = calls["batch_grad_mean"]
+    assert len(full) == -(-T // B)
+    assert full[0] == (B, m, d) and full[-1] == (T - (len(full) - 1) * B, m, d)
+    # one per step, plus the one inside each block's full batch-mean call
+    reading = calls["reading_grad_mean"]
+    assert reading.count((m, d)) == T and len(reading) == T + len(full)
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_convex_huber_band_names_its_step_wherever_it_falls(where, monkeypatch):
+    # A band limit the early iterates keep; step s is the first whose drift
+    # exceeds it on the base run, s_paired on any of the paired runs.
+    inst, S, sched, etas = _huber_run()
+    repl = sample_examples(inst, S.n, np.random.default_rng(66))
+    drift = _drift(inst, _reference_path(inst, S, sched, etas))
+    limit = float(np.sort(drift)[-4])
+    s = 1 + int(np.flatnonzero(drift > limit * (1.0 + 1e-9))[0])
+    _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, etas, False)
+    paired_drift = np.abs(paths[1:, :, -1] - inst.w1[-1]).max(axis=1)
+    s_paired = 1 + int(np.flatnonzero(paired_drift > limit * (1.0 + 1e-9))[0])
+    assert 3 < s_paired <= s < sched.T - 3
+    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    plan = custom_plan(etas)
+    for R, step, calls in (
+        (1, s, (lambda: run(inst, S, sched, plan),
+                lambda: run_final(inst, S, sched, plan))),
+        (S.n + 1, s_paired, (lambda: run_paired(inst, S, repl, sched, plan),)),
+    ):
+        # first of its block when B = step - 1, last when B = step, inside
+        # it when B = step + 2
+        B = {"first": step - 1, "mid": step + 2, "last": step}[where]
+        with _block_of(B, R, sched.m, inst.d):
+            for call in calls:
+                with pytest.raises(AnalyticRegionError, match=rf"^step {step}: "):
+                    call()
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_convex_huber_divergence_names_its_step_wherever_it_falls(where):
+    # L = sqrt(d) makes |z_k| = 1 in the first d - 1 coordinates.
+    inst = convex_huber_instance(d=3, L=math.sqrt(3), beta=1.0)
+    _assert_divergence_names_step(inst, 17, where)

@@ -114,20 +114,18 @@ def test_schedule_equivalence_passes_and_full_batch_seeds_coincide():
     eq = schedule_equivalence(config)
     assert eq["passed"], eq
     assert eq["spread"] >= 0.0
-    # two full_batch schedules with different seeds give identical means
-    config2 = small_config(
-        trials=60,
-        schedules=[
-            {"kind": "full_batch", "seed": 1},
-            {"kind": "full_batch", "seed": 2},
-        ],
-    )
+    # two full_batch schedules with different seeds give identical means (a
+    # config may not list both: they share the label "full_batch")
+    specs = [
+        ScheduleSpec("full_batch", n=config.n, m=config.n, T=config.plan.T, seed=seed)
+        for seed in (1, 2)
+    ]
     ests = {
         i: estimate_gen_error(
-            config2.instance, config2.n, config2.plan, spec,
-            trials=60, master_seed=config2.master_seed, s_idx=i,
+            config.instance, config.n, config.plan, spec,
+            trials=60, master_seed=config.master_seed, s_idx=i,
         )
-        for i, spec in enumerate(config2.schedules)
+        for i, spec in enumerate(specs)
     }
     assert ests[0].mean == ests[1].mean
 
