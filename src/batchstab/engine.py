@@ -11,7 +11,10 @@ wrappers over a core loop that is vectorized across stacked trajectories.
 Paired runs never copy the dataset per neighbor: by the counting identity,
 at step t only the m neighbors whose index is in K_t read a batch that
 differs from the base run, so each step gathers the base batch once and
-patches those m entries.
+patches those m entries.  Nor do they step a neighbor before the first step
+that selects its index, since until then it is the base run bit for bit: a
+block steps only the base run and the neighbors selected by its end, so a
+paired run costs sum_t (1 + |K_1 u ... u K_t|) d, not T (n+1) d.
 The loop steps in blocks of B steps, B set so that a block's iterates and
 batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
 batches once and checks its iterates once (see ``_evolve``).  The gradient
@@ -21,12 +24,12 @@ eta_t g_t known before the block steps, so they come from one cumulative
 subtraction (and, outside paired runs, one batch-mean call) instead of a
 Python loop over the block's steps; only the coordinates that read w step
 one step at a time.  Both are the floating-point operations of the per-step
-update in the same order.  Working memory
-is O((n + B m) d + B R d) for R stacked runs, plus the (R, m, d) batch of a
-paired step, plus the paths when they are kept.  A caller that needs every
-iterate without keeping the paths passes an ``on_block`` hook, which sees
-each block once it has passed its checks; the growth-recursion audit of
-``stability`` streams through it in O((n + B n) d + T m) memory.
+update in the same order.  Working memory is O((n + B m) d + B R d) for R
+stacked runs, plus the (P, m, d) batch of a paired step that steps P runs,
+plus the paths when they are kept.  A caller that needs every iterate
+without keeping the paths passes an ``on_block`` hook, which sees each block
+once it has passed its checks; the growth-recursion audit of ``stability``
+streams through it in O((n + B n) d + T m) memory.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -173,12 +176,12 @@ def _resolve_w1(instance: ProblemInstance, w1) -> np.ndarray:
     return w1.copy()
 
 
-def _patched(Zb, rows, patch, R, slots) -> np.ndarray:
-    """The (R, m, d) batch of one paired step: the (m, d) base batch Zb for
-    every run, with entry (rows[k], k) replaced by patch[k]."""
-    # Batch axis outermost: the layout a gather from an (R, n, d) stack has,
+def _patched(Zb, rows, patch, P, slots) -> np.ndarray:
+    """The (P, m, d) batch of one paired step: the (m, d) base batch Zb for
+    every stepped run, with entry (rows[k], k) replaced by patch[k]."""
+    # Batch axis outermost: the layout a gather from a (P, n, d) stack has,
     # so reductions over the batch add in the same order.
-    Zr = np.repeat(Zb[:, None, :], R, axis=1)
+    Zr = np.repeat(Zb[:, None, :], P, axis=1)
     Zr[slots, rows] = patch
     return Zr.transpose(1, 0, 2)
 
@@ -188,31 +191,42 @@ def _evolve(
     data: np.ndarray,
     batches: np.ndarray,
     etas: np.ndarray,
-    W: np.ndarray,
+    w1: np.ndarray,
     keep_path: bool,
     track_grad_sup: bool,
     replacements: np.ndarray | None = None,
     on_block=None,
 ) -> tuple[np.ndarray, np.ndarray | None, float | None]:
-    """Advance stacked trajectories W (R, d) through all T steps.
+    """Advance R stacked trajectories from the start point w1 (d,) through
+    all T steps; return the (R, d) finals, the kept path and the gradient sup.
 
     All trajectories read the same (T, m) index matrix from the (n, d) data.
-    With ``replacements`` (n, d), W holds the R = n+1 paired runs: row 0 reads
-    the data as is, row i reads it with example i-1 swapped for
-    ``replacements[i-1]``.  Each step then builds the (R, m, d) batch from the
-    m gathered base rows and overwrites only the entries (1 + K_t[k], k).
+    Without ``replacements`` R = 1.  With ``replacements`` (n, d), R = n+1
+    paired runs: run 0 reads the data as is, run i reads it with example i-1
+    swapped for ``replacements[i-1]``.
+
+    Run i matches run 0 bit for bit until the first step that selects index
+    i-1, so the paired runs are stored in the order of that first step (T
+    when no step selects it), and a block steps only a prefix of P rows: run
+    0 and the neighbors selected by the block's last step.  A neighbor
+    that joins the prefix starts its block as a copy of row 0, which is what
+    it would have computed, since it read the unpatched base batch at every
+    earlier step.  Each step builds the (P, m, d) batch from the m gathered
+    base rows and overwrites only the entries of the neighbors in K_t.  A
+    paired run thus costs sum_t (1 + |K_1 u ... u K_t|) d instead of
+    T (n+1) d.
 
     The steps run in blocks of B = max(1, _BLOCK_ELEMENTS // ((R + m) d)).
     Per block, the batches of its B steps (and their replacements) are
-    gathered at once, and each step writes its iterates into one (B, R, d)
-    buffer: the block's slice of the path when it is kept, else a scratch
-    buffer.  The buffer is filled in two parts, by coordinate:
+    gathered at once, and each step writes the iterates of the P stepped
+    rows into one (B, P, d) buffer.  The buffer is filled in two parts, by
+    coordinate:
 
     * the first c coordinates, whose means do not read W: c is
       ``instance.grad_free_coords``, or for paired runs d when every
       coordinate is free and else 0.  The buffer first holds their means g_k:
       one ``batch_grad_mean`` call on the gathered (B, m, d) batches, or for
-      paired runs one per step on the patched (R, m, d) batch.  One multiply
+      paired runs one per step on the patched (P, m, d) batch.  One multiply
       makes them eta_k g_k, the first row becomes W - eta_0 g_0, and
       ``np.subtract.accumulate`` along the step axis finishes
       w_{k+1} = w_k - eta_k g_k;
@@ -223,7 +237,8 @@ def _evolve(
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
-    number:
+    number.  A row left out of the prefix is a copy of row 0, so checking
+    the prefix checks every run:
 
     * a non-finite iterate raises ``DivergenceError``.  Scanning after the
       fact is exact: under w - eta g a non-finite coordinate never becomes
@@ -233,34 +248,50 @@ def _evolve(
       the divergence wins;
     * ``track_grad_sup`` takes the max of ``grad_sup_norm`` over the buffer.
 
-    ``on_block``, when given, sees the iterates in path order: first the
-    (1, R, d) start, then each block's (B, R, d) buffer once it has passed
-    the checks.  The buffer is reused by the next block, so the hook must
-    copy what it keeps.
+    One gather puts the rows back in run order, with row 0 standing in for
+    every run outside the prefix: for the block's slice of the kept path,
+    for ``on_block``, and for the finals of a paired run.  The hook, when given, sees the
+    iterates in path order: first the (1, R, d) start, then each block's
+    (B, R, d) iterates once they have passed the checks.  Its buffer is
+    reused by the next block, so the hook must copy what it keeps.
 
-    Working memory is O((n + B m) d + B R d), plus the (R, m, d) batch of a
+    Working memory is O((n + B m) d + B R d), plus the (P, m, d) batch of a
     paired step, plus the (T+1, R, d) path when kept; the cumulative update
     adds only the (B, d) means of a block.  Once an iterate is non-finite, a
     custom ``grad_fn`` may still be called on it for the rest of its block
     before ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
-    R, d = W.shape
+    d = w1.shape[0]
     m = batches.shape[1]
+    R = 1 if replacements is None else 1 + replacements.shape[0]
     B = max(1, _BLOCK_ELEMENTS // ((R + m) * d))
-    path = None
+    # Run r is stored in row rank[r]; joined[t] counts the neighbors first
+    # selected at step t or before.
+    rank = np.zeros(R, dtype=np.intp)
+    joined = np.zeros(T, dtype=np.intp)
+    if replacements is not None:
+        # first[i]: the first step that selects example i, T for none.  Rows
+        # are independent, so ties may be stored in any order.
+        first = np.full(R - 1, T)
+        np.minimum.at(first, batches, np.arange(T)[:, None])
+        rank[1 + np.argsort(first)] = np.arange(1, R)
+        joined = np.bincount(first, minlength=T + 1)[:T].cumsum()
+    path = shown = None
     if keep_path:
         path = np.empty((T + 1, R, d))
-        path[0] = W
-    else:
-        scratch = np.empty((min(B, T), R, d))
+        path[0] = w1
+    elif on_block is not None:
+        shown = np.empty((min(B, T), R, d))
+    work = np.empty(min(B, T) * (1 + int(joined[-1] if T else 0)) * d)
     limit = instance.huber_region_limit(etas)
     w1d = instance.w1[-1]
+    W = w1[None, :]
     sup = None
     if track_grad_sup:
         sup = float(instance.grad_sup_norm(W).max())
     if on_block is not None:
-        on_block(W[None])
+        on_block(np.repeat(w1[None, None, :], R, axis=1))
     slots = np.arange(m)
     eta = etas.tolist()
     # Coordinates [:c] step a block at a time and [c:] one step at a time.  A
@@ -271,10 +302,13 @@ def _evolve(
 
     for t0 in range(0, T, B):
         t1 = min(t0 + B, T)
-        block = path[t0 + 1 : t1 + 1] if keep_path else scratch[: t1 - t0]
+        P = 1 + int(joined[t1 - 1])
+        if P > W.shape[0]:
+            W = np.concatenate((W, np.repeat(W[:1], P - W.shape[0], axis=0)))
+        block = work[: (t1 - t0) * P * d].reshape(t1 - t0, P, d)
         gathered = data[batches[t0:t1]]
         if replacements is not None:
-            rows = 1 + batches[t0:t1]
+            rows = rank[1 + batches[t0:t1]]
             patches = replacements[batches[t0:t1]]
         if c:
             # These coordinates of the means do not read W, so the block holds
@@ -286,7 +320,7 @@ def _evolve(
             else:
                 for k in range(t1 - t0):
                     free[k] = instance.batch_grad_mean(
-                        W, _patched(gathered[k], rows[k], patches[k], R, slots)
+                        W, _patched(gathered[k], rows[k], patches[k], P, slots)
                     )
             free *= etas[t0:t1, None, None]
             np.subtract(W[:, :c], free[0], out=free[0])
@@ -301,7 +335,7 @@ def _evolve(
                     g = instance.reading_grad_mean(prev, gathered[k])
                 else:
                     g = instance.batch_grad_mean(
-                        prev, _patched(gathered[k], rows[k], patches[k], R, slots)
+                        prev, _patched(gathered[k], rows[k], patches[k], P, slots)
                     )
                 np.subtract(prev[:, c:], eta[t0 + k] * g, out=stepped[k])
                 prev = block[k]
@@ -326,9 +360,21 @@ def _evolve(
             raise DivergenceError(f"non-finite iterate produced at step {t0 + bad + 1}")
         if track_grad_sup:
             sup = max(sup, float(instance.grad_sup_norm(block).max()))
-        if on_block is not None:
-            on_block(block)
+        if keep_path or on_block is not None:
+            view = path[t0 + 1 : t1 + 1] if keep_path else shown[: t1 - t0]
+            np.take(block, _spread(rank, P), axis=1, out=view, mode="clip")
+            if on_block is not None:
+                on_block(view)
+    if replacements is not None:
+        W = W[_spread(rank, W.shape[0])]
     return W, path, sup
+
+
+def _spread(rank: np.ndarray, P: int) -> np.ndarray:
+    """The stored row that holds each run when the first P rows were
+    stepped: its own, or row 0 for a run whose replaced example no step has
+    selected yet."""
+    return np.where(rank < P, rank, 0)
 
 
 def run(
@@ -341,10 +387,9 @@ def run(
     """Run the iterate map once, keeping the whole path."""
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
-    W0 = _resolve_w1(instance, w1)[None, :]
     _, path, _ = _evolve(
-        instance, S.examples, sched.batches, etas, W0, keep_path=True,
-        track_grad_sup=False,
+        instance, S.examples, sched.batches, etas, _resolve_w1(instance, w1),
+        keep_path=True, track_grad_sup=False,
     )
     return Trajectory(iterates=path[:, 0, :], schedule=sched, etas=etas)
 
@@ -363,10 +408,9 @@ def run_final(
         else np.asarray(plan_or_etas, dtype=float)
     )
     _check_run_inputs(instance, S, sched, etas)
-    W0 = _resolve_w1(instance, w1)[None, :]
     W, _, _ = _evolve(
-        instance, S.examples, sched.batches, etas, W0, keep_path=False,
-        track_grad_sup=False,
+        instance, S.examples, sched.batches, etas, _resolve_w1(instance, w1),
+        keep_path=False, track_grad_sup=False,
     )
     return W[0]
 
@@ -389,8 +433,10 @@ def run_paired(
     the identical realized index matrix, so trajectories can only diverge
     after the first step that selects the replaced index.  No neighbor
     dataset is materialized: per step only the m selected rows are gathered
-    and patched, so memory is that of ``_evolve`` with R = n+1, plus the
-    (T+1, n+1, d) paths when ``keep_path``.  ``track_grad_sup`` records the
+    and patched, and a neighbor is stepped only from the block in which its
+    index is first selected, so the work is sum_t (1 + |K_1 u ... u K_t|) d
+    and memory that of ``_evolve`` with R = n+1, plus the (T+1, n+1, d)
+    paths when ``keep_path``.  ``track_grad_sup`` records the
     largest ``grad_sup_norm`` along every path; it is honored for the
     quadratic families only and ignored for the others.  ``on_block`` sees
     the (k, n+1, d) iterates in path order, as in ``_evolve``, so a check
@@ -404,12 +450,11 @@ def run_paired(
             f"replacements must be shaped (n, d) = {(S.n, instance.d)}, "
             f"got {replacements.shape}"
         )
-    W0 = np.repeat(_resolve_w1(instance, w1)[None, :], S.n + 1, axis=0)
     if track_grad_sup and instance.family not in QUADRATIC_FAMILIES:
         track_grad_sup = False
     finals, path, sup = _evolve(
-        instance, S.examples, sched.batches, etas, W0, keep_path=keep_path,
-        track_grad_sup=track_grad_sup, replacements=replacements,
+        instance, S.examples, sched.batches, etas, _resolve_w1(instance, w1),
+        keep_path=keep_path, track_grad_sup=track_grad_sup, replacements=replacements,
         on_block=on_block,
     )
     return PairedTrajectory(

@@ -581,6 +581,7 @@ class _Context:
                 self.oracle = None
         self.gen_estimates: dict[str, MonteCarloEstimate] = {}
         self.excluded_trials = 0
+        self._audit: tuple[int, dict] = (-1, {})
 
     def gradient_bound(self, observed: float | None) -> float:
         """Gradient bound of the perturbation term: the class's bound from L,
@@ -592,14 +593,31 @@ class _Context:
             raise CapabilityError("no gradient bound is available for this family")
         return bound
 
+    def _audit_fact(self, s_idx: int, name, make):
+        """An audit fact of schedule s_idx, made once.  The checks run
+        schedule by schedule, so only one schedule's facts are kept."""
+        if self._audit[0] != s_idx:
+            self._audit = (s_idx, {})
+        facts = self._audit[1]
+        if name not in facts:
+            facts[name] = make()
+        return facts[name]
+
     def audit_examples(self, s_idx: int, k: int) -> np.ndarray:
         """Audit draws of schedule s_idx: the dataset (k=0), its replacements (k=1)."""
         config = self.config
-        rng = rng_at(config.master_seed, s_idx, AUDIT, k)
-        return sample_examples(config.instance, config.n, rng)
+        return self._audit_fact(
+            s_idx, k,
+            lambda: sample_examples(
+                config.instance, config.n, rng_at(config.master_seed, s_idx, AUDIT, k)
+            ),
+        )
 
     def audit_schedule(self, s_idx: int, spec: ScheduleSpec):
-        return _trial_schedule(spec, self.config.master_seed, 0, s_idx)
+        return self._audit_fact(
+            s_idx, "schedule",
+            lambda: _trial_schedule(spec, self.config.master_seed, 0, s_idx),
+        )
 
 
 def _status(ok) -> str:

@@ -747,3 +747,157 @@ def test_convex_huber_divergence_names_its_step_wherever_it_falls(where):
     # L = sqrt(d) makes |z_k| = 1 in the first d - 1 coordinates.
     inst = convex_huber_instance(d=3, L=math.sqrt(3), beta=1.0)
     _assert_divergence_names_step(inst, 17, where)
+
+
+def _paired_schedules():
+    """(n, schedule) pairs whose neighbors join the stepped rows at every
+    position of a block, or never: round_robin selects a new index at every
+    step (and with T m < n leaves one unselected), the custom schedule
+    selects one index only, then T = 0, n = 1 and a repeated index."""
+    T = 11
+    yield 9, realize(ScheduleSpec("round_robin", n=9, m=1, T=T))
+    yield 9, realize(ScheduleSpec("round_robin", n=9, m=2, T=4))
+    yield 9, realize(ScheduleSpec("custom", n=9, m=1, T=T, custom_indices=((4,),) * T))
+    yield 9, realize(ScheduleSpec("uniform_random", n=9, m=3, T=T, seed=71))
+    yield 9, realize(ScheduleSpec("random_reshuffle", n=9, m=2, T=T, seed=72))
+    yield 9, realize(ScheduleSpec("full_batch", n=9, m=9, T=T))
+    yield 9, realize(ScheduleSpec("round_robin", n=9, m=1, T=0))
+    yield 1, realize(ScheduleSpec("round_robin", n=1, m=1, T=T))
+    yield 4, RealizedSchedule(batches=np.array([[2, 2, 0], [1, 3, 1]] * 3), n=4)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["linear", "convex_huber", "quadratic_nonconvex", "quadratic_strongly_convex",
+     "custom_smooth"],
+)
+def test_paired_runs_that_step_only_the_selected_neighbors_are_bitwise_the_stack(family):
+    # Finals, kept paths, grad_sup and the on_block stream, at block sizes
+    # that put each neighbor's first selection first, inside and last in
+    # its block.
+    d = 3
+    rng = np.random.default_rng(73)
+    beta = 1.5
+    inst = _instance_of(family, d, beta)
+    track = family.startswith("quadratic")
+    for n, sched in _paired_schedules():
+        S = sample_dataset(inst, n, seed=74)
+        repl = sample_examples(inst, n, rng)
+        plan = custom_plan(rng.uniform(0.0, 1.0 / beta, size=sched.T))
+        finals, paths, sup = _paired_by_explicit_stack(
+            inst, S, repl, sched, plan.etas(), track
+        )
+        for B in (1, 2, 7, sched.T + 1):
+            for keep in (True, False):
+                case = (sched.kind, n, sched.m, sched.T, B, keep)
+                stream = []
+                with _block_of(B, n + 1, sched.m, d):
+                    pt = run_paired(
+                        inst, S, repl, sched, plan, keep_path=keep,
+                        track_grad_sup=True, on_block=lambda b: stream.append(b.copy()),
+                    )
+                assert np.array_equal(pt.finals, finals), case
+                assert np.array_equal(pt.paths, paths) if keep else pt.paths is None
+                assert np.array_equal(np.concatenate(stream), paths), case
+                assert pt.grad_sup == sup, case
+
+
+def test_paired_quadratic_run_steps_only_the_selected_neighbors():
+    # A structural guard: a round_robin m = 1 paired run steps the base run
+    # and the neighbors selected by each block's end, one batch-mean call
+    # per step, instead of all n + 1 rows at every step.
+    d, n, T = 4, 2000, 200
+    inst = quadratic_strongly_convex_instance(d=d, L=1.0, beta=1.0, gamma=1.0)
+    S = sample_dataset(inst, n, seed=75)
+    repl = sample_examples(inst, n, np.random.default_rng(76))
+    sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
+    B = engine._BLOCK_ELEMENTS // ((n + 1 + 1) * d)
+    shapes = []
+    mean = ProblemInstance.batch_grad_mean
+
+    def counted(self, W, Z):
+        shapes.append(Z.shape)
+        return mean(self, W, Z)
+
+    with mock.patch.object(ProblemInstance, "batch_grad_mean", counted):
+        run_paired(inst, S, repl, sched, constant_plan(0.5, T), keep_path=False)
+    expected = sum(
+        (min(t0 + B, T) - t0) * (1 + min(t0 + B, T)) for t0 in range(0, T, B)
+    )
+    assert len(shapes) == T
+    assert sum(shape[0] for shape in shapes) == expected
+    assert expected < 25_000 < T * (n + 1)
+
+
+def _joining_neighbor(inst, s, z):
+    """n = T = 40 under round_robin m = 1: neighbor s (example s - 1) joins
+    the stepped rows at step s and reads ``z`` there; every other
+    replacement is the example itself."""
+    T = 40
+    S = sample_dataset(inst, T, seed=77)
+    repl = S.examples.copy()
+    repl[s - 1] = z
+    sched = realize(ScheduleSpec("round_robin", n=T, m=1, T=T))
+    return S, repl, sched
+
+
+def _step_places(s):
+    # step s is first in its block when B = s - 1, last when B = s, inside
+    # it when B = s + 2
+    return {"first": s - 1, "mid": s + 2, "last": s}
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_a_neighbor_that_diverges_where_it_joins_names_its_step(where):
+    # cosh(z) overflows at the replaced example only, so only neighbor s
+    # goes non-finite, at step s.
+    d, s = 2, 17
+
+    def loss_fn(w, z):
+        return (np.log(np.cosh(w - z)) * np.cosh(z)).sum(axis=-1)
+
+    def grad_fn(w, z):
+        return np.tanh(w - z) * np.cosh(z)
+
+    inst = custom_smooth_instance(
+        d=d, loss_fn=loss_fn, grad_fn=grad_fn, scales=np.full(d, 0.7), beta=1.0
+    )
+    S, repl, sched = _joining_neighbor(inst, s, np.full(d, 1e300))
+    plan = constant_plan(0.5, sched.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
+        bad = ~np.isfinite(paths).all(axis=2)
+        assert np.flatnonzero(bad.any(axis=1))[0] == s and not bad[:, 0].any()
+        with _block_of(_step_places(s)[where], S.n + 1, 1, d):
+            for keep in (True, False):
+                with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+                    run_paired(inst, S, repl, sched, plan, keep_path=keep)
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_a_neighbor_that_leaves_the_huber_band_where_it_joins_names_its_step(
+    where, monkeypatch
+):
+    # A replacement far outside the support clips neighbor s's Huber slope at
+    # step s and kicks its last coordinate away from w1^d, past a band limit
+    # that every iterate before step s, and the base run at step s, keeps.
+    d, s = 3, 17
+    inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
+    S, repl, sched = _joining_neighbor(inst, s, np.zeros(d))
+    etas = np.full(sched.T, 0.5)
+    base = _reference_path(inst, S, sched, etas)
+    repl[s - 1, -1] = 100.0 if base[s - 1, -1] >= inst.w1[-1] else -100.0
+    _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, etas, False)
+    drift = np.abs(paths[1:, :, -1] - inst.w1[-1])
+    limit = float(max(drift[: s - 1].max(), drift[s - 1, 0]))
+    assert drift[s - 1].argmax() == s and drift[s - 1, s] > limit * (1.0 + 1e-9)
+    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    plan = custom_plan(etas)
+    with _block_of(_step_places(s)[where], S.n + 1, 1, d):
+        for keep in (True, False):
+            with pytest.raises(AnalyticRegionError) as info:
+                run_paired(inst, S, repl, sched, plan, keep_path=keep)
+            assert str(info.value).startswith(
+                f"step {s}: |w^d - w1^d| = {float(drift[s - 1, s])!r} exceeded the "
+                f"invariant half-width {limit!r}"
+            )

@@ -424,3 +424,28 @@ def test_a_failed_gen_error_mc_skips_the_equivalence_naming_its_schedules(monkey
         "status": "skipped",
         "reason": "gen_error_mc gave no estimate for round_robin_m1",
     }
+
+
+def test_verify_realizes_each_audit_schedule_and_draws_its_data_once(monkeypatch):
+    # counting_lemma, oracle_equivalence and growth_recursion share one audit
+    # schedule and one audit dataset per schedule.
+    checks = ["counting_lemma", "oracle_equivalence", "growth_recursion"]
+    config = small_config(checks=checks)
+    calls = {"realize": 0, "sample_examples": 0}
+
+    def counted(name):
+        fn = getattr(experiments, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name))
+    report = run_full_verification(config)
+    assert report["passed"]
+    for section in report["schedules"].values():
+        assert [section[name]["status"] for name in checks] == ["pass"] * 3
+    assert calls == {"realize": 3, "sample_examples": 6}
