@@ -8,28 +8,30 @@ The update at step t averages the example gradients over the selected batch:
 schedule realization on a dataset and on all n of its single-replacement
 neighbors, sharing one index matrix across the n+1 runs.  Both are thin
 wrappers over a core loop that is vectorized across stacked trajectories.
-Paired runs never copy the dataset per neighbor: by the counting identity,
-at step t only the m neighbors whose index is in K_t read a batch that
-differs from the base run, so each step gathers the base batch once and
-patches those m entries.  Nor do they step a neighbor before the first step
-that selects its index, since until then it is the base run bit for bit: a
-block steps only the base run and the neighbors selected by its end, so a
-paired run costs sum_t (1 + |K_1 u ... u K_t|) d, not T (n+1) d.
+Paired runs copy neither the dataset per neighbor nor a batch per stepped
+run: by the counting identity, at step t only the m neighbors whose index is
+in K_t read a batch that differs from the base run, so the batch terms of
+every run at step t are those of the base batch and of the m patched
+batches (``ProblemInstance`` states which terms each family's gradient
+reads).  Nor do they step a neighbor before the first step that selects its
+index, since until then it is the base run bit for bit: a block steps only
+the base run and the neighbors selected by its end, so a paired run costs
+sum_t (1 + |K_1 u ... u K_t|) d, not T (n+1) d.
 The loop steps in blocks of B steps, B set so that a block's iterates and
 batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
 batches once and checks its iterates once (see ``_evolve``).  The gradient
 coordinates that do not read w (the first ``ProblemInstance.grad_free_coords``:
 all of linear's, all but the Huber one of convex_huber's) have updates
 eta_t g_t known before the block steps, so they come from one cumulative
-subtraction (and, outside paired runs, one batch-mean call) instead of a
-Python loop over the block's steps; only the coordinates that read w step
-one step at a time.  Both are the floating-point operations of the per-step
-update in the same order.  Working memory is O((n + B m) d + B R d) for R
-stacked runs, plus the (P, m, d) batch of a paired step that steps P runs,
-plus the paths when they are kept.  A caller that needs every iterate
-without keeping the paths passes an ``on_block`` hook, which sees each block
-once it has passed its checks; the growth-recursion audit of ``stability``
-streams through it in O((n + B n) d + T m) memory.
+subtraction instead of a Python loop over the block's steps; only the
+coordinates that read w step one step at a time.  Both are the
+floating-point operations of the per-step update in the same order.
+Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
+paired block's terms, plus the paths when they are kept.  A caller that
+needs every iterate without keeping the paths passes an ``on_block`` hook,
+which sees each block's stepped rows once they have passed their checks;
+the growth-recursion audit of ``stability`` streams through it and reads
+only those rows.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -51,10 +53,11 @@ from batchstab.schedule import RealizedSchedule
 
 PLAN_KINDS = ("constant", "inverse_t", "custom")
 
-# Elements of one block's (B, R, d) iterates and (B, m, d) batches together:
-# enough steps per block that the per-block gathers and checks cost little per
-# step, few enough numbers that the buffers and the block checks' temporaries
-# (a few times the block) add no visible memory to a large paired run.
+# Elements of one block's (B, P, d) iterates and (B, m, d) batches together,
+# and of a paired block's step terms: enough steps per block that the
+# per-block gathers and checks cost little per step, few enough numbers that
+# the buffers and the block checks' temporaries (a few times the block) add
+# no visible memory to a large paired run.
 _BLOCK_ELEMENTS = 2**14
 
 
@@ -176,14 +179,56 @@ def _resolve_w1(instance: ProblemInstance, w1) -> np.ndarray:
     return w1.copy()
 
 
-def _patched(Zb, rows, patch, P, slots) -> np.ndarray:
-    """The (P, m, d) batch of one paired step: the (m, d) base batch Zb for
-    every stepped run, with entry (rows[k], k) replaced by patch[k]."""
-    # Batch axis outermost: the layout a gather from a (P, n, d) stack has,
-    # so reductions over the batch add in the same order.
-    Zr = np.repeat(Zb[:, None, :], P, axis=1)
-    Zr[slots, rows] = patch
-    return Zr.transpose(1, 0, 2)
+def _stepped_terms(
+    instance: ProblemInstance, gathered: np.ndarray, idx: np.ndarray,
+    patches: np.ndarray, rows: np.ndarray, P: int,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The batch terms of the P stepped rows at each of a block's b steps:
+    the (b, P, f) ``free_grad_mean`` and the (b, P, ...) ``step_terms``.
+
+    At step k every row reads the base batch gathered[k] (m, d), except the
+    row rows[k, j] of each selected index idx[k, j], which reads it with every
+    slot holding that index replaced by its entry of patches[k].  So the
+    terms of the base batch and of the m patched batches are the terms of
+    every row.  The patched batches are built a chunk of slots at a time,
+    about ``_BLOCK_ELEMENTS`` numbers each with the base batch beside them,
+    with the batch axis outermost:
+    the layout a gather from a stack of n+1 datasets has, so every mean adds
+    in the order of that gather, and a term that keeps the batch axis keeps
+    it outermost in the (b, P, ...) result.
+    """
+    b, m, d = gathered.shape
+    steps = np.arange(b)[:, None]
+    width = min(m, max(1, _BLOCK_ELEMENTS // (b * m * d)))
+    # Entry 0 holds the base batch, entry 1 + j the batch of the row in slot
+    # j0 + j, patched for its chunk and restored after it.
+    Zq = np.empty((m, b, 1 + width, d))
+    Zq[...] = gathered.transpose(1, 0, 2)[:, :, None, :]
+    out = None
+    for j0 in range(0, m, width):
+        j1 = min(j0 + width, m)
+        k, j, slot = np.nonzero(idx[:, j0:j1, None] == idx[:, None, :])
+        entry = (slot, k, 1 + j)
+        Zq[entry] = patches[k, slot]
+        Z = Zq[:, :, : 1 + j1 - j0].transpose(1, 2, 0, 3)
+        terms = (instance.free_grad_mean(Z), instance.step_terms(Z))
+        if out is None:
+            out = tuple(_base_rows(x, P) for x in terms)
+        for o, x in zip(out, terms):
+            if o is not None:
+                o[steps, rows[:, j0:j1]] = x[:, 1:]
+        Zq[entry] = gathered[k, slot]
+    return out
+
+
+def _base_rows(x: np.ndarray | None, P: int) -> np.ndarray | None:
+    """Entry 0 of the (b, 1 + q, ...) terms ``x`` for each of P rows, laid out
+    in memory as ``x`` is."""
+    if x is None:
+        return None
+    rows = np.empty_like(x, shape=(x.shape[0], P) + x.shape[2:])
+    rows[...] = x[:, :1]
+    return rows
 
 
 def _evolve(
@@ -211,29 +256,34 @@ def _evolve(
     0 and the neighbors selected by the block's last step.  A neighbor
     that joins the prefix starts its block as a copy of row 0, which is what
     it would have computed, since it read the unpatched base batch at every
-    earlier step.  Each step builds the (P, m, d) batch from the m gathered
-    base rows and overwrites only the entries of the neighbors in K_t.  A
-    paired run thus costs sum_t (1 + |K_1 u ... u K_t|) d instead of
-    T (n+1) d.
+    earlier step.  A paired run thus costs sum_t (1 + |K_1 u ... u K_t|) d
+    instead of T (n+1) d.
 
-    The steps run in blocks of B = max(1, _BLOCK_ELEMENTS // ((R + m) d)).
-    Per block, the batches of its B steps (and their replacements) are
-    gathered at once, and each step writes the iterates of the P stepped
-    rows into one (B, P, d) buffer.  The buffer is filled in two parts, by
-    coordinate:
+    The steps run in blocks of B steps, B the most (at least 1) for which a
+    block's (B, P_T, d) iterates and (B, m, d) batches together, and a
+    paired block's (B, P_T, ...) step terms, each hold at most
+    ``_BLOCK_ELEMENTS`` numbers; P_T is the rows stepped by the last block (1
+    without ``replacements``).
+    Per block, the batches of its B steps are gathered at once, and each
+    step writes the iterates of the P stepped rows into one (B, P, d)
+    buffer.  The batch gradient is split as ``ProblemInstance`` states it:
+    the ``free_grad_mean`` of the first f = ``grad_free_coords``
+    coordinates, and the ``step_map`` of the other d - f, which reads w and
+    the ``step_terms`` of the batch.  A paired block takes the terms of its
+    P rows from those of the base batch and of the m patched batches of each
+    step (``_stepped_terms``), so no step copies its batch per row, except
+    that custom_smooth's terms are its patched batch.  The buffer is filled
+    in two parts, by coordinate:
 
-    * the first c coordinates, whose means do not read W: c is
-      ``instance.grad_free_coords``, or for paired runs d when every
-      coordinate is free and else 0.  The buffer first holds their means g_k:
+    * the first f coordinates: the buffer first holds their means g_k, from
       one ``batch_grad_mean`` call on the gathered (B, m, d) batches, or for
-      paired runs one per step on the patched (P, m, d) batch.  One multiply
-      makes them eta_k g_k, the first row becomes W - eta_0 g_0, and
-      ``np.subtract.accumulate`` along the step axis finishes
-      w_{k+1} = w_k - eta_k g_k;
-    * the other d - c coordinates, one step at a time: row k reads w_k from
-      the row before, whose first c coordinates are already final, through
+      paired runs from the terms.  One multiply makes them eta_k g_k, the
+      first row becomes W - eta_0 g_0, and ``np.subtract.accumulate`` along
+      the step axis finishes w_{k+1} = w_k - eta_k g_k;
+    * the other d - f coordinates, one step at a time: row k reads w_k from
+      the row before, whose first f coordinates are already final, through
       ``reading_grad_mean`` on the step's batch, or for paired runs through
-      ``batch_grad_mean`` on its patched batch.
+      ``step_map`` on its rows' terms.
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
@@ -248,26 +298,28 @@ def _evolve(
       the divergence wins;
     * ``track_grad_sup`` takes the max of ``grad_sup_norm`` over the buffer.
 
-    One gather puts the rows back in run order, with row 0 standing in for
-    every run outside the prefix: for the block's slice of the kept path,
-    for ``on_block``, and for the finals of a paired run.  The hook, when given, sees the
-    iterates in path order: first the (1, R, d) start, then each block's
-    (B, R, d) iterates once they have passed the checks.  Its buffer is
-    reused by the next block, so the hook must copy what it keeps.
+    The hook, when given, sees the iterates in path order as they are
+    stored: first the (1, 1, d) start, then each block's (B, P, d) iterates
+    once they have passed the checks, each with the (P,) run index of its
+    stored rows (run 0 first).  Every run not among them is run 0 at those
+    steps.  The buffer is reused by the next block, so the hook must copy
+    what it keeps.  One gather puts the rows back in run order, with row 0
+    standing in for every run outside the prefix, for the block's slice of
+    the kept path and for the finals of a paired run.
 
-    Working memory is O((n + B m) d + B R d), plus the (P, m, d) batch of a
-    paired step, plus the (T+1, R, d) path when kept; the cumulative update
-    adds only the (B, d) means of a block.  Once an iterate is non-finite, a
-    custom ``grad_fn`` may still be called on it for the rest of its block
-    before ``DivergenceError`` is raised.
+    Working memory is O((n + B m) d + B P d), plus a paired block's step
+    terms, bounded with the iterates but at least one step's (P m for
+    convex_huber, P m d for custom_smooth), plus the (T+1, R, d) path when
+    kept.  Once an iterate is non-finite, a custom ``grad_fn`` may
+    still be called on it for the rest of its block before
+    ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
     d = w1.shape[0]
     m = batches.shape[1]
     R = 1 if replacements is None else 1 + replacements.shape[0]
-    B = max(1, _BLOCK_ELEMENTS // ((R + m) * d))
-    # Run r is stored in row rank[r]; joined[t] counts the neighbors first
-    # selected at step t or before.
+    # Run r is stored in row rank[r], and row s holds run order[s]; joined[t]
+    # counts the neighbors first selected at step t or before.
     rank = np.zeros(R, dtype=np.intp)
     joined = np.zeros(T, dtype=np.intp)
     if replacements is not None:
@@ -277,13 +329,20 @@ def _evolve(
         np.minimum.at(first, batches, np.arange(T)[:, None])
         rank[1 + np.argsort(first)] = np.arange(1, R)
         joined = np.bincount(first, minlength=T + 1)[:T].cumsum()
-    path = shown = None
+    order = np.empty(R, dtype=np.intp)
+    order[rank] = np.arange(R)
+    rows_last = 1 + int(joined[-1] if T else 0)
+    span = (rows_last + m) * d
+    if replacements is not None:
+        # a paired block also holds the step terms of each of its rows
+        terms = instance.step_terms(np.zeros((m, d)))
+        span = max(span, rows_last * (0 if terms is None else terms.size))
+    B = max(1, _BLOCK_ELEMENTS // span)
+    path = None
     if keep_path:
         path = np.empty((T + 1, R, d))
         path[0] = w1
-    elif on_block is not None:
-        shown = np.empty((min(B, T), R, d))
-    work = np.empty(min(B, T) * (1 + int(joined[-1] if T else 0)) * d)
+    work = np.empty(min(B, T) * rows_last * d)
     limit = instance.huber_region_limit(etas)
     w1d = instance.w1[-1]
     W = w1[None, :]
@@ -291,14 +350,11 @@ def _evolve(
     if track_grad_sup:
         sup = float(instance.grad_sup_norm(W).max())
     if on_block is not None:
-        on_block(np.repeat(w1[None, None, :], R, axis=1))
-    slots = np.arange(m)
+        on_block(W[None], order[:1])
     eta = etas.tolist()
-    # Coordinates [:c] step a block at a time and [c:] one step at a time.  A
-    # paired step patches its own batch, so it steps every coordinate per
-    # step unless none reads w.
+    # Coordinates [:f] step a block at a time and [f:] one step at a time.
     f = instance.grad_free_coords
-    c = f if replacements is None or f == d else 0
+    step = instance.reading_grad_mean if replacements is None else instance.step_map
 
     for t0 in range(0, T, B):
         t1 = min(t0 + B, T)
@@ -306,38 +362,33 @@ def _evolve(
         if P > W.shape[0]:
             W = np.concatenate((W, np.repeat(W[:1], P - W.shape[0], axis=0)))
         block = work[: (t1 - t0) * P * d].reshape(t1 - t0, P, d)
-        gathered = data[batches[t0:t1]]
-        if replacements is not None:
-            rows = rank[1 + batches[t0:t1]]
-            patches = replacements[batches[t0:t1]]
-        if c:
+        idx = batches[t0:t1]
+        gathered = data[idx]
+        if replacements is None:
+            terms = gathered
+            if f:
+                free = instance.batch_grad_mean(W[0], gathered)[:, None, :f]
+        else:
+            free, terms = _stepped_terms(
+                instance, gathered, idx, replacements[idx], rank[1 + idx], P
+            )
+        if f:
             # These coordinates of the means do not read W, so the block holds
             # them for every step at once; scale them to eta_k g_k and run
             # w_{k+1} = w_k - eta_k g_k as one cumulative subtraction.
-            free = block[..., :c]
-            if replacements is None:
-                free[:] = instance.batch_grad_mean(W[0], gathered)[:, None, :c]
-            else:
-                for k in range(t1 - t0):
-                    free[k] = instance.batch_grad_mean(
-                        W, _patched(gathered[k], rows[k], patches[k], P, slots)
-                    )
-            free *= etas[t0:t1, None, None]
-            np.subtract(W[:, :c], free[0], out=free[0])
-            np.subtract.accumulate(free, axis=0, out=free)
-        if c < d:
-            # Row k reads w_k from the row before, whose first c coordinates
+            head = block[..., :f]
+            head[:] = free
+            head *= etas[t0:t1, None, None]
+            np.subtract(W[:, :f], head[0], out=head[0])
+            np.subtract.accumulate(head, axis=0, out=head)
+        if f < d:
+            # Row k reads w_k from the row before, whose first f coordinates
             # are already final.
-            stepped = block[..., c:]
+            stepped = block[..., f:]
             prev = W
             for k in range(t1 - t0):
-                if replacements is None:
-                    g = instance.reading_grad_mean(prev, gathered[k])
-                else:
-                    g = instance.batch_grad_mean(
-                        prev, _patched(gathered[k], rows[k], patches[k], P, slots)
-                    )
-                np.subtract(prev[:, c:], eta[t0 + k] * g, out=stepped[k])
+                g = step(prev, terms[k])
+                np.subtract(prev[:, f:], eta[t0 + k] * g, out=stepped[k])
                 prev = block[k]
         # W must not alias the buffer the next block reuses.
         W = block[-1].copy()
@@ -360,11 +411,12 @@ def _evolve(
             raise DivergenceError(f"non-finite iterate produced at step {t0 + bad + 1}")
         if track_grad_sup:
             sup = max(sup, float(instance.grad_sup_norm(block).max()))
-        if keep_path or on_block is not None:
-            view = path[t0 + 1 : t1 + 1] if keep_path else shown[: t1 - t0]
-            np.take(block, _spread(rank, P), axis=1, out=view, mode="clip")
-            if on_block is not None:
-                on_block(view)
+        if keep_path:
+            np.take(
+                block, _spread(rank, P), axis=1, out=path[t0 + 1 : t1 + 1], mode="clip"
+            )
+        if on_block is not None:
+            on_block(block, order[:P])
     if replacements is not None:
         W = W[_spread(rank, W.shape[0])]
     return W, path, sup
@@ -432,15 +484,17 @@ def run_paired(
     ``replacements[i-1]``.  All n+1 runs start from the same point and read
     the identical realized index matrix, so trajectories can only diverge
     after the first step that selects the replaced index.  No neighbor
-    dataset is materialized: per step only the m selected rows are gathered
-    and patched, and a neighbor is stepped only from the block in which its
-    index is first selected, so the work is sum_t (1 + |K_1 u ... u K_t|) d
-    and memory that of ``_evolve`` with R = n+1, plus the (T+1, n+1, d)
-    paths when ``keep_path``.  ``track_grad_sup`` records the
-    largest ``grad_sup_norm`` along every path; it is honored for the
-    quadratic families only and ignored for the others.  ``on_block`` sees
-    the (k, n+1, d) iterates in path order, as in ``_evolve``, so a check
-    over every step need not keep the paths.
+    dataset or per-run batch is materialized: per step only the m selected
+    rows are gathered and patched, and a neighbor is stepped only from the
+    block in which its index is first selected, so the work is
+    sum_t (1 + |K_1 u ... u K_t|) d and memory that of ``_evolve``, plus
+    the (T+1, n+1, d) paths when ``keep_path``.  ``track_grad_sup`` records
+    the largest ``grad_sup_norm`` along every path; it is honored for the
+    quadratic families only and ignored for the others.  ``on_block(rows,
+    runs)`` sees the iterates in path order as ``_evolve`` stores them: the
+    (k, P, d) rows of the P runs stepped, with their (P,) run indices, run 0
+    first; every other run is run 0 at those steps.  A check over every
+    step thus need not keep the paths, nor read rows that were not stepped.
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)

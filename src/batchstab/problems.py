@@ -41,6 +41,21 @@ coordinates are taken to read w):
 For convex_huber (b = beta) the region is |w^d - w1^d - z^d| <= tau; the
 iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
 (``ProblemInstance.huber_region_limit``).
+
+The mean gradient over a batch is stated once, in parts the engine can
+compute apart: ``free_grad_mean``, the batch mean of the first
+``grad_free_coords`` coordinates of z, and ``step_map``, the coordinates
+that read w, as a map of w and of the batch's ``step_terms``, which do not
+read w:
+
+    family          step_terms               step_map(w, terms)
+    linear          none                     none
+    convex_huber    z^d column (m,)          mean_j slope(w^d - w1^d - z_j^d)
+    quadratics      batch mean zbar (d,)     lam (w - zbar)
+    custom_smooth   the batch itself (m, d)  mean_j grad_fn(w, z_j)
+
+A paired run takes each run's terms from those of the base batch and of the
+m batches with one selected example replaced (``engine._evolve``).
 """
 
 from __future__ import annotations
@@ -163,15 +178,13 @@ class ProblemInstance:
     def batch_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Mean gradient over a batch: W is (..., d), Z is (..., m, d).
 
-        The first ``grad_free_coords`` coordinates are the mean of z itself;
-        the rest are :meth:`reading_grad_mean`.  Each mean is
-        ``np.add.reduce(., axis) / m``, which is what ``np.mean`` computes,
-        bit for bit, without its Python-level dispatch.
+        The first ``grad_free_coords`` coordinates are :meth:`free_grad_mean`;
+        the rest are :meth:`reading_grad_mean`.
         """
         f = self.grad_free_coords
         if f == 0:
             return self.reading_grad_mean(W, Z)
-        free = np.add.reduce(Z[..., :f], -2) / Z.shape[-2]
+        free = self.free_grad_mean(Z)
         if f == self.d:
             return free
         reading = self.reading_grad_mean(W, Z)
@@ -180,21 +193,48 @@ class ProblemInstance:
         g[..., f:] = reading
         return g
 
-    def reading_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Mean over a batch of the gradient coordinates that read w, the last
-        d - ``grad_free_coords``: W is (..., d), Z is (..., m, d).
+    def free_grad_mean(self, Z: np.ndarray) -> np.ndarray:
+        """The first ``grad_free_coords`` coordinates of the mean gradient over
+        each batch of Z (..., m, d): the batch mean of z itself, read from no w.
 
-        Empty for linear.  The engine calls it once per step of a run.
+        Each mean is ``np.add.reduce(., -2) / m``, which is what ``np.mean``
+        computes, bit for bit, without its Python-level dispatch.  The order
+        of the sum follows the memory layout of Z: along the batch axis when
+        it is outermost, pairwise when it is the innermost axis.
         """
-        m = Z.shape[-2]
+        return np.add.reduce(Z[..., : self.grad_free_coords], -2) / Z.shape[-2]
+
+    def step_terms(self, Z: np.ndarray):
+        """What :meth:`step_map` reads of each batch of Z (..., m, d); none of it
+        reads w: the quadratics' batch mean (..., d), convex_huber's z^d column
+        (..., m), custom_smooth's batch itself, None for linear."""
         if self.family == "convex_huber":
-            u = W[..., -1:] - self.w1[-1] - Z[..., -1]
-            return (np.add.reduce(self._huber_slope(u), -1) / m)[..., None]
+            return Z[..., -1]
         if self.family in QUADRATIC_FAMILIES:
-            return self.lam * (W - np.add.reduce(Z, -2) / m)
+            return np.add.reduce(Z, -2) / Z.shape[-2]
         if self.family == "custom_smooth":
-            return self.grad(W[..., None, :], Z).mean(axis=-2)
-        return np.empty(np.broadcast_shapes(W.shape[:-1], Z.shape[:-2]) + (0,))
+            return Z
+        return None
+
+    def step_map(self, W: np.ndarray, terms) -> np.ndarray:
+        """The mean gradient coordinates that read w, the last d -
+        ``grad_free_coords``, at W (..., d) from the :meth:`step_terms` of its
+        batch.  Empty for linear."""
+        if self.family == "convex_huber":
+            u = W[..., -1:] - self.w1[-1] - terms
+            return (np.add.reduce(self._huber_slope(u), -1) / terms.shape[-1])[..., None]
+        if self.family in QUADRATIC_FAMILIES:
+            return self.lam * (W - terms)
+        if self.family == "custom_smooth":
+            return self.grad(W[..., None, :], terms).mean(axis=-2)
+        return np.empty(W.shape[:-1] + (0,))
+
+    def reading_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """:meth:`step_map` at W (..., d) of a batch Z (..., m, d).
+
+        The single-run engine calls it once per step.
+        """
+        return self.step_map(W, self.step_terms(Z))
 
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the convex_huber term in u: beta u clipped to

@@ -45,8 +45,9 @@ VALID_KINDS = (
 
 STOCHASTIC_KINDS = ("random_reshuffle", "single_shuffle", "uniform_random")
 
-# Uniform keys drawn at once by a uniform_random realization, at most.
-_UNIFORM_BLOCK_ELEMENTS = 1 << 16
+# Uniform keys drawn at once by a uniform_random realization, at most; the
+# keys and their partition are two arrays of this size.
+_UNIFORM_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -167,19 +168,33 @@ def realize(spec: ScheduleSpec) -> RealizedSchedule:
         )
         batches = _epoch_chunks(perms, n, m, T)
     elif spec.kind == "uniform_random":
-        # Each step's batch is the first m of the argsort of n uniform keys.
-        # The keys are drawn in blocks of rows, which reads the stream exactly
-        # as one (T, n) draw would, so the block size never changes a batch.
+        # Each step's batch is the m smallest of n uniform keys.  The keys are
+        # drawn in blocks of rows, which reads the stream exactly as one
+        # (T, n) draw would, so the block size never changes a batch.
         rng = default_rng(substream(spec.seed, 0))
         batches = np.empty((T, m), dtype=np.int64)
         rows = max(1, _UNIFORM_BLOCK_ELEMENTS // n)
         for t0 in range(0, T, rows):
             keys = rng.random((min(rows, T - t0), n))
-            batches[t0 : t0 + len(keys)] = np.argsort(keys, axis=1)[:, :m]
+            batches[t0 : t0 + len(keys)] = _smallest(keys, m)
     else:  # pragma: no cover - guarded by validate
         raise ConfigError(f"unhandled kind {spec.kind!r}")
 
     return RealizedSchedule(batches=batches, n=n, kind=spec.kind)
+
+
+def _smallest(keys: np.ndarray, m: int) -> np.ndarray:
+    """Per row of ``keys``, the indices of its m smallest keys in increasing
+    key order: the first m columns of ``np.argsort(keys, axis=1)``.
+
+    A partition finds them and only they are sorted.  Where two keys tie
+    (about n^2 2^-54 per row of n 53-bit uniform keys), the tied indices may
+    be picked or ordered otherwise than the argsort would; the result is
+    still m distinct indices of the row.
+    """
+    rows = np.arange(keys.shape[0])[:, None]
+    picked = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    return picked[rows, np.argsort(keys[rows, picked], axis=1)]
 
 
 def _epoch_chunks(perms: np.ndarray, n: int, m: int, T: int) -> np.ndarray:

@@ -79,9 +79,15 @@ class RecursionVerdict:
 class GrowthRecursionAudit:
     """Streaming check of the growth recursion of one paired run.
 
-    Call it with the (k, n+1, d) paired iterates in path order, in blocks of
-    any size: first a block starting with w_1, then the rest; then ask for
-    the ``verdict``.  It holds the previous (n,) gap, and for each selected
+    Call it with blocks of paired iterates in path order, of any size: first
+    a block starting with w_1, then the rest; then ask for the ``verdict``.
+    A block is (k, P, d) with the (P,) run index of each of its rows, run 0
+    first; every run left out is run 0 at those steps, and must not be
+    selected at any of them.  The engine's ``on_block`` hook hands over the
+    rows a paired run stepped, and kept paths go in whole, in run order.
+    Gap norms are taken for the rows given only: a left-out neighbor has gap
+    0.0 against a bound of 0.0 at each such step, which holds and counts as
+    slack 0.0.  The audit holds the previous (n,) gap, and for each selected
     pair (t, i), i one of the distinct indices of step t, the gap and
     factor_t gap_{t-1}: O(n + T m) numbers, plus a block's temporaries.
     Every other pair is settled as its block arrives, since its bound
@@ -106,26 +112,39 @@ class GrowthRecursionAudit:
         self.violations: list[tuple[int, int, float, float]] = []
         self.selected: list[tuple[np.ndarray, ...]] = []
 
-    def __call__(self, rows: np.ndarray) -> None:
-        gaps = np.linalg.norm(rows[:, 1:, :] - rows[:, :1, :], axis=-1)
+    def __call__(self, rows: np.ndarray, runs: np.ndarray) -> None:
+        i = np.asarray(runs)[1:] - 1
+        # np.linalg.norm(., axis=-1) bit for bit, on one temporary
+        gaps = rows[:, 1:, :] - rows[:, :1, :]
+        np.square(gaps, out=gaps)
+        gaps = np.sqrt(np.add.reduce(gaps, -1))
         if self.gap is None:
-            self.gap, gaps = gaps[0], gaps[1:]
+            self.gap = np.zeros(self.schedule.n)
+            self.gap[i], gaps = gaps[0], gaps[1:]
         if not gaps.shape[0]:
             return
         t0, t1 = self.steps, self.steps + gaps.shape[0]
-        prev = np.concatenate([self.gap[None], gaps[:-1]])
+        # the column of each neighbor selected in the block, -1 if left out
+        column = np.full(self.schedule.n, -1)
+        column[i] = np.arange(i.size)
+        where = column[self.schedule.batches[t0:t1]]
+        if (where < 0).any():
+            raise ConfigError("an audited block leaves out a neighbor selected in it")
+        prev = np.concatenate([self.gap[i][None], gaps[:-1]])
         held = self.factors[t0:t1, None] * prev
         picked = np.zeros(gaps.shape, dtype=bool)
-        picked[np.arange(t1 - t0)[:, None], self.schedule.batches[t0:t1]] = True
+        picked[np.arange(t1 - t0)[:, None], where] = True
         free = ~picked
         if free.any():
             self.slack = max(self.slack, float((gaps - held)[free].max()))
+        if i.size < self.schedule.n:
+            self.slack = max(self.slack, 0.0)
         margin = gaps - (held * (1.0 + REL_SLACK) + ABS_SLACK)
-        k, i = np.nonzero(free & (margin > 0))
-        self.violations.extend(_pairs(t0 + k, i, gaps[k, i], held[k, i]))
-        k, i = np.nonzero(picked)
-        self.selected.append((t0 + k, i, gaps[k, i], held[k, i]))
-        self.gap, self.steps = gaps[-1], t1
+        k, c = _in_pair_order(free & (margin > 0), i, self.schedule.n)
+        self.violations.extend(_pairs(t0 + k, i[c], gaps[k, c], held[k, c]))
+        k, c = _in_pair_order(picked, i, self.schedule.n)
+        self.selected.append((t0 + k, i[c], gaps[k, c], held[k, c]))
+        self.gap[i], self.steps = gaps[-1], t1
 
     def verdict(self, L: float) -> RecursionVerdict:
         """Settle the selected pairs with the gradient bound ``L`` and merge
@@ -147,6 +166,16 @@ class GrowthRecursionAudit:
             violations=tuple(heapq.merge(self.violations, kicked)),
             max_slack=slack,
         )
+
+
+def _in_pair_order(
+    mask: np.ndarray, i: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (step, column) entries of a (k, P-1) mask sorted by step, then by
+    the neighbor index ``i`` (< n) of the column."""
+    k, c = np.nonzero(mask)
+    o = np.argsort(k * n + i[c])
+    return k[o], c[o]
 
 
 def _pairs(t, i, lhs, rhs) -> list[tuple[int, int, float, float]]:
@@ -173,7 +202,7 @@ def check_growth_recursion(
     if pt.paths is None:
         raise ConfigError("check_growth_recursion needs a paired run with paths")
     audit = GrowthRecursionAudit(loss_class, pt.etas, pt.schedule, beta, gamma)
-    audit(pt.paths)
+    audit(pt.paths, np.arange(pt.n + 1))
     return audit.verdict(L)
 
 

@@ -5,14 +5,19 @@ error of a built-in construction exactly, by averaging over every one of the
 2^(n*d) equiprobable sign datasets.  It exercises the engine but never the
 closed-form bound formulas, so it is an independent route against
 ``analytic_gen_error`` and against Monte Carlo estimates.
+
+``block_of`` patches the engine's block budget so that a run steps in
+blocks of a chosen length.
 """
 
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 
+from batchstab import engine
 from batchstab.engine import run_final
 from batchstab.problems import Dataset, empirical_risk
 
@@ -35,3 +40,20 @@ def exact_population_risk_by_enumeration(instance, w) -> float:
     assert d <= 12
     atoms = np.array(list(itertools.product((-1.0, 1.0), repeat=d))) * instance.scales
     return float(instance.loss(np.asarray(w, float), atoms).mean())
+
+
+def block_of(B, inst, sched, paired=False):
+    """Patch the engine so that runs of ``sched`` step in blocks of B.
+
+    A single run steps one row.  The last block of a paired run steps the
+    base run and one row per index the schedule selects, and holds the step
+    terms of each row; the engine sizes blocks by the larger of its iterates
+    with its batches and those terms.
+    """
+    d, m = inst.d, sched.m
+    span = (1 + m) * d
+    if paired:
+        rows = 1 + np.unique(sched.batches).size
+        terms = inst.step_terms(np.zeros((m, d)))
+        span = max((rows + m) * d, rows * (0 if terms is None else terms.size))
+    return mock.patch.object(engine, "_BLOCK_ELEMENTS", B * span)

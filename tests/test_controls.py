@@ -4,6 +4,7 @@ something."""
 
 import pytest
 
+from batchstab import experiments
 from batchstab.experiments import config_from_dict, run_full_verification
 from batchstab.problems import ProblemInstance
 
@@ -62,4 +63,23 @@ def test_batch_means_over_m_plus_1_fail_the_checks_that_run_the_engine(
         for check in checks:
             assert section[check]["status"] == "fail", (label, check)
             assert "reason" not in section[check], (label, check)
+    assert report["passed"] is False
+
+
+def test_a_halved_gradient_bound_fails_the_streamed_growth_recursion(monkeypatch):
+    # The paired run's kicked pairs come within a factor 2 of the kick
+    # 2 L eta / m, so with L halved the recursion fails through the audit
+    # that reads the stepped rows as the run streams past.
+    checks = ["growth_recursion"]
+    sections = run_full_verification(_control_config(checks))["schedules"]
+    assert all(s["growth_recursion"]["status"] == "pass" for s in sections.values())
+    bound = experiments._Context.gradient_bound
+    monkeypatch.setattr(
+        experiments._Context, "gradient_bound", lambda self, seen: bound(self, seen) / 2
+    )
+    report = run_full_verification(_control_config(checks))
+    for label, section in report["schedules"].items():
+        verdict = section["growth_recursion"]
+        assert verdict["status"] == "fail" and "reason" not in verdict, label
+        assert verdict["violations"] > 0, label
     assert report["passed"] is False

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batchstab import engine
 from batchstab.engine import (
@@ -41,6 +41,8 @@ from batchstab.schedule import (
     indicator_matrix,
     realize,
 )
+from batchstab.stability import GrowthRecursionAudit, check_growth_recursion
+from conftest import block_of
 
 
 def test_linear_final_iterate_coordinatewise():
@@ -250,20 +252,47 @@ def test_paired_run_patches_every_slot_of_a_repeated_index():
     assert np.array_equal(pt.finals, finals) and np.array_equal(pt.paths, paths)
 
 
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_paired_run_memory_does_not_grow_with_n_squared():
     # An (n+1, n, d) copy of the data would be about 128 MiB here.
-    inst = quadratic_strongly_convex_instance(d=4, L=1.0, beta=1.0, gamma=1.0)
+    d = 4
+    inst = quadratic_strongly_convex_instance(d=d, L=1.0, beta=1.0, gamma=1.0)
     n, T = 2000, 5
     S = sample_dataset(inst, n, seed=36)
     repl = sample_examples(inst, n, np.random.default_rng(37))
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
-    tracemalloc.start()
-    try:
-        run_paired(inst, S, repl, sched, constant_plan(0.5, T), keep_path=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    plan = constant_plan(0.5, T)
+    assert _peak_bytes(
+        lambda: run_paired(inst, S, repl, sched, plan, keep_path=False)
+    ) < 8 * 2**20
+
+    # Audited through on_block, the run hands over only the T + 1 rows it
+    # steps.  A block gathered back to all n + 1 runs, and the audit's gap
+    # norms over them, would hold several (n + 1, d) arrays at once.
+    def audited():
+        audit = GrowthRecursionAudit("strongly_convex", plan.etas(), sched, 1.0, 1.0)
+        run_paired(inst, S, repl, sched, plan, keep_path=False, on_block=audit)
+        assert audit.verdict(1.0)
+
+    assert _peak_bytes(audited) < 3 * (n + 1) * d * 8
+
+    # full_batch steps all n + 1 runs from its first step; one (n + 1, n, d)
+    # patched batch per step would be 7.6 MiB here.
+    n = 500
+    S = sample_dataset(inst, n, seed=38)
+    repl = sample_examples(inst, n, np.random.default_rng(39))
+    sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=2))
+    assert _peak_bytes(
+        lambda: run_paired(inst, S, repl, sched, constant_plan(0.5, 2), keep_path=False)
+    ) < 2 * 2**20
 
 
 def test_full_batch_linear_paired_gap_closed_form():
@@ -373,15 +402,10 @@ def test_t_zero_returns_the_start_point():
     assert np.array_equal(closed_form_final(inst, S, sched, plan), inst.w1)
 
 
-def _block_of(B, R, m, d):
-    """Patch the engine so that runs of R stacked rows step in blocks of B."""
-    return mock.patch.object(engine, "_BLOCK_ELEMENTS", B * (R + m) * d)
-
-
 def _instance_of(family, d, beta):
     return {
         "linear": lambda: linear_instance(d=d, beta=beta),
-        "convex_huber": lambda: convex_huber_instance(d=d, L=1.0, beta=beta),
+        "convex_huber": lambda: convex_huber_instance(d=max(d, 2), L=1.0, beta=beta),
         "quadratic_nonconvex": lambda: quadratic_nonconvex_instance(d=d, beta=beta),
         "quadratic_strongly_convex": lambda: quadratic_strongly_convex_instance(
             d=d, L=1.0, beta=beta, gamma=beta
@@ -397,19 +421,24 @@ def _instance_of(family, d, beta):
          "custom_smooth"]
     ),
     kind=st.sampled_from(VALID_KINDS),
-    n=st.integers(min_value=2, max_value=9),
-    d=st.integers(min_value=2, max_value=5),
+    n=st.integers(min_value=2, max_value=12),
+    d=st.integers(min_value=1, max_value=5),
     T=st.integers(min_value=0, max_value=23),
     m_frac=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**31),
 )
+@example(family="quadratic_nonconvex", kind="uniform_random", n=12, d=1, T=23, m_frac=0.8, seed=5)
+@example(family="linear", kind="full_batch", n=12, d=1, T=9, m_frac=1.0, seed=6)
+@example(family="custom_smooth", kind="random_reshuffle", n=11, d=1, T=17, m_frac=1.0, seed=7)
 def test_block_size_does_not_change_any_result(family, kind, n, d, T, m_frac, seed):
     # B = 1 is the step-by-step order; 2 and 7 put block edges inside T, and
-    # T + 1 runs every step in one block.
+    # T + 1 runs every step in one block.  At d = 1 and m >= 9 a mean whose
+    # batch axis were the innermost one would add pairwise, not in order.
     m = n if kind == "full_batch" else 1 + int(m_frac * (n - 1))
     rng = np.random.default_rng(seed)
     beta = float(rng.uniform(0.5, 2.0))
     inst = _instance_of(family, d, beta)
+    d = inst.d
     S = sample_dataset(inst, n, seed=seed)
     repl = sample_examples(inst, n, rng)
     plan = custom_plan(rng.uniform(0.0, 1.0 / beta, size=T))
@@ -419,23 +448,31 @@ def test_block_size_does_not_change_any_result(family, kind, n, d, T, m_frac, se
             tuple(int(i) + 1 for i in rng.permutation(n)[:m]) for _ in range(T)
         )
     sched = realize(ScheduleSpec(kind, n=n, m=m, T=T, seed=seed, custom_indices=custom))
+    _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
 
     results = []
     for B in (1, 2, 7, T + 1):
-        with _block_of(B, 1, m, d):
+        audit = GrowthRecursionAudit("nonconvex", plan.etas(), sched, beta)
+        with block_of(B, inst, sched):
             iterates = run(inst, S, sched, plan).iterates
             final = run_final(inst, S, sched, plan)
-        with _block_of(B, n + 1, m, d):
+        with block_of(B, inst, sched, paired=True):
             kept = run_paired(inst, S, repl, sched, plan, track_grad_sup=True)
             bare = run_paired(
-                inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True
+                inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
+                on_block=audit,
             )
         assert bare.paths is None and bare.grad_sup == kept.grad_sup
-        results.append((iterates, final, kept.paths, kept.finals, bare.finals, kept.grad_sup))
+        assert np.array_equal(kept.paths, paths), B
+        verdict = audit.verdict(1.0)
+        assert verdict == check_growth_recursion(kept, "nonconvex", 1.0, beta), B
+        results.append(
+            (iterates, final, kept.paths, kept.finals, bare.finals, kept.grad_sup, verdict)
+        )
     for got in results[1:]:
-        for a, b in zip(results[0][:-1], got[:-1]):
+        for a, b in zip(results[0][:-3], got[:-3]):
             assert np.array_equal(a, b)
-        assert got[-1] == results[0][-1]
+        assert got[-2:] == results[0][-2:]
 
 
 def _reference_path(inst, S, sched, etas):
@@ -470,14 +507,14 @@ def test_divergence_names_the_first_non_finite_step_wherever_it_falls(where):
     B = {"first": s - 1, "mid": s + 2, "last": s}[where]
     repl = sample_examples(inst, S.n, np.random.default_rng(16))
     with np.errstate(over="ignore", invalid="ignore"):
-        with _block_of(B, 1, sched.m, inst.d):
+        with block_of(B, inst, sched):
             for call in (
                 lambda: run(inst, S, sched, plan),
                 lambda: run_final(inst, S, sched, plan),
             ):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     call()
-        with _block_of(B, S.n + 1, sched.m, inst.d):
+        with block_of(B, inst, sched, paired=True):
             # the base run of the stack diverges first, at the same step
             with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                 run_paired(inst, S, repl, sched, plan, keep_path=False)
@@ -547,10 +584,10 @@ def _assert_runs_equal_the_references(inst, S, repl, plan, ms, rng):
             )
             for B in (1, 2, 7, T + 1):
                 case = (kind, m, B)
-                with _block_of(B, 1, m, d):
+                with block_of(B, inst, sched):
                     assert np.array_equal(run(inst, S, sched, plan).iterates, single), case
                     assert np.array_equal(run_final(inst, S, sched, plan), single[-1]), case
-                with _block_of(B, n + 1, m, d):
+                with block_of(B, inst, sched, paired=True):
                     kept = run_paired(inst, S, repl, sched, plan)
                     bare = run_paired(inst, S, repl, sched, plan, keep_path=False)
                 assert np.array_equal(kept.paths, paired), case
@@ -586,14 +623,14 @@ def _assert_divergence_names_step(inst, s, where):
     # inside it when B = s + 2.
     B = {"first": s - 1, "mid": s + 2, "last": s}[where]
     with np.errstate(over="ignore", invalid="ignore"):
-        with _block_of(B, 1, 1, inst.d):
+        with block_of(B, inst, sched):
             for call in (
                 lambda: run(inst, S, sched, plan),
                 lambda: run_final(inst, S, sched, plan),
             ):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     call()
-        with _block_of(B, 2, 1, inst.d):
+        with block_of(B, inst, sched, paired=True):
             for keep in (True, False):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     run_paired(inst, S, repl, sched, plan, keep_path=keep)
@@ -736,7 +773,7 @@ def test_convex_huber_band_names_its_step_wherever_it_falls(where, monkeypatch):
         # first of its block when B = step - 1, last when B = step, inside
         # it when B = step + 2
         B = {"first": step - 1, "mid": step + 2, "last": step}[where]
-        with _block_of(B, R, sched.m, inst.d):
+        with block_of(B, inst, sched, paired=R > 1):
             for call in calls:
                 with pytest.raises(AnalyticRegionError, match=rf"^step {step}: "):
                     call()
@@ -747,6 +784,15 @@ def test_convex_huber_divergence_names_its_step_wherever_it_falls(where):
     # L = sqrt(d) makes |z_k| = 1 in the first d - 1 coordinates.
     inst = convex_huber_instance(d=3, L=math.sqrt(3), beta=1.0)
     _assert_divergence_names_step(inst, 17, where)
+
+
+def _in_run_order(block, runs, n):
+    """An ``on_block`` block of the stored runs ``runs`` as all n + 1 runs in
+    run order; a run left out is run 0."""
+    assert runs[0] == 0 and len(set(runs.tolist())) == block.shape[1] == runs.size
+    every = np.repeat(block[:, :1], n + 1, axis=1)
+    every[:, runs] = block
+    return every
 
 
 def _paired_schedules():
@@ -791,10 +837,11 @@ def test_paired_runs_that_step_only_the_selected_neighbors_are_bitwise_the_stack
             for keep in (True, False):
                 case = (sched.kind, n, sched.m, sched.T, B, keep)
                 stream = []
-                with _block_of(B, n + 1, sched.m, d):
+                with block_of(B, inst, sched, paired=True):
                     pt = run_paired(
                         inst, S, repl, sched, plan, keep_path=keep,
-                        track_grad_sup=True, on_block=lambda b: stream.append(b.copy()),
+                        track_grad_sup=True,
+                        on_block=lambda b, runs: stream.append(_in_run_order(b, runs, n)),
                     )
                 assert np.array_equal(pt.finals, finals), case
                 assert np.array_equal(pt.paths, paths) if keep else pt.paths is None
@@ -804,29 +851,39 @@ def test_paired_runs_that_step_only_the_selected_neighbors_are_bitwise_the_stack
 
 def test_paired_quadratic_run_steps_only_the_selected_neighbors():
     # A structural guard: a round_robin m = 1 paired run steps the base run
-    # and the neighbors selected by each block's end, one batch-mean call
-    # per step, instead of all n + 1 rows at every step.
+    # and the neighbors selected by each block's end.  Each step maps the
+    # (P, d) terms of those P rows, and each block takes its batch terms of
+    # the base batch and the m patched batches of its steps, never of a
+    # (P, m, d) copy of the batch per row.
     d, n, T = 4, 2000, 200
     inst = quadratic_strongly_convex_instance(d=d, L=1.0, beta=1.0, gamma=1.0)
     S = sample_dataset(inst, n, seed=75)
     repl = sample_examples(inst, n, np.random.default_rng(76))
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
-    B = engine._BLOCK_ELEMENTS // ((n + 1 + 1) * d)
-    shapes = []
-    mean = ProblemInstance.batch_grad_mean
+    # the last block steps the base run and the T neighbors selected
+    B = engine._BLOCK_ELEMENTS // ((1 + T + 1) * d)
+    maps, terms = [], []
+    step_map, step_terms = ProblemInstance.step_map, ProblemInstance.step_terms
 
-    def counted(self, W, Z):
-        shapes.append(Z.shape)
-        return mean(self, W, Z)
+    def counted_map(self, W, t):
+        maps.append((W.shape, t.shape))
+        return step_map(self, W, t)
 
-    with mock.patch.object(ProblemInstance, "batch_grad_mean", counted):
+    def counted_terms(self, Z):
+        terms.append(Z.shape)
+        return step_terms(self, Z)
+
+    with mock.patch.multiple(
+        ProblemInstance, step_map=counted_map, step_terms=counted_terms
+    ):
         run_paired(inst, S, repl, sched, constant_plan(0.5, T), keep_path=False)
-    expected = sum(
-        (min(t0 + B, T) - t0) * (1 + min(t0 + B, T)) for t0 in range(0, T, B)
-    )
-    assert len(shapes) == T
-    assert sum(shape[0] for shape in shapes) == expected
+    blocks = range(0, T, B)
+    expected = sum((min(t0 + B, T) - t0) * (1 + min(t0 + B, T)) for t0 in blocks)
+    assert len(maps) == T and all(w == t and w[1] == d for w, t in maps)
+    assert sum(w[0] for w, _ in maps) == expected
     assert expected < 25_000 < T * (n + 1)
+    # one batch sizes the blocks, then each block's base and patched batches
+    assert terms == [(1, d)] + [(min(t0 + B, T) - t0, 1 + 1, 1, d) for t0 in blocks]
 
 
 def _joining_neighbor(inst, s, z):
@@ -868,7 +925,7 @@ def test_a_neighbor_that_diverges_where_it_joins_names_its_step(where):
         _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
         bad = ~np.isfinite(paths).all(axis=2)
         assert np.flatnonzero(bad.any(axis=1))[0] == s and not bad[:, 0].any()
-        with _block_of(_step_places(s)[where], S.n + 1, 1, d):
+        with block_of(_step_places(s)[where], inst, sched, paired=True):
             for keep in (True, False):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     run_paired(inst, S, repl, sched, plan, keep_path=keep)
@@ -893,7 +950,7 @@ def test_a_neighbor_that_leaves_the_huber_band_where_it_joins_names_its_step(
     assert drift[s - 1].argmax() == s and drift[s - 1, s] > limit * (1.0 + 1e-9)
     monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
     plan = custom_plan(etas)
-    with _block_of(_step_places(s)[where], S.n + 1, 1, d):
+    with block_of(_step_places(s)[where], inst, sched, paired=True):
         for keep in (True, False):
             with pytest.raises(AnalyticRegionError) as info:
                 run_paired(inst, S, repl, sched, plan, keep_path=keep)

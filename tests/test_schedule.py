@@ -198,3 +198,17 @@ def test_uniform_random_is_the_same_at_every_block_size(monkeypatch, n, m, T, bl
     sched = realize(spec)
     assert sched.batches.shape == (T, m) and sched.batches.dtype == np.int64
     assert np.array_equal(sched.batches, one_shot)
+
+
+def test_uniform_random_partition_picks_the_batches_of_a_full_argsort():
+    # The partition sorts only the m smallest keys; without a tie among the
+    # keys its batches are the first m of their argsort, in the same order.
+    rng = np.random.default_rng(23)
+    for seed in range(200):
+        n = int(rng.integers(1, 300))
+        T = int(rng.integers(1, 40))
+        for m in sorted({1, n, int(rng.integers(1, n + 1))}):
+            keys = np.random.default_rng(substream(seed, 0)).random((T, n))
+            expected = np.argsort(keys, axis=1)[:, :m]
+            sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=seed))
+            assert np.array_equal(sched.batches, expected), (seed, n, m, T)

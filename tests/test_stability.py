@@ -23,6 +23,7 @@ from batchstab.problems import (
     ABS_SLACK,
     REL_SLACK,
     convex_huber_instance,
+    custom_smooth_instance,
     linear_instance,
     quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
@@ -47,6 +48,7 @@ from batchstab.stability import (
     on_average_stability,
     stability_bound,
 )
+from conftest import block_of
 
 
 def paired(inst, n, T, kind, m, plan, seed, track=False):
@@ -364,6 +366,8 @@ _CLASS_OF = {
     "convex_huber": "convex",
     "quadratic_nonconvex": "nonconvex",
     "quadratic_strongly_convex": "strongly_convex",
+    # no class bounds it; its audit is the nonconvex arithmetic on its paths
+    "custom_smooth": "nonconvex",
 }
 
 
@@ -374,6 +378,13 @@ def _instance_of(family, d, beta):
         "quadratic_nonconvex": lambda: quadratic_nonconvex_instance(d=d, beta=beta),
         "quadratic_strongly_convex": lambda: quadratic_strongly_convex_instance(
             d=d, L=1.0, beta=beta, gamma=beta
+        ),
+        "custom_smooth": lambda: custom_smooth_instance(
+            d=d,
+            loss_fn=lambda w, z: np.log(np.cosh(w - z)).sum(axis=-1),
+            grad_fn=lambda w, z: np.tanh(w - z),
+            scales=np.full(d, 0.7),
+            beta=beta,
         ),
     }[family]()
 
@@ -429,13 +440,43 @@ def test_streamed_audit_equals_the_step_by_step_check(
     assert check_growth_recursion(kept, args[0], L, *args[1:]) == expected
     for B in (1, 2, 7, T + 1):
         audit = GrowthRecursionAudit(args[0], plan.etas(), sched, *args[1:])
-        with mock.patch.object(engine, "_BLOCK_ELEMENTS", B * (n + 1 + m) * d):
+        with block_of(B, inst, sched, paired=True):
             bare = run_paired(
                 inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
                 on_block=audit,
             )
         assert bare.paths is None and np.array_equal(bare.finals, kept.finals)
-        assert audit.verdict(L) == expected, B
+        # repr tells every float apart bit for bit, 0.0 from -0.0 too
+        assert repr(audit.verdict(L)) == repr(expected), B
+
+
+def test_a_neighbor_never_selected_holds_the_largest_slack_at_zero():
+    # round_robin with T m < n never selects the last two neighbors, so the
+    # streamed audit never reads their rows; their gaps are 0.0 against a
+    # bound of 0.0.  Every replacement differs from its example, so every
+    # selected pair holds strictly and the largest slack is that 0.0, as it
+    # is on the kept paths.
+    inst = quadratic_strongly_convex_instance(d=3, L=1.0, beta=1.0, gamma=1.0)
+    n, m, T = 12, 2, 5
+    S = sample_dataset(inst, n, seed=64)
+    repl = -S.examples
+    sched = realize(ScheduleSpec("round_robin", n=n, m=m, T=T))
+    plan = constant_plan(0.5, T)
+    kept = run_paired(inst, S, repl, sched, plan)
+    expected = _recursion_by_steps(kept, "strongly_convex", 10.0, 1.0, 1.0)
+    assert expected.violations == () and repr(expected.max_slack) == "0.0"
+    for B in (1, 2, T + 1):
+        audit = GrowthRecursionAudit("strongly_convex", plan.etas(), sched, 1.0, 1.0)
+        seen = []
+
+        def hook(rows, runs):
+            seen.append(runs.size)
+            audit(rows, runs)
+
+        with block_of(B, inst, sched, paired=True):
+            run_paired(inst, S, repl, sched, plan, keep_path=False, on_block=hook)
+        assert max(seen) == 1 + T * m < n + 1, B
+        assert repr(audit.verdict(10.0)) == repr(expected), B
 
 
 def test_violations_settled_in_stream_and_at_the_end_merge_in_step_order():
@@ -464,9 +505,20 @@ def test_an_audit_that_missed_steps_gives_no_verdict():
     inst = linear_instance(d=2)
     pt = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=62)
     audit = GrowthRecursionAudit("convex", pt.etas, pt.schedule, beta=1.0)
-    audit(pt.paths[:3])
+    audit(pt.paths[:3], np.arange(pt.n + 1))
     with pytest.raises(ConfigError, match="saw 2 of 5 steps"):
         audit.verdict(1.0)
+
+
+def test_an_audit_refuses_a_block_that_leaves_out_a_selected_neighbor():
+    # round_robin m = 1 selects neighbor 1 at step 1; a block without its run
+    # would count its gap as 0.0.
+    inst = linear_instance(d=2)
+    pt = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=62)
+    audit = GrowthRecursionAudit("convex", pt.etas, pt.schedule, beta=1.0)
+    runs = np.array([0, 2, 3, 4])
+    with pytest.raises(ConfigError, match="leaves out a neighbor selected in it"):
+        audit(pt.paths[:2, runs], runs)
 
 
 def test_growth_recursion_check_does_not_keep_the_paths():
