@@ -27,7 +27,8 @@ subtraction instead of a Python loop over the block's steps; only the
 coordinates that read w step one step at a time.  Both are the
 floating-point operations of the per-step update in the same order.
 Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
-paired block's terms, plus the paths when they are kept.  A caller that
+paired block's terms and one chunk of its patched batches, plus the paths
+when they are kept.  A caller that
 needs every iterate without keeping the paths passes an ``on_block`` hook,
 which sees each block's stepped rows once they have passed their checks;
 the growth-recursion audit of ``stability`` streams through it and reads
@@ -59,6 +60,11 @@ PLAN_KINDS = ("constant", "inverse_t", "custom")
 # the buffers and the block checks' temporaries (a few times the block) add
 # no visible memory to a large paired run.
 _BLOCK_ELEMENTS = 2**14
+# Patched batches of each step that one chunk of a paired block holds at
+# least (see ``_stepped_terms``).  A chunk costs some fifteen NumPy calls
+# whatever its size, so at large m a chunk of ``_BLOCK_ELEMENTS`` numbers,
+# a few batches, would spend more in calls than in sums.
+_CHUNK_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -190,26 +196,27 @@ def _stepped_terms(
     row rows[k, j] of each selected index idx[k, j], which reads it with every
     slot holding that index replaced by its entry of patches[k].  So the
     terms of the base batch and of the m patched batches are the terms of
-    every row.  The patched batches are built a chunk of slots at a time,
-    about ``_BLOCK_ELEMENTS`` numbers each with the base batch beside them,
-    with the batch axis outermost:
-    the layout a gather from a stack of n+1 datasets has, so every mean adds
-    in the order of that gather, and a term that keeps the batch axis keeps
-    it outermost in the (b, P, ...) result.
+    every row.  The patched batches are built ``_chunk_slots`` slots at a
+    time, beside the base batch, with the batch axis outermost: the layout
+    a gather from a stack of n+1 datasets has, so every mean adds in the
+    order of that gather, and a term that keeps the batch axis keeps it
+    outermost in the (b, P, ...) result.
     """
     b, m, d = gathered.shape
     steps = np.arange(b)[:, None]
-    width = min(m, max(1, _BLOCK_ELEMENTS // (b * m * d)))
-    # Entry 0 holds the base batch, entry 1 + j the batch of the row in slot
-    # j0 + j, patched for its chunk and restored after it.
-    Zq = np.empty((m, b, 1 + width, d))
-    Zq[...] = gathered.transpose(1, 0, 2)[:, :, None, :]
+    width = min(m, _chunk_slots(b, m, d))
+    k, j, slot = _matches(idx)
+    cuts = np.searchsorted(j, np.arange(0, m + width, width))
+    patched, base = patches[k, slot], gathered[k, slot]
+    # Entry 0 holds the base batch, entry 1 + q the batch of the row in slot
+    # j0 + q, patched for its chunk and restored after it.
+    Zq = np.repeat(gathered.transpose(1, 0, 2)[:, :, None, :], 1 + width, axis=2)
     out = None
-    for j0 in range(0, m, width):
+    for c, j0 in enumerate(range(0, m, width)):
         j1 = min(j0 + width, m)
-        k, j, slot = np.nonzero(idx[:, j0:j1, None] == idx[:, None, :])
-        entry = (slot, k, 1 + j)
-        Zq[entry] = patches[k, slot]
+        e = slice(cuts[c], cuts[c + 1])
+        entry = (slot[e], k[e], 1 + j[e] - j0)
+        Zq[entry] = patched[e]
         Z = Zq[:, :, : 1 + j1 - j0].transpose(1, 2, 0, 3)
         terms = (instance.free_grad_mean(Z), instance.step_terms(Z))
         if out is None:
@@ -217,8 +224,41 @@ def _stepped_terms(
         for o, x in zip(out, terms):
             if o is not None:
                 o[steps, rows[:, j0:j1]] = x[:, 1:]
-        Zq[entry] = gathered[k, slot]
+        Zq[entry] = base[e]
     return out
+
+
+def _chunk_slots(b: int, m: int, d: int) -> int:
+    """Slots per chunk of a paired block's patched batches: as many as hold
+    about ``_BLOCK_ELEMENTS`` numbers over the block's b steps, or
+    ``_CHUNK_BATCHES`` if more."""
+    return max(_CHUNK_BATCHES, _BLOCK_ELEMENTS // (b * m * d))
+
+
+def _matches(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (k, j, s) with idx[k, j] == idx[k, s], in order of j: the slots
+    s that the batch of step k patched for slot j replaces.
+
+    A row of distinct indices has only s = j.  Equal indices lie next to
+    each other once each row is sorted, so the pairs at distance o in sorted
+    order are found for o = 1, 2, ... until none is left.
+    """
+    b, m = idx.shape
+    j, k = np.divmod(np.arange(m * b), b)
+    srt = np.sort(idx, axis=1)
+    if (srt[:, 1:] != srt[:, :-1]).all():
+        return k, j, j
+    parts = [(k, j, j)]
+    order = np.argsort(idx, axis=1)
+    for o in range(1, m):
+        k, p = np.nonzero(srt[:, o:] == srt[:, :-o])
+        if not k.size:
+            break
+        u, v = order[k, p], order[k, p + o]
+        parts += [(k, u, v), (k, v, u)]
+    k, j, s = (np.concatenate(x) for x in zip(*parts))
+    by = np.argsort(j, kind="stable")
+    return k[by], j[by], s[by]
 
 
 def _base_rows(x: np.ndarray | None, P: int) -> np.ndarray | None:
@@ -229,6 +269,17 @@ def _base_rows(x: np.ndarray | None, P: int) -> np.ndarray | None:
     rows = np.empty_like(x, shape=(x.shape[0], P) + x.shape[2:])
     rows[...] = x[:, :1]
     return rows
+
+
+def _block_steps(instance: ProblemInstance, m: int, rows: int, paired: bool) -> int:
+    """Steps per block: the most, at least 1, for which a block's iterates of
+    ``rows`` stepped rows and its batches of m examples together, and for a
+    paired block the step terms of each row, hold at most
+    ``_BLOCK_ELEMENTS`` numbers."""
+    span = (rows + m) * instance.d
+    if paired:
+        span = max(span, rows * instance.step_terms_size(m))
+    return max(1, _BLOCK_ELEMENTS // span)
 
 
 def _evolve(
@@ -259,11 +310,8 @@ def _evolve(
     earlier step.  A paired run thus costs sum_t (1 + |K_1 u ... u K_t|) d
     instead of T (n+1) d.
 
-    The steps run in blocks of B steps, B the most (at least 1) for which a
-    block's (B, P_T, d) iterates and (B, m, d) batches together, and a
-    paired block's (B, P_T, ...) step terms, each hold at most
-    ``_BLOCK_ELEMENTS`` numbers; P_T is the rows stepped by the last block (1
-    without ``replacements``).
+    The steps run in blocks of B = ``_block_steps`` steps, sized by P_T, the
+    rows stepped by the last block (1 without ``replacements``).
     Per block, the batches of its B steps are gathered at once, and each
     step writes the iterates of the P stepped rows into one (B, P, d)
     buffer.  The batch gradient is split as ``ProblemInstance`` states it:
@@ -309,8 +357,8 @@ def _evolve(
 
     Working memory is O((n + B m) d + B P d), plus a paired block's step
     terms, bounded with the iterates but at least one step's (P m for
-    convex_huber, P m d for custom_smooth), plus the (T+1, R, d) path when
-    kept.  Once an iterate is non-finite, a custom ``grad_fn`` may
+    convex_huber, P m d for custom_smooth), plus one chunk of its patched
+    batches (``_chunk_slots``), plus the (T+1, R, d) path when kept.  Once an iterate is non-finite, a custom ``grad_fn`` may
     still be called on it for the rest of its block before
     ``DivergenceError`` is raised.
     """
@@ -332,12 +380,7 @@ def _evolve(
     order = np.empty(R, dtype=np.intp)
     order[rank] = np.arange(R)
     rows_last = 1 + int(joined[-1] if T else 0)
-    span = (rows_last + m) * d
-    if replacements is not None:
-        # a paired block also holds the step terms of each of its rows
-        terms = instance.step_terms(np.zeros((m, d)))
-        span = max(span, rows_last * (0 if terms is None else terms.size))
-    B = max(1, _BLOCK_ELEMENTS // span)
+    B = _block_steps(instance, m, rows_last, replacements is not None)
     path = None
     if keep_path:
         path = np.empty((T + 1, R, d))

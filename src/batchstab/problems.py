@@ -54,8 +54,10 @@ read w:
     quadratics      batch mean zbar (d,)     lam (w - zbar)
     custom_smooth   the batch itself (m, d)  mean_j grad_fn(w, z_j)
 
-A paired run takes each run's terms from those of the base batch and of the
-m batches with one selected example replaced (``engine._evolve``).
+``step_terms_size`` gives the size of the terms of one batch, by which the
+engine sizes a paired block.  A paired run takes each run's terms from those
+of the base batch and of the m batches with one selected example replaced
+(``engine._evolve``).
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ class ProblemInstance:
             shape = np.broadcast_shapes(w.shape, z.shape)
             g = np.empty(shape, dtype=float)
             g[..., :-1] = np.broadcast_to(z[..., :-1], shape[:-1] + (self.d - 1,))
-            g[..., -1] = self._huber_slope(w[..., -1] - self.w1[-1] - z[..., -1])
+            u = np.asarray(w[..., -1] - self.w1[-1] - z[..., -1])
+            g[..., -1] = self._huber_slope(u)
             return g
         if self.family in QUADRATIC_FAMILIES:
             return self.lam * (w - z)
@@ -216,6 +219,11 @@ class ProblemInstance:
             return Z
         return None
 
+    def step_terms_size(self, m: int) -> int:
+        """How many numbers :meth:`step_terms` gives for one batch of m."""
+        sizes = {"linear": 0, "convex_huber": m, "custom_smooth": m * self.d}
+        return sizes.get(self.family, self.d)
+
     def step_map(self, W: np.ndarray, terms) -> np.ndarray:
         """The mean gradient coordinates that read w, the last d -
         ``grad_free_coords``, at W (..., d) from the :meth:`step_terms` of its
@@ -238,14 +246,17 @@ class ProblemInstance:
 
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the convex_huber term in u: beta u clipped to
-        [-beta tau, beta tau].
+        [-beta tau, beta tau], written over u, which callers pass as a
+        temporary.
 
         Rounding is monotone, so this is ``where(|u| <= tau, beta u,
         beta tau sign(u))`` bit for bit: both give +/- fl(beta tau) from
         |u| = tau on, where the loss is C^1.
         """
         cap = self.params.beta * self.params.tau
-        return np.minimum(np.maximum(self.params.beta * u, -cap), cap)
+        np.multiply(u, self.params.beta, out=u)
+        np.maximum(u, -cap, out=u)
+        return np.minimum(u, cap, out=u)
 
     # -- closed-form data --------------------------------------------------
 

@@ -6,8 +6,9 @@ error of a built-in construction exactly, by averaging over every one of the
 closed-form bound formulas, so it is an independent route against
 ``analytic_gen_error`` and against Monte Carlo estimates.
 
-``block_of`` patches the engine's block budget so that a run steps in
-blocks of a chosen length.
+``block_of`` patches the engine's block sizing so that a run steps in
+blocks of a chosen length, and ``chunk_of`` its chunking of a paired
+block's patched batches.
 """
 
 from __future__ import annotations
@@ -42,18 +43,12 @@ def exact_population_risk_by_enumeration(instance, w) -> float:
     return float(instance.loss(np.asarray(w, float), atoms).mean())
 
 
-def block_of(B, inst, sched, paired=False):
-    """Patch the engine so that runs of ``sched`` step in blocks of B.
+def block_of(B):
+    """Patch the engine so that every run steps in blocks of B steps."""
+    return mock.patch.object(engine, "_block_steps", lambda *args: B)
 
-    A single run steps one row.  The last block of a paired run steps the
-    base run and one row per index the schedule selects, and holds the step
-    terms of each row; the engine sizes blocks by the larger of its iterates
-    with its batches and those terms.
-    """
-    d, m = inst.d, sched.m
-    span = (1 + m) * d
-    if paired:
-        rows = 1 + np.unique(sched.batches).size
-        terms = inst.step_terms(np.zeros((m, d)))
-        span = max((rows + m) * d, rows * (0 if terms is None else terms.size))
-    return mock.patch.object(engine, "_BLOCK_ELEMENTS", B * span)
+
+def chunk_of(width):
+    """Patch the engine so that a paired block builds its patched batches
+    ``width`` slots at a time."""
+    return mock.patch.object(engine, "_chunk_slots", lambda *args: width)

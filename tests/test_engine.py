@@ -42,7 +42,7 @@ from batchstab.schedule import (
     realize,
 )
 from batchstab.stability import GrowthRecursionAudit, check_growth_recursion
-from conftest import block_of
+from conftest import block_of, chunk_of
 
 
 def test_linear_final_iterate_coordinatewise():
@@ -252,6 +252,25 @@ def test_paired_run_patches_every_slot_of_a_repeated_index():
     assert np.array_equal(pt.finals, finals) and np.array_equal(pt.paths, paths)
 
 
+@pytest.mark.parametrize(
+    "family", ["convex_huber", "quadratic_nonconvex", "custom_smooth"]
+)
+@pytest.mark.parametrize("width", [1, 4])
+def test_paired_run_patches_every_repeat_of_an_index_in_any_chunk(family, width):
+    # An index held by two, three or all four slots of a batch; the patched
+    # batches built one slot per chunk, or all in one.
+    inst = _instance_of(family, 3, 1.0)
+    S = sample_dataset(inst, 4, seed=34)
+    repl = sample_examples(inst, 4, np.random.default_rng(35))
+    batches = np.array([[2, 2, 0, 1], [1, 3, 1, 1], [0, 0, 0, 0], [3, 2, 1, 0]])
+    sched = RealizedSchedule(batches=batches, n=4)
+    plan = constant_plan(0.5, 4)
+    finals, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
+    with chunk_of(width):
+        pt = run_paired(inst, S, repl, sched, plan)
+    assert np.array_equal(pt.finals, finals) and np.array_equal(pt.paths, paths)
+
+
 def _peak_bytes(call) -> int:
     tracemalloc.start()
     try:
@@ -452,25 +471,29 @@ def test_block_size_does_not_change_any_result(family, kind, n, d, T, m_frac, se
 
     results = []
     for B in (1, 2, 7, T + 1):
-        audit = GrowthRecursionAudit("nonconvex", plan.etas(), sched, beta)
-        with block_of(B, inst, sched):
-            iterates = run(inst, S, sched, plan).iterates
-            final = run_final(inst, S, sched, plan)
-        with block_of(B, inst, sched, paired=True):
-            kept = run_paired(inst, S, repl, sched, plan, track_grad_sup=True)
-            bare = run_paired(
-                inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
-                on_block=audit,
+        # A paired block patches its batches one slot per chunk, two slots
+        # per chunk (the last chunk short when m is odd), or all in one.
+        for width in (1, 2, m):
+            audit = GrowthRecursionAudit("nonconvex", plan.etas(), sched, beta)
+            with block_of(B), chunk_of(width):
+                iterates = run(inst, S, sched, plan).iterates
+                final = run_final(inst, S, sched, plan)
+                kept = run_paired(inst, S, repl, sched, plan, track_grad_sup=True)
+                bare = run_paired(
+                    inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
+                    on_block=audit,
+                )
+            case = (B, width)
+            assert bare.paths is None and bare.grad_sup == kept.grad_sup, case
+            assert np.array_equal(kept.paths, paths), case
+            verdict = audit.verdict(1.0)
+            assert verdict == check_growth_recursion(kept, "nonconvex", 1.0, beta), case
+            results.append(
+                (iterates, final, kept.paths, kept.finals, bare.finals, kept.grad_sup,
+                 verdict)
             )
-        assert bare.paths is None and bare.grad_sup == kept.grad_sup
-        assert np.array_equal(kept.paths, paths), B
-        verdict = audit.verdict(1.0)
-        assert verdict == check_growth_recursion(kept, "nonconvex", 1.0, beta), B
-        results.append(
-            (iterates, final, kept.paths, kept.finals, bare.finals, kept.grad_sup, verdict)
-        )
     for got in results[1:]:
-        for a, b in zip(results[0][:-3], got[:-3]):
+        for a, b in zip(results[0][:-2], got[:-2]):
             assert np.array_equal(a, b)
         assert got[-2:] == results[0][-2:]
 
@@ -507,14 +530,13 @@ def test_divergence_names_the_first_non_finite_step_wherever_it_falls(where):
     B = {"first": s - 1, "mid": s + 2, "last": s}[where]
     repl = sample_examples(inst, S.n, np.random.default_rng(16))
     with np.errstate(over="ignore", invalid="ignore"):
-        with block_of(B, inst, sched):
+        with block_of(B):
             for call in (
                 lambda: run(inst, S, sched, plan),
                 lambda: run_final(inst, S, sched, plan),
             ):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     call()
-        with block_of(B, inst, sched, paired=True):
             # the base run of the stack diverges first, at the same step
             with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                 run_paired(inst, S, repl, sched, plan, keep_path=False)
@@ -584,10 +606,9 @@ def _assert_runs_equal_the_references(inst, S, repl, plan, ms, rng):
             )
             for B in (1, 2, 7, T + 1):
                 case = (kind, m, B)
-                with block_of(B, inst, sched):
+                with block_of(B):
                     assert np.array_equal(run(inst, S, sched, plan).iterates, single), case
                     assert np.array_equal(run_final(inst, S, sched, plan), single[-1]), case
-                with block_of(B, inst, sched, paired=True):
                     kept = run_paired(inst, S, repl, sched, plan)
                     bare = run_paired(inst, S, repl, sched, plan, keep_path=False)
                 assert np.array_equal(kept.paths, paired), case
@@ -623,14 +644,13 @@ def _assert_divergence_names_step(inst, s, where):
     # inside it when B = s + 2.
     B = {"first": s - 1, "mid": s + 2, "last": s}[where]
     with np.errstate(over="ignore", invalid="ignore"):
-        with block_of(B, inst, sched):
+        with block_of(B):
             for call in (
                 lambda: run(inst, S, sched, plan),
                 lambda: run_final(inst, S, sched, plan),
             ):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     call()
-        with block_of(B, inst, sched, paired=True):
             for keep in (True, False):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     run_paired(inst, S, repl, sched, plan, keep_path=keep)
@@ -773,7 +793,7 @@ def test_convex_huber_band_names_its_step_wherever_it_falls(where, monkeypatch):
         # first of its block when B = step - 1, last when B = step, inside
         # it when B = step + 2
         B = {"first": step - 1, "mid": step + 2, "last": step}[where]
-        with block_of(B, inst, sched, paired=R > 1):
+        with block_of(B):
             for call in calls:
                 with pytest.raises(AnalyticRegionError, match=rf"^step {step}: "):
                     call()
@@ -837,7 +857,7 @@ def test_paired_runs_that_step_only_the_selected_neighbors_are_bitwise_the_stack
             for keep in (True, False):
                 case = (sched.kind, n, sched.m, sched.T, B, keep)
                 stream = []
-                with block_of(B, inst, sched, paired=True):
+                with block_of(B):
                     pt = run_paired(
                         inst, S, repl, sched, plan, keep_path=keep,
                         track_grad_sup=True,
@@ -882,8 +902,8 @@ def test_paired_quadratic_run_steps_only_the_selected_neighbors():
     assert len(maps) == T and all(w == t and w[1] == d for w, t in maps)
     assert sum(w[0] for w, _ in maps) == expected
     assert expected < 25_000 < T * (n + 1)
-    # one batch sizes the blocks, then each block's base and patched batches
-    assert terms == [(1, d)] + [(min(t0 + B, T) - t0, 1 + 1, 1, d) for t0 in blocks]
+    # each block's base and patched batches, in one chunk
+    assert terms == [(min(t0 + B, T) - t0, 1 + 1, 1, d) for t0 in blocks]
 
 
 def _joining_neighbor(inst, s, z):
@@ -925,7 +945,7 @@ def test_a_neighbor_that_diverges_where_it_joins_names_its_step(where):
         _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
         bad = ~np.isfinite(paths).all(axis=2)
         assert np.flatnonzero(bad.any(axis=1))[0] == s and not bad[:, 0].any()
-        with block_of(_step_places(s)[where], inst, sched, paired=True):
+        with block_of(_step_places(s)[where]):
             for keep in (True, False):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     run_paired(inst, S, repl, sched, plan, keep_path=keep)
@@ -950,7 +970,7 @@ def test_a_neighbor_that_leaves_the_huber_band_where_it_joins_names_its_step(
     assert drift[s - 1].argmax() == s and drift[s - 1, s] > limit * (1.0 + 1e-9)
     monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
     plan = custom_plan(etas)
-    with block_of(_step_places(s)[where], inst, sched, paired=True):
+    with block_of(_step_places(s)[where]):
         for keep in (True, False):
             with pytest.raises(AnalyticRegionError) as info:
                 run_paired(inst, S, repl, sched, plan, keep_path=keep)

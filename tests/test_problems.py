@@ -146,6 +146,27 @@ def test_affine_form_is_the_gradient_on_the_analytic_region(make):
         )
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: linear_instance(d=3),
+        lambda: convex_huber_instance(d=4, L=1.0, beta=2.0),
+        lambda: quadratic_nonconvex_instance(d=3, beta=1.5),
+        lambda: quadratic_strongly_convex_instance(d=3, L=1.0, beta=2.0, gamma=1.0),
+        lambda: custom_smooth_instance(
+            d=2, loss_fn=lambda w, z: 0.5 * ((w - z) ** 2).sum(axis=-1),
+            grad_fn=lambda w, z: w - z, scales=[1.0, 1.0], beta=1.0,
+        ),
+    ],
+)
+@pytest.mark.parametrize("m", [1, 7])
+def test_step_terms_size_is_the_size_of_the_step_terms_of_a_batch(make, m):
+    inst = make()
+    Z = sample_examples(inst, m, np.random.default_rng(7))
+    terms = inst.step_terms(Z)
+    assert inst.step_terms_size(m) == (0 if terms is None else terms.size)
+
+
 def test_custom_smooth_has_no_affine_form():
     inst = custom_smooth_instance(
         d=2,

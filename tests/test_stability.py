@@ -440,7 +440,7 @@ def test_streamed_audit_equals_the_step_by_step_check(
     assert check_growth_recursion(kept, args[0], L, *args[1:]) == expected
     for B in (1, 2, 7, T + 1):
         audit = GrowthRecursionAudit(args[0], plan.etas(), sched, *args[1:])
-        with block_of(B, inst, sched, paired=True):
+        with block_of(B):
             bare = run_paired(
                 inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
                 on_block=audit,
@@ -473,7 +473,7 @@ def test_a_neighbor_never_selected_holds_the_largest_slack_at_zero():
             seen.append(runs.size)
             audit(rows, runs)
 
-        with block_of(B, inst, sched, paired=True):
+        with block_of(B):
             run_paired(inst, S, repl, sched, plan, keep_path=False, on_block=hook)
         assert max(seen) == 1 + T * m < n + 1, B
         assert repr(audit.verdict(10.0)) == repr(expected), B
