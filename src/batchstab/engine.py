@@ -358,9 +358,9 @@ def _evolve(
     Working memory is O((n + B m) d + B P d), plus a paired block's step
     terms, bounded with the iterates but at least one step's (P m for
     convex_huber, P m d for custom_smooth), plus one chunk of its patched
-    batches (``_chunk_slots``), plus the (T+1, R, d) path when kept.  Once an iterate is non-finite, a custom ``grad_fn`` may
-    still be called on it for the rest of its block before
-    ``DivergenceError`` is raised.
+    batches (``_chunk_slots``), plus the (T+1, R, d) path when kept.  Once
+    an iterate is non-finite, a custom ``grad_fn`` may still be called on
+    it for the rest of its block before ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
     d = w1.shape[0]

@@ -242,33 +242,25 @@ def test_paired_run_is_bitwise_equal_to_the_explicit_stack(family):
 
 
 def test_paired_run_patches_every_slot_of_a_repeated_index():
-    inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
-    S = sample_dataset(inst, 4, seed=34)
-    repl = sample_examples(inst, 4, np.random.default_rng(35))
-    sched = RealizedSchedule(batches=np.array([[2, 2, 0], [1, 3, 1]]), n=4)
-    plan = constant_plan(0.5, 2)
-    finals, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
-    pt = run_paired(inst, S, repl, sched, plan)
-    assert np.array_equal(pt.finals, finals) and np.array_equal(pt.paths, paths)
-
-
-@pytest.mark.parametrize(
-    "family", ["convex_huber", "quadratic_nonconvex", "custom_smooth"]
-)
-@pytest.mark.parametrize("width", [1, 4])
-def test_paired_run_patches_every_repeat_of_an_index_in_any_chunk(family, width):
-    # An index held by two, three or all four slots of a batch; the patched
-    # batches built one slot per chunk, or all in one.
-    inst = _instance_of(family, 3, 1.0)
-    S = sample_dataset(inst, 4, seed=34)
-    repl = sample_examples(inst, 4, np.random.default_rng(35))
-    batches = np.array([[2, 2, 0, 1], [1, 3, 1, 1], [0, 0, 0, 0], [3, 2, 1, 0]])
-    sched = RealizedSchedule(batches=batches, n=4)
-    plan = constant_plan(0.5, 4)
-    finals, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, plan.etas(), False)
-    with chunk_of(width):
-        pt = run_paired(inst, S, repl, sched, plan)
-    assert np.array_equal(pt.finals, finals) and np.array_equal(pt.paths, paths)
+    # An index held by two, three or all four slots of a batch, with the
+    # patched batches built one slot per chunk or all in one.
+    repeats = ([[2, 2, 0], [1, 3, 1]], [[2, 2, 0, 1], [1, 3, 1, 1], [0, 0, 0, 0]])
+    for family in ("convex_huber", "quadratic_nonconvex", "custom_smooth"):
+        inst = _instance_of(family, 3, 1.0)
+        S = sample_dataset(inst, 4, seed=34)
+        repl = sample_examples(inst, 4, np.random.default_rng(35))
+        for batches in repeats:
+            sched = RealizedSchedule(batches=np.array(batches), n=4)
+            plan = constant_plan(0.5, sched.T)
+            finals, paths, _ = _paired_by_explicit_stack(
+                inst, S, repl, sched, plan.etas(), False
+            )
+            for width in (1, sched.m):
+                with chunk_of(width):
+                    pt = run_paired(inst, S, repl, sched, plan)
+                case = (family, sched.m, width)
+                assert np.array_equal(pt.finals, finals), case
+                assert np.array_equal(pt.paths, paths), case
 
 
 def _peak_bytes(call) -> int:
