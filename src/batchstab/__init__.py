@@ -61,14 +61,8 @@ from batchstab.schedule import (
     RealizedSchedule,
     ScheduleSpec,
     check_counting_lemma,
-    perturbation_indicator,
     realize,
 )
-from batchstab.stability import (
-    StabilityRecord,
-    check_growth_recursion,
-    on_average_stability,
-    stability_bound,
-)
+from batchstab.stability import stability_bound
 
 __version__ = "0.1.0"

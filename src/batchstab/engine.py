@@ -27,12 +27,11 @@ subtraction instead of a Python loop over the block's steps; only the
 coordinates that read w step one step at a time.  Both are the
 floating-point operations of the per-step update in the same order.
 Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
-paired block's terms and one chunk of its patched batches, plus the paths
-when they are kept.  A caller that
-needs every iterate without keeping the paths passes an ``on_block`` hook,
-which sees each block's stepped rows once they have passed their checks;
-the growth-recursion audit of ``stability`` streams through it and reads
-only those rows.
+paired block's terms and one chunk of its patched batches.  Iterates leave
+the loop only through an ``on_block`` hook, which sees each block's stepped
+rows once they have passed their checks: ``run`` collects its path through
+it, and the growth-recursion audit of ``stability`` streams through it and
+reads only those rows.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -152,37 +151,19 @@ class Trajectory:
 class PairedTrajectory:
     """n+1 runs of one schedule realization on a dataset and its neighbors.
 
-    ``paths`` has shape (T+1, n+1, d): column 0 is the run on the base
-    dataset, column i the run with example i replaced.  ``paths`` is None
-    when only finals were kept; ``finals`` is always (n+1, d).  Kept paths
-    are the only part whose size grows with T n d.  All runs share the
-    starting point, the step plan, and the realized schedule.
+    ``finals`` has shape (n+1, d): row 0 is the run on the base dataset, row
+    i the run with example i replaced.  All runs share the starting point,
+    the step plan, and the realized schedule.
     """
 
     finals: np.ndarray
     schedule: RealizedSchedule
     etas: np.ndarray
-    m: int
-    paths: np.ndarray | None = None
     grad_sup: float | None = None
 
     @property
     def n(self) -> int:
         return self.finals.shape[0] - 1
-
-
-def _resolve_w1(instance: ProblemInstance, w1) -> np.ndarray:
-    if w1 is None:
-        return instance.w1.copy()
-    w1 = np.asarray(w1, dtype=float)
-    if w1.shape != (instance.d,):
-        raise ConfigError(f"w1 must have length d={instance.d}")
-    if instance.family == "convex_huber" and not np.array_equal(w1, instance.w1):
-        raise ConfigError(
-            "convex_huber anchors its loss at the instance's initial point; "
-            "run with the same w1 the instance was built with"
-        )
-    return w1.copy()
 
 
 def _stepped_terms(
@@ -287,14 +268,12 @@ def _evolve(
     data: np.ndarray,
     batches: np.ndarray,
     etas: np.ndarray,
-    w1: np.ndarray,
-    keep_path: bool,
     track_grad_sup: bool,
     replacements: np.ndarray | None = None,
     on_block=None,
-) -> tuple[np.ndarray, np.ndarray | None, float | None]:
-    """Advance R stacked trajectories from the start point w1 (d,) through
-    all T steps; return the (R, d) finals, the kept path and the gradient sup.
+) -> tuple[np.ndarray, float | None]:
+    """Advance R stacked trajectories from ``instance.w1`` through all T
+    steps; return the (R, d) finals and the gradient sup.
 
     All trajectories read the same (T, m) index matrix from the (n, d) data.
     Without ``replacements`` R = 1.  With ``replacements`` (n, d), R = n+1
@@ -351,19 +330,19 @@ def _evolve(
     once they have passed the checks, each with the (P,) run index of its
     stored rows (run 0 first).  Every run not among them is run 0 at those
     steps.  The buffer is reused by the next block, so the hook must copy
-    what it keeps.  One gather puts the rows back in run order, with row 0
-    standing in for every run outside the prefix, for the block's slice of
-    the kept path and for the finals of a paired run.
+    what it keeps.  Apart from the finals, the hook is the only way
+    iterates leave the loop.  One gather puts the finals back in run order,
+    with row 0 standing in for every run outside the prefix.
 
     Working memory is O((n + B m) d + B P d), plus a paired block's step
     terms, bounded with the iterates but at least one step's (P m for
     convex_huber, P m d for custom_smooth), plus one chunk of its patched
-    batches (``_chunk_slots``), plus the (T+1, R, d) path when kept.  Once
-    an iterate is non-finite, a custom ``grad_fn`` may still be called on
-    it for the rest of its block before ``DivergenceError`` is raised.
+    batches (``_chunk_slots``).  Once an iterate is non-finite, a custom
+    ``grad_fn`` may still be called on it for the rest of its block before
+    ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
-    d = w1.shape[0]
+    d = instance.d
     m = batches.shape[1]
     R = 1 if replacements is None else 1 + replacements.shape[0]
     # Run r is stored in row rank[r], and row s holds run order[s]; joined[t]
@@ -381,14 +360,11 @@ def _evolve(
     order[rank] = np.arange(R)
     rows_last = 1 + int(joined[-1] if T else 0)
     B = _block_steps(instance, m, rows_last, replacements is not None)
-    path = None
-    if keep_path:
-        path = np.empty((T + 1, R, d))
-        path[0] = w1
     work = np.empty(min(B, T) * rows_last * d)
     limit = instance.huber_region_limit(etas)
     w1d = instance.w1[-1]
-    W = w1[None, :]
+    # a copy: the finals of a run of T = 0 steps must not alias the instance
+    W = instance.w1[None, :].copy()
     sup = None
     if track_grad_sup:
         sup = float(instance.grad_sup_norm(W).max())
@@ -454,22 +430,13 @@ def _evolve(
             raise DivergenceError(f"non-finite iterate produced at step {t0 + bad + 1}")
         if track_grad_sup:
             sup = max(sup, float(instance.grad_sup_norm(block).max()))
-        if keep_path:
-            np.take(
-                block, _spread(rank, P), axis=1, out=path[t0 + 1 : t1 + 1], mode="clip"
-            )
         if on_block is not None:
             on_block(block, order[:P])
     if replacements is not None:
-        W = W[_spread(rank, W.shape[0])]
-    return W, path, sup
-
-
-def _spread(rank: np.ndarray, P: int) -> np.ndarray:
-    """The stored row that holds each run when the first P rows were
-    stepped: its own, or row 0 for a run whose replaced example no step has
-    selected yet."""
-    return np.where(rank < P, rank, 0)
+        # Each run's stored row, or row 0 for a run whose replaced example no
+        # step selected.
+        W = W[np.where(rank < W.shape[0], rank, 0)]
+    return W, sup
 
 
 def run(
@@ -477,16 +444,16 @@ def run(
     S: Dataset,
     sched: RealizedSchedule,
     plan: StepSizePlan,
-    w1=None,
 ) -> Trajectory:
     """Run the iterate map once, keeping the whole path."""
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
-    _, path, _ = _evolve(
-        instance, S.examples, sched.batches, etas, _resolve_w1(instance, w1),
-        keep_path=True, track_grad_sup=False,
+    blocks = []
+    _evolve(
+        instance, S.examples, sched.batches, etas, track_grad_sup=False,
+        on_block=lambda rows, runs: blocks.append(rows[:, 0].copy()),
     )
-    return Trajectory(iterates=path[:, 0, :], schedule=sched, etas=etas)
+    return Trajectory(iterates=np.concatenate(blocks), schedule=sched, etas=etas)
 
 
 def run_final(
@@ -494,7 +461,6 @@ def run_final(
     S: Dataset,
     sched: RealizedSchedule,
     plan_or_etas,
-    w1=None,
 ) -> np.ndarray:
     """Final iterate only; the cheap path used by Monte Carlo loops."""
     etas = (
@@ -503,10 +469,7 @@ def run_final(
         else np.asarray(plan_or_etas, dtype=float)
     )
     _check_run_inputs(instance, S, sched, etas)
-    W, _, _ = _evolve(
-        instance, S.examples, sched.batches, etas, _resolve_w1(instance, w1),
-        keep_path=False, track_grad_sup=False,
-    )
+    W, _ = _evolve(instance, S.examples, sched.batches, etas, track_grad_sup=False)
     return W[0]
 
 
@@ -516,8 +479,6 @@ def run_paired(
     replacements: np.ndarray,
     sched: RealizedSchedule,
     plan: StepSizePlan,
-    w1=None,
-    keep_path: bool = True,
     track_grad_sup: bool = False,
     on_block=None,
 ) -> PairedTrajectory:
@@ -530,14 +491,14 @@ def run_paired(
     dataset or per-run batch is materialized: per step only the m selected
     rows are gathered and patched, and a neighbor is stepped only from the
     block in which its index is first selected, so the work is
-    sum_t (1 + |K_1 u ... u K_t|) d and memory that of ``_evolve``, plus
-    the (T+1, n+1, d) paths when ``keep_path``.  ``track_grad_sup`` records
-    the largest ``grad_sup_norm`` along every path; it is honored for the
-    quadratic families only and ignored for the others.  ``on_block(rows,
-    runs)`` sees the iterates in path order as ``_evolve`` stores them: the
-    (k, P, d) rows of the P runs stepped, with their (P,) run indices, run 0
-    first; every other run is run 0 at those steps.  A check over every
-    step thus need not keep the paths, nor read rows that were not stepped.
+    sum_t (1 + |K_1 u ... u K_t|) d and memory that of ``_evolve``.
+    ``track_grad_sup`` records the largest ``grad_sup_norm`` along every
+    path; it is honored for the quadratic families only and ignored for the
+    others.  ``on_block(rows, runs)`` sees the iterates in path order as
+    ``_evolve`` stores them: the (k, P, d) rows of the P runs stepped, with
+    their (P,) run indices, run 0 first; every other run is run 0 at those
+    steps.  A check over every step thus need not read rows that were not
+    stepped.
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
@@ -549,15 +510,11 @@ def run_paired(
         )
     if track_grad_sup and instance.family not in QUADRATIC_FAMILIES:
         track_grad_sup = False
-    finals, path, sup = _evolve(
-        instance, S.examples, sched.batches, etas, _resolve_w1(instance, w1),
-        keep_path=keep_path, track_grad_sup=track_grad_sup, replacements=replacements,
-        on_block=on_block,
+    finals, sup = _evolve(
+        instance, S.examples, sched.batches, etas, track_grad_sup=track_grad_sup,
+        replacements=replacements, on_block=on_block,
     )
-    return PairedTrajectory(
-        finals=finals, schedule=sched, etas=etas, m=sched.m, paths=path,
-        grad_sup=sup,
-    )
+    return PairedTrajectory(finals=finals, schedule=sched, etas=etas, grad_sup=sup)
 
 
 def _check_run_inputs(
@@ -582,7 +539,6 @@ def closed_form_final(
     S: Dataset,
     sched: RealizedSchedule,
     plan: StepSizePlan,
-    w1=None,
 ) -> np.ndarray:
     """Analytic final iterate for the built-in families; oracle for ``run``.
 
@@ -597,11 +553,10 @@ def closed_form_final(
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
-    w1v = _resolve_w1(instance, w1)
     e, c, factors, tail = affine_steps(instance, etas)
     batch_sums = S.examples[sched.batches].sum(axis=1)  # (T, d)
     driven = (etas[:, None] * tail * e * batch_sums).sum(axis=0) / sched.m
-    return c + factors.prod(axis=0) * (w1v - c) - driven
+    return c + factors.prod(axis=0) * (instance.w1 - c) - driven
 
 
 def trajectory_to_csv(traj: Trajectory, path: str) -> None:

@@ -392,9 +392,7 @@ def _stability_block(args) -> tuple[np.ndarray, np.ndarray]:
         S = _trial_dataset(instance, n, master_seed, trial)
         repl = sample_examples(instance, n, rng_at(master_seed, trial, REPLACEMENTS))
         sched = _trial_schedule(sspec, master_seed, trial, s_idx)
-        pt = run_paired(
-            instance, S, repl, sched, plan, keep_path=False, track_grad_sup=True
-        )
+        pt = run_paired(instance, S, repl, sched, plan, track_grad_sup=True)
         finals[trial - t0] = stability_mod.final_on_average_gap(pt)
         if pt.grad_sup is not None:
             sups[trial - t0] = pt.grad_sup
@@ -686,7 +684,6 @@ def _check_growth_recursion(ctx: _Context, s_idx: int, spec: ScheduleSpec):
         ctx.audit_examples(s_idx, 1),
         sched,
         plan,
-        keep_path=False,
         track_grad_sup=True,
         on_block=audit,
     )

@@ -215,33 +215,6 @@ def _epoch_chunks(perms: np.ndarray, n: int, m: int, T: int) -> np.ndarray:
     return np.concatenate(rows, axis=0)[:T].astype(np.int64)
 
 
-def perturbation_indicator(sched: RealizedSchedule, t: int, i: int) -> bool:
-    """Whether replacing example i would alter the batch consumed at step t.
-
-    True iff index i is selected at step t; this is exactly the event under
-    which runs on a dataset and on its i-th-replaced neighbor read different
-    examples.  Both t and i are 1-based.
-    """
-    if not 1 <= t <= sched.T:
-        raise ValueError(f"step t must be in [1, {sched.T}], got {t}")
-    if not 1 <= i <= sched.n:
-        raise ValueError(f"index i must be in [1, {sched.n}], got {i}")
-    return bool(np.any(sched.batches[t - 1] == i - 1))
-
-
-def indicator_matrix(sched: RealizedSchedule) -> np.ndarray:
-    """(T, n) boolean matrix: entry (t, i) true iff index i is selected at t."""
-    ind = np.zeros((sched.T, sched.n), dtype=bool)
-    if sched.T:
-        ind[np.arange(sched.T)[:, None], sched.batches] = True
-    return ind
-
-
-def selection_totals(sched: RealizedSchedule) -> np.ndarray:
-    """Per-index selection counts over all T steps (length n)."""
-    return indicator_matrix(sched).sum(axis=0)
-
-
 @dataclass(frozen=True)
 class CountingVerdict:
     passed: bool

@@ -15,11 +15,11 @@ Solving each recursion and summing 1{i selected} over i (which totals m at
 every step for any data-independent rule) yields the closed-form on-average
 stability bounds; the batch size cancels, so the bounds are m-free.
 
-``GrowthRecursionAudit`` checks the recursion as the iterates stream past,
-from the engine's ``on_block`` hook or from kept paths, so a paired run need
-not keep its (T+1, n+1, d) paths to be audited.  Only the m pairs selected at
-a step get the kick, the one term holding L; every other pair is settled as
-its block arrives, and the T m selected ones once L is known.
+``GrowthRecursionAudit`` checks the recursion as the iterates stream past
+the engine's ``on_block`` hook, so a paired run is audited without its
+(T+1, n+1, d) paths.  Only the m pairs selected at a step get the kick, the
+one term holding L; every other pair is settled as its block arrives, and
+the T m selected ones once L is known.
 """
 
 from __future__ import annotations
@@ -38,30 +38,8 @@ from batchstab.schedule import RealizedSchedule
 LOSS_CLASSES = ("convex", "nonconvex", "strongly_convex")
 
 
-@dataclass(eq=False)
-class StabilityRecord:
-    """Per-step, per-neighbor gaps and their final average.
-
-    ``per_step_gaps`` is (T+1, n): row k holds ||w_{k+1} - w_{k+1}^(i)||.
-    """
-
-    per_step_gaps: np.ndarray
-
-    @property
-    def final_on_average(self) -> float:
-        return float(self.per_step_gaps[-1].mean())
-
-
-def on_average_stability(pt: PairedTrajectory) -> StabilityRecord:
-    """Exact Euclidean gaps between the base run and every neighbor run."""
-    if pt.paths is None:
-        raise ConfigError("on_average_stability needs a paired run with paths kept")
-    diffs = pt.paths[:, 1:, :] - pt.paths[:, :1, :]
-    return StabilityRecord(per_step_gaps=np.linalg.norm(diffs, axis=-1))
-
-
 def final_on_average_gap(pt: PairedTrajectory) -> float:
-    """Final-iterate on-average gap; works for runs without stored paths."""
+    """Final-iterate on-average gap: the mean of ||w_{T+1} - w_{T+1}^(i)||."""
     diffs = pt.finals[1:] - pt.finals[0]
     return float(np.linalg.norm(diffs, axis=-1).mean())
 
@@ -84,7 +62,7 @@ class GrowthRecursionAudit:
     A block is (k, P, d) with the (P,) run index of each of its rows, run 0
     first; every run left out is run 0 at those steps, and must not be
     selected at any of them.  The engine's ``on_block`` hook hands over the
-    rows a paired run stepped, and kept paths go in whole, in run order.
+    rows a paired run stepped.
     Gap norms are taken for the rows given only: a left-out neighbor has gap
     0.0 against a bound of 0.0 at each such step, which holds and counts as
     slack 0.0.  The audit holds the previous (n,) gap, and for each selected
@@ -148,7 +126,14 @@ class GrowthRecursionAudit:
 
     def verdict(self, L: float) -> RecursionVerdict:
         """Settle the selected pairs with the gradient bound ``L`` and merge
-        their violations with the others' in (t, i) order."""
+        their violations with the others' in (t, i) order.
+
+        ``L`` is the gradient bound entering the perturbation term: the
+        Lipschitz constant for Lipschitz losses, a path-gradient bound
+        otherwise.  Violations are reported as (t, i, lhs, rhs) with 1-based
+        t and i; max_slack is the largest lhs - rhs over all pairs (negative
+        when all hold strictly).
+        """
         if self.gap is None or self.steps != self.etas.size:
             raise ConfigError(
                 f"the audit saw {self.steps} of {self.etas.size} steps"
@@ -181,29 +166,6 @@ def _in_pair_order(
 def _pairs(t, i, lhs, rhs) -> list[tuple[int, int, float, float]]:
     """Violation tuples of 0-based pairs (t, i), reported 1-based."""
     return list(zip((t + 1).tolist(), (i + 1).tolist(), lhs.tolist(), rhs.tolist()))
-
-
-def check_growth_recursion(
-    pt: PairedTrajectory,
-    loss_class: str,
-    L: float,
-    beta: float | None = None,
-    gamma: float | None = None,
-) -> RecursionVerdict:
-    """Assert the per-step recursion for every (t, i) of a paired run.
-
-    ``L`` is the gradient bound entering the perturbation term: the Lipschitz
-    constant for Lipschitz losses, a path-gradient bound otherwise.
-    Violations are reported as (t, i, lhs, rhs) with 1-based t and i;
-    max_slack is the largest lhs - rhs over all pairs (negative when all
-    hold strictly).  The kept paths go through ``GrowthRecursionAudit`` as
-    one block; a run without paths is audited through its ``on_block`` hook.
-    """
-    if pt.paths is None:
-        raise ConfigError("check_growth_recursion needs a paired run with paths")
-    audit = GrowthRecursionAudit(loss_class, pt.etas, pt.schedule, beta, gamma)
-    audit(pt.paths, np.arange(pt.n + 1))
-    return audit.verdict(L)
 
 
 def growth_factors(

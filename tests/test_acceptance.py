@@ -52,7 +52,7 @@ from batchstab.problems import (
 )
 from batchstab.schedule import ScheduleSpec, check_counting_lemma, realize
 from batchstab.stability import (
-    check_growth_recursion,
+    GrowthRecursionAudit,
     final_on_average_gap,
     nonconvex_step_sum,
     nonconvex_step_sum_cap,
@@ -128,12 +128,14 @@ def recursion_grid():
                 ScheduleSpec(kind, n=n, m=m, T=T, seed=int(rng.integers(0, 2**31)))
             )
             track = inst.family.startswith("quadratic")
-            pt = run_paired(inst, S, repl, sched, plan, track_grad_sup=track)
-            L_rec = inst.params.L if cls == "convex" else pt.grad_sup
-            verdict = check_growth_recursion(
-                pt, cls, L=L_rec,
-                beta=inst.params.beta, gamma=inst.params.gamma or None,
+            audit = GrowthRecursionAudit(
+                cls, plan.etas(), sched, inst.params.beta, inst.params.gamma or None
             )
+            pt = run_paired(
+                inst, S, repl, sched, plan, track_grad_sup=track, on_block=audit
+            )
+            L_rec = inst.params.L if cls == "convex" else pt.grad_sup
+            verdict = audit.verdict(L_rec)
             bound = stability_bound(
                 cls, L_rec, plan.etas(), n, m,
                 beta=inst.params.beta, gamma=inst.params.gamma or None,

@@ -1,5 +1,7 @@
 """CLI subcommands: exit codes, file outputs, and byte-level determinism."""
 
+import contextlib
+import csv
 import functools
 import json
 import math
@@ -16,9 +18,16 @@ import batchstab
 from batchstab.bounds import BOUND_CLASSES
 from batchstab.cli import main
 from batchstab.engine import PLAN_KINDS
-from batchstab.experiments import ALL_CHECKS
-from batchstab.problems import FAMILIES, ProblemInstance
-from batchstab.schedule import VALID_KINDS
+from batchstab.experiments import (
+    ALL_CHECKS,
+    instance_from_config,
+    plan_from_dict,
+    schedule_spec_from_dict,
+)
+from batchstab.problems import FAMILIES, Dataset, ProblemInstance, sample_examples
+from batchstab.schedule import VALID_KINDS, realize
+from batchstab.seeding import rng_at
+from conftest import block_of, reference_path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -205,13 +214,44 @@ def test_dump_trajectory_matches_linear_closed_form(tmp_path):
         ]
     )
     # final iterate = w1 - sum_t (eta/m) sum_z z = -T * eta * mean(z)
-    from batchstab.problems import linear_instance, sample_examples
-    from batchstab.seeding import rng_at
+    from batchstab.problems import linear_instance
 
     examples = sample_examples(linear_instance(3), 4, rng_at(31, 0))
     expected = -6 * 0.25 * examples.mean(axis=0)
     assert traj.shape == (7, 3)
     assert np.allclose(traj[-1], expected, atol=1e-12)
+
+
+def test_dump_trajectory_is_the_per_step_path_bit_for_bit(tmp_path):
+    # convex_huber steps its first d - 1 coordinates a block at a time and
+    # its Huber coordinate one step at a time; blocks of 7 steps put T = 40
+    # in six blocks, the default in one.
+    payload = {
+        "master_seed": 32,
+        "dump": {
+            "what": "trajectory",
+            "n": 8,
+            "instance": {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0},
+            "plan": {"kind": "inverse_t", "coeff": 0.9, "T": 40},
+            "schedule": {"kind": "uniform_random", "m": 3},
+        },
+    }
+    dump = payload["dump"]
+    instance = instance_from_config(dump["instance"])
+    S = Dataset(examples=sample_examples(instance, 8, rng_at(32, 0)))
+    plan = plan_from_dict(dump["plan"], instance)
+    sched = realize(schedule_spec_from_dict({"seed": 32, **dump["schedule"]}, n=8, T=40))
+    expected = [
+        [repr(float(v)) for v in row]
+        for row in reference_path(instance, S, sched, plan.etas())
+    ]
+    cfg = write_config(tmp_path, payload)
+    for B in (7, None):
+        out = tmp_path / f"B{B}"
+        with block_of(B) if B else contextlib.nullcontext():
+            assert main(["dump", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == expected, B
 
 
 def test_sweep_uniform_stability_demo(tmp_path):

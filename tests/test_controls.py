@@ -7,17 +7,19 @@ import pytest
 from batchstab import experiments
 from batchstab.experiments import config_from_dict, run_full_verification
 from batchstab.problems import ProblemInstance
+from batchstab.schedule import RealizedSchedule
+
+# small batches, where m / (m + 1) is far from 1
+_SCHEDULES = [{"kind": "round_robin", "m": 1}, {"kind": "random_reshuffle", "m": 2}]
 
 
-def _control_config(checks):
+def _control_config(checks, schedules=_SCHEDULES):
     return config_from_dict({
         "name": "control",
         "instance": {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0},
         "n": 10,
         "plan": {"kind": "constant", "eta": 0.5, "T": 20},
-        # small batches, where m / (m + 1) is far from 1
-        "schedules": [{"kind": "round_robin", "m": 1},
-                      {"kind": "random_reshuffle", "m": 2}],
+        "schedules": schedules,
         "trials": 200,
         "master_seed": 7,
         "checks": checks,
@@ -82,4 +84,28 @@ def test_a_halved_gradient_bound_fails_the_streamed_growth_recursion(monkeypatch
         verdict = section["growth_recursion"]
         assert verdict["status"] == "fail" and "reason" not in verdict, label
         assert verdict["violations"] > 0, label
+    assert report["passed"] is False
+
+
+def test_a_duplicated_index_fails_the_counting_lemma(monkeypatch):
+    # Step 7 of every audited schedule selects its first index twice, so it
+    # perturbs m - 1 of the neighbors, not m.  Every schedule has m >= 2.
+    checks = ["counting_lemma"]
+    schedules = [{"kind": "round_robin", "m": 2}, {"kind": "uniform_random", "m": 3}]
+    report = run_full_verification(_control_config(checks, schedules))
+    assert report["passed"] is True
+    audit_schedule = experiments._Context.audit_schedule
+
+    def duplicated(self, s_idx, spec):
+        sched = audit_schedule(self, s_idx, spec)
+        batches = sched.batches.copy()
+        batches[6, -1] = batches[6, 0]
+        return RealizedSchedule(batches=batches, n=sched.n, kind=sched.kind)
+
+    monkeypatch.setattr(experiments._Context, "audit_schedule", duplicated)
+    report = run_full_verification(_control_config(checks, schedules))
+    for label, section in report["schedules"].items():
+        verdict = section["counting_lemma"]
+        assert verdict["status"] == "fail" and "reason" not in verdict, label
+        assert verdict["first_violation_t"] == 7, label
     assert report["passed"] is False

@@ -38,11 +38,17 @@ from batchstab.schedule import (
     VALID_KINDS,
     RealizedSchedule,
     ScheduleSpec,
-    indicator_matrix,
     realize,
 )
-from batchstab.stability import GrowthRecursionAudit, check_growth_recursion
-from conftest import block_of, chunk_of
+from batchstab.stability import GrowthRecursionAudit
+from conftest import (
+    audit_path,
+    block_of,
+    chunk_of,
+    paired_with_path,
+    reference_path,
+    selected,
+)
 
 
 def test_linear_final_iterate_coordinatewise():
@@ -72,12 +78,12 @@ def test_nonconvex_run_matches_the_explicit_product_form():
     # Independent route: evaluate the decreasing-step closed form with naive
     # python loops (O(T^2) products) and compare against the engine.
     beta, c, d, n, T = 2.0, 0.8, 3, 6, 12
-    inst = quadratic_nonconvex_instance(d=d, beta=beta, lam=(-2.0, -1.0, -0.5))
+    w1 = np.array([0.3, -0.2, 0.1])
+    inst = quadratic_nonconvex_instance(d=d, beta=beta, lam=(-2.0, -1.0, -0.5), w1=w1)
     S = sample_dataset(inst, n, seed=3)
     m = 2
     sched = realize(ScheduleSpec("random_reshuffle", n=n, m=m, T=T, seed=9))
     plan = inverse_t_plan(c / beta, T)
-    w1 = np.array([0.3, -0.2, 0.1])
     lam = np.array(inst.lam)
 
     expected = np.ones(d)
@@ -91,7 +97,7 @@ def test_nonconvex_run_matches_the_explicit_product_form():
         batch_sum = S.examples[sched.batches[t - 1]].sum(axis=0)
         expected = expected + (c / (m * beta)) * (1.0 / t) * prod * lam * batch_sum
 
-    traj = run(inst, S, sched, plan, w1=w1)
+    traj = run(inst, S, sched, plan)
     rel = np.linalg.norm(traj.final - expected) / (1 + np.linalg.norm(expected))
     assert rel < 1e-10
 
@@ -160,8 +166,8 @@ def test_paired_run_with_original_replacements_stays_identical():
     S = sample_dataset(inst, 6, seed=7)
     plan = constant_plan(0.4, 15)
     sched = realize(ScheduleSpec("uniform_random", n=6, m=3, T=15, seed=8))
-    pt = run_paired(inst, S, S.examples.copy(), sched, plan)
-    assert np.allclose(pt.paths, pt.paths[:, :1, :], atol=0.0)
+    _, path = paired_with_path(inst, S, S.examples.copy(), sched, plan)
+    assert np.allclose(path, path[:, :1, :], atol=0.0)
 
 
 def _paired_by_explicit_stack(inst, S, repl, sched, etas, track):
@@ -232,13 +238,10 @@ def test_paired_run_is_bitwise_equal_to_the_explicit_stack(family):
         finals, paths, sup = _paired_by_explicit_stack(
             inst, S, repl, sched, plan.etas(), track
         )
-        for keep in (True, False):
-            pt = run_paired(
-                inst, S, repl, sched, plan, keep_path=keep, track_grad_sup=True
-            )
-            assert np.array_equal(pt.finals, finals), (kind, m, keep)
-            assert np.array_equal(pt.paths, paths) if keep else pt.paths is None
-            assert pt.grad_sup == sup, (kind, m, keep)
+        pt, path = paired_with_path(inst, S, repl, sched, plan, track_grad_sup=True)
+        assert np.array_equal(pt.finals, finals), (kind, m)
+        assert np.array_equal(path, paths), (kind, m)
+        assert pt.grad_sup == sup, (kind, m)
 
 
 def test_paired_run_patches_every_slot_of_a_repeated_index():
@@ -257,10 +260,10 @@ def test_paired_run_patches_every_slot_of_a_repeated_index():
             )
             for width in (1, sched.m):
                 with chunk_of(width):
-                    pt = run_paired(inst, S, repl, sched, plan)
+                    pt, path = paired_with_path(inst, S, repl, sched, plan)
                 case = (family, sched.m, width)
                 assert np.array_equal(pt.finals, finals), case
-                assert np.array_equal(pt.paths, paths), case
+                assert np.array_equal(path, paths), case
 
 
 def _peak_bytes(call) -> int:
@@ -282,7 +285,7 @@ def test_paired_run_memory_does_not_grow_with_n_squared():
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
     plan = constant_plan(0.5, T)
     assert _peak_bytes(
-        lambda: run_paired(inst, S, repl, sched, plan, keep_path=False)
+        lambda: run_paired(inst, S, repl, sched, plan)
     ) < 8 * 2**20
 
     # Audited through on_block, the run hands over only the T + 1 rows it
@@ -290,7 +293,7 @@ def test_paired_run_memory_does_not_grow_with_n_squared():
     # norms over them, would hold several (n + 1, d) arrays at once.
     def audited():
         audit = GrowthRecursionAudit("strongly_convex", plan.etas(), sched, 1.0, 1.0)
-        run_paired(inst, S, repl, sched, plan, keep_path=False, on_block=audit)
+        run_paired(inst, S, repl, sched, plan, on_block=audit)
         assert audit.verdict(1.0)
 
     assert _peak_bytes(audited) < 3 * (n + 1) * d * 8
@@ -302,7 +305,7 @@ def test_paired_run_memory_does_not_grow_with_n_squared():
     repl = sample_examples(inst, n, np.random.default_rng(39))
     sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=2))
     assert _peak_bytes(
-        lambda: run_paired(inst, S, repl, sched, constant_plan(0.5, 2), keep_path=False)
+        lambda: run_paired(inst, S, repl, sched, constant_plan(0.5, 2))
     ) < 2 * 2**20
 
 
@@ -328,16 +331,16 @@ def test_trajectories_diverge_only_after_first_selection():
     repl = sample_examples(inst, n, np.random.default_rng(12))
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
     plan = constant_plan(0.5, T)
-    pt = run_paired(inst, S, repl, sched, plan)
-    ind = indicator_matrix(sched)
+    _, path = paired_with_path(inst, S, repl, sched, plan)
+    ind = selected(sched)
     for i in range(n):
         hits = np.nonzero(ind[:, i])[0]
         first = hits[0] if hits.size else T
-        base = pt.paths[: first + 1, 0, :]
-        mine = pt.paths[: first + 1, i + 1, :]
+        base = path[: first + 1, 0, :]
+        mine = path[: first + 1, i + 1, :]
         assert np.array_equal(base, mine)
         if hits.size and not np.array_equal(S.examples[i], repl[i]):
-            assert not np.allclose(pt.paths[first + 1, i + 1], pt.paths[first + 1, 0])
+            assert not np.allclose(path[first + 1, i + 1], path[first + 1, 0])
 
 
 def test_huber_iterates_stay_inside_the_invariant_region():
@@ -367,8 +370,6 @@ def test_input_validation():
     sched = realize(ScheduleSpec("round_robin", n=4, m=1, T=5))
     with pytest.raises(ConfigError, match="does not match"):
         run(inst, S, sched, constant_plan(0.1, 6))
-    with pytest.raises(ConfigError, match="anchors"):
-        run(inst, S, sched, constant_plan(0.1, 5), w1=np.ones(3))
     other = sample_dataset(inst, 5, seed=17)
     with pytest.raises(ConfigError, match="n=4"):
         run(inst, other, sched, constant_plan(0.1, 5))
@@ -411,6 +412,8 @@ def test_t_zero_returns_the_start_point():
     plan = constant_plan(0.5, 0)
     assert np.array_equal(run(inst, S, sched, plan).final, inst.w1)
     assert np.array_equal(closed_form_final(inst, S, sched, plan), inst.w1)
+    # the engine starts from instance.w1 but hands out none of its memory
+    assert not np.shares_memory(run_final(inst, S, sched, plan), inst.w1)
 
 
 def _instance_of(family, d, beta):
@@ -470,35 +473,19 @@ def test_block_size_does_not_change_any_result(family, kind, n, d, T, m_frac, se
             with block_of(B), chunk_of(width):
                 iterates = run(inst, S, sched, plan).iterates
                 final = run_final(inst, S, sched, plan)
-                kept = run_paired(inst, S, repl, sched, plan, track_grad_sup=True)
-                bare = run_paired(
-                    inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
-                    on_block=audit,
+                pt, path = paired_with_path(
+                    inst, S, repl, sched, plan, on_block=audit, track_grad_sup=True
                 )
             case = (B, width)
-            assert bare.paths is None and bare.grad_sup == kept.grad_sup, case
-            assert np.array_equal(kept.paths, paths), case
+            assert np.array_equal(path, paths), case
             verdict = audit.verdict(1.0)
-            assert verdict == check_growth_recursion(kept, "nonconvex", 1.0, beta), case
-            results.append(
-                (iterates, final, kept.paths, kept.finals, bare.finals, kept.grad_sup,
-                 verdict)
-            )
+            whole = audit_path(path, sched, plan.etas(), "nonconvex", 1.0, beta)
+            assert verdict == whole, case
+            results.append((iterates, final, path, pt.finals, pt.grad_sup, verdict))
     for got in results[1:]:
         for a, b in zip(results[0][:-2], got[:-2]):
             assert np.array_equal(a, b)
         assert got[-2:] == results[0][-2:]
-
-
-def _reference_path(inst, S, sched, etas):
-    """Step-by-step iterates of one run, on the same per-step map as the engine."""
-    W = inst.w1[None, :]
-    path = [W]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, eta in enumerate(etas):
-            W = W - eta * inst.batch_grad_mean(W, S.examples[sched.batches[t]])
-            path.append(W)
-    return np.stack(path)[:, 0, :]
 
 
 def _first_bad_step(path):
@@ -515,7 +502,7 @@ def test_divergence_names_the_first_non_finite_step_wherever_it_falls(where):
     S = sample_dataset(inst, 3, seed=15)
     sched = realize(ScheduleSpec("full_batch", n=3, m=3, T=120))
     plan = constant_plan(1e6, 120)
-    s = _first_bad_step(_reference_path(inst, S, sched, plan.etas()))
+    s = _first_bad_step(reference_path(inst, S, sched, plan.etas()))
     assert s is not None and 3 < s < sched.T - 3
     # Step s is 0-based index s - 1: first of its block when B = s - 1,
     # last when B = s, inside it when B = s + 2.
@@ -531,7 +518,7 @@ def test_divergence_names_the_first_non_finite_step_wherever_it_falls(where):
                     call()
             # the base run of the stack diverges first, at the same step
             with pytest.raises(DivergenceError, match=rf"at step {s}$"):
-                run_paired(inst, S, repl, sched, plan, keep_path=False)
+                run_paired(inst, S, repl, sched, plan)
 
 
 def _huber_run(T=40):
@@ -547,13 +534,13 @@ def _drift(inst, path):
 
 def test_drift_before_the_divergence_raises_the_region_error(monkeypatch):
     inst, S, sched, etas = _huber_run()
-    drift = _drift(inst, _reference_path(inst, S, sched, etas))
+    drift = _drift(inst, reference_path(inst, S, sched, etas))
     # A limit the early iterates respect and a later one exceeds.
     limit = float(np.sort(drift)[-4])
     k = int(np.flatnonzero(drift > limit * (1.0 + 1e-9))[0])  # 0-based step
     assert 0 < k < sched.T - 2
     etas[k + 1] = math.inf  # a divergence one step later, in the same block
-    assert _first_bad_step(_reference_path(inst, S, sched, etas)) == k + 2
+    assert _first_bad_step(reference_path(inst, S, sched, etas)) == k + 2
     monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
     with np.errstate(invalid="ignore"), pytest.raises(AnalyticRegionError) as info:
         run_final(inst, S, sched, etas)
@@ -565,10 +552,10 @@ def test_drift_before_the_divergence_raises_the_region_error(monkeypatch):
 
 def test_drift_at_the_divergence_step_raises_the_divergence(monkeypatch):
     inst, S, sched, etas = _huber_run()
-    limit = float(_drift(inst, _reference_path(inst, S, sched, etas)).max())
+    limit = float(_drift(inst, reference_path(inst, S, sched, etas)).max())
     s = 17
     etas[s - 1] = math.inf
-    path = _reference_path(inst, S, sched, etas)
+    path = reference_path(inst, S, sched, etas)
     assert _first_bad_step(path) == s
     assert _drift(inst, path)[s - 1] > limit  # both checks fire at step s
     monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
@@ -578,9 +565,10 @@ def test_drift_at_the_divergence_step_raises_the_divergence(monkeypatch):
 
 
 def _assert_runs_equal_the_references(inst, S, repl, plan, ms, rng):
-    """``run``, ``run_final`` and ``run_paired`` (paths kept and not) are
-    bitwise the step-by-step references on every kind, m in ``ms`` (n for
-    full_batch) and block size 1, 2, 7 and T + 1."""
+    """``run``, ``run_final`` and ``run_paired`` (its finals and the path
+    collected through ``on_block``) are bitwise the step-by-step references
+    on every kind, m in ``ms`` (n for full_batch) and block size 1, 2, 7 and
+    T + 1."""
     n, d, T = S.n, inst.d, plan.T
     for kind in VALID_KINDS:
         for m in (n,) if kind == "full_batch" else ms:
@@ -592,7 +580,7 @@ def _assert_runs_equal_the_references(inst, S, repl, plan, ms, rng):
             sched = realize(
                 ScheduleSpec(kind, n=n, m=m, T=T, seed=53, custom_indices=custom)
             )
-            single = _reference_path(inst, S, sched, plan.etas())
+            single = reference_path(inst, S, sched, plan.etas())
             _, paired, _ = _paired_by_explicit_stack(
                 inst, S, repl, sched, plan.etas(), False
             )
@@ -601,11 +589,9 @@ def _assert_runs_equal_the_references(inst, S, repl, plan, ms, rng):
                 with block_of(B):
                     assert np.array_equal(run(inst, S, sched, plan).iterates, single), case
                     assert np.array_equal(run_final(inst, S, sched, plan), single[-1]), case
-                    kept = run_paired(inst, S, repl, sched, plan)
-                    bare = run_paired(inst, S, repl, sched, plan, keep_path=False)
-                assert np.array_equal(kept.paths, paired), case
-                assert np.array_equal(kept.finals, paired[-1]), case
-                assert bare.paths is None and np.array_equal(bare.finals, paired[-1]), case
+                    pt, path = paired_with_path(inst, S, repl, sched, plan)
+                assert np.array_equal(path, paired), case
+                assert np.array_equal(pt.finals, paired[-1]), case
 
 
 def test_linear_runs_are_bitwise_equal_to_a_per_step_loop():
@@ -631,7 +617,7 @@ def _assert_divergence_names_step(inst, s, where):
     etas[s - 2 : s] = 1e308
     plan = custom_plan(etas)
     sched = realize(ScheduleSpec("round_robin", n=1, m=1, T=T))
-    assert _first_bad_step(_reference_path(inst, S, sched, plan.etas())) == s
+    assert _first_bad_step(reference_path(inst, S, sched, plan.etas())) == s
     # Step s is the first of its block when B = s - 1, the last when B = s,
     # inside it when B = s + 2.
     B = {"first": s - 1, "mid": s + 2, "last": s}[where]
@@ -643,9 +629,8 @@ def _assert_divergence_names_step(inst, s, where):
             ):
                 with pytest.raises(DivergenceError, match=rf"at step {s}$"):
                     call()
-            for keep in (True, False):
-                with pytest.raises(DivergenceError, match=rf"at step {s}$"):
-                    run_paired(inst, S, repl, sched, plan, keep_path=keep)
+            with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+                run_paired(inst, S, repl, sched, plan)
 
 
 @pytest.mark.parametrize("where", ["first", "mid", "last"])
@@ -768,7 +753,7 @@ def test_convex_huber_band_names_its_step_wherever_it_falls(where, monkeypatch):
     # exceeds it on the base run, s_paired on any of the paired runs.
     inst, S, sched, etas = _huber_run()
     repl = sample_examples(inst, S.n, np.random.default_rng(66))
-    drift = _drift(inst, _reference_path(inst, S, sched, etas))
+    drift = _drift(inst, reference_path(inst, S, sched, etas))
     limit = float(np.sort(drift)[-4])
     s = 1 + int(np.flatnonzero(drift > limit * (1.0 + 1e-9))[0])
     _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, etas, False)
@@ -798,15 +783,6 @@ def test_convex_huber_divergence_names_its_step_wherever_it_falls(where):
     _assert_divergence_names_step(inst, 17, where)
 
 
-def _in_run_order(block, runs, n):
-    """An ``on_block`` block of the stored runs ``runs`` as all n + 1 runs in
-    run order; a run left out is run 0."""
-    assert runs[0] == 0 and len(set(runs.tolist())) == block.shape[1] == runs.size
-    every = np.repeat(block[:, :1], n + 1, axis=1)
-    every[:, runs] = block
-    return every
-
-
 def _paired_schedules():
     """(n, schedule) pairs whose neighbors join the stepped rows at every
     position of a block, or never: round_robin selects a new index at every
@@ -830,9 +806,9 @@ def _paired_schedules():
      "custom_smooth"],
 )
 def test_paired_runs_that_step_only_the_selected_neighbors_are_bitwise_the_stack(family):
-    # Finals, kept paths, grad_sup and the on_block stream, at block sizes
-    # that put each neighbor's first selection first, inside and last in
-    # its block.
+    # Finals, grad_sup and the path collected through on_block, at block
+    # sizes that put each neighbor's first selection first, inside and last
+    # in its block.
     d = 3
     rng = np.random.default_rng(73)
     beta = 1.5
@@ -846,19 +822,14 @@ def test_paired_runs_that_step_only_the_selected_neighbors_are_bitwise_the_stack
             inst, S, repl, sched, plan.etas(), track
         )
         for B in (1, 2, 7, sched.T + 1):
-            for keep in (True, False):
-                case = (sched.kind, n, sched.m, sched.T, B, keep)
-                stream = []
-                with block_of(B):
-                    pt = run_paired(
-                        inst, S, repl, sched, plan, keep_path=keep,
-                        track_grad_sup=True,
-                        on_block=lambda b, runs: stream.append(_in_run_order(b, runs, n)),
-                    )
-                assert np.array_equal(pt.finals, finals), case
-                assert np.array_equal(pt.paths, paths) if keep else pt.paths is None
-                assert np.array_equal(np.concatenate(stream), paths), case
-                assert pt.grad_sup == sup, case
+            case = (sched.kind, n, sched.m, sched.T, B)
+            with block_of(B):
+                pt, path = paired_with_path(
+                    inst, S, repl, sched, plan, track_grad_sup=True
+                )
+            assert np.array_equal(pt.finals, finals), case
+            assert np.array_equal(path, paths), case
+            assert pt.grad_sup == sup, case
 
 
 def test_paired_quadratic_run_steps_only_the_selected_neighbors():
@@ -888,7 +859,7 @@ def test_paired_quadratic_run_steps_only_the_selected_neighbors():
     with mock.patch.multiple(
         ProblemInstance, step_map=counted_map, step_terms=counted_terms
     ):
-        run_paired(inst, S, repl, sched, constant_plan(0.5, T), keep_path=False)
+        run_paired(inst, S, repl, sched, constant_plan(0.5, T))
     blocks = range(0, T, B)
     expected = sum((min(t0 + B, T) - t0) * (1 + min(t0 + B, T)) for t0 in blocks)
     assert len(maps) == T and all(w == t and w[1] == d for w, t in maps)
@@ -938,9 +909,8 @@ def test_a_neighbor_that_diverges_where_it_joins_names_its_step(where):
         bad = ~np.isfinite(paths).all(axis=2)
         assert np.flatnonzero(bad.any(axis=1))[0] == s and not bad[:, 0].any()
         with block_of(_step_places(s)[where]):
-            for keep in (True, False):
-                with pytest.raises(DivergenceError, match=rf"at step {s}$"):
-                    run_paired(inst, S, repl, sched, plan, keep_path=keep)
+            with pytest.raises(DivergenceError, match=rf"at step {s}$"):
+                run_paired(inst, S, repl, sched, plan)
 
 
 @pytest.mark.parametrize("where", ["first", "mid", "last"])
@@ -954,7 +924,7 @@ def test_a_neighbor_that_leaves_the_huber_band_where_it_joins_names_its_step(
     inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
     S, repl, sched = _joining_neighbor(inst, s, np.zeros(d))
     etas = np.full(sched.T, 0.5)
-    base = _reference_path(inst, S, sched, etas)
+    base = reference_path(inst, S, sched, etas)
     repl[s - 1, -1] = 100.0 if base[s - 1, -1] >= inst.w1[-1] else -100.0
     _, paths, _ = _paired_by_explicit_stack(inst, S, repl, sched, etas, False)
     drift = np.abs(paths[1:, :, -1] - inst.w1[-1])
@@ -963,10 +933,9 @@ def test_a_neighbor_that_leaves_the_huber_band_where_it_joins_names_its_step(
     monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
     plan = custom_plan(etas)
     with block_of(_step_places(s)[where]):
-        for keep in (True, False):
-            with pytest.raises(AnalyticRegionError) as info:
-                run_paired(inst, S, repl, sched, plan, keep_path=keep)
-            assert str(info.value).startswith(
-                f"step {s}: |w^d - w1^d| = {float(drift[s - 1, s])!r} exceeded the "
-                f"invariant half-width {limit!r}"
-            )
+        with pytest.raises(AnalyticRegionError) as info:
+            run_paired(inst, S, repl, sched, plan)
+    assert str(info.value).startswith(
+        f"step {s}: |w^d - w1^d| = {float(drift[s - 1, s])!r} exceeded the "
+        f"invariant half-width {limit!r}"
+    )

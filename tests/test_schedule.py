@@ -11,11 +11,8 @@ from batchstab.schedule import (
     RealizedSchedule,
     ScheduleSpec,
     check_counting_lemma,
-    indicator_matrix,
-    perturbation_indicator,
     realize,
     schedule_to_csv,
-    selection_totals,
 )
 from batchstab.seeding import substream
 
@@ -92,22 +89,6 @@ def test_seed_irrelevant_for_deterministic_kinds():
     assert np.array_equal(realize(c).batches, realize(d).batches)
 
 
-def test_perturbation_indicator_matches_membership():
-    sched = realize(ScheduleSpec("round_robin", n=3, m=1, T=5))
-    assert perturbation_indicator(sched, 4, 1) is True
-    assert perturbation_indicator(sched, 4, 2) is False
-    full = realize(ScheduleSpec("full_batch", n=3, m=3, T=2))
-    assert all(
-        perturbation_indicator(full, t, i)
-        for t in range(1, 3)
-        for i in range(1, 4)
-    )
-    with pytest.raises(ValueError):
-        perturbation_indicator(sched, 6, 1)
-    with pytest.raises(ValueError):
-        perturbation_indicator(sched, 1, 4)
-
-
 def test_indicator_row_sums_equal_batch_size():
     for kind, m in (
         ("full_batch", 8),
@@ -116,7 +97,7 @@ def test_indicator_row_sums_equal_batch_size():
         ("uniform_random", 5),
     ):
         sched = realize(ScheduleSpec(kind, n=8, m=m, T=13, seed=2))
-        assert (indicator_matrix(sched).sum(axis=1) == m).all()
+        assert check_counting_lemma(sched).counts == (m,) * sched.T
 
 
 def test_counting_lemma_passes_on_realized_schedules():
@@ -136,7 +117,7 @@ def test_counting_lemma_catches_corrupted_matrix():
 def test_round_robin_per_index_totals_over_full_epochs():
     K, n = 4, 6
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=K * n))
-    assert (selection_totals(sched) == K).all()
+    assert (np.bincount(sched.batches.ravel(), minlength=n) == K).all()
 
 
 def test_invalid_specs_raise_config_errors():

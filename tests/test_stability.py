@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from batchstab import engine
 from batchstab._series import suffix_products
 from batchstab.engine import (
-    PairedTrajectory,
     constant_plan,
     custom_plan,
     inverse_t_plan,
@@ -34,39 +33,59 @@ from batchstab.schedule import (
     VALID_KINDS,
     RealizedSchedule,
     ScheduleSpec,
-    indicator_matrix,
     realize,
 )
 from batchstab.stability import (
     GrowthRecursionAudit,
     RecursionVerdict,
-    check_growth_recursion,
     contraction_step_sum,
+    final_on_average_gap,
     growth_factors,
     nonconvex_step_sum,
     nonconvex_step_sum_cap,
-    on_average_stability,
     stability_bound,
 )
-from conftest import block_of
+from conftest import audit_path, block_of, paired_with_path, selected
 
 
-def paired(inst, n, T, kind, m, plan, seed, track=False):
+def _inputs(inst, n, T, kind, m, seed):
     S = sample_dataset(inst, n, seed=seed)
     repl = sample_examples(inst, n, np.random.default_rng(seed + 1))
     sched = realize(ScheduleSpec(kind, n=n, m=m, T=T, seed=seed + 2))
-    return run_paired(inst, S, repl, sched, plan, track_grad_sup=track)
+    return S, repl, sched
+
+
+def paired(inst, n, T, kind, m, plan, seed, track=False):
+    """A paired run and its (T+1, n+1, d) path, collected through on_block."""
+    S, repl, sched = _inputs(inst, n, T, kind, m, seed)
+    return paired_with_path(inst, S, repl, sched, plan, track_grad_sup=track)
+
+
+def audited(inst, n, T, kind, m, plan, seed, loss_class, beta, gamma=None, track=False):
+    """``paired``, with the growth-recursion audit that streamed through its
+    on_block hook."""
+    S, repl, sched = _inputs(inst, n, T, kind, m, seed)
+    audit = GrowthRecursionAudit(loss_class, plan.etas(), sched, beta, gamma)
+    pt, path = paired_with_path(
+        inst, S, repl, sched, plan, on_block=audit, track_grad_sup=track
+    )
+    return pt, path, audit
+
+
+def _gaps(path):
+    """(T+1, n) gaps ||w_t - w_t^(i)|| of a (T+1, n+1, d) path."""
+    return np.linalg.norm(path[:, 1:, :] - path[:, :1, :], axis=-1)
 
 
 def test_gaps_start_at_zero_and_identical_replacements_stay_zero():
     inst = linear_instance(d=3)
     S = sample_dataset(inst, 4, seed=1)
     sched = realize(ScheduleSpec("round_robin", n=4, m=2, T=6))
-    pt = run_paired(inst, S, S.examples.copy(), sched, constant_plan(0.3, 6))
-    rec = on_average_stability(pt)
-    assert rec.per_step_gaps.shape == (7, 4)
-    assert np.all(rec.per_step_gaps == 0.0)
-    assert rec.final_on_average == 0.0
+    _, path = paired_with_path(inst, S, S.examples.copy(), sched, constant_plan(0.3, 6))
+    gaps = _gaps(path)
+    assert gaps.shape == (7, 4)
+    assert np.all(gaps == 0.0)
+    assert gaps[-1].mean() == 0.0
 
 
 def test_one_step_full_batch_gap_by_hand():
@@ -76,12 +95,12 @@ def test_one_step_full_batch_gap_by_hand():
     repl = sample_examples(inst, n, np.random.default_rng(3))
     sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=1))
     eta1 = 0.7
-    pt = run_paired(inst, S, repl, sched, constant_plan(eta1, 1))
-    rec = on_average_stability(pt)
-    assert rec.per_step_gaps[0] == pytest.approx([0.0] * n)
+    _, path = paired_with_path(inst, S, repl, sched, constant_plan(eta1, 1))
+    gaps = _gaps(path)
+    assert gaps[0] == pytest.approx([0.0] * n)
     for i in range(n):
         expected = eta1 / n * np.linalg.norm(S.examples[i] - repl[i])
-        assert rec.per_step_gaps[1, i] == pytest.approx(expected, abs=1e-15)
+        assert gaps[1, i] == pytest.approx(expected, abs=1e-15)
 
 
 def test_measured_stability_below_convex_bound_across_schedules():
@@ -97,9 +116,8 @@ def test_measured_stability_below_convex_bound_across_schedules():
         ("uniform_random", 3),
     ):
         for seed in (10, 20, 30):
-            pt = paired(inst, n, T, kind, m, plan, seed)
-            rec = on_average_stability(pt)
-            assert rec.final_on_average <= bound * (1 + 1e-9)
+            _, path = paired(inst, n, T, kind, m, plan, seed)
+            assert _gaps(path)[-1].mean() <= bound * (1 + 1e-9)
 
 
 def test_convex_recursion_on_seeded_configs():
@@ -112,8 +130,10 @@ def test_convex_recursion_on_seeded_configs():
         beta = float(rng.uniform(0.5, 2.0))
         inst = convex_huber_instance(d=d, L=float(rng.uniform(0.5, 2.0)), beta=beta)
         plan = constant_plan(float(rng.uniform(0.05, 1.9)) / beta, T)
-        pt = paired(inst, n, T, "uniform_random", m, plan, seed=100 + rep)
-        verdict = check_growth_recursion(pt, "convex", L=inst.params.L, beta=beta)
+        _, _, audit = audited(
+            inst, n, T, "uniform_random", m, plan, 100 + rep, "convex", beta
+        )
+        verdict = audit.verdict(inst.params.L)
         assert verdict, verdict.violations[:3]
 
 
@@ -127,8 +147,10 @@ def test_nonconvex_recursion_with_path_gradient_constant():
         lam = -rng.uniform(0.3, 1.0, size=d) * beta
         inst = quadratic_nonconvex_instance(d=d, beta=beta, lam=lam)
         plan = inverse_t_plan(float(rng.uniform(0.1, 0.99)) / beta, T)
-        pt = paired(inst, n, T, "round_robin", 1, plan, seed=200 + rep, track=True)
-        verdict = check_growth_recursion(pt, "nonconvex", L=pt.grad_sup, beta=beta)
+        pt, _, audit = audited(
+            inst, n, T, "round_robin", 1, plan, 200 + rep, "nonconvex", beta, track=True
+        )
+        verdict = audit.verdict(pt.grad_sup)
         assert verdict, verdict.violations[:3]
 
 
@@ -138,14 +160,13 @@ def test_strongly_convex_recursion_and_contraction_factor():
     n, T = 6, 30
     eta = 1.0 / (2.0 * gamma)  # inside eta <= 2/(beta+gamma)
     plan = constant_plan(eta, T)
-    pt = paired(inst, n, T, "round_robin", 1, plan, seed=300)
-    verdict = check_growth_recursion(
-        pt, "strongly_convex", L=4.0, beta=beta, gamma=gamma
+    pt, path, audit = audited(
+        inst, n, T, "round_robin", 1, plan, 300, "strongly_convex", beta, gamma
     )
-    assert verdict
+    assert audit.verdict(4.0)
 
-    gaps = np.linalg.norm(pt.paths[:, 1:, :] - pt.paths[:, :1, :], axis=-1)
-    ind = indicator_matrix(pt.schedule)
+    gaps = _gaps(path)
+    ind = selected(pt.schedule)
     factor = 1.0 - eta * gamma / 2.0
     unperturbed = (~ind) & (gaps[:-1] > 1e-12)
     ratios = gaps[1:][unperturbed] / gaps[:-1][unperturbed]
@@ -159,10 +180,10 @@ def test_unselected_index_keeps_zero_gap():
     S = sample_dataset(inst, n, seed=6)
     repl = sample_examples(inst, n, np.random.default_rng(7))
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
-    pt = run_paired(inst, S, repl, sched, constant_plan(0.5, T))
-    rec = on_average_stability(pt)
-    assert np.all(rec.per_step_gaps[:, 3] == 0.0)
-    assert np.all(rec.per_step_gaps[:, 4] == 0.0)
+    _, path = paired_with_path(inst, S, repl, sched, constant_plan(0.5, T))
+    gaps = _gaps(path)
+    assert np.all(gaps[:, 3] == 0.0)
+    assert np.all(gaps[:, 4] == 0.0)
 
 
 def test_stability_bound_values_and_edge_cases():
@@ -229,15 +250,13 @@ def test_measured_stability_below_class_bounds_nonconvex_and_sc():
     inst = quadratic_nonconvex_instance(d=3, beta=1.0)
     n, T = 8, 50
     plan = inverse_t_plan(0.9, T)
-    pt = paired(inst, n, T, "uniform_random", 2, plan, seed=400, track=True)
-    from batchstab.stability import final_on_average_gap
-
+    pt, _ = paired(inst, n, T, "uniform_random", 2, plan, seed=400, track=True)
     bound = stability_bound("nonconvex", pt.grad_sup, plan.etas(), n, 2, beta=1.0)
     assert final_on_average_gap(pt) <= bound * (1 + 1e-9)
 
     inst2 = quadratic_strongly_convex_instance(d=4, L=1.0, beta=1.0, gamma=1.0)
     plan2 = constant_plan(0.5, T)
-    pt2 = paired(inst2, n, T, "random_reshuffle", 4, plan2, seed=500, track=True)
+    pt2, _ = paired(inst2, n, T, "random_reshuffle", 4, plan2, seed=500, track=True)
     bound2 = stability_bound(
         "strongly_convex", 4.0, plan2.etas(), n, 4, beta=1.0, gamma=1.0
     )
@@ -247,13 +266,14 @@ def test_measured_stability_below_class_bounds_nonconvex_and_sc():
 
 def test_recursion_regime_refusals():
     inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
-    pt = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=600)
-    bad = paired(inst, 4, 5, "round_robin", 1, custom_plan([2.5] * 5), seed=601)
+    bad, _ = paired(inst, 4, 5, "round_robin", 1, custom_plan([2.5] * 5), seed=601)
     with pytest.raises(RegimeError, match="2/beta"):
-        check_growth_recursion(bad, "convex", L=1.0, beta=1.0)
+        GrowthRecursionAudit("convex", bad.etas, bad.schedule, beta=1.0)
     with pytest.raises(RegimeError, match="beta\\+gamma"):
-        check_growth_recursion(bad, "strongly_convex", L=1.0, beta=1.0, gamma=1.0)
-    assert check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
+        GrowthRecursionAudit("strongly_convex", bad.etas, bad.schedule, 1.0, 1.0)
+    plan = constant_plan(0.5, 5)
+    _, _, audit = audited(inst, 4, 5, "round_robin", 1, plan, 600, "convex", 1.0)
+    assert audit.verdict(1.0)
 
 
 def test_growth_factors_per_class_and_refusals():
@@ -284,13 +304,15 @@ def test_growth_factors_per_class_and_refusals():
 )
 def test_bound_and_recursion_refuse_with_one_message(loss_class, eta, gamma):
     inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
-    pt = paired(inst, 4, 5, "round_robin", 1, custom_plan([eta] * 5), seed=602)
+    pt, _ = paired(inst, 4, 5, "round_robin", 1, custom_plan([eta] * 5), seed=602)
     messages = []
     for call in (
         lambda: stability_bound(
             loss_class, 1.0, pt.etas, 4, 1, beta=1.0, gamma=gamma
         ),
-        lambda: check_growth_recursion(pt, loss_class, L=1.0, beta=1.0, gamma=gamma),
+        lambda: GrowthRecursionAudit(
+            loss_class, pt.etas, pt.schedule, beta=1.0, gamma=gamma
+        ),
     ):
         with pytest.raises((RegimeError, ConfigError)) as info:
             call()
@@ -298,21 +320,20 @@ def test_bound_and_recursion_refuse_with_one_message(loss_class, eta, gamma):
     assert messages[0] == messages[1]
 
 
-def _hand_built_paired(gaps, batches):
-    """d = 1 paths with the base run at 0, so neighbor i's gap is its value."""
+def _hand_built_verdict(gaps, batches):
+    """The convex verdict, L = 1 and eta = 1/2, of a d = 1 path with the base
+    run at 0, so neighbor i's gap is its value, fed to the audit whole."""
     gaps = np.asarray(gaps, dtype=float)
-    paths = np.zeros((gaps.shape[0], gaps.shape[1] + 1, 1))
-    paths[:, 1:, 0] = gaps
+    path = np.zeros((gaps.shape[0], gaps.shape[1] + 1, 1))
+    path[:, 1:, 0] = gaps
     sched = RealizedSchedule(batches=np.asarray(batches).reshape(-1, 1), n=gaps.shape[1])
-    return PairedTrajectory(
-        finals=paths[-1], schedule=sched, etas=np.full(sched.T, 0.5), m=1, paths=paths
-    )
+    return audit_path(path, sched, np.full(sched.T, 0.5), "convex", 1.0, beta=1.0)
 
 
 def test_convex_recursion_reports_every_violation_in_step_then_index_order():
     # Convex class, L = 1, m = 1, eta = 1/2: the kick is 1 for the selected
     # index and the bound is rhs = gap_t + kick.
-    pt = _hand_built_paired(
+    verdict = _hand_built_verdict(
         gaps=[
             [0.0, 0.0, 0.0],
             [0.5, 2.0, 0.0],  # t=1 selects i=1; i=2 jumps from 0
@@ -321,7 +342,6 @@ def test_convex_recursion_reports_every_violation_in_step_then_index_order():
         ],
         batches=[0, 1, 2],
     )
-    verdict = check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
     assert verdict.violations == (
         (1, 2, 2.0, 0.0),
         (2, 1, 3.5, 0.5),
@@ -332,24 +352,23 @@ def test_convex_recursion_reports_every_violation_in_step_then_index_order():
 
 
 def test_recursion_over_zero_steps_is_vacuous():
-    pt = _hand_built_paired(gaps=[[0.0, 0.0]], batches=np.empty(0, dtype=int))
-    verdict = check_growth_recursion(pt, "convex", L=1.0, beta=1.0)
+    verdict = _hand_built_verdict(gaps=[[0.0, 0.0]], batches=np.empty(0, dtype=int))
     assert verdict.violations == () and verdict.max_slack == 0.0
 
 
-def _recursion_by_steps(pt, loss_class, L, beta=None, gamma=None):
-    """Reference: the recursion checked one step at a time over kept paths,
-    with the selected pairs read from the (T, n) indicator matrix."""
+def _recursion_by_steps(pt, paths, loss_class, L, beta=None, gamma=None):
+    """Reference: the recursion checked one step at a time over the paired
+    run's (T+1, n+1, d) paths, with the selected pairs read from the (T, n)
+    indicator matrix."""
     etas = pt.etas
     factors = growth_factors(loss_class, etas, beta, gamma)
-    paths = pt.paths
-    selected = indicator_matrix(pt.schedule)
-    kick_scale = 2.0 * L / pt.m
+    picked = selected(pt.schedule)
+    kick_scale = 2.0 * L / pt.schedule.m
     gap = np.linalg.norm(paths[0, 1:, :] - paths[0, :1, :], axis=-1)
     violations = []
     slack = np.empty(etas.size)
     for t in range(etas.size):
-        rhs = factors[t] * gap + kick_scale * etas[t] * selected[t]
+        rhs = factors[t] * gap + kick_scale * etas[t] * picked[t]
         gap = np.linalg.norm(paths[t + 1, 1:, :] - paths[t + 1, :1, :], axis=-1)
         margin = gap - (rhs * (1.0 + REL_SLACK) + ABS_SLACK)
         violations.extend(
@@ -426,26 +445,25 @@ def test_streamed_audit_equals_the_step_by_step_check(
     repl = sample_examples(inst, n, rng)
     plan = custom_plan(rng.uniform(0.0, 1.0 / beta, size=T))
     sched = _schedule(kind, n, m, T, rng, seed)
-    kept = run_paired(inst, S, repl, sched, plan, track_grad_sup=True)
+    pt, path = paired_with_path(inst, S, repl, sched, plan, track_grad_sup=True)
     p = inst.params
     args = (_CLASS_OF[family], p.beta, p.gamma)
     L = p.L if p.L is not None else 1.0
-    if bound == "observed" and kept.grad_sup is not None:
-        L = kept.grad_sup
+    if bound == "observed" and pt.grad_sup is not None:
+        L = pt.grad_sup
     elif bound == "shrunk":
         # a contraction no run obeys and a tiny kick: both the pairs settled
         # as their block arrives and those settled at the end can fail
         L, args = 1e-3 * L, ("strongly_convex", beta, beta)
-    expected = _recursion_by_steps(kept, args[0], L, *args[1:])
-    assert check_growth_recursion(kept, args[0], L, *args[1:]) == expected
+    expected = _recursion_by_steps(pt, path, args[0], L, *args[1:])
+    assert audit_path(path, sched, plan.etas(), args[0], L, *args[1:]) == expected
     for B in (1, 2, 7, T + 1):
         audit = GrowthRecursionAudit(args[0], plan.etas(), sched, *args[1:])
         with block_of(B):
             bare = run_paired(
-                inst, S, repl, sched, plan, keep_path=False, track_grad_sup=True,
-                on_block=audit,
+                inst, S, repl, sched, plan, track_grad_sup=True, on_block=audit
             )
-        assert bare.paths is None and np.array_equal(bare.finals, kept.finals)
+        assert np.array_equal(bare.finals, pt.finals)
         # repr tells every float apart bit for bit, 0.0 from -0.0 too
         assert repr(audit.verdict(L)) == repr(expected), B
 
@@ -455,15 +473,15 @@ def test_a_neighbor_never_selected_holds_the_largest_slack_at_zero():
     # streamed audit never reads their rows; their gaps are 0.0 against a
     # bound of 0.0.  Every replacement differs from its example, so every
     # selected pair holds strictly and the largest slack is that 0.0, as it
-    # is on the kept paths.
+    # is on the whole paths.
     inst = quadratic_strongly_convex_instance(d=3, L=1.0, beta=1.0, gamma=1.0)
     n, m, T = 12, 2, 5
     S = sample_dataset(inst, n, seed=64)
     repl = -S.examples
     sched = realize(ScheduleSpec("round_robin", n=n, m=m, T=T))
     plan = constant_plan(0.5, T)
-    kept = run_paired(inst, S, repl, sched, plan)
-    expected = _recursion_by_steps(kept, "strongly_convex", 10.0, 1.0, 1.0)
+    pt, path = paired_with_path(inst, S, repl, sched, plan)
+    expected = _recursion_by_steps(pt, path, "strongly_convex", 10.0, 1.0, 1.0)
     assert expected.violations == () and repr(expected.max_slack) == "0.0"
     for B in (1, 2, T + 1):
         audit = GrowthRecursionAudit("strongly_convex", plan.etas(), sched, 1.0, 1.0)
@@ -474,7 +492,7 @@ def test_a_neighbor_never_selected_holds_the_largest_slack_at_zero():
             audit(rows, runs)
 
         with block_of(B):
-            run_paired(inst, S, repl, sched, plan, keep_path=False, on_block=hook)
+            run_paired(inst, S, repl, sched, plan, on_block=hook)
         assert max(seen) == 1 + T * m < n + 1, B
         assert repr(audit.verdict(10.0)) == repr(expected), B
 
@@ -489,11 +507,11 @@ def test_violations_settled_in_stream_and_at_the_end_merge_in_step_order():
     repl = sample_examples(inst, n, np.random.default_rng(61))
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=T))
     plan = constant_plan(0.5, T)
-    kept = run_paired(inst, S, repl, sched, plan)
-    expected = _recursion_by_steps(kept, "strongly_convex", 1e-3, 1.0, 1.0)
+    pt, path = paired_with_path(inst, S, repl, sched, plan)
+    expected = _recursion_by_steps(pt, path, "strongly_convex", 1e-3, 1.0, 1.0)
     audit = GrowthRecursionAudit("strongly_convex", plan.etas(), sched, 1.0, 1.0)
     with mock.patch.object(engine, "_BLOCK_ELEMENTS", 3 * (n + 2) * 2):
-        run_paired(inst, S, repl, sched, plan, keep_path=False, on_block=audit)
+        run_paired(inst, S, repl, sched, plan, on_block=audit)
     verdict = audit.verdict(1e-3)
     assert verdict == expected
     kicked = {(t, i) for t, i, _, _ in verdict.violations if i == (t - 1) % n + 1}
@@ -503,9 +521,9 @@ def test_violations_settled_in_stream_and_at_the_end_merge_in_step_order():
 
 def test_an_audit_that_missed_steps_gives_no_verdict():
     inst = linear_instance(d=2)
-    pt = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=62)
+    pt, path = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=62)
     audit = GrowthRecursionAudit("convex", pt.etas, pt.schedule, beta=1.0)
-    audit(pt.paths[:3], np.arange(pt.n + 1))
+    audit(path[:3], np.arange(pt.n + 1))
     with pytest.raises(ConfigError, match="saw 2 of 5 steps"):
         audit.verdict(1.0)
 
@@ -514,11 +532,11 @@ def test_an_audit_refuses_a_block_that_leaves_out_a_selected_neighbor():
     # round_robin m = 1 selects neighbor 1 at step 1; a block without its run
     # would count its gap as 0.0.
     inst = linear_instance(d=2)
-    pt = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=62)
+    pt, path = paired(inst, 4, 5, "round_robin", 1, constant_plan(0.5, 5), seed=62)
     audit = GrowthRecursionAudit("convex", pt.etas, pt.schedule, beta=1.0)
     runs = np.array([0, 2, 3, 4])
     with pytest.raises(ConfigError, match="leaves out a neighbor selected in it"):
-        audit(pt.paths[:2, runs], runs)
+        audit(path[:2, runs], runs)
 
 
 def test_growth_recursion_check_does_not_keep_the_paths():
