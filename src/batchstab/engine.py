@@ -24,8 +24,10 @@ coordinates that do not read w (the first ``ProblemInstance.grad_free_coords``:
 all of linear's, all but the Huber one of convex_huber's) have updates
 eta_t g_t known before the block steps, so they come from one cumulative
 subtraction instead of a Python loop over the block's steps; only the
-coordinates that read w step one step at a time.  Both are the
-floating-point operations of the per-step update in the same order.
+coordinates that read w step one step at a time, from terms of each batch
+taken once per block, and a single run's one Huber coordinate as a Python
+float.  Both are the floating-point operations of the per-step update in the
+same order.
 Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
 paired block's terms and one chunk of its patched batches.  Iterates leave
 the loop only through an ``on_block`` hook, which sees each block's stepped
@@ -296,21 +298,23 @@ def _evolve(
     buffer.  The batch gradient is split as ``ProblemInstance`` states it:
     the ``free_grad_mean`` of the first f = ``grad_free_coords``
     coordinates, and the ``step_map`` of the other d - f, which reads w and
-    the ``step_terms`` of the batch.  A paired block takes the terms of its
-    P rows from those of the base batch and of the m patched batches of each
-    step (``_stepped_terms``), so no step copies its batch per row, except
-    that custom_smooth's terms are its patched batch.  The buffer is filled
-    in two parts, by coordinate:
+    the ``step_terms`` of the batch.  A single run takes both once per
+    block, from the gathered (B, m, d) batches.  A paired block takes the
+    terms of its P rows from those of the base batch and of the m patched
+    batches of each step (``_stepped_terms``), so no step copies its batch
+    per row, except that custom_smooth's terms are its patched batch.  The
+    buffer is filled in two parts, by coordinate:
 
-    * the first f coordinates: the buffer first holds their means g_k, from
-      one ``batch_grad_mean`` call on the gathered (B, m, d) batches, or for
-      paired runs from the terms.  One multiply makes them eta_k g_k, the
-      first row becomes W - eta_0 g_0, and ``np.subtract.accumulate`` along
-      the step axis finishes w_{k+1} = w_k - eta_k g_k;
+    * the first f coordinates: the buffer first holds their means g_k.  One
+      multiply makes them eta_k g_k, the first row becomes W - eta_0 g_0,
+      and ``np.subtract.accumulate`` along the step axis finishes
+      w_{k+1} = w_k - eta_k g_k;
     * the other d - f coordinates, one step at a time: row k reads w_k from
       the row before, whose first f coordinates are already final, through
-      ``reading_grad_mean`` on the step's batch, or for paired runs through
-      ``step_map`` on its rows' terms.
+      ``step_map`` on its rows' terms.  A single run of a ``scalar_step``
+      family (convex_huber) carries its one such coordinate through the
+      block as a Python float, so a step makes no array but the (m,) u of
+      its batch; the float operations are those of the (1, 1) arrays.
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
@@ -373,7 +377,8 @@ def _evolve(
     eta = etas.tolist()
     # Coordinates [:f] step a block at a time and [f:] one step at a time.
     f = instance.grad_free_coords
-    step = instance.reading_grad_mean if replacements is None else instance.step_map
+    step = instance.step_map
+    scalar = replacements is None and instance.scalar_step
 
     for t0 in range(0, T, B):
         t1 = min(t0 + B, T)
@@ -384,9 +389,8 @@ def _evolve(
         idx = batches[t0:t1]
         gathered = data[idx]
         if replacements is None:
-            terms = gathered
-            if f:
-                free = instance.batch_grad_mean(W[0], gathered)[:, None, :f]
+            free = instance.free_grad_mean(gathered)[:, None] if f else None
+            terms = instance.step_terms(gathered)
         else:
             free, terms = _stepped_terms(
                 instance, gathered, idx, replacements[idx], rank[1 + idx], P
@@ -400,7 +404,15 @@ def _evolve(
             head *= etas[t0:t1, None, None]
             np.subtract(W[:, :f], head[0], out=head[0])
             np.subtract.accumulate(head, axis=0, out=head)
-        if f < d:
+        if scalar:
+            # The one coordinate of a single run that reads w, as a float.
+            w = float(W[0, -1])
+            path = []
+            for e, z in zip(eta[t0:t1], terms):
+                w = w - e * step(w, z)
+                path.append(w)
+            block[:, 0, -1] = path
+        elif f < d:
             # Row k reads w_k from the row before, whose first f coordinates
             # are already final.
             stepped = block[..., f:]

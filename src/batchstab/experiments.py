@@ -580,11 +580,14 @@ class _Context:
         self.gen_estimates: dict[str, MonteCarloEstimate] = {}
         self.excluded_trials = 0
         self._audit: tuple[int, dict] = (-1, {})
+        self.proven_gradient_bound = bounds_mod.path_gradient_bound(
+            self.cls, config.instance.params.L
+        )
 
     def gradient_bound(self, observed: float | None) -> float:
         """Gradient bound of the perturbation term: the class's bound from L,
         else the largest gradient norm observed along the paths."""
-        bound = bounds_mod.path_gradient_bound(self.cls, self.config.instance.params.L)
+        bound = self.proven_gradient_bound
         if bound is None:
             bound = observed
         if bound is None:
@@ -684,7 +687,8 @@ def _check_growth_recursion(ctx: _Context, s_idx: int, spec: ScheduleSpec):
         ctx.audit_examples(s_idx, 1),
         sched,
         plan,
-        track_grad_sup=True,
+        # the observed sup is read only when L proves no bound
+        track_grad_sup=ctx.proven_gradient_bound is None,
         on_block=audit,
     )
     L = ctx.gradient_bound(pt.grad_sup)

@@ -48,16 +48,20 @@ compute apart: ``free_grad_mean``, the batch mean of the first
 that read w, as a map of w and of the batch's ``step_terms``, which do not
 read w:
 
-    family          step_terms               step_map(w, terms)
-    linear          none                     none
-    convex_huber    z^d column (m,)          mean_j slope(w^d - w1^d - z_j^d)
-    quadratics      batch mean zbar (d,)     lam (w - zbar)
-    custom_smooth   the batch itself (m, d)  mean_j grad_fn(w, z_j)
+    family          step_terms               step_map(w, terms)                 float w
+    linear          none                     none                               -
+    convex_huber    z^d column (m,)          mean_j slope(w^d - w1^d - z_j^d)   w^d
+    quadratics      batch mean zbar (d,)     lam (w - zbar)                     -
+    custom_smooth   the batch itself (m, d)  mean_j grad_fn(w, z_j)             -
 
 ``step_terms_size`` gives the size of the terms of one batch, by which the
 engine sizes a paired block.  A paired run takes each run's terms from those
 of the base batch and of the m batches with one selected example replaced
-(``engine._evolve``).
+(``engine._evolve``).  The last column names the family whose step reads a
+single coordinate of w (``scalar_step``): its ``step_map`` also takes that
+coordinate of one run as a Python float, with the (m,) terms of one batch,
+and returns a float by the same floating-point operations, so a single run
+steps it with no (1, 1) array per step.
 """
 
 from __future__ import annotations
@@ -129,10 +133,14 @@ class ProblemInstance:
         self.grad_free_coords = {"linear": params.d, "convex_huber": params.d - 1}.get(
             family, 0
         )
+        # Whether ``step_map`` also takes the one coordinate that reads w as a
+        # float (the module docstring's table).
+        self.scalar_step = family == "convex_huber"
         w1 = params.w1 if params.w1 is not None else (0.0,) * params.d
         self.w1 = np.asarray(w1, dtype=float)
         if self.w1.shape != (self.d,):
             raise ConfigError(f"w1 must have length d={self.d}")
+        self._w1d = float(self.w1[-1]) if self.scalar_step else None
         if self.scales.shape != (self.d,):
             raise ConfigError(f"scales must have length d={self.d}")
 
@@ -182,17 +190,17 @@ class ProblemInstance:
         """Mean gradient over a batch: W is (..., d), Z is (..., m, d).
 
         The first ``grad_free_coords`` coordinates are :meth:`free_grad_mean`;
-        the rest are :meth:`reading_grad_mean`.
+        the rest are :meth:`step_map` of the batch's :meth:`step_terms`.  The
+        engine computes the parts apart; this is the whole per-step map.
         """
         f = self.grad_free_coords
-        if f == 0:
-            return self.reading_grad_mean(W, Z)
-        free = self.free_grad_mean(Z)
         if f == self.d:
-            return free
-        reading = self.reading_grad_mean(W, Z)
+            return self.free_grad_mean(Z)
+        reading = self.step_map(W, self.step_terms(Z))
+        if f == 0:
+            return reading
         g = np.empty(reading.shape[:-1] + (self.d,))
-        g[..., :f] = free
+        g[..., :f] = self.free_grad_mean(Z)
         g[..., f:] = reading
         return g
 
@@ -224,11 +232,19 @@ class ProblemInstance:
         sizes = {"linear": 0, "convex_huber": m, "custom_smooth": m * self.d}
         return sizes.get(self.family, self.d)
 
-    def step_map(self, W: np.ndarray, terms) -> np.ndarray:
+    def step_map(self, W: np.ndarray | float, terms) -> np.ndarray | float:
         """The mean gradient coordinates that read w, the last d -
         ``grad_free_coords``, at W (..., d) from the :meth:`step_terms` of its
-        batch.  Empty for linear."""
+        batch.  Empty for linear.
+
+        With ``scalar_step``, W may instead be that one coordinate of one run
+        as a Python float, and terms one batch's: the map is then a float,
+        bit for bit the (1, 1) array's.
+        """
         if self.family == "convex_huber":
+            if isinstance(W, float):
+                u = (W - self._w1d) - terms
+                return float(np.add.reduce(self._huber_slope(u))) / terms.shape[0]
             u = W[..., -1:] - self.w1[-1] - terms
             return (np.add.reduce(self._huber_slope(u), -1) / terms.shape[-1])[..., None]
         if self.family in QUADRATIC_FAMILIES:
@@ -236,13 +252,6 @@ class ProblemInstance:
         if self.family == "custom_smooth":
             return self.grad(W[..., None, :], terms).mean(axis=-2)
         return np.empty(W.shape[:-1] + (0,))
-
-    def reading_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """:meth:`step_map` at W (..., d) of a batch Z (..., m, d).
-
-        The single-run engine calls it once per step.
-        """
-        return self.step_map(W, self.step_terms(Z))
 
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the convex_huber term in u: beta u clipped to

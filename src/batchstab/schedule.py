@@ -232,13 +232,16 @@ def check_counting_lemma(sched: RealizedSchedule) -> CountingVerdict:
     batch must equal the batch size: sum_i 1{i in K_t} = m.  Equivalently
     every row must hold m distinct in-range indices.  Returns the first
     violating step (1-based) otherwise.
+
+    A step's count is that of the distinct in-range indices in its row: once
+    each row is sorted, with every out-of-range entry as -1, an in-range
+    entry is new when it differs from the one before it.
     """
     b = sched.batches
-    in_range = (b >= 0) & (b < sched.n)
-    counts = np.zeros(sched.T, dtype=np.int64)
-    for t in range(sched.T):
-        row = b[t][in_range[t]]
-        counts[t] = np.unique(row).size
+    srt = np.sort(np.where((b >= 0) & (b < sched.n), b, -1), axis=1)
+    new = srt >= 0
+    new[:, 1:] &= srt[:, 1:] != srt[:, :-1]
+    counts = new.sum(axis=1)
     bad = np.nonzero(counts != sched.m)[0]
     if bad.size:
         return CountingVerdict(False, int(bad[0]) + 1, tuple(int(c) for c in counts))

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batchstab.bounds import analytic_gen_error, gen_error_lower, gen_error_upper
+from batchstab.bounds import analytic_gen_error, gen_error_lower
 from batchstab.engine import (
     closed_form_final,
     constant_plan,

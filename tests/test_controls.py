@@ -4,7 +4,7 @@ something."""
 
 import pytest
 
-from batchstab import experiments
+from batchstab import bounds, experiments
 from batchstab.experiments import config_from_dict, run_full_verification
 from batchstab.problems import ProblemInstance
 from batchstab.schedule import RealizedSchedule
@@ -26,10 +26,17 @@ def _control_config(checks, schedules=_SCHEDULES):
     })
 
 
-def _over_m_plus_1(method):
-    def mutant(self, W, Z):
-        m = Z.shape[-2]
-        return method(self, W, Z) * (m / (m + 1))
+# The batch axis of each mutated method's last argument: the batches Z
+# (..., m, d) of free_grad_mean, convex_huber's z^d terms (..., m) of step_map.
+_BATCH_AXIS = {"free_grad_mean": -2, "step_map": -1}
+
+
+def _over_m_plus_1(name):
+    method = getattr(ProblemInstance, name)
+
+    def mutant(self, *args):
+        m = args[-1].shape[_BATCH_AXIS[name]]
+        return method(self, *args) * (m / (m + 1))
 
     return mutant
 
@@ -43,13 +50,13 @@ def test_the_controls_pass_without_a_mutant():
     "mutated, checks",
     [
         # The whole batch mean over m + 1: a run_final takes its first d - 1
-        # coordinates from batch_grad_mean and its Huber coordinate from
-        # reading_grad_mean, so each of its coordinates is mutated once.
-        (("batch_grad_mean", "reading_grad_mean"), ["oracle_equivalence", "gen_error_mc"]),
+        # coordinates from free_grad_mean and its Huber coordinate from
+        # step_map, so each of its coordinates is mutated once.
+        (("free_grad_mean", "step_map"), ["oracle_equivalence", "gen_error_mc"]),
         # Only the Huber coordinate, stepped one step at a time.  Its share of
         # the generalization error is too small for 200 trials to see, so
         # only the exact check is asked to fail.
-        (("reading_grad_mean",), ["oracle_equivalence"]),
+        (("step_map",), ["oracle_equivalence"]),
     ],
     ids=["whole-mean", "huber-coordinate"],
 )
@@ -57,9 +64,7 @@ def test_batch_means_over_m_plus_1_fail_the_checks_that_run_the_engine(
     monkeypatch, mutated, checks
 ):
     for name in mutated:
-        monkeypatch.setattr(
-            ProblemInstance, name, _over_m_plus_1(getattr(ProblemInstance, name))
-        )
+        monkeypatch.setattr(ProblemInstance, name, _over_m_plus_1(name))
     report = run_full_verification(_control_config(checks))
     for label, section in report["schedules"].items():
         for check in checks:
@@ -109,3 +114,35 @@ def test_a_duplicated_index_fails_the_counting_lemma(monkeypatch):
         assert verdict["status"] == "fail" and "reason" not in verdict, label
         assert verdict["first_violation_t"] == 7, label
     assert report["passed"] is False
+
+
+def _run_check_fails(report, check):
+    verdict = report["checks"][check]
+    assert verdict["status"] == "fail" and "reason" not in verdict
+    assert report["passed"] is False
+
+
+def test_swapped_lower_and_upper_bounds_fail_the_sandwich(monkeypatch):
+    checks = ["sandwich"]
+    report = run_full_verification(_control_config(checks))
+    assert report["checks"]["sandwich"]["status"] == "pass" and report["passed"]
+    assemble = bounds.assemble_bound_set
+
+    def swapped(*args, **kwargs):
+        bs = assemble(*args, **kwargs)
+        bs.lower, bs.upper = bs.upper, bs.lower
+        return bs
+
+    monkeypatch.setattr(bounds, "assemble_bound_set", swapped)
+    _run_check_fails(run_full_verification(_control_config(checks)), "sandwich")
+
+
+def test_a_mis_scaled_gradient_fails_the_regularity_check(monkeypatch):
+    checks = ["regularity"]
+    report = run_full_verification(_control_config(checks))
+    assert report["checks"]["regularity"]["status"] == "pass" and report["passed"]
+    grad = ProblemInstance.grad
+    monkeypatch.setattr(
+        ProblemInstance, "grad", lambda self, w, z: grad(self, w, z) * 1.1
+    )
+    _run_check_fails(run_full_verification(_control_config(checks)), "regularity")

@@ -648,13 +648,13 @@ def test_linear_run_final_takes_one_batch_mean_per_block():
     B = engine._BLOCK_ELEMENTS // ((1 + 1) * d)
     assert B < T
     shapes = []
-    mean = ProblemInstance.batch_grad_mean
+    mean = ProblemInstance.free_grad_mean
 
-    def counted(self, W, Z):
+    def counted(self, Z):
         shapes.append(Z.shape)
-        return mean(self, W, Z)
+        return mean(self, Z)
 
-    with mock.patch.object(ProblemInstance, "batch_grad_mean", counted):
+    with mock.patch.object(ProblemInstance, "free_grad_mean", counted):
         run_final(inst, S, sched, constant_plan(0.1, T))
     assert len(shapes) == -(-T // B)
     assert shapes[0] == (B, 1, d) and shapes[-1] == (T - (len(shapes) - 1) * B, 1, d)
@@ -706,9 +706,13 @@ def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
     with np.errstate(invalid="ignore", over="ignore"):
         slope = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
         by_grad = inst.grad(W, np.zeros(2))[:, -1]
-        # a batch of one example: the mean of the where form over it
-        by_mean = inst.reading_grad_mean(W, np.zeros((len(u), 1, 2)))[:, 0]
-    for got, expected in ((by_grad, slope), (by_mean, np.add.reduce(slope[:, None], -1))):
+        # a batch of one example: the mean of the where form over it, from
+        # the rows of W and from each w^d as a float
+        one = np.zeros((len(u), 1))
+        by_mean = inst.step_map(W, one)[:, 0]
+        by_float = np.array([inst.step_map(float(v), z) for v, z in zip(u, one)])
+    mean = np.add.reduce(slope[:, None], -1)
+    for got, expected in ((by_grad, slope), (by_mean, mean), (by_float, mean)):
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
@@ -716,22 +720,24 @@ def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
 
 def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     # A structural guard on the convex_huber block update: the first d - 1
-    # coordinates come from one full batch-mean call per block; only the
-    # Huber coordinate is stepped one step at a time.
+    # coordinates and the z^d column come from one call each per block; only
+    # the Huber coordinate is stepped one step at a time, as a float.
     d, n, m, T = 4, 50, 5, 2000
     inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
     S = sample_dataset(inst, n, seed=64)
     sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=65))
     B = engine._BLOCK_ELEMENTS // ((1 + m) * d)
     assert B < T
-    calls = {"batch_grad_mean": [], "reading_grad_mean": []}
+    calls = {"free_grad_mean": [], "step_terms": [], "step_map": []}
 
     def counted(name):
         method = getattr(ProblemInstance, name)
 
-        def call(self, W, Z):
-            calls[name].append(Z.shape)
-            return method(self, W, Z)
+        def call(self, *args):
+            calls[name].append(tuple(
+                type(a) if isinstance(a, float) else a.shape for a in args
+            ))
+            return method(self, *args)
 
         return call
 
@@ -739,12 +745,10 @@ def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
         ProblemInstance, **{name: counted(name) for name in calls}
     ):
         run_final(inst, S, sched, constant_plan(0.5, T))
-    full = calls["batch_grad_mean"]
-    assert len(full) == -(-T // B)
-    assert full[0] == (B, m, d) and full[-1] == (T - (len(full) - 1) * B, m, d)
-    # one per step, plus the one inside each block's full batch-mean call
-    reading = calls["reading_grad_mean"]
-    assert reading.count((m, d)) == T and len(reading) == T + len(full)
+    blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
+    assert len(blocks) > 1
+    assert calls["free_grad_mean"] == calls["step_terms"] == [((b, m, d),) for b in blocks]
+    assert calls["step_map"] == [(float, (m,))] * T
 
 
 @pytest.mark.parametrize("where", ["first", "mid", "last"])

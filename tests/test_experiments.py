@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from batchstab.bounds import analytic_gen_error
-from batchstab.engine import constant_plan, inverse_t_plan
+from batchstab.engine import constant_plan
 from batchstab import experiments
 from batchstab.errors import ConfigError, DivergenceError
 from batchstab.experiments import (
@@ -362,6 +362,45 @@ def test_missing_gradient_bound_skips_both_paired_checks():
                 "status": "skipped",
                 "reason": "no gradient bound is available for this family",
             }
+
+
+@pytest.mark.parametrize(
+    "instance, tracked",
+    [
+        ({"family": "quadratic_nonconvex", "d": 3, "beta": 1.0}, True),
+        ({"family": "quadratic_strongly_convex", "d": 2, "L": 1.0, "beta": 1.0,
+          "gamma": 1.0}, False),
+    ],
+    ids=["nonconvex_smooth", "strongly_convex"],
+)
+def test_growth_recursion_tracks_the_gradient_sup_only_without_a_proven_bound(
+    monkeypatch, instance, tracked
+):
+    # nonconvex_smooth has no L, so its recursion reads the sup observed
+    # along its paths; strongly convex takes 4 L and tracks nothing.
+    sups = []
+    run_paired = experiments.run_paired
+
+    def recorded(*args, **kwargs):
+        pt = run_paired(*args, **kwargs)
+        assert kwargs["track_grad_sup"] is tracked
+        sups.append(pt.grad_sup)
+        return pt
+
+    monkeypatch.setattr(experiments, "run_paired", recorded)
+    report = run_full_verification(
+        small_config(instance=instance, plan={"kind": "constant", "eta": 0.3, "T": 15},
+                     checks=["growth_recursion"])
+    )
+    sections = list(report["schedules"].values())
+    assert len(sups) == len(sections) == 3
+    for section, sup in zip(sections, sups):
+        verdict = section["growth_recursion"]
+        assert verdict["status"] == "pass"
+        if tracked:
+            assert sup is not None and verdict["gradient_bound"] == sup
+        else:
+            assert sup is None and verdict["gradient_bound"] == 4.0
 
 
 def test_disabled_sandwich_leaves_no_entry():

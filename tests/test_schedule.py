@@ -114,6 +114,37 @@ def test_counting_lemma_catches_corrupted_matrix():
     assert verdict.first_violation_t == 2
 
 
+def _counting_verdict_by_rows(sched):
+    """The counting verdict one row at a time: the distinct in-range indices
+    of each row, by ``np.unique``."""
+    counts = tuple(
+        int(np.unique(row[(row >= 0) & (row < sched.n)]).size) for row in sched.batches
+    )
+    bad = [t + 1 for t, c in enumerate(counts) if c != sched.m]
+    return CountingVerdict(not bad, bad[0] if bad else None, counts)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    T=st.integers(min_value=0, max_value=8),
+    m=st.integers(min_value=0, max_value=7),
+    data=st.data(),
+)
+def test_the_counting_lemma_counts_as_the_per_row_loop(n, T, m, data):
+    # Entries from -3 to n + 2: repeated and out-of-range indices, either side.
+    batches = data.draw(
+        st.lists(
+            st.lists(st.integers(-3, n + 2), min_size=m, max_size=m),
+            min_size=T, max_size=T,
+        )
+    )
+    sched = RealizedSchedule(batches=np.array(batches, dtype=np.int64).reshape(T, m), n=n)
+    verdict = check_counting_lemma(sched)
+    assert verdict == _counting_verdict_by_rows(sched)
+    assert all(type(c) is int for c in verdict.counts)
+
+
 def test_round_robin_per_index_totals_over_full_epochs():
     K, n = 4, 6
     sched = realize(ScheduleSpec("round_robin", n=n, m=1, T=K * n))

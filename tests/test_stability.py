@@ -1,6 +1,5 @@
 """Stability measurements, growth recursions, and the closed-form bounds."""
 
-import math
 import tracemalloc
 from unittest import mock
 
