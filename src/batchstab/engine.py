@@ -25,9 +25,11 @@ all of linear's, all but the Huber one of convex_huber's) have updates
 eta_t g_t known before the block steps, so they come from one cumulative
 subtraction instead of a Python loop over the block's steps; only the
 coordinates that read w step one step at a time, from terms of each batch
-taken once per block, and a single run's one Huber coordinate as a Python
-float.  Both are the floating-point operations of the per-step update in the
-same order.
+taken once per block.  A single convex_huber run steps its one Huber
+coordinate as a Python float on the linear piece of the slope, and hands a
+block to that loop from the first step whose slope the clip would change.
+Each is the floating-point operations of the per-step update in the same
+order.
 Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
 paired block's terms and one chunk of its patched batches.  Iterates leave
 the loop only through an ``on_block`` hook, which sees each block's stepped
@@ -312,9 +314,13 @@ def _evolve(
     * the other d - f coordinates, one step at a time: row k reads w_k from
       the row before, whose first f coordinates are already final, through
       ``step_map`` on its rows' terms.  A single run of a ``scalar_step``
-      family (convex_huber) carries its one such coordinate through the
-      block as a Python float, so a step makes no array but the (m,) u of
-      its batch; the float operations are those of the (1, 1) arrays.
+      family (convex_huber) first steps its one such coordinate through the
+      block by ``scalar_steps``, as a Python float on the linear piece of
+      the slope, which returns k0, the first step at which the clip would
+      change a slope (B if none).  Its iterates before k0 are written as
+      they are, bit for bit those of the clipped step, and from k0 on the
+      block is stepped again by ``step_map``.  A run that keeps to the Huber
+      band thus makes no array per step but the (m,) u of its batch.
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
@@ -404,20 +410,18 @@ def _evolve(
             head *= etas[t0:t1, None, None]
             np.subtract(W[:, :f], head[0], out=head[0])
             np.subtract.accumulate(head, axis=0, out=head)
+        k0 = 0
         if scalar:
-            # The one coordinate of a single run that reads w, as a float.
-            w = float(W[0, -1])
-            path = []
-            for e, z in zip(eta[t0:t1], terms):
-                w = w - e * step(w, z)
-                path.append(w)
-            block[:, 0, -1] = path
-        elif f < d:
+            # The one coordinate of a single run that reads w, as a float up
+            # to step k0, the first whose slope the clip would change.
+            path, k0 = instance.scalar_steps(float(W[0, -1]), eta[t0:t1], terms)
+            block[:k0, 0, -1] = path[:k0]
+        if k0 < t1 - t0 and f < d:
             # Row k reads w_k from the row before, whose first f coordinates
             # are already final.
             stepped = block[..., f:]
-            prev = W
-            for k in range(t1 - t0):
+            prev = block[k0 - 1] if k0 else W
+            for k in range(k0, t1 - t0):
                 g = step(prev, terms[k])
                 np.subtract(prev[:, f:], eta[t0 + k] * g, out=stepped[k])
                 prev = block[k]

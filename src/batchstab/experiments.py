@@ -276,7 +276,10 @@ def schedule_spec_from_dict(cfg: dict, n: int, T: int) -> ScheduleSpec:
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    mean: float
+    """``mean`` is None when no trial was kept, ``stderr`` when fewer than
+    two were."""
+
+    mean: float | None
     stderr: float | None
     trials: int
     excluded: int = 0
@@ -378,7 +381,7 @@ def estimate_gen_error(
     values = np.concatenate([r[0] for r in results])
     excluded = sum(r[1] for r in results)
     kept = values[np.isfinite(values)]
-    mean = float(kept.mean()) if kept.size else math.nan
+    mean = float(kept.mean()) if kept.size else None
     return MonteCarloEstimate(
         mean=mean, stderr=_stderr(kept), trials=trials, excluded=excluded
     )
@@ -447,7 +450,9 @@ def schedule_equivalence(
 
     Requires at least two schedules and an instance with an analytic oracle.
     Reports per-schedule verdicts (|mean - oracle| <= 3 stderr) and the
-    spread between the largest and smallest mean.
+    spread between the largest and smallest defined mean; refused with
+    ``CapabilityError`` when fewer than two schedules have a standard error,
+    since then nothing is compared.
     """
     if len(config.schedules) < 2:
         raise ConfigError("schedule_equivalence needs at least two schedules")
@@ -471,6 +476,12 @@ def schedule_equivalence(
 
 
 def _equivalence(oracle: float, estimates: dict[str, MonteCarloEstimate]) -> dict:
+    compared = sum(est.stderr is not None for est in estimates.values())
+    if compared < 2:
+        raise CapabilityError(
+            f"{compared} of {len(estimates)} schedules have a standard error; "
+            "comparing needs at least two"
+        )
     per_schedule = {}
     passed = True
     for label, est in estimates.items():
@@ -485,11 +496,11 @@ def _equivalence(oracle: float, estimates: dict[str, MonteCarloEstimate]) -> dic
             "stderr": est.stderr,
             "deviation": est.mean - oracle,
         }
-    means = [e.mean for e in estimates.values()]
+    means = [e.mean for e in estimates.values() if e.mean is not None]
     return {
         "passed": passed,
         "oracle": oracle,
-        "spread": float(max(means) - min(means)) if means else 0.0,
+        "spread": float(max(means) - min(means)),
         "per_schedule": per_schedule,
     }
 
@@ -746,7 +757,12 @@ def _check_gen_error_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
         excluded=est.excluded, oracle=ctx.oracle,
     )
     if est.stderr is None:
-        return "skipped", dict(reason="stderr undefined with trials < 2", **fields)
+        kept = est.trials - est.excluded
+        reason = (
+            f"stderr undefined with {kept} of {est.trials} trials kept "
+            f"({est.excluded} excluded as divergent); it needs two"
+        )
+        return "skipped", dict(reason=reason, **fields)
     if ctx.oracle is None:
         reason = "no analytic oracle for this configuration"
         return "skipped", dict(reason=reason, **fields)

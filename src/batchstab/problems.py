@@ -48,7 +48,7 @@ compute apart: ``free_grad_mean``, the batch mean of the first
 that read w, as a map of w and of the batch's ``step_terms``, which do not
 read w:
 
-    family          step_terms               step_map(w, terms)                 float w
+    family          step_terms               step_map(w, terms)                 scalar_steps
     linear          none                     none                               -
     convex_huber    z^d column (m,)          mean_j slope(w^d - w1^d - z_j^d)   w^d
     quadratics      batch mean zbar (d,)     lam (w - zbar)                     -
@@ -58,10 +58,12 @@ read w:
 engine sizes a paired block.  A paired run takes each run's terms from those
 of the base batch and of the m batches with one selected example replaced
 (``engine._evolve``).  The last column names the family whose step reads a
-single coordinate of w (``scalar_step``): its ``step_map`` also takes that
-coordinate of one run as a Python float, with the (m,) terms of one batch,
-and returns a float by the same floating-point operations, so a single run
-steps it with no (1, 1) array per step.
+single coordinate of w (``scalar_step``).  ``scalar_steps`` steps that
+coordinate of one run through a block as a Python float, on the linear
+piece beta u of the slope, where the clip to [-beta tau, beta tau] is the
+identity, and names the first step that leaves it; the engine steps the
+block from there by ``step_map``.  The slope, its linear piece and its cap
+beta tau are stated in this class only.
 """
 
 from __future__ import annotations
@@ -133,14 +135,17 @@ class ProblemInstance:
         self.grad_free_coords = {"linear": params.d, "convex_huber": params.d - 1}.get(
             family, 0
         )
-        # Whether ``step_map`` also takes the one coordinate that reads w as a
-        # float (the module docstring's table).
+        # Whether a single run steps its one coordinate that reads w by
+        # ``scalar_steps`` (the module docstring's table).
         self.scalar_step = family == "convex_huber"
         w1 = params.w1 if params.w1 is not None else (0.0,) * params.d
         self.w1 = np.asarray(w1, dtype=float)
         if self.w1.shape != (self.d,):
             raise ConfigError(f"w1 must have length d={self.d}")
-        self._w1d = float(self.w1[-1]) if self.scalar_step else None
+        if self.scalar_step:
+            # the Huber slope's cap beta tau, and w1^d as a float
+            self._huber_cap = params.beta * params.tau
+            self._w1d = float(self.w1[-1])
         if self.scales.shape != (self.d,):
             raise ConfigError(f"scales must have length d={self.d}")
 
@@ -232,19 +237,12 @@ class ProblemInstance:
         sizes = {"linear": 0, "convex_huber": m, "custom_smooth": m * self.d}
         return sizes.get(self.family, self.d)
 
-    def step_map(self, W: np.ndarray | float, terms) -> np.ndarray | float:
+    def step_map(self, W: np.ndarray, terms) -> np.ndarray:
         """The mean gradient coordinates that read w, the last d -
         ``grad_free_coords``, at W (..., d) from the :meth:`step_terms` of its
         batch.  Empty for linear.
-
-        With ``scalar_step``, W may instead be that one coordinate of one run
-        as a Python float, and terms one batch's: the map is then a float,
-        bit for bit the (1, 1) array's.
         """
         if self.family == "convex_huber":
-            if isinstance(W, float):
-                u = (W - self._w1d) - terms
-                return float(np.add.reduce(self._huber_slope(u))) / terms.shape[0]
             u = W[..., -1:] - self.w1[-1] - terms
             return (np.add.reduce(self._huber_slope(u), -1) / terms.shape[-1])[..., None]
         if self.family in QUADRATIC_FAMILIES:
@@ -253,16 +251,48 @@ class ProblemInstance:
             return self.grad(W[..., None, :], terms).mean(axis=-2)
         return np.empty(W.shape[:-1] + (0,))
 
+    def scalar_steps(self, w: float, etas, terms: np.ndarray) -> tuple[np.ndarray, int]:
+        """Step the Huber coordinate of one convex_huber run through a block of
+        b steps from w, as a Python float, on the linear piece of its slope:
+        the (b,) iterates after each step, and k0, the first step at which a
+        beta u of its batch left [-beta tau, beta tau] (b if none).
+
+        ``etas`` holds the block's b step sizes as floats and ``terms`` its
+        (b, m) z^d column (:meth:`step_terms`).  Each step makes the floating
+        point operations of :meth:`step_map` and of the update w - eta g, in
+        their order, but the clip, which is the identity on that interval.
+        So the iterates before k0 are the clipped step's bit for bit, and
+        from k0 on the caller steps again by :meth:`step_map`.  One pass over
+        the (b, m) column then repeats each step's beta u from the same
+        floats to find k0.  Past k0 the unclipped steps may overflow, so
+        their warnings are silenced.
+        """
+        w1d, beta, m = self._w1d, self.params.beta, terms.shape[-1]
+        add = np.add.reduce
+        path = [w]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e, z in zip(etas, terms):
+                u = (w - w1d) - z
+                u *= beta
+                w = w - e * (float(add(u)) / m)
+                path.append(w)
+            path = np.array(path)
+            u = (path[:-1, None] - w1d) - terms
+            u *= beta
+            inside = (np.abs(u, out=u) <= self._huber_cap).all(axis=1)
+        return path[1:], len(inside) if inside.all() else int(inside.argmin())
+
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the convex_huber term in u: beta u clipped to
         [-beta tau, beta tau], written over u, which callers pass as a
-        temporary.
+        temporary.  On that interval, its linear piece, the clip is the
+        identity (see :meth:`scalar_steps`).
 
         Rounding is monotone, so this is ``where(|u| <= tau, beta u,
         beta tau sign(u))`` bit for bit: both give +/- fl(beta tau) from
         |u| = tau on, where the loss is C^1.
         """
-        cap = self.params.beta * self.params.tau
+        cap = self._huber_cap
         np.multiply(u, self.params.beta, out=u)
         np.maximum(u, -cap, out=u)
         return np.minimum(u, cap, out=u)

@@ -63,6 +63,69 @@ def test_verify_writes_reports_and_exits_zero(tmp_path, capsys):
     assert "np.float64" not in summary
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and the infinities, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_an_equivalence_that_compared_nothing_skips_and_the_run_fails(tmp_path, capsys):
+    # One trial per schedule gives no standard error, so no schedule's mean
+    # is compared with the oracle: the equivalence cannot pass.
+    cfg = {
+        "name": "one-trial",
+        "instance": {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0},
+        "n": 10,
+        "plan": {"kind": "constant", "eta": 0.5, "T": 20},
+        "schedules": [{"kind": "round_robin", "m": 1}, {"kind": "uniform_random", "m": 2}],
+        "trials": 1,
+        "master_seed": 7,
+        "checks": ["gen_error_mc", "schedule_equivalence"],
+    }
+    out = tmp_path / "out"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "one-trial: FAIL (0 failing checks)" in capsys.readouterr().out
+    report = _strict_json((out / "report.json").read_text())
+    for section in report["schedules"].values():
+        assert section["gen_error_mc"]["status"] == "skipped"
+    assert report["checks"]["schedule_equivalence"] == {
+        "status": "skipped",
+        "reason": "0 of 2 schedules have a standard error; comparing needs at least two",
+    }
+    assert report["passed"] is False and report["failures"] == []
+
+
+def test_a_run_whose_every_trial_diverges_writes_strict_json(tmp_path):
+    cfg = {
+        "name": "all-diverge",
+        "instance": {"family": "quadratic_nonconvex", "d": 2, "beta": 1.0},
+        "n": 10,
+        "plan": {"kind": "constant", "eta": 1000.0, "T": 400},
+        "schedules": [{"kind": "full_batch"}, {"kind": "round_robin", "m": 1}],
+        "trials": 4,
+        "allow_divergence": True,
+        "master_seed": 7,
+        "checks": ["gen_error_mc", "schedule_equivalence"],
+    }
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    report = _strict_json((out / "report.json").read_text())
+    for section in report["schedules"].values():
+        gen = section["gen_error_mc"]
+        assert gen["status"] == "skipped" and gen["mean"] is None
+        assert gen["trials"] == gen["excluded"] == 4
+        assert gen["reason"] == (
+            "stderr undefined with 0 of 4 trials kept (4 excluded as divergent); "
+            "it needs two"
+        )
+    assert report["excluded_trials"] == 8 and report["divergence_flag"] is True
+    assert report["checks"]["schedule_equivalence"]["status"] == "skipped"
+
+
 def test_shipped_flagship_config_passes_through_the_cli(tmp_path):
     # the shipped file itself, with the Monte Carlo scale trimmed for speed
     cfg = json.loads((CONFIG_DIR / "convex_sandwich.json").read_text())
@@ -224,14 +287,19 @@ def test_dump_trajectory_matches_linear_closed_form(tmp_path):
 
 def test_dump_trajectory_is_the_per_step_path_bit_for_bit(tmp_path):
     # convex_huber steps its first d - 1 coordinates a block at a time and
-    # its Huber coordinate one step at a time; blocks of 7 steps put T = 40
-    # in six blocks, the default in one.
+    # its Huber coordinate one step at a time, on the slope's linear piece
+    # until a step's slope is clipped; blocks of 7 steps put T = 40 in six
+    # blocks, the default in one.  w1^d is not 0, so (w - w1^d) - z^d and
+    # w - (w1^d + z^d) round apart, and tau = 0.32 < 2 s_d clips seven steps
+    # from step 13 on: a block of 7 hands off at its first, a middle or no
+    # step, and the default block at step 13.
     payload = {
         "master_seed": 32,
         "dump": {
             "what": "trajectory",
             "n": 8,
-            "instance": {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0},
+            "instance": {"family": "convex_huber", "d": 5, "L": 1.0, "beta": 1.0,
+                         "tau": 0.32, "w1": [0.3, -0.7, 0.1, 0.2, 0.1234]},
             "plan": {"kind": "inverse_t", "coeff": 0.9, "T": 40},
             "schedule": {"kind": "uniform_random", "m": 3},
         },
@@ -241,10 +309,11 @@ def test_dump_trajectory_is_the_per_step_path_bit_for_bit(tmp_path):
     S = Dataset(examples=sample_examples(instance, 8, rng_at(32, 0)))
     plan = plan_from_dict(dump["plan"], instance)
     sched = realize(schedule_spec_from_dict({"seed": 32, **dump["schedule"]}, n=8, T=40))
-    expected = [
-        [repr(float(v)) for v in row]
-        for row in reference_path(instance, S, sched, plan.etas())
-    ]
+    path = reference_path(instance, S, sched, plan.etas())
+    u = path[:-1, -1:] - instance.w1[-1] - S.examples[sched.batches, -1]
+    clipped = np.flatnonzero((np.abs(u) > 0.32).any(axis=1))
+    assert clipped.tolist() == [12, 14, 28, 29, 30, 36, 37]
+    expected = [[repr(float(v)) for v in row] for row in path]
     cfg = write_config(tmp_path, payload)
     for B in (7, None):
         out = tmp_path / f"B{B}"

@@ -2,6 +2,7 @@
 ``fail``, never as a ``pass`` or ``skipped``, so that a passing check means
 something."""
 
+import numpy as np
 import pytest
 
 from batchstab import bounds, experiments
@@ -26,19 +27,27 @@ def _control_config(checks, schedules=_SCHEDULES):
     })
 
 
-# The batch axis of each mutated method's last argument: the batches Z
-# (..., m, d) of free_grad_mean, convex_huber's z^d terms (..., m) of step_map.
-_BATCH_AXIS = {"free_grad_mean": -2, "step_map": -1}
+_free_grad_mean = ProblemInstance.free_grad_mean
+_scalar_steps = ProblemInstance.scalar_steps
 
 
-def _over_m_plus_1(name):
-    method = getattr(ProblemInstance, name)
+def _free_mean_over_m_plus_1(self, Z):
+    """free_grad_mean with each batch mean over m + 1."""
+    m = Z.shape[-2]
+    return _free_grad_mean(self, Z) * (m / (m + 1))
 
-    def mutant(self, *args):
-        m = args[-1].shape[_BATCH_AXIS[name]]
-        return method(self, *args) * (m / (m + 1))
 
-    return mutant
+def _scalar_mean_over_m_plus_1(self, w, etas, terms):
+    """scalar_steps stepping the Huber coordinate by its batch mean over
+    m + 1: eta m / (m + 1) times the mean over m."""
+    m = terms.shape[-1]
+    return _scalar_steps(self, w, [e * (m / (m + 1)) for e in etas], terms)
+
+
+_MUTANTS = {
+    "free_grad_mean": _free_mean_over_m_plus_1,
+    "scalar_steps": _scalar_mean_over_m_plus_1,
+}
 
 
 def test_the_controls_pass_without_a_mutant():
@@ -49,14 +58,15 @@ def test_the_controls_pass_without_a_mutant():
 @pytest.mark.parametrize(
     "mutated, checks",
     [
-        # The whole batch mean over m + 1: a run_final takes its first d - 1
-        # coordinates from free_grad_mean and its Huber coordinate from
-        # step_map, so each of its coordinates is mutated once.
-        (("free_grad_mean", "step_map"), ["oracle_equivalence", "gen_error_mc"]),
-        # Only the Huber coordinate, stepped one step at a time.  Its share of
-        # the generalization error is too small for 200 trials to see, so
-        # only the exact check is asked to fail.
-        (("step_map",), ["oracle_equivalence"]),
+        # The whole batch mean over m + 1: a run_final that keeps to the
+        # Huber band takes its first d - 1 coordinates from free_grad_mean
+        # and steps its Huber coordinate by scalar_steps, so each of its
+        # coordinates is mutated once.
+        (("free_grad_mean", "scalar_steps"), ["oracle_equivalence", "gen_error_mc"]),
+        # Only the Huber coordinate.  Its share of the generalization error
+        # is too small for 200 trials to see, so only the exact check is
+        # asked to fail.
+        (("scalar_steps",), ["oracle_equivalence"]),
     ],
     ids=["whole-mean", "huber-coordinate"],
 )
@@ -64,7 +74,7 @@ def test_batch_means_over_m_plus_1_fail_the_checks_that_run_the_engine(
     monkeypatch, mutated, checks
 ):
     for name in mutated:
-        monkeypatch.setattr(ProblemInstance, name, _over_m_plus_1(name))
+        monkeypatch.setattr(ProblemInstance, name, _MUTANTS[name])
     report = run_full_verification(_control_config(checks))
     for label, section in report["schedules"].items():
         for check in checks:
@@ -146,3 +156,41 @@ def test_a_mis_scaled_gradient_fails_the_regularity_check(monkeypatch):
         ProblemInstance, "grad", lambda self, w, z: grad(self, w, z) * 1.1
     )
     _run_check_fails(run_full_verification(_control_config(checks)), "regularity")
+
+
+def test_a_halved_gradient_bound_fails_the_stability_check(monkeypatch):
+    # The largest measured final gap, about 1.27 on both schedules, lies
+    # within the on-average stability bound from L and above the bound
+    # from L / 2.
+    checks = ["stability_mc"]
+    sections = run_full_verification(_control_config(checks))["schedules"]
+    assert all(s["stability_mc"]["status"] == "pass" for s in sections.values())
+    bound = experiments._Context.gradient_bound
+    monkeypatch.setattr(
+        experiments._Context, "gradient_bound", lambda self, seen: bound(self, seen) / 2
+    )
+    report = run_full_verification(_control_config(checks))
+    for label, section in report["schedules"].items():
+        verdict = section["stability_mc"]
+        assert verdict["status"] == "fail" and "reason" not in verdict, label
+        assert verdict["bound"] < verdict["max"] < 2 * verdict["bound"], label
+    assert report["passed"] is False
+
+
+def _greedy_top_loss_final(instance, S, sched, etas):
+    """A data-dependent batch rule, outside the class the paper's claim
+    covers: each step takes the m examples of largest loss at the current
+    iterate, whatever the schedule realized."""
+    w = instance.w1.copy()
+    for eta in np.asarray(etas, dtype=float):
+        top = np.argsort(-instance.loss(w, S.examples), kind="stable")[: sched.m]
+        w = w - eta * instance.batch_grad_mean(w, S.examples[top])
+    return w
+
+
+def test_a_data_dependent_batch_rule_fails_the_schedule_equivalence(monkeypatch):
+    checks = ["gen_error_mc", "schedule_equivalence"]
+    report = run_full_verification(_control_config(checks))
+    assert report["checks"]["schedule_equivalence"]["status"] == "pass" and report["passed"]
+    monkeypatch.setattr(experiments, "run_final", _greedy_top_loss_final)
+    _run_check_fails(run_full_verification(_control_config(checks)), "schedule_equivalence")

@@ -703,39 +703,51 @@ def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
     }
     u = np.array([named.get(v, v) if isinstance(v, str) else v for v in us], dtype=float)
     W = np.stack([np.zeros_like(u), u], axis=-1)
+    one = np.zeros((len(u), 1))
     with np.errstate(invalid="ignore", over="ignore"):
         slope = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
         by_grad = inst.grad(W, np.zeros(2))[:, -1]
-        # a batch of one example: the mean of the where form over it, from
-        # the rows of W and from each w^d as a float
-        one = np.zeros((len(u), 1))
+        # a batch of one example: the mean of the where form over it
         by_mean = inst.step_map(W, one)[:, 0]
-        by_float = np.array([inst.step_map(float(v), z) for v, z in zip(u, one)])
-    mean = np.add.reduce(slope[:, None], -1)
-    for got, expected in ((by_grad, slope), (by_mean, mean), (by_float, mean)):
+        # a one-step block of each w^d with eta = 1: on the linear piece by
+        # scalar_steps, and handed to step_map where it reports k0 = 0
+        steps = [inst.scalar_steps(float(v), [1.0], z[None]) for v, z in zip(u, one)]
+        handed = np.array([k0 == 0 for _, k0 in steps])
+        by_steps = np.array([
+            v - 1.0 * g if k0 == 0 else path[0]
+            for v, g, (path, k0) in zip(u, by_mean, steps)
+        ])
+        mean = np.add.reduce(slope[:, None], -1)
+        expected_steps = u - 1.0 * (mean / 1)
+    for got, expected in (
+        (by_grad, slope), (by_mean, mean), (by_steps, expected_steps)
+    ):
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+    # a step is handed off only where the clip acts
+    assert not (np.abs(u[handed]) <= tau).any()
 
 
 def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     # A structural guard on the convex_huber block update: the first d - 1
-    # coordinates and the z^d column come from one call each per block; only
-    # the Huber coordinate is stepped one step at a time, as a float.
+    # coordinates, the z^d column and the Huber coordinate's steps come from
+    # one call each per block.  The run keeps to the Huber band, so no step
+    # is handed to step_map.
     d, n, m, T = 4, 50, 5, 2000
     inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
     S = sample_dataset(inst, n, seed=64)
     sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=65))
     B = engine._BLOCK_ELEMENTS // ((1 + m) * d)
     assert B < T
-    calls = {"free_grad_mean": [], "step_terms": [], "step_map": []}
+    calls = {"free_grad_mean": [], "step_terms": [], "scalar_steps": [], "step_map": []}
 
     def counted(name):
         method = getattr(ProblemInstance, name)
 
         def call(self, *args):
             calls[name].append(tuple(
-                type(a) if isinstance(a, float) else a.shape for a in args
+                type(a) if isinstance(a, float) else np.shape(a) for a in args
             ))
             return method(self, *args)
 
@@ -748,7 +760,98 @@ def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
     assert len(blocks) > 1
     assert calls["free_grad_mean"] == calls["step_terms"] == [((b, m, d),) for b in blocks]
-    assert calls["step_map"] == [(float, (m,))] * T
+    assert calls["scalar_steps"] == [(float, (b,), (b, m)) for b in blocks]
+    assert calls["step_map"] == []
+
+
+def _first_clip_tau(inst, S, sched, etas, target):
+    """A tau under which the first step whose slope the clip changes is the
+    first record of max_j |u_j| at or after step ``target`` (0-based), or no
+    step for ``target`` None: the path up to that step is the one the linear
+    piece gives, which a run with no clip at all follows."""
+    path = reference_path(inst, S, sched, etas)
+    u = np.abs(path[:-1, -1:] - inst.w1[-1] - S.examples[sched.batches, -1])
+    top = u.max(axis=1)
+    record = np.flatnonzero(top > np.maximum.accumulate(np.r_[0.0, top[:-1]]))
+    if target is None or not record.size:
+        return 2.0 * float(top.max()) + 1.0
+    s = record[np.searchsorted(record, min(target, record[-1]))]
+    return float(top[:s].max(initial=0.0) + top[s]) / 2.0
+
+
+def test_a_single_huber_run_hands_its_clipped_steps_to_the_array_loop():
+    # run (the dump path) and run_final are bitwise the step-by-step
+    # reference, or name its step of divergence or of leaving the Huber
+    # band, wherever the first clipped step falls in a block.  ``places``
+    # holds where k0 fell in the blocks of one run, "none" for k0 = b (no
+    # step handed off), and ``seen`` those of every run that returned.
+    places, seen, raised = set(), set(), set()
+    scalar_steps = ProblemInstance.scalar_steps
+
+    def recorded(self, w, etas, terms):
+        path, k0 = scalar_steps(self, w, etas, terms)
+        b = len(etas)
+        places.add("none" if k0 == b else "first" if k0 == 0 else
+                   "last" if k0 == b - 1 else "mid")
+        return path, k0
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        beta=st.floats(min_value=0.25, max_value=4.0),
+        w1d=st.floats(min_value=0.05, max_value=2.0) | st.floats(-2.0, -0.05),
+        eta_scale=st.floats(min_value=0.05, max_value=2.5),
+        m=st.sampled_from([1, 2, 3, 6]),
+        zd=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=6, max_size=6),
+        target=st.none() | st.integers(min_value=0, max_value=23),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def check(beta, w1d, eta_scale, m, zd, target, seed):
+        n, d, T = 6, 3, 24
+        rng = np.random.default_rng(seed)
+        etas = rng.uniform(0.0, eta_scale / beta, size=T)
+        w1 = (0.5, -0.25, w1d)
+        S = sample_dataset(linear_instance(d=d), n, seed=seed)
+        S.examples[:, -1] = zd
+        sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=seed))
+        # no clip at tau = 1e6: the path of the linear piece
+        free = convex_huber_instance(d=d, L=1e6 * math.sqrt(d) * beta, beta=beta, w1=w1)
+        tau = _first_clip_tau(free, S, sched, etas, target)
+        inst = convex_huber_instance(
+            d=d, L=tau * math.sqrt(d) * beta, beta=beta, tau=tau, w1=w1
+        )
+        path = reference_path(inst, S, sched, etas)
+        bad = _first_bad_step(path)
+        limit = inst.huber_region_limit(etas)
+        out = None
+        if limit is not None:
+            over = np.flatnonzero(_drift(inst, path) > limit * (1.0 + 1e-9))
+            out = 1 + int(over[0]) if over.size else None
+        plan = custom_plan(etas)
+        calls = (
+            (lambda: run(inst, S, sched, plan).iterates, path),
+            (lambda: run_final(inst, S, sched, plan), path[-1]),
+        )
+        for B in (1, 2, 7, T):
+            with block_of(B), mock.patch.object(
+                ProblemInstance, "scalar_steps", recorded
+            ), np.errstate(over="ignore", invalid="ignore"):
+                for call, expected in calls:
+                    places.clear()
+                    if out is not None and (bad is None or out < bad):
+                        with pytest.raises(AnalyticRegionError, match=rf"^step {out}: "):
+                            call()
+                        raised.add(AnalyticRegionError)
+                    elif bad is not None:
+                        with pytest.raises(DivergenceError, match=rf"at step {bad}$"):
+                            call()
+                        raised.add(DivergenceError)
+                    else:
+                        assert np.array_equal(call(), expected), B
+                        seen.update(places)
+
+    check()
+    assert seen == {"none", "first", "mid", "last"}
+    assert AnalyticRegionError in raised
 
 
 @pytest.mark.parametrize("where", ["first", "mid", "last"])

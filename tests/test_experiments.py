@@ -1,7 +1,6 @@
 """Monte Carlo estimators, seed discipline, and the verification runner."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -221,7 +220,7 @@ def test_divergent_trials_are_excluded_only_when_allowed():
             inst, 4, plan, spec, trials=3, master_seed=43, allow_divergence=True
         )
     assert est.excluded == 3
-    assert math.isnan(est.mean) and est.stderr is None
+    assert est.mean is None and est.stderr is None
 
 
 def test_config_validation_messages():
@@ -488,3 +487,16 @@ def test_verify_realizes_each_audit_schedule_and_draws_its_data_once(monkeypatch
     for section in report["schedules"].values():
         assert [section[name]["status"] for name in checks] == ["pass"] * 3
     assert calls == {"realize": 3, "sample_examples": 6}
+
+
+def test_the_equivalence_spread_reads_only_defined_means():
+    # A schedule whose every trial diverged has no mean; the spread is that
+    # of the others.
+    est = experiments.MonteCarloEstimate
+    fields = experiments._equivalence(1.0, {
+        "a": est(mean=1.0, stderr=0.1, trials=4),
+        "b": est(mean=1.25, stderr=0.1, trials=4),
+        "c": est(mean=None, stderr=None, trials=4, excluded=4),
+    })
+    assert fields["passed"] is True and fields["spread"] == 0.25
+    assert fields["per_schedule"]["c"] == {"status": "skipped", "reason": "stderr undefined"}
