@@ -18,11 +18,19 @@ block's patched batches.
 the engine's ``on_block`` hook, the only way its iterates leave the engine;
 ``audit_path`` feeds a whole path to the growth-recursion audit, and
 ``selected`` gives the (T, n) matrix of which index each step selects.
+
+``assert_pinned_digests`` compares the sha256 of outputs with the digests
+pinned in ``digests.json``: the shipped reports and sweeps and a dump stay
+byte-identical unless a change of numbers is declared by updating them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import platform
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,6 +39,24 @@ from batchstab import engine
 from batchstab.engine import run_final, run_paired
 from batchstab.problems import Dataset, empirical_risk
 from batchstab.stability import GrowthRecursionAudit
+
+
+DIGESTS = Path(__file__).resolve().with_name("digests.json")
+
+
+def assert_pinned_digests(outputs):
+    """Each text of ``outputs`` (name -> str) hashes to the sha256 pinned
+    under its name; a mismatch names every new digest and the versions that
+    produced it."""
+    pinned = json.loads(DIGESTS.read_text())
+    moved = [
+        f"{name}: sha256 {digest} (pinned {pinned.get(name)})"
+        for name, text in outputs.items()
+        if (digest := hashlib.sha256(text.encode()).hexdigest()) != pinned.get(name)
+    ]
+    assert not moved, "\n".join(
+        moved + [f"numpy {np.__version__}, Python {platform.python_version()}"]
+    )
 
 
 def exact_gen_error_by_enumeration(instance, n, sched, plan) -> float:

@@ -58,6 +58,7 @@ from batchstab.stability import (
     nonconvex_step_sum_cap,
     stability_bound,
 )
+from conftest import assert_pinned_digests
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KINDS = ("full_batch", "round_robin", "random_reshuffle", "single_shuffle", "uniform_random")
@@ -364,6 +365,21 @@ def test_criterion_8_uniform_stability_failure():
         f"flat constant 20.0 vs decaying bound {[round(r['on_average_bound'], 4) for r in rows]}; "
         f"measurements inside the bound ({elapsed:.1f}s)",
     )
+
+
+def test_shipped_reports_are_the_pinned_bytes(
+    convex_report, nonconvex_report, strongly_convex_report
+):
+    # A change that moves any value of a shipped report moves its digest;
+    # one that means to updates tests/digests.json and says so.
+    assert_pinned_digests({
+        f"report:{name}": json.dumps(report, sort_keys=True)
+        for name, report in (
+            ("convex_sandwich", convex_report),
+            ("nonconvex_lower", nonconvex_report),
+            ("strongly_convex_sandwich", strongly_convex_report),
+        )
+    })
 
 
 def test_criterion_9_determinism_at_any_parallelism(

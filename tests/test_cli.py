@@ -27,7 +27,7 @@ from batchstab.experiments import (
 from batchstab.problems import FAMILIES, Dataset, ProblemInstance, sample_examples
 from batchstab.schedule import VALID_KINDS, realize
 from batchstab.seeding import rng_at
-from conftest import block_of, reference_path
+from conftest import assert_pinned_digests, block_of, reference_path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -321,6 +321,7 @@ def test_dump_trajectory_is_the_per_step_path_bit_for_bit(tmp_path):
             assert main(["dump", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "trajectory.csv", newline="") as fh:
             assert list(csv.reader(fh)) == expected, B
+    assert_pinned_digests({"dump:convex_huber_trajectory": (out / "trajectory.csv").read_text()})
 
 
 def test_sweep_uniform_stability_demo(tmp_path):
@@ -368,6 +369,21 @@ def test_sweep_grid_nonconvex_T(tmp_path):
     # c = 1: the oracle telescopes to T/n exactly
     assert oracles[0] == pytest.approx(10 / 100)
     assert all(r["upper"] is None for r in rows)
+
+
+@pytest.mark.parametrize(
+    "name, reduced",
+    [
+        ("uniform_stability_demo.json", {"ns": [10, 30], "trials": 40}),
+        ("sweep_nonconvex_T.json", {"axes": {"T": [10, 30, 100]}}),
+    ],
+)
+def test_shipped_sweeps_at_a_reduced_size_are_the_pinned_bytes(tmp_path, name, reduced):
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    cfg["sweep"].update(reduced)
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert_pinned_digests({f"sweep:{Path(name).stem}": (out / "sweep.csv").read_text()})
 
 
 def test_sweep_empty_grid_exits_nonzero(tmp_path, capsys):
