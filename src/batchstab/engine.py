@@ -26,10 +26,10 @@ eta_t g_t known before the block steps, so they come from one cumulative
 subtraction instead of a Python loop over the block's steps; only the
 coordinates that read w step one step at a time, from terms of each batch
 taken once per block.  A single convex_huber run steps its one Huber
-coordinate as a Python float on the linear piece of the slope, and hands a
-block to that loop from the first step whose slope the clip would change.
-Each is the floating-point operations of the per-step update in the same
-order.
+coordinate with Python floats only while its batches are in the Huber band,
+from the batch mean, minimum and maximum of the block's z^d column, and
+hands the block to that loop from the first step whose batch is not.  Each
+is the floating-point operations of the per-step update in the same order.
 Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
 paired block's terms and one chunk of its patched batches.  Iterates leave
 the loop only through an ``on_block`` hook, which sees each block's stepped
@@ -315,12 +315,12 @@ def _evolve(
       the row before, whose first f coordinates are already final, through
       ``step_map`` on its rows' terms.  A single run of a ``scalar_step``
       family (convex_huber) first steps its one such coordinate through the
-      block by ``scalar_steps``, as a Python float on the linear piece of
-      the slope, which returns k0, the first step at which the clip would
-      change a slope (B if none).  Its iterates before k0 are written as
-      they are, bit for bit those of the clipped step, and from k0 on the
-      block is stepped again by ``step_map``.  A run that keeps to the Huber
-      band thus makes no array per step but the (m,) u of its batch.
+      block by ``scalar_steps``, as a Python float, up to k0, the first step
+      whose batch is out of the Huber band (B if none).  Those iterates are
+      ``step_map``'s bit for bit, and from k0 on ``step_map`` steps the rest
+      of the block.  A run that keeps to the band thus makes no NumPy call
+      per step: the batch mean, minimum and maximum of the z^d column are
+      taken once per block.
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
@@ -413,9 +413,10 @@ def _evolve(
         k0 = 0
         if scalar:
             # The one coordinate of a single run that reads w, as a float up
-            # to step k0, the first whose slope the clip would change.
-            path, k0 = instance.scalar_steps(float(W[0, -1]), eta[t0:t1], terms)
-            block[:k0, 0, -1] = path[:k0]
+            # to step k0, the first whose batch is out of band.
+            path = instance.scalar_steps(float(W[0, -1]), eta[t0:t1], terms)
+            k0 = len(path)
+            block[:k0, 0, -1] = path
         if k0 < t1 - t0 and f < d:
             # Row k reads w_k from the row before, whose first f coordinates
             # are already final.

@@ -48,22 +48,25 @@ compute apart: ``free_grad_mean``, the batch mean of the first
 that read w, as a map of w and of the batch's ``step_terms``, which do not
 read w:
 
-    family          step_terms               step_map(w, terms)                 scalar_steps
-    linear          none                     none                               -
-    convex_huber    z^d column (m,)          mean_j slope(w^d - w1^d - z_j^d)   w^d
-    quadratics      batch mean zbar (d,)     lam (w - zbar)                     -
-    custom_smooth   the batch itself (m, d)  mean_j grad_fn(w, z_j)             -
+    family          step_terms               step_map(w, terms)                   scalar_steps
+    linear          none                     none                                 -
+    convex_huber    z^d column (m,)          in band: (w^d - w1^d - zbar^d) beta  w^d
+                                             else: mean_j slope(w^d - w1^d - z_j^d)
+    quadratics      batch mean zbar (d,)     lam (w - zbar)                       -
+    custom_smooth   the batch itself (m, d)  mean_j grad_fn(w, z_j)               -
 
 ``step_terms_size`` gives the size of the terms of one batch, by which the
 engine sizes a paired block.  A paired run takes each run's terms from those
 of the base batch and of the m batches with one selected example replaced
-(``engine._evolve``).  The last column names the family whose step reads a
-single coordinate of w (``scalar_step``).  ``scalar_steps`` steps that
-coordinate of one run through a block as a Python float, on the linear
-piece beta u of the slope, where the clip to [-beta tau, beta tau] is the
-identity, and names the first step that leaves it; the engine steps the
-block from there by ``step_map``.  The slope, its linear piece and its cap
-beta tau are stated in this class only.
+(``engine._evolve``).  convex_huber's batch slope has one rule, stated at
+``step_map``: a batch is in band when the clip of every example's slope
+beta u to [-beta tau, beta tau] is the identity, and then its mean slope is
+the slope at the batch mean zbar^d; otherwise it is the mean of the clipped
+slopes.  The last column names the family whose step reads a single
+coordinate of w (``scalar_step``).  ``scalar_steps`` steps that coordinate
+of one run through a block as a Python float while its batches are in band;
+the engine steps the block from the first that is not by ``step_map``.  The
+slope, its band and its cap beta tau are stated in this class only.
 """
 
 from __future__ import annotations
@@ -241,52 +244,67 @@ class ProblemInstance:
         """The mean gradient coordinates that read w, the last d -
         ``grad_free_coords``, at W (..., d) from the :meth:`step_terms` of its
         batch.  Empty for linear.
+
+        convex_huber's batch slope takes one rule, row by row, which
+        :meth:`scalar_steps` applies to floats.  With c = w^d - w1^d and
+        u_j = c - z_j^d, a batch is in band when every beta u_j lies in
+        [-beta tau, beta tau].  The clip is then the identity and the slope
+        linear in z^d, so the mean slope is the slope at the batch mean,
+        (c - zbar^d) beta with zbar^d = ``np.add.reduce(z^d) / m``.
+        Otherwise it is the mean of the clipped slopes.  Rounding is
+        monotone, so testing the extreme u_j tests every one: here
+        beta max_j |u_j| <= beta tau, in :meth:`scalar_steps`
+        (c - max_j z_j^d) beta >= -beta tau and
+        (c - min_j z_j^d) beta <= beta tau.  A NaN fails either test.
         """
         if self.family == "convex_huber":
-            u = W[..., -1:] - self.w1[-1] - terms
-            return (np.add.reduce(self._huber_slope(u), -1) / terms.shape[-1])[..., None]
+            beta, cap, m = self.params.beta, self._huber_cap, terms.shape[-1]
+            c = W[..., -1:] - self._w1d
+            g = (c - np.add.reduce(terms, -1, keepdims=True) / m) * beta
+            reach = np.abs(c - terms)
+            # Every row is in band when the largest |u_j| of all rows is.
+            if not np.maximum.reduce(reach, None) * beta <= cap:
+                band = np.maximum.reduce(reach, -1, keepdims=True) * beta <= cap
+                slopes = self._huber_slope(c - terms)
+                g = np.where(band, g, np.add.reduce(slopes, -1, keepdims=True) / m)
+            return g
         if self.family in QUADRATIC_FAMILIES:
             return self.lam * (W - terms)
         if self.family == "custom_smooth":
             return self.grad(W[..., None, :], terms).mean(axis=-2)
         return np.empty(W.shape[:-1] + (0,))
 
-    def scalar_steps(self, w: float, etas, terms: np.ndarray) -> tuple[np.ndarray, int]:
-        """Step the Huber coordinate of one convex_huber run through a block of
-        b steps from w, as a Python float, on the linear piece of its slope:
-        the (b,) iterates after each step, and k0, the first step at which a
-        beta u of its batch left [-beta tau, beta tau] (b if none).
+    def scalar_steps(self, w: float, etas, terms: np.ndarray) -> list[float]:
+        """Step the Huber coordinate of one convex_huber run through a block
+        from w, as a Python float, for as long as its batches are in band
+        (:meth:`step_map`): the iterates after each step up to k0, the first
+        step whose batch is not (all b steps if none).
 
         ``etas`` holds the block's b step sizes as floats and ``terms`` its
-        (b, m) z^d column (:meth:`step_terms`).  Each step makes the floating
-        point operations of :meth:`step_map` and of the update w - eta g, in
-        their order, but the clip, which is the identity on that interval.
-        So the iterates before k0 are the clipped step's bit for bit, and
-        from k0 on the caller steps again by :meth:`step_map`.  One pass over
-        the (b, m) column then repeats each step's beta u from the same
-        floats to find k0.  Past k0 the unclipped steps may overflow, so
-        their warnings are silenced.
+        (b, m) z^d column (:meth:`step_terms`).  Each row's zbar^d, min and
+        max are taken once, as arrays; each step is then float operations
+        only, those of :meth:`step_map`'s in-band slope and of the update
+        w - eta g, in their order.  So the iterates are :meth:`step_map`'s
+        bit for bit, and from k0 on the caller steps by :meth:`step_map`.
         """
-        w1d, beta, m = self._w1d, self.params.beta, terms.shape[-1]
-        add = np.add.reduce
-        path = [w]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for e, z in zip(etas, terms):
-                u = (w - w1d) - z
-                u *= beta
-                w = w - e * (float(add(u)) / m)
-                path.append(w)
-            path = np.array(path)
-            u = (path[:-1, None] - w1d) - terms
-            u *= beta
-            inside = (np.abs(u, out=u) <= self._huber_cap).all(axis=1)
-        return path[1:], len(inside) if inside.all() else int(inside.argmin())
+        w1d, beta, cap = self._w1d, self.params.beta, self._huber_cap
+        zbar = (np.add.reduce(terms, -1) / terms.shape[-1]).tolist()
+        lo = np.minimum.reduce(terms, -1).tolist()
+        hi = np.maximum.reduce(terms, -1).tolist()
+        path = []
+        for e, zb, a, b in zip(etas, zbar, lo, hi):
+            c = w - w1d
+            if not ((c - b) * beta >= -cap and (c - a) * beta <= cap):
+                break
+            w = w - e * ((c - zb) * beta)
+            path.append(w)
+        return path
 
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the convex_huber term in u: beta u clipped to
         [-beta tau, beta tau], written over u, which callers pass as a
         temporary.  On that interval, its linear piece, the clip is the
-        identity (see :meth:`scalar_steps`).
+        identity (see :meth:`step_map`).
 
         Rounding is monotone, so this is ``where(|u| <= tau, beta u,
         beta tau sign(u))`` bit for bit: both give +/- fl(beta tau) from

@@ -162,12 +162,31 @@ def test_run_equals_closed_form_on_random_configs(family):
 
 
 def test_paired_run_with_original_replacements_stays_identical():
-    inst = convex_huber_instance(d=4, L=1.0, beta=1.0)
-    S = sample_dataset(inst, 6, seed=7)
-    plan = constant_plan(0.4, 15)
-    sched = realize(ScheduleSpec("uniform_random", n=6, m=3, T=15, seed=8))
-    _, path = paired_with_path(inst, S, S.examples.copy(), sched, plan)
-    assert np.allclose(path, path[:, :1, :], atol=0.0)
+    # Each neighbor's replacement is its own example, so every paired run is
+    # the base run bit for bit, and the base run is the single run, at every
+    # block size.  At the default tau = 0.5 the iterates keep to the Huber
+    # band; at tau = 0.3 the slope is clipped at steps 3 to 9 and not after.
+    d, n, T = 4, 6, 15
+    for tau, first, last in ((0.5, None, None), (0.3, 2, 8)):
+        inst = convex_huber_instance(d=d, L=1.0, beta=1.0, tau=tau)
+        S = sample_dataset(inst, n, seed=7)
+        plan = constant_plan(0.4, T)
+        sched = realize(ScheduleSpec("uniform_random", n=n, m=3, T=T, seed=8))
+        single = reference_path(inst, S, sched, plan.etas())
+        u = np.abs(single[:-1, -1:] - inst.w1[-1] - S.examples[sched.batches, -1])
+        clipped = np.flatnonzero((u > tau).any(axis=1))
+        assert (clipped.min(initial=T), clipped.max(initial=-1)) == (
+            (T, -1) if first is None else (first, last)
+        )
+        for B in (1, 2, 7, T):
+            with block_of(B):
+                _, path = paired_with_path(inst, S, S.examples.copy(), sched, plan)
+                iterates = run(inst, S, sched, plan).iterates
+                final = run_final(inst, S, sched, plan)
+            case = (tau, B)
+            assert np.array_equal(path, np.broadcast_to(path[:, :1], path.shape)), case
+            assert np.array_equal(path[:, 0], iterates), case
+            assert np.array_equal(path[-1, 0], final), case
 
 
 def _paired_by_explicit_stack(inst, S, repl, sched, etas, track):
@@ -695,7 +714,8 @@ def test_convex_huber_runs_are_bitwise_equal_to_the_step_by_step_references(d, t
     ),
 )
 def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
-    # d = 2, w1 = 0 and z = 0, so the Huber coordinate's u is w^d exactly.
+    # d = 2, w1 = 0 and batches of one example z = 0, so the Huber
+    # coordinate's u is w^d exactly.
     inst = convex_huber_instance(d=2, L=tau * math.sqrt(2) * beta, beta=beta, tau=tau)
     named = {
         "tau": tau, "-tau": -tau, "tau+": np.nextafter(tau, math.inf),
@@ -707,26 +727,85 @@ def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
     with np.errstate(invalid="ignore", over="ignore"):
         slope = np.where(np.abs(u) <= tau, beta * u, beta * tau * np.sign(u))
         by_grad = inst.grad(W, np.zeros(2))[:, -1]
-        # a batch of one example: the mean of the where form over it
-        by_mean = inst.step_map(W, one)[:, 0]
-        # a one-step block of each w^d with eta = 1: on the linear piece by
-        # scalar_steps, and handed to step_map where it reports k0 = 0
-        steps = [inst.scalar_steps(float(v), [1.0], z[None]) for v, z in zip(u, one)]
-        handed = np.array([k0 == 0 for _, k0 in steps])
+        # The batch slope: in band the slope at the batch mean, otherwise
+        # the mean of the where form over the batch.
+        inside = (np.abs((u - 0.0)[:, None] - one) <= tau).all(axis=1)
+        mean_z = np.add.reduce(one, -1) / 1
+        batch = np.where(
+            inside, ((u - 0.0) - mean_z) * beta, np.add.reduce(slope[:, None], -1) / 1
+        )
+        by_map = inst.step_map(W, one)[:, 0]
+        # a one-step block of each w^d with eta = 1: by scalar_steps in
+        # band, by step_map where scalar_steps stops before the step
+        paths = [inst.scalar_steps(float(v), [1.0], z[None]) for v, z in zip(u, one)]
         by_steps = np.array([
-            v - 1.0 * g if k0 == 0 else path[0]
-            for v, g, (path, k0) in zip(u, by_mean, steps)
+            path[0] if path else v - 1.0 * g for v, g, path in zip(u, by_map, paths)
         ])
-        mean = np.add.reduce(slope[:, None], -1)
-        expected_steps = u - 1.0 * (mean / 1)
+        expected_steps = u - 1.0 * batch
     for got, expected in (
-        (by_grad, slope), (by_mean, mean), (by_steps, expected_steps)
+        (by_grad, slope), (by_map, batch), (by_steps, expected_steps)
     ):
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
-    # a step is handed off only where the clip acts
+    # scalar_steps stops exactly where beta u leaves [-beta tau, beta tau]
+    handed = np.array([not path for path in paths])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.array_equal(~handed, np.abs(beta * u) <= beta * tau)
     assert not (np.abs(u[handed]) <= tau).any()
+
+
+_BAND_EDGES = (
+    "c-tau", "c+tau", "c-tau-", "c-tau+", "c+tau-", "c+tau+", "c",
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    beta=st.floats(min_value=1e-3, max_value=1e3),
+    tau=st.floats(min_value=1e-3, max_value=1e3),
+    w=st.floats(min_value=-10.0, max_value=10.0),
+    w1d=st.sampled_from([0.0, -0.0, 0.1234, -3.0]),
+    m=st.integers(min_value=1, max_value=9),
+    cells=st.lists(
+        st.sampled_from(_BAND_EDGES) | st.floats(min_value=-20.0, max_value=20.0),
+        min_size=9, max_size=54,
+    ),
+)
+def test_the_min_max_band_test_is_the_per_example_test(beta, tau, w, w1d, m, cells):
+    # (b, m) z^d columns with ties, signed zeros, infinities, NaN and values
+    # next to both band edges.  step_map is the per-example rule row by row,
+    # and scalar_steps (eta = 0, so c stays put) stops at its first row out
+    # of band.
+    inst = convex_huber_instance(
+        d=2, L=tau * math.sqrt(2) * beta, beta=beta, tau=tau, w1=(0.0, w1d)
+    )
+    c = w - w1d
+    near = {
+        "c": c, "c-tau": c - tau, "c+tau": c + tau,
+        "c-tau-": np.nextafter(c - tau, -math.inf), "c-tau+": np.nextafter(c - tau, math.inf),
+        "c+tau-": np.nextafter(c + tau, -math.inf), "c+tau+": np.nextafter(c + tau, math.inf),
+    }
+    b = len(cells) // m
+    terms = np.array(
+        [near[v] if isinstance(v, str) else v for v in cells[: b * m]], dtype=float
+    ).reshape(b, m)
+    cap = beta * tau
+    with np.errstate(invalid="ignore", over="ignore"):
+        bu = (c - terms) * beta
+        inside = (np.abs(bu) <= cap).all(axis=1)
+        expected = np.where(
+            inside,
+            (c - np.add.reduce(terms, -1) / m) * beta,
+            np.add.reduce(np.minimum(np.maximum(bu, -cap), cap), -1) / m,
+        )
+        got = inst.step_map(np.tile([0.0, w], (b, 1)), terms)[:, 0]
+        path = inst.scalar_steps(w, [0.0] * b, terms)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+    assert len(path) == (b if inside.all() else int(inside.argmin()))
 
 
 def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
@@ -765,10 +844,10 @@ def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
 
 
 def _first_clip_tau(inst, S, sched, etas, target):
-    """A tau under which the first step whose slope the clip changes is the
-    first record of max_j |u_j| at or after step ``target`` (0-based), or no
-    step for ``target`` None: the path up to that step is the one the linear
-    piece gives, which a run with no clip at all follows."""
+    """A tau under which the first step whose batch is out of the Huber band
+    is the first record of max_j |u_j| at or after step ``target``
+    (0-based), or no step for ``target`` None: the path up to that step is
+    the in-band one, which a run that is never clipped follows."""
     path = reference_path(inst, S, sched, etas)
     u = np.abs(path[:-1, -1:] - inst.w1[-1] - S.examples[sched.batches, -1])
     top = u.max(axis=1)
@@ -789,11 +868,11 @@ def test_a_single_huber_run_hands_its_clipped_steps_to_the_array_loop():
     scalar_steps = ProblemInstance.scalar_steps
 
     def recorded(self, w, etas, terms):
-        path, k0 = scalar_steps(self, w, etas, terms)
-        b = len(etas)
+        path = scalar_steps(self, w, etas, terms)
+        b, k0 = len(etas), len(path)
         places.add("none" if k0 == b else "first" if k0 == 0 else
                    "last" if k0 == b - 1 else "mid")
-        return path, k0
+        return path
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -813,7 +892,7 @@ def test_a_single_huber_run_hands_its_clipped_steps_to_the_array_loop():
         S = sample_dataset(linear_instance(d=d), n, seed=seed)
         S.examples[:, -1] = zd
         sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=seed))
-        # no clip at tau = 1e6: the path of the linear piece
+        # never clipped at tau = 1e6: the in-band path
         free = convex_huber_instance(d=d, L=1e6 * math.sqrt(d) * beta, beta=beta, w1=w1)
         tau = _first_clip_tau(free, S, sched, etas, target)
         inst = convex_huber_instance(
