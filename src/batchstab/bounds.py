@@ -29,13 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from batchstab._series import affine_steps
 from batchstab.engine import StepSizePlan
 from batchstab.errors import CapabilityError, ConfigError, RegimeError
 from batchstab.problems import ProblemInstance, REL_SLACK
-from batchstab.stability import nonconvex_step_sum, nonconvex_step_sum_cap
+from batchstab.stability import nonconvex_step_sum_cap
 
 BOUND_CLASSES = (
     "convex",
@@ -110,14 +108,6 @@ def gen_error_upper(
             "full-batch reference rate from prior work is not evaluated here"
         )
     raise ConfigError(f"unknown bound class {cls!r}")
-
-
-def gen_error_upper_presimplified(
-    plan: StepSizePlan, n: int, L: float, beta: float
-) -> float:
-    """Nonconvex upper bound before the decreasing-step simplification:
-    2 L^2 / n * sum_t eta_t prod_{j>t} (1 + beta eta_j); any plan."""
-    return float(2.0 * L * L / n * nonconvex_step_sum(plan.etas(), beta))
 
 
 def gen_error_lower(
@@ -210,46 +200,15 @@ def analytic_gen_error(instance: ProblemInstance, plan: StepSizePlan, n: int) ->
     return float((instance.scales**2 * e**2 * series).sum() / n)
 
 
-def uniform_stability_constant(case: str, **kw) -> float:
-    """Uniform-stability constants of the incremental (round-robin, m = 1)
-    method, computed with the worst-case-over-datasets technique.
+def uniform_stability_constant(K: int, d: int, eta1: float) -> float:
+    """Uniform-stability constant 2 K d eta1 of the incremental (round-robin,
+    m = 1) method on the linear family over K epochs, computed with the
+    worst-case-over-datasets technique.
 
-    These are the quantities that stay bounded away from zero as the dataset
-    grows, which is what makes that technique vacuous here.  Cases:
-
-    linear_epochs               2 K d eta1            (kw: K, d, eta1)
-    convex_single_epoch         2 L^2 eta1            (kw: L, eta1)
-    convex_epochs               2 L^2 sum_{k<K} eta_{kn+1}   (kw: L, etas, n, K)
-    strongly_convex_single_epoch  2 L^2 eta / (1 - eta gamma)  (kw: L, eta, gamma)
-    strongly_convex_epochs      2 L^2 eta max_{i*} sum_{k=1..K}
-                                (1 - eta gamma)^{k n - i* - 1}
-                                (kw: L, eta, gamma, n, K)
+    It stays bounded away from zero as the dataset grows, which is what
+    makes that technique vacuous here.
     """
-    if case == "linear_epochs":
-        return float(2.0 * kw["K"] * kw["d"] * kw["eta1"])
-    if case == "convex_single_epoch":
-        return float(2.0 * kw["L"] ** 2 * kw["eta1"])
-    if case == "convex_epochs":
-        etas = np.asarray(kw["etas"], dtype=float)
-        n, K = int(kw["n"]), int(kw["K"])
-        if etas.shape[0] != n * K:
-            raise ConfigError(
-                f"convex_epochs expects K*n = {K * n} step sizes, got {etas.shape[0]}"
-            )
-        return float(2.0 * kw["L"] ** 2 * etas[np.arange(K) * n].sum())
-    if case == "strongly_convex_single_epoch":
-        eta, gamma = kw["eta"], kw["gamma"]
-        return float(2.0 * kw["L"] ** 2 * eta / (1.0 - eta * gamma))
-    if case == "strongly_convex_epochs":
-        eta, gamma, n, K = kw["eta"], kw["gamma"], int(kw["n"]), int(kw["K"])
-        decay = 1.0 - eta * gamma
-        k = np.arange(1, K + 1)
-        # The maximum over the replaced position i* in [1, n] sits at i* = n.
-        best = max(
-            float((decay ** (k * n - istar - 1)).sum()) for istar in (1, n)
-        )
-        return float(2.0 * kw["L"] ** 2 * eta * best)
-    raise ConfigError(f"unknown uniform-stability case {case!r}")
+    return float(2.0 * K * d * eta1)
 
 
 def path_gradient_bound(cls: str, L: float | None) -> float | None:

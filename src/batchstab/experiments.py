@@ -536,9 +536,7 @@ def uniform_stability_failure_demo(
             etas = np.tile(1.0 / np.arange(1, n + 1, dtype=float), epochs)
             plan = custom_plan(etas)
         instance = linear_instance(d)
-        flat = bounds_mod.uniform_stability_constant(
-            "linear_epochs", K=epochs, d=d, eta1=float(etas[0])
-        )
+        flat = bounds_mod.uniform_stability_constant(epochs, d, float(etas[0]))
         decaying = bounds_mod.gen_error_upper(
             "convex", plan, n, L=instance.params.L, beta=instance.params.beta
         )

@@ -228,24 +228,9 @@ def stability_bound(
     return float(2.0 * L / n * (etas * tail).sum())
 
 
-def contraction_step_sum(C: float, gamma: float, T: int) -> float:
-    """Closed form of sum_t C prod_{j>t} (1 - C gamma / 2) for constant steps.
-
-    Equals 2 (1 - (1 - C gamma/2)^T) / gamma; the direct sum agrees to
-    floating-point accuracy.
-    """
-    return float(2.0 * (1.0 - (1.0 - 0.5 * C * gamma) ** T) / gamma)
-
-
-def nonconvex_step_sum(etas: np.ndarray, beta: float) -> float:
-    """sum_t eta_t prod_{j>t} (1 + beta eta_j), the pre-simplification series."""
-    etas = np.asarray(etas, dtype=float)
-    tail = suffix_products(growth_factors("nonconvex", etas, beta))
-    return float((etas * tail).sum())
-
-
 def nonconvex_step_sum_cap(C: float, beta: float, T: int) -> float:
-    """Simplified cap on :func:`nonconvex_step_sum` for eta_t = C/t, C < 1/beta.
+    """Simplified cap on the series sum_t eta_t prod_{j>t} (1 + beta eta_j)
+    for eta_t = C/t, C < 1/beta:
 
     C e^{C beta} T^{C beta} min{1 + 1/(C beta), log(e T)}.
     """

@@ -19,6 +19,9 @@ the engine's ``on_block`` hook, the only way its iterates leave the engine;
 ``audit_path`` feeds a whole path to the growth-recursion audit, and
 ``selected`` gives the (T, n) matrix of which index each step selects.
 
+``nonconvex_step_sum`` is the nonconvex series that the decreasing-step
+cap simplifies, a reference for the bound tests.
+
 ``assert_pinned_digests`` compares the sha256 of outputs with the digests
 pinned in ``digests.json``: the shipped reports and sweeps and a dump stay
 byte-identical unless a change of numbers is declared by updating them.
@@ -36,9 +39,10 @@ from unittest import mock
 import numpy as np
 
 from batchstab import engine
+from batchstab._series import suffix_products
 from batchstab.engine import run_final, run_paired
 from batchstab.problems import Dataset, empirical_risk
-from batchstab.stability import GrowthRecursionAudit
+from batchstab.stability import GrowthRecursionAudit, growth_factors
 
 
 DIGESTS = Path(__file__).resolve().with_name("digests.json")
@@ -57,6 +61,13 @@ def assert_pinned_digests(outputs):
     assert not moved, "\n".join(
         moved + [f"numpy {np.__version__}, Python {platform.python_version()}"]
     )
+
+
+def nonconvex_step_sum(etas, beta) -> float:
+    """sum_t eta_t prod_{j>t} (1 + beta eta_j), the series before the
+    decreasing-step simplification of ``nonconvex_step_sum_cap``."""
+    etas = np.asarray(etas, dtype=float)
+    return float((etas * suffix_products(growth_factors("nonconvex", etas, beta))).sum())
 
 
 def exact_gen_error_by_enumeration(instance, n, sched, plan) -> float:

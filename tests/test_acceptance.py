@@ -54,11 +54,10 @@ from batchstab.schedule import ScheduleSpec, check_counting_lemma, realize
 from batchstab.stability import (
     GrowthRecursionAudit,
     final_on_average_gap,
-    nonconvex_step_sum,
     nonconvex_step_sum_cap,
     stability_bound,
 )
-from conftest import assert_pinned_digests
+from conftest import assert_pinned_digests, nonconvex_step_sum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KINDS = ("full_batch", "round_robin", "random_reshuffle", "single_shuffle", "uniform_random")

@@ -10,7 +10,6 @@ from batchstab.bounds import (
     assemble_bound_set,
     gen_error_lower,
     gen_error_upper,
-    gen_error_upper_presimplified,
     uniform_stability_constant,
 )
 from batchstab.engine import constant_plan, inverse_t_plan
@@ -23,7 +22,43 @@ from batchstab.problems import (
 )
 from batchstab.schedule import ScheduleSpec, realize
 from batchstab.stability import growth_factors
-from conftest import exact_gen_error_by_enumeration
+from conftest import exact_gen_error_by_enumeration, nonconvex_step_sum
+
+
+def _gen_error_upper_presimplified(plan, n, L, beta):
+    """Nonconvex upper bound before the decreasing-step simplification:
+    2 L^2 / n * sum_t eta_t prod_{j>t} (1 + beta eta_j); any plan."""
+    return 2.0 * L * L / n * nonconvex_step_sum(plan.etas(), beta)
+
+
+def _uniform_stability_reference(case, **kw):
+    """The uniform-stability constants of the incremental (round-robin,
+    m = 1) method, by the worst-case-over-datasets technique, for the cases
+    beside the linear one:
+
+    convex_single_epoch           2 L^2 eta1                    (L, eta1)
+    convex_epochs                 2 L^2 sum_{k<K} eta_{kn+1}    (L, etas, n, K)
+    strongly_convex_single_epoch  2 L^2 eta / (1 - eta gamma)   (L, eta, gamma)
+    strongly_convex_epochs        2 L^2 eta max_{i*} sum_{k=1..K}
+                                  (1 - eta gamma)^{k n - i* - 1}
+                                  (L, eta, gamma, n, K)
+    """
+    if case == "convex_single_epoch":
+        return 2.0 * kw["L"] ** 2 * kw["eta1"]
+    if case == "convex_epochs":
+        etas, n, K = np.asarray(kw["etas"], dtype=float), kw["n"], kw["K"]
+        assert etas.shape == (n * K,)
+        return 2.0 * kw["L"] ** 2 * etas[np.arange(K) * n].sum()
+    eta, gamma = kw["eta"], kw["gamma"]
+    if case == "strongly_convex_single_epoch":
+        return 2.0 * kw["L"] ** 2 * eta / (1.0 - eta * gamma)
+    assert case == "strongly_convex_epochs"
+    n, k = kw["n"], np.arange(1, kw["K"] + 1)
+    # The maximum over the replaced position i* in [1, n] sits at i* = n.
+    best = max(
+        float(((1.0 - eta * gamma) ** (k * n - istar - 1)).sum()) for istar in (1, n)
+    )
+    return 2.0 * kw["L"] ** 2 * eta * best
 
 
 def test_convex_bound_values():
@@ -72,7 +107,7 @@ def test_nonconvex_upper_cap_and_presimplified_form():
         n = int(rng.integers(5, 200))
         L = float(rng.uniform(0.5, 2.0))
         plan = inverse_t_plan(C, T)
-        pre = gen_error_upper_presimplified(plan, n, L, beta)
+        pre = _gen_error_upper_presimplified(plan, n, L, beta)
         cap = gen_error_upper("nonconvex_lipschitz", plan, n, L=L, beta=beta)
         assert pre <= cap * (1 + 1e-12)
     with pytest.raises(RegimeError, match="C < 1/beta"):
@@ -282,28 +317,26 @@ def test_strongly_convex_sandwich_and_intermediate_form():
 
 
 def test_uniform_stability_constants():
-    assert uniform_stability_constant(
-        "linear_epochs", K=3, d=10, eta1=0.1
-    ) == pytest.approx(6.0)
+    assert uniform_stability_constant(3, 10, 0.1) == pytest.approx(6.0)
     for n in (10, 100, 1000):
         # the constant has no n anywhere
-        assert uniform_stability_constant(
+        assert _uniform_stability_reference(
             "convex_single_epoch", L=1.0, eta1=0.2
         ) == pytest.approx(0.4)
     eta, gamma = 0.1, 1.0
-    assert uniform_stability_constant(
+    assert _uniform_stability_reference(
         "strongly_convex_single_epoch", L=1.0, eta=eta, gamma=gamma
     ) == pytest.approx(2 * eta / (1 - eta * gamma))
     # restarted 1/t steps: sum of epoch-leading steps is K * eta1
     K, n = 3, 5
     etas = np.tile(1.0 / np.arange(1.0, n + 1.0), K)
-    assert uniform_stability_constant(
+    assert _uniform_stability_reference(
         "convex_epochs", L=1.0, etas=etas, n=n, K=K
     ) == pytest.approx(2.0 * K * 1.0)
-    multi = uniform_stability_constant(
+    multi = _uniform_stability_reference(
         "strongly_convex_epochs", L=1.0, eta=eta, gamma=gamma, n=8, K=1
     )
-    single = uniform_stability_constant(
+    single = _uniform_stability_reference(
         "strongly_convex_single_epoch", L=1.0, eta=eta, gamma=gamma
     )
     assert multi == pytest.approx(single)
@@ -311,7 +344,7 @@ def test_uniform_stability_constants():
 
 def test_flat_constant_versus_decaying_bound():
     d, K = 5, 2
-    flat = uniform_stability_constant("linear_epochs", K=K, d=d, eta1=1.0)
+    flat = uniform_stability_constant(K, d, 1.0)
     assert flat == pytest.approx(2.0 * K * d)
     previous = None
     for n in (10, 100, 1000):

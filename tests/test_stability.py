@@ -37,14 +37,14 @@ from batchstab.schedule import (
 from batchstab.stability import (
     GrowthRecursionAudit,
     RecursionVerdict,
-    contraction_step_sum,
     final_on_average_gap,
     growth_factors,
-    nonconvex_step_sum,
     nonconvex_step_sum_cap,
     stability_bound,
 )
-from conftest import audit_path, block_of, paired_with_path, selected
+from conftest import (
+    audit_path, block_of, nonconvex_step_sum, paired_with_path, selected,
+)
 
 
 def _inputs(inst, n, T, kind, m, seed):
@@ -212,6 +212,12 @@ def test_bound_invariant_to_batch_size():
         assert vals[1] == vals[n // 2] == vals[n]
 
 
+def _contraction_step_sum(C, gamma, T):
+    """Closed form of sum_t C prod_{j>t} (1 - C gamma / 2) for constant
+    steps: 2 (1 - (1 - C gamma/2)^T) / gamma."""
+    return 2.0 * (1.0 - (1.0 - 0.5 * C * gamma) ** T) / gamma
+
+
 def test_constant_step_contraction_sum_identity():
     # direct sum vs closed form at 100 random (C, gamma, T)
     rng = np.random.default_rng(8)
@@ -222,7 +228,7 @@ def test_constant_step_contraction_sum_identity():
         etas = np.full(T, C)
         tail = suffix_products(1.0 - 0.5 * gamma * etas)
         direct = float((etas * tail).sum())
-        closed = contraction_step_sum(C, gamma, T)
+        closed = _contraction_step_sum(C, gamma, T)
         assert abs(direct - closed) <= 1e-12 * max(1.0, abs(closed))
 
 
@@ -230,7 +236,7 @@ def test_strongly_convex_bound_matches_geometric_identity():
     L, gamma, beta, n, T, C = 4.0, 1.0, 1.0, 50, 200, 0.5
     etas = np.full(T, C)
     bound = stability_bound("strongly_convex", L, etas, n, 1, beta=beta, gamma=gamma)
-    assert bound == pytest.approx(2 * L / n * contraction_step_sum(C, gamma, T))
+    assert bound == pytest.approx(2 * L / n * _contraction_step_sum(C, gamma, T))
 
 
 def test_decreasing_step_cap_bounds_the_series():
