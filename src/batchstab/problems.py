@@ -261,11 +261,12 @@ class ProblemInstance:
             beta, cap, m = self.params.beta, self._huber_cap, terms.shape[-1]
             c = W[..., -1:] - self._w1d
             g = (c - np.add.reduce(terms, -1, keepdims=True) / m) * beta
-            reach = np.abs(c - terms)
+            u = c - terms
+            reach = np.abs(u)
             # Every row is in band when the largest |u_j| of all rows is.
             if not np.maximum.reduce(reach, None) * beta <= cap:
                 band = np.maximum.reduce(reach, -1, keepdims=True) * beta <= cap
-                slopes = self._huber_slope(c - terms)
+                slopes = self._huber_slope(u)
                 g = np.where(band, g, np.add.reduce(slopes, -1, keepdims=True) / m)
             return g
         if self.family in QUADRATIC_FAMILIES:
