@@ -40,7 +40,6 @@ from batchstab.experiments import (
     estimate_gen_error,
     estimate_stability,
     run_full_verification,
-    schedule_equivalence,
     uniform_stability_failure_demo,
 )
 from batchstab.problems import (

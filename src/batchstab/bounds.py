@@ -270,14 +270,12 @@ def assemble_bound_set(
     instance: ProblemInstance,
     plan: StepSizePlan,
     n: int,
-    Ltilde: float | None = None,
 ) -> BoundSet:
     """Evaluate whichever of upper/lower/oracle apply to (class, family)."""
     if cls not in BOUND_CLASSES:
         raise ConfigError(f"unknown bound class {cls!r}")
     p = instance.params
-    if Ltilde is None:
-        Ltilde = path_gradient_bound(cls, p.L)
+    Ltilde = path_gradient_bound(cls, p.L)
     out = BoundSet(cls=cls)
     try:
         out.upper = gen_error_upper(

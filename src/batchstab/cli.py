@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=int, default=None, help="worker processes")
         p.add_argument(
             "--format", choices=("json", "csv", "both"), default="both",
             help="which report formats to write",
@@ -90,7 +90,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
     if args.seed is not None:
         cfg["master_seed"] = args.seed
-    cfg["jobs"] = args.jobs
+    if args.jobs is not None:
+        cfg["jobs"] = args.jobs
     return cfg
 
 
@@ -158,7 +159,7 @@ def _cmd_sweep(cfg: dict, args, out_dir: Path) -> int:
             d=config_field(sweep, "d", int, minimum=1),
             trials=config_field(sweep, "trials", int, 200, minimum=1),
             master_seed=config_field(cfg, "master_seed", int, 0, minimum=0),
-            jobs=config_field(cfg, "jobs", int, minimum=1),
+            jobs=config_field(cfg, "jobs", int, 1, minimum=1),
         )
         ok = all(r["within_bound"] for r in rows)
     elif mode == "grid":
@@ -223,7 +224,7 @@ def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
             checks=["sandwich", "gen_error_mc"] if trials else ["sandwich"],
             # without gen_error_mc the trial count is never read
             trials=max(trials, 1), master_seed=cfg.get("master_seed"),
-            jobs=cfg["jobs"],
+            jobs=cfg.get("jobs"),
         )))
         bounds = report.get("bounds", {})
         (mc,) = [s.get("gen_error_mc") for s in report["schedules"].values()]

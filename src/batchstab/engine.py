@@ -25,11 +25,9 @@ all of linear's, all but the Huber one of convex_huber's) have updates
 eta_t g_t known before the block steps, so they come from one cumulative
 subtraction instead of a Python loop over the block's steps; only the
 coordinates that read w step one step at a time, from terms of each batch
-taken once per block.  A single convex_huber run steps its one Huber
-coordinate with Python floats only while its batches are in the Huber band,
-from the batch mean, minimum and maximum of the block's z^d column, and
-hands the block to that loop from the first step whose batch is not.  Each
-is the floating-point operations of the per-step update in the same order.
+taken once per block; a single convex_huber run steps its one Huber
+coordinate by ``ProblemInstance.scalar_steps``.  Each is the floating-point
+operations of the per-step update in the same order.
 Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
 paired block's terms and one chunk of its patched batches.  Iterates leave
 the loop only through an ``on_block`` hook, which sees each block's stepped
@@ -224,24 +222,15 @@ def _matches(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (k, j, s) with idx[k, j] == idx[k, s], in order of j: the slots
     s that the batch of step k patched for slot j replaces.
 
-    A row of distinct indices has only s = j.  Equal indices lie next to
-    each other once each row is sorted, so the pairs at distance o in sorted
-    order are found for o = 1, 2, ... until none is left.
+    A row of distinct indices has only s = j.  A block with a repeated index
+    compares every pair of its slots, O(b m^2) booleans.
     """
     b, m = idx.shape
-    j, k = np.divmod(np.arange(m * b), b)
     srt = np.sort(idx, axis=1)
     if (srt[:, 1:] != srt[:, :-1]).all():
+        j, k = np.divmod(np.arange(m * b), b)
         return k, j, j
-    parts = [(k, j, j)]
-    order = np.argsort(idx, axis=1)
-    for o in range(1, m):
-        k, p = np.nonzero(srt[:, o:] == srt[:, :-o])
-        if not k.size:
-            break
-        u, v = order[k, p], order[k, p + o]
-        parts += [(k, u, v), (k, v, u)]
-    k, j, s = (np.concatenate(x) for x in zip(*parts))
+    k, j, s = np.nonzero(idx[:, :, None] == idx[:, None, :])
     by = np.argsort(j, kind="stable")
     return k[by], j[by], s[by]
 
@@ -314,13 +303,8 @@ def _evolve(
     * the other d - f coordinates, one step at a time: row k reads w_k from
       the row before, whose first f coordinates are already final, through
       ``step_map`` on its rows' terms.  A single run of a ``scalar_step``
-      family (convex_huber) first steps its one such coordinate through the
-      block by ``scalar_steps``, as a Python float, up to k0, the first step
-      whose batch is out of the Huber band (B if none).  Those iterates are
-      ``step_map``'s bit for bit, and from k0 on ``step_map`` steps the rest
-      of the block.  A run that keeps to the band thus makes no NumPy call
-      per step: the batch mean, minimum and maximum of the z^d column are
-      taken once per block.
+      family (convex_huber) steps its one such coordinate through the block
+      by ``scalar_steps`` instead.
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
@@ -410,19 +394,15 @@ def _evolve(
             head *= etas[t0:t1, None, None]
             np.subtract(W[:, :f], head[0], out=head[0])
             np.subtract.accumulate(head, axis=0, out=head)
-        k0 = 0
         if scalar:
-            # The one coordinate of a single run that reads w, as a float up
-            # to step k0, the first whose batch is out of band.
-            path = instance.scalar_steps(float(W[0, -1]), eta[t0:t1], terms)
-            k0 = len(path)
-            block[:k0, 0, -1] = path
-        if k0 < t1 - t0 and f < d:
+            # The one coordinate of a single run that reads w, as a float.
+            block[:, 0, -1] = instance.scalar_steps(float(W[0, -1]), eta[t0:t1], terms)
+        elif f < d:
             # Row k reads w_k from the row before, whose first f coordinates
             # are already final.
             stepped = block[..., f:]
-            prev = block[k0 - 1] if k0 else W
-            for k in range(k0, t1 - t0):
+            prev = W
+            for k in range(t1 - t0):
                 g = step(prev, terms[k])
                 np.subtract(prev[:, f:], eta[t0 + k] * g, out=stepped[k])
                 prev = block[k]

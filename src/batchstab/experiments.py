@@ -200,10 +200,14 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     instance = instance_from_config(config_field(cfg, "instance", dict))
     n = config_field(cfg, "n", int, minimum=1)
     plan = plan_from_dict(config_field(cfg, "plan", dict), instance)
-    schedules = tuple(
-        schedule_spec_from_dict(s, n=n, T=plan.T)
-        for s in config_field(cfg, "schedules", list, of=dict)
-    )
+    schedules = []
+    for s in config_field(cfg, "schedules", list, of=dict):
+        if s.get("seed") is not None:
+            raise ConfigError(
+                "field 'seed' of a schedule is refused: every trial draws its "
+                "schedule from master_seed"
+            )
+        schedules.append(schedule_spec_from_dict(s, n=n, T=plan.T))
     if not schedules:
         raise ConfigError("field 'schedules' must list at least one schedule")
     labels = set()
@@ -225,7 +229,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
                           f"{bounds_mod.BOUND_CLASSES}, got {bound_class!r}")
     return ExperimentConfig(
         name=config_field(cfg, "name", str, "experiment"),
-        instance=instance, n=n, plan=plan, schedules=schedules,
+        instance=instance, n=n, plan=plan, schedules=tuple(schedules),
         trials=config_field(cfg, "trials", int, minimum=1),
         master_seed=config_field(cfg, "master_seed", int, 0, minimum=0),
         checks=checks,
@@ -442,40 +446,11 @@ def estimate_stability(
 # -- composite studies --------------------------------------------------------
 
 
-def schedule_equivalence(
-    config: ExperimentConfig,
-    estimates: dict[str, MonteCarloEstimate] | None = None,
-) -> dict:
-    """Check that every schedule's mean matches the one schedule-free oracle.
-
-    Requires at least two schedules and an instance with an analytic oracle.
-    Reports per-schedule verdicts (|mean - oracle| <= 3 stderr) and the
-    spread between the largest and smallest defined mean; refused with
-    ``CapabilityError`` when fewer than two schedules have a standard error,
-    since then nothing is compared.
-    """
-    if len(config.schedules) < 2:
-        raise ConfigError("schedule_equivalence needs at least two schedules")
-    oracle = bounds_mod.analytic_gen_error(config.instance, config.plan, config.n)
-    if estimates is None:
-        estimates = {
-            spec.label(): estimate_gen_error(
-                config.instance,
-                config.n,
-                config.plan,
-                spec,
-                config.trials,
-                config.master_seed,
-                s_idx=i,
-                jobs=config.jobs,
-                allow_divergence=config.allow_divergence,
-            )
-            for i, spec in enumerate(config.schedules)
-        }
-    return _equivalence(oracle, estimates)
-
-
 def _equivalence(oracle: float, estimates: dict[str, MonteCarloEstimate]) -> dict:
+    """Every schedule's mean against the one schedule-free oracle: verdicts
+    (|mean - oracle| <= 3 stderr) and the spread of the defined means.
+    Refused with ``CapabilityError`` when fewer than two schedules have a
+    standard error, since then nothing is compared."""
     compared = sum(est.stderr is not None for est in estimates.values())
     if compared < 2:
         raise CapabilityError(
@@ -512,29 +487,19 @@ def uniform_stability_failure_demo(
     trials: int,
     master_seed: int,
     jobs: int = 1,
-    plans: dict[int, StepSizePlan] | None = None,
 ) -> list[dict]:
     """Flat worst-case constant vs 1/n on-average bound vs measured error.
 
     Linear loss, incremental (round-robin, m = 1) selection, T = epochs * n,
-    step sizes 1/t restarting at each epoch unless explicit plans are given.
+    step sizes 1/t restarting at each epoch.
     Each row reports the n-independent uniform-stability constant, the
     on-average bound (2 d / n) sum_t eta_t, and the measured |gen error|.
     """
     rows = []
     for idx, n in enumerate(ns):
         T = epochs * n
-        if plans is not None:
-            plan = plans[n]
-            if plan.T != T:
-                raise ConfigError(
-                    f"plan for n={n} has T={plan.T}; the incremental demo "
-                    f"requires T = epochs * n = {T}"
-                )
-            etas = plan.etas()
-        else:
-            etas = np.tile(1.0 / np.arange(1, n + 1, dtype=float), epochs)
-            plan = custom_plan(etas)
+        etas = np.tile(1.0 / np.arange(1, n + 1, dtype=float), epochs)
+        plan = custom_plan(etas)
         instance = linear_instance(d)
         flat = bounds_mod.uniform_stability_constant(epochs, d, float(etas[0]))
         decaying = bounds_mod.gen_error_upper(

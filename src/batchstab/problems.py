@@ -63,10 +63,9 @@ of the base batch and of the m batches with one selected example replaced
 beta u to [-beta tau, beta tau] is the identity, and then its mean slope is
 the slope at the batch mean zbar^d; otherwise it is the mean of the clipped
 slopes.  The last column names the family whose step reads a single
-coordinate of w (``scalar_step``).  ``scalar_steps`` steps that coordinate
-of one run through a block as a Python float while its batches are in band;
-the engine steps the block from the first that is not by ``step_map``.  The
-slope, its band and its cap beta tau are stated in this class only.
+coordinate of w (``scalar_step``); ``scalar_steps`` steps that coordinate of
+one run through a whole block.  The slope, its band and its cap beta tau are
+stated in this class only.
 """
 
 from __future__ import annotations
@@ -277,27 +276,30 @@ class ProblemInstance:
 
     def scalar_steps(self, w: float, etas, terms: np.ndarray) -> list[float]:
         """Step the Huber coordinate of one convex_huber run through a block
-        from w, as a Python float, for as long as its batches are in band
-        (:meth:`step_map`): the iterates after each step up to k0, the first
-        step whose batch is not (all b steps if none).
+        from w: the iterates after each of its b steps, :meth:`step_map`'s
+        bit for bit, so a single run steps that coordinate here alone.
 
         ``etas`` holds the block's b step sizes as floats and ``terms`` its
         (b, m) z^d column (:meth:`step_terms`).  Each row's zbar^d, min and
-        max are taken once, as arrays; each step is then float operations
-        only, those of :meth:`step_map`'s in-band slope and of the update
-        w - eta g, in their order.  So the iterates are :meth:`step_map`'s
-        bit for bit, and from k0 on the caller steps by :meth:`step_map`.
+        max are taken once, as arrays.  A step whose batch is in band is then
+        float operations only, those of :meth:`step_map`'s in-band slope and
+        of the update w - eta g, in their order.  A step whose batch is not
+        reduces the clipped slopes of its fresh (m,) row u, as
+        :meth:`step_map` does for a (1, m) row.
         """
         w1d, beta, cap = self._w1d, self.params.beta, self._huber_cap
-        zbar = (np.add.reduce(terms, -1) / terms.shape[-1]).tolist()
+        m = terms.shape[-1]
+        zbar = (np.add.reduce(terms, -1) / m).tolist()
         lo = np.minimum.reduce(terms, -1).tolist()
         hi = np.maximum.reduce(terms, -1).tolist()
         path = []
         for e, zb, a, b in zip(etas, zbar, lo, hi):
             c = w - w1d
-            if not ((c - b) * beta >= -cap and (c - a) * beta <= cap):
-                break
-            w = w - e * ((c - zb) * beta)
+            if (c - b) * beta >= -cap and (c - a) * beta <= cap:
+                g = (c - zb) * beta
+            else:
+                g = float(np.add.reduce(self._huber_slope(c - terms[len(path)])) / m)
+            w = w - e * g
             path.append(w)
         return path
 

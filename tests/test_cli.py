@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import batchstab
+from batchstab import cli
 from batchstab.bounds import BOUND_CLASSES
 from batchstab.cli import main
 from batchstab.engine import PLAN_KINDS
@@ -22,6 +24,7 @@ from batchstab.experiments import (
     ALL_CHECKS,
     instance_from_config,
     plan_from_dict,
+    run_full_verification,
     schedule_spec_from_dict,
 )
 from batchstab.problems import FAMILIES, Dataset, ProblemInstance, sample_examples
@@ -177,8 +180,8 @@ def test_unknown_bound_class_names_the_field(tmp_path, capsys):
 @pytest.mark.parametrize(
     "schedules, label",
     [
-        ([{"kind": "uniform_random", "m": 3, "seed": 1},
-          {"kind": "uniform_random", "m": 3, "seed": 2}], "uniform_random_m3"),
+        ([{"kind": "uniform_random", "m": 3},
+          {"kind": "uniform_random", "m": 3}], "uniform_random_m3"),
         ([{"kind": "custom", "m": 1, "custom_indices": [[1]] * 15},
           {"kind": "custom", "m": 1, "custom_indices": [[2]] * 15}], "custom_m1"),
     ],
@@ -198,6 +201,38 @@ def test_two_schedules_with_one_label_are_refused_naming_it(
     err = capsys.readouterr().err
     assert "field 'schedules'" in err and repr(label) in err
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"], ids=["verify", "grid-sweep"])
+def test_a_schedule_seed_is_refused_naming_it(tmp_path, capsys, command):
+    # Every trial draws its schedule from master_seed, so a schedule's own
+    # seed would be read and ignored.
+    if command == "verify":
+        cfg = mini_verify_config()
+        cfg["schedules"][1]["seed"] = 1
+    else:
+        cfg = huber_grid_config()
+        cfg["sweep"]["base"]["schedule"]["seed"] = 1
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "field 'seed'" in err and "master_seed" in err
+    assert not any(out.glob("*"))
+
+
+def test_a_config_jobs_reaches_the_run_unless_the_flag_overrides_it(tmp_path, monkeypatch):
+    seen = []
+
+    def serially(config):
+        seen.append(config.jobs)
+        return run_full_verification(dataclasses.replace(config, jobs=1))
+
+    monkeypatch.setattr(cli, "run_full_verification", serially)
+    path = write_config(tmp_path, dict(mini_verify_config(), jobs=2, checks=["sandwich"]))
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "a")]) == 0
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "b"), "--jobs", "1"]) == 0
+    assert seen == [2, 1]
 
 
 def test_a_serial_verify_never_imports_the_process_pool(tmp_path):
@@ -419,6 +454,25 @@ def huber_grid_config():
             },
         },
     }
+
+
+@pytest.mark.parametrize(
+    "command, config, files",
+    [
+        ("verify", mini_verify_config, {"json": "report.json", "csv": "summary.csv"}),
+        ("sweep", huber_grid_config, {"json": "sweep.json", "csv": "sweep.csv"}),
+    ],
+)
+def test_format_writes_only_its_file_the_bytes_both_writes(tmp_path, command, config, files):
+    path = write_config(tmp_path, config())
+    written = {}
+    for fmt in ("both", "json", "csv"):
+        out = tmp_path / fmt
+        assert main([command, "--config", path, "--out", str(out), "--format", fmt]) == 0
+        written[fmt] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert set(written["both"]) == set(files.values())
+    for fmt, name in files.items():
+        assert written[fmt] == {name: written["both"][name]}
 
 
 def test_grid_cell_leaving_the_huber_region_refuses_its_monte_carlo(tmp_path):

@@ -736,11 +736,10 @@ def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
             np.add.reduce(slope[:, None], -1) / 1,
         )
         by_map = inst.step_map(W, one)[:, 0]
-        # a one-step block of each w^d with eta = 1: by scalar_steps in
-        # band, by step_map where scalar_steps stops before the step
-        paths = [inst.scalar_steps(float(v), [1.0], z[None]) for v, z in zip(u, one)]
+        # a one-step block of each w^d with eta = 1 by scalar_steps, clipped
+        # or not: step_map's update
         by_steps = np.array([
-            path[0] if path else v - 1.0 * g for v, g, path in zip(u, by_map, paths)
+            inst.scalar_steps(float(v), [1.0], z[None])[0] for v, z in zip(u, one)
         ])
         expected_steps = u - 1.0 * batch
     for got, expected in (
@@ -749,10 +748,6 @@ def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
-    # scalar_steps stops exactly where beta u leaves [-beta tau, beta tau]
-    handed = np.array([not path for path in paths])
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert np.array_equal(~handed, np.abs(beta * u) <= beta * tau)
 
 
 _BAND_EDGES = (
@@ -772,12 +767,14 @@ _BAND_EDGES = (
         st.sampled_from(_BAND_EDGES) | st.floats(min_value=-20.0, max_value=20.0),
         min_size=9, max_size=54,
     ),
+    etas=st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]), min_size=6, max_size=6),
 )
-def test_the_min_max_band_test_is_the_per_example_test(beta, tau, w, w1d, m, cells):
+def test_the_min_max_band_test_is_the_per_example_test(beta, tau, w, w1d, m, cells, etas):
     # (b, m) z^d columns with ties, signed zeros, infinities, NaN and values
-    # next to both band edges.  step_map is the per-example rule row by row,
-    # and scalar_steps (eta = 0, so c stays put) stops at its first row out
-    # of band.
+    # next to both band edges of c = w - w1d.  step_map is the per-example
+    # rule row by row at c.  Each of scalar_steps' b iterates is the
+    # per-example rule on its row from the iterate before; a zero step size
+    # keeps c, and so the band edges, for the row after it.
     inst = convex_huber_instance(
         d=2, L=tau * math.sqrt(2) * beta, beta=beta, tau=tau, w1=(0.0, w1d)
     )
@@ -792,27 +789,33 @@ def test_the_min_max_band_test_is_the_per_example_test(beta, tau, w, w1d, m, cel
         [near[v] if isinstance(v, str) else v for v in cells[: b * m]], dtype=float
     ).reshape(b, m)
     cap = beta * tau
+    zbar = np.add.reduce(terms, -1) / m
+
+    def rule(at, k):
+        bu = (at - terms[k]) * beta
+        if (np.abs(bu) <= cap).all():
+            return (at - zbar[k]) * beta
+        return np.add.reduce(np.minimum(np.maximum(bu, -cap), cap)) / m
+
+    steps = [etas[k % len(etas)] for k in range(b)]
     with np.errstate(invalid="ignore", over="ignore"):
-        bu = (c - terms) * beta
-        inside = (np.abs(bu) <= cap).all(axis=1)
-        expected = np.where(
-            inside,
-            (c - np.add.reduce(terms, -1) / m) * beta,
-            np.add.reduce(np.minimum(np.maximum(bu, -cap), cap), -1) / m,
-        )
+        expected = np.array([rule(c, k) for k in range(b)])
         got = inst.step_map(np.tile([0.0, w], (b, 1)), terms)[:, 0]
-        path = inst.scalar_steps(w, [0.0] * b, terms)
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
-    assert len(path) == (b if inside.all() else int(inside.argmin()))
+        path = np.array(inst.scalar_steps(w, steps, terms))
+        prev = [w, *path[:-1].tolist()]
+        stepped = np.array([
+            v - e * rule(v - w1d, k) for k, (v, e) in enumerate(zip(prev, steps))
+        ])
+    for got, expected in ((got, expected), (path, stepped)):
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
 
 def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     # A structural guard on the convex_huber block update: the first d - 1
     # coordinates, the z^d column and the Huber coordinate's steps come from
-    # one call each per block.  The run keeps to the Huber band, so no step
-    # is handed to step_map.
+    # one call each per block, and step_map is never called.
     d, n, m, T = 4, 50, 5, 2000
     inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
     S = sample_dataset(inst, n, seed=64)
@@ -858,21 +861,19 @@ def _first_clip_tau(inst, S, sched, etas, target):
     return float(top[:s].max(initial=0.0) + top[s]) / 2.0
 
 
-def test_a_single_huber_run_hands_its_clipped_steps_to_the_array_loop():
+def test_a_single_huber_run_steps_its_clipped_steps_in_scalar_steps():
     # run (the dump path) and run_final are bitwise the step-by-step
     # reference, or name its step of divergence or of leaving the Huber
-    # band, wherever the first clipped step falls in a block.  ``places``
-    # holds where k0 fell in the blocks of one run, "none" for k0 = b (no
-    # step handed off), and ``seen`` those of every run that returned.
-    places, seen, raised = set(), set(), set()
-    scalar_steps = ProblemInstance.scalar_steps
+    # band, wherever a clipped step falls in a block, and never call
+    # step_map.  ``seen`` holds where the clipped steps, located from the
+    # reference path, fell in the blocks of every run that returned, "none"
+    # for a block with none.
+    seen, raised, mapped = set(), set(), []
+    step_map = ProblemInstance.step_map
 
-    def recorded(self, w, etas, terms):
-        path = scalar_steps(self, w, etas, terms)
-        b, k0 = len(etas), len(path)
-        places.add("none" if k0 == b else "first" if k0 == 0 else
-                   "last" if k0 == b - 1 else "mid")
-        return path
+    def recorded(self, W, terms):
+        mapped.append(W.shape)
+        return step_map(self, W, terms)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -905,17 +906,27 @@ def test_a_single_huber_run_hands_its_clipped_steps_to_the_array_loop():
         if limit is not None:
             over = np.flatnonzero(_drift(inst, path) > limit * (1.0 + 1e-9))
             out = 1 + int(over[0]) if over.size else None
+        with np.errstate(invalid="ignore"):
+            u = path[:-1, -1:] - inst.w1[-1] - S.examples[sched.batches, -1]
+            clipped = ~(np.abs(u).max(axis=1) * beta <= beta * tau)
         plan = custom_plan(etas)
         calls = (
             (lambda: run(inst, S, sched, plan).iterates, path),
             (lambda: run_final(inst, S, sched, plan), path[-1]),
         )
         for B in (1, 2, 7, T):
+            places = set()
+            for t0 in range(0, T, B):
+                b = min(B, T - t0)
+                ks = np.flatnonzero(clipped[t0 : t0 + b])
+                places.update("first" if k == 0 else "last" if k == b - 1 else "mid"
+                              for k in ks)
+                if not ks.size:
+                    places.add("none")
             with block_of(B), mock.patch.object(
-                ProblemInstance, "scalar_steps", recorded
+                ProblemInstance, "step_map", recorded
             ), np.errstate(over="ignore", invalid="ignore"):
                 for call, expected in calls:
-                    places.clear()
                     if out is not None and (bad is None or out < bad):
                         with pytest.raises(AnalyticRegionError, match=rf"^step {out}: "):
                             call()
@@ -927,6 +938,7 @@ def test_a_single_huber_run_hands_its_clipped_steps_to_the_array_loop():
                     else:
                         assert np.array_equal(call(), expected), B
                         seen.update(places)
+                    assert mapped == []
 
     check()
     assert seen == {"none", "first", "mid", "last"}

@@ -15,7 +15,6 @@ from batchstab.experiments import (
     estimate_gen_error,
     estimate_stability,
     run_full_verification,
-    schedule_equivalence,
     uniform_stability_failure_demo,
 )
 from batchstab.problems import (
@@ -109,9 +108,9 @@ def test_stability_estimator_and_gradient_tracking():
 
 
 def test_schedule_equivalence_passes_and_full_batch_seeds_coincide():
-    config = small_config(trials=400)
-    eq = schedule_equivalence(config)
-    assert eq["passed"], eq
+    config = small_config(trials=400, checks=["gen_error_mc", "schedule_equivalence"])
+    eq = run_full_verification(config)["checks"]["schedule_equivalence"]
+    assert eq["status"] == "pass", eq
     assert eq["spread"] >= 0.0
     # two full_batch schedules with different seeds give identical means (a
     # config may not list both: they share the label "full_batch")
@@ -153,11 +152,6 @@ def test_uniform_stability_demo_rows():
     assert rows[0]["on_average_bound"] == pytest.approx(2 * 5 / 10 * 2 * h10)
     assert rows[0]["T"] == 20 and rows[1]["T"] == 100
     assert all(r["within_bound"] for r in rows)
-    with pytest.raises(ConfigError, match="epochs"):
-        uniform_stability_failure_demo(
-            ns=[10], epochs=2, d=5, trials=10, master_seed=1,
-            plans={10: constant_plan(0.5, 7)},
-        )
 
 
 def test_run_full_verification_passes_on_a_small_config():
