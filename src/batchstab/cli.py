@@ -59,8 +59,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _output_dir(args.out)
         started = time.perf_counter()
         if args.command == "verify":
             status = _cmd_verify(cfg, args, out_dir)
@@ -70,20 +69,34 @@ def main(argv=None) -> int:
             status = _cmd_dump(cfg, args, out_dir)
         print(f"wall time: {time.perf_counter() - started:.2f}s", file=sys.stderr)
         return status
-    except FileNotFoundError as e:
-        print(f"error: config not found: {e.filename}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
     return cfg
+
+
+def _output_dir(path: str) -> Path:
+    """The output directory, made with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"cannot create output directory {path}: {e.strerror}"
+        ) from None
+    return out
 
 
 def _apply_overrides(cfg: dict, args) -> dict:

@@ -293,8 +293,17 @@ def _evolve(
     block, from the gathered (B, m, d) batches.  A paired block takes the
     terms of its P rows from those of the base batch and of the m patched
     batches of each step (``_stepped_terms``), so no step copies its batch
-    per row, except that custom_smooth's terms are its patched batch.  The
-    buffer is filled in two parts, by coordinate:
+    per row, except that custom_smooth's terms are its patched batch.
+
+    When every row of the index matrix is the same batch (full_batch,
+    round_robin with m = n, a constant custom matrix), that batch is
+    gathered once and its terms, those of the first step, taken once before
+    the first block: they are the terms of every step, and so is the set of
+    stepped rows, since every neighbor it selects joins at step 1.  Each
+    block reads them for each of its steps, and ``scalar_steps`` takes that
+    one (1, m) column for all the block's steps.
+
+    The buffer is filled in two parts, by coordinate:
 
     * the first f coordinates: the buffer first holds their means g_k.  One
       multiply makes them eta_k g_k, the first row becomes W - eta_0 g_0,
@@ -370,21 +379,27 @@ def _evolve(
     step = instance.step_map
     scalar = replacements is None and instance.scalar_step
 
+    def batch_terms(idx: np.ndarray, P: int):
+        gathered = data[idx]
+        if replacements is None:
+            free = instance.free_grad_mean(gathered)[:, None] if f else None
+            return free, instance.step_terms(gathered)
+        return _stepped_terms(
+            instance, gathered, idx, replacements[idx], rank[1 + idx], P
+        )
+
+    # Every step reads the same batch: its terms, taken once, stand for all.
+    repeated = T > 1 and bool((batches[1:] == batches[0]).all())
+    if repeated:
+        free, terms = batch_terms(batches[:1], rows_last)
     for t0 in range(0, T, B):
         t1 = min(t0 + B, T)
         P = 1 + int(joined[t1 - 1])
         if P > W.shape[0]:
             W = np.concatenate((W, np.repeat(W[:1], P - W.shape[0], axis=0)))
         block = work[: (t1 - t0) * P * d].reshape(t1 - t0, P, d)
-        idx = batches[t0:t1]
-        gathered = data[idx]
-        if replacements is None:
-            free = instance.free_grad_mean(gathered)[:, None] if f else None
-            terms = instance.step_terms(gathered)
-        else:
-            free, terms = _stepped_terms(
-                instance, gathered, idx, replacements[idx], rank[1 + idx], P
-            )
+        if not repeated:
+            free, terms = batch_terms(batches[t0:t1], P)
         if f:
             # These coordinates of the means do not read W, so the block holds
             # them for every step at once; scale them to eta_k g_k and run
@@ -403,7 +418,7 @@ def _evolve(
             stepped = block[..., f:]
             prev = W
             for k in range(t1 - t0):
-                g = step(prev, terms[k])
+                g = step(prev, terms[0 if repeated else k])
                 np.subtract(prev[:, f:], eta[t0 + k] * g, out=stepped[k])
                 prev = block[k]
         # W must not alias the buffer the next block reuses.

@@ -333,26 +333,48 @@ def _trial_dataset(instance: ProblemInstance, n: int, master_seed: int, trial: i
 
 
 def _gen_error_block(args) -> tuple[np.ndarray, int]:
+    """Per trial of the block, population minus empirical risk at its final
+    iterate, or NaN for a trial excluded as divergent.
+
+    The empirical risk is taken per trial, beside its dataset; the finals
+    are kept in an (R, d) array and take the population risk in one call.
+    Trial 0's is also taken alone first, so that a config whose finals
+    leave the Huber region is refused after one run, not after the block.
+    A divergence that is not allowed stops the block; as in trial order, a
+    trial before it that left the region is refused first.
+    """
     (instance, n, etas, sspec, s_idx, master_seed, t0, t1, allow_div) = args
-    values = np.empty(t1 - t0)
-    excluded = 0
-    for trial in range(t0, t1):
+    finals = np.empty((t1 - t0, instance.d))
+    values = np.full(t1 - t0, np.nan)
+    diverged = None
+    for k, trial in enumerate(range(t0, t1)):
         S = _trial_dataset(instance, n, master_seed, trial)
         sched = _trial_schedule(sspec, master_seed, trial, s_idx)
         try:
-            w = run_final(instance, S, sched, etas)
-        except DivergenceError:
+            finals[k] = run_final(instance, S, sched, etas)
+        except DivergenceError as e:
             if not allow_div:
-                raise
-            values[trial - t0] = np.nan
-            excluded += 1
+                diverged = e
+                break
             continue
-        try:
-            risk = float(instance.population_risk(w))
-        except AnalyticRegionError as e:
-            raise CapabilityError(str(e)) from e
-        values[trial - t0] = risk - empirical_risk(instance, w, S)
-    return values, excluded
+        if k == 0:
+            _population_risk(instance, finals[0])
+        values[k] = -empirical_risk(instance, finals[k], S)
+    kept = ~np.isnan(values)
+    if kept.any():
+        values[kept] += _population_risk(instance, finals[kept])
+    if diverged is not None:
+        raise diverged
+    return values, int((~kept).sum())
+
+
+def _population_risk(instance: ProblemInstance, W: np.ndarray) -> np.ndarray:
+    """The population risk at each final of W, refused with
+    ``CapabilityError`` outside the Huber region."""
+    try:
+        return instance.population_risk(W)
+    except AnalyticRegionError as e:
+        raise CapabilityError(str(e)) from e
 
 
 def estimate_gen_error(

@@ -280,8 +280,9 @@ class ProblemInstance:
         bit for bit, so a single run steps that coordinate here alone.
 
         ``etas`` holds the block's b step sizes as floats and ``terms`` its
-        (b, m) z^d column (:meth:`step_terms`).  Each row's zbar^d, min and
-        max are taken once, as arrays.  A step whose batch is in band is then
+        (b, m) z^d column (:meth:`step_terms`), or the (1, m) column of one
+        batch that every step reads.  Each row's zbar^d, min and max are
+        taken once, as arrays.  A step whose batch is in band is then
         float operations only, those of :meth:`step_map`'s in-band slope and
         of the update w - eta g, in their order.  A step whose batch is not
         reduces the clipped slopes of its fresh (m,) row u, as
@@ -292,6 +293,10 @@ class ProblemInstance:
         zbar = (np.add.reduce(terms, -1) / m).tolist()
         lo = np.minimum.reduce(terms, -1).tolist()
         hi = np.maximum.reduce(terms, -1).tolist()
+        if len(terms) < len(etas):
+            b = len(etas)
+            zbar, lo, hi = zbar * b, lo * b, hi * b
+            terms = np.broadcast_to(terms, (b, m))
         path = []
         for e, zb, a, b in zip(etas, zbar, lo, hi):
             c = w - w1d
@@ -666,10 +671,11 @@ def _finite_difference_mismatch(
             return None  # too close to the kink for a two-sided difference
     h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
     g = instance.grad(w, z)
+    # w + h e_k for every k, then w - h e_k: one loss call on the (2d, d) stack
+    step = np.eye(instance.d) * h
+    f = instance.loss(np.concatenate((w + step, w - step)), z).tolist()
     for k in range(instance.d):
-        e = np.zeros(instance.d)
-        e[k] = h
-        fd = (float(instance.loss(w + e, z)) - float(instance.loss(w - e, z))) / (2 * h)
+        fd = (f[k] - f[instance.d + k]) / (2 * h)
         if abs(fd - g[k]) > tol * (1.0 + abs(g[k])):
             return (
                 f"finite-difference mismatch in coordinate {k}: "

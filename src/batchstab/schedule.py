@@ -142,9 +142,10 @@ def realize(spec: ScheduleSpec) -> RealizedSchedule:
     """Realize a schedule specification into a concrete index matrix.
 
     Deterministic in (spec, spec.seed): equal seeds give bit-identical
-    matrices.  Stochastic kinds draw from dedicated substreams (one per epoch
-    for random_reshuffle) so realizations are stable under any outer
-    parallelism.
+    matrices.  Stochastic kinds draw from the one generator of
+    ``substream(spec.seed, 0)``.  random_reshuffle's epoch e is its e-th
+    ``permutation(n)``, so a longer horizon extends the same prefix, and
+    single_shuffle's one permutation is random_reshuffle's first epoch.
     """
     spec.validate()
     n, m, T = spec.n, spec.m, spec.T
@@ -156,17 +157,17 @@ def realize(spec: ScheduleSpec) -> RealizedSchedule:
         batches = (offsets + np.arange(m, dtype=np.int64)) % n
     elif spec.kind == "custom":
         batches = np.asarray(spec.custom_indices, dtype=np.int64).reshape(T, m) - 1
-    elif spec.kind == "single_shuffle":
-        perm = default_rng(substream(spec.seed, 0)).permutation(n)
-        batches = _epoch_chunks(perm[None, :], n, m, T)
-    elif spec.kind == "random_reshuffle":
-        steps_per_epoch = n // m
-        n_epochs = max(1, -(-T // steps_per_epoch))
-        root = substream(spec.seed)
-        perms = np.stack(
-            [default_rng(child).permutation(n) for child in root.spawn(n_epochs)]
+    elif spec.kind in ("single_shuffle", "random_reshuffle"):
+        # One permuted row per epoch reads the stream as that many
+        # permutation(n) calls would, one after another.  Each epoch is cut
+        # into n // m batches, the remainder dropped; single_shuffle recycles
+        # its one epoch, and the last epoch is cut short at T.
+        epochs = 1 if spec.kind == "single_shuffle" else max(1, -(-T // (n // m)))
+        perms = default_rng(substream(spec.seed, 0)).permuted(
+            np.tile(np.arange(n, dtype=np.int64), (epochs, 1)), axis=1
         )
-        batches = _epoch_chunks(perms, n, m, T)
+        chunks = perms[:, : n // m * m].reshape(-1, m)
+        batches = np.tile(chunks, (-(-T // len(chunks)), 1))[:T]
     elif spec.kind == "uniform_random":
         # Each step's batch is the m smallest of n uniform keys.  The keys are
         # drawn in blocks of rows, which reads the stream exactly as one
@@ -195,24 +196,6 @@ def _smallest(keys: np.ndarray, m: int) -> np.ndarray:
     rows = np.arange(keys.shape[0])[:, None]
     picked = np.argpartition(keys, m - 1, axis=1)[:, :m]
     return picked[rows, np.argsort(keys[rows, picked], axis=1)]
-
-
-def _epoch_chunks(perms: np.ndarray, n: int, m: int, T: int) -> np.ndarray:
-    """Chunk permutations into m-sized batches; drop the remainder when m∤n.
-
-    ``perms`` holds one permutation per epoch (a single row is recycled for
-    every epoch).  The final epoch is truncated when T is not a multiple of
-    the epoch length.
-    """
-    steps_per_epoch = n // m
-    if T == 0:
-        return np.empty((0, m), dtype=np.int64)
-    n_epochs = -(-T // steps_per_epoch)
-    rows = []
-    for e in range(n_epochs):
-        perm = perms[e % len(perms)]
-        rows.append(perm[: steps_per_epoch * m].reshape(steps_per_epoch, m))
-    return np.concatenate(rows, axis=0)[:T].astype(np.int64)
 
 
 @dataclass(frozen=True)

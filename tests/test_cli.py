@@ -159,6 +159,45 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "config not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["config_is_a_directory", "out_is_a_file", "out_under_a_file"])
+def test_a_path_that_cannot_be_read_or_made_exits_two_naming_it(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, mini_verify_config())
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    config, out = {
+        "config_is_a_directory": (str(tmp_path), str(tmp_path / "o")),
+        "out_is_a_file": (cfg, str(afile)),
+        "out_under_a_file": (cfg, str(afile / "sub")),
+    }[bad]
+    assert main(["verify", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert (config if bad == "config_is_a_directory" else out) in err
+
+
+def test_verify_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # The shipped convex_sandwich shape, trial counts cut down, at seed 0 in
+    # two fresh interpreters whose str hashes differ.
+    cfg = json.loads((CONFIG_DIR / "convex_sandwich.json").read_text())
+    cfg.update(trials=20, stability_trials=1, regularity_trials=5)
+    path = write_config(tmp_path, cfg)
+    src = str(Path(batchstab.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        env = dict(
+            os.environ, PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "batchstab.cli", "verify", "--config", path,
+             "--out", str(out), "--seed", "0"],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append([(out / f).read_bytes() for f in ("report.json", "summary.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_invariant_violation_names_the_field(tmp_path, capsys):
     bad = mini_verify_config()
     bad["schedules"] = [{"kind": "uniform_random", "m": 99}]

@@ -1,5 +1,6 @@
 """Engine: the iterate map, paired execution, and closed-form oracles."""
 
+import contextlib
 import math
 import tracemalloc
 from unittest import mock
@@ -822,6 +823,38 @@ def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=65))
     B = engine._BLOCK_ELEMENTS // ((1 + m) * d)
     assert B < T
+    with _batch_term_calls() as calls:
+        run_final(inst, S, sched, constant_plan(0.5, T))
+    blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
+    assert len(blocks) > 1
+    assert calls["free_grad_mean"] == calls["step_terms"] == [((b, m, d),) for b in blocks]
+    assert calls["scalar_steps"] == [(float, (b,), (b, m)) for b in blocks]
+    assert calls["step_map"] == []
+
+
+def test_a_full_batch_huber_run_takes_its_batch_terms_once():
+    # A structural guard on the repeated batch: a full_batch run gathers its
+    # one (1, n, d) batch once, takes its free means and z^d column once,
+    # and each block's scalar_steps reads that (1, n) column for all its
+    # steps.
+    d, n, T = 4, 50, 2000
+    inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
+    S = sample_dataset(inst, n, seed=64)
+    sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=T))
+    B = engine._BLOCK_ELEMENTS // ((1 + n) * d)
+    with _batch_term_calls() as calls:
+        run_final(inst, S, sched, constant_plan(0.5, T))
+    blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
+    assert len(blocks) > 1
+    assert calls["free_grad_mean"] == calls["step_terms"] == [((1, n, d),)]
+    assert calls["scalar_steps"] == [(float, (b,), (1, n)) for b in blocks]
+    assert calls["step_map"] == []
+
+
+@contextlib.contextmanager
+def _batch_term_calls():
+    """The argument shapes (a float's type) of every call of the batch-term
+    methods, by name, made inside the block."""
     calls = {"free_grad_mean": [], "step_terms": [], "scalar_steps": [], "step_map": []}
 
     def counted(name):
@@ -838,12 +871,92 @@ def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     with mock.patch.multiple(
         ProblemInstance, **{name: counted(name) for name in calls}
     ):
-        run_final(inst, S, sched, constant_plan(0.5, T))
-    blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
-    assert len(blocks) > 1
-    assert calls["free_grad_mean"] == calls["step_terms"] == [((b, m, d),) for b in blocks]
-    assert calls["scalar_steps"] == [(float, (b,), (b, m)) for b in blocks]
-    assert calls["step_map"] == []
+        yield calls
+
+
+def _repeated_schedule(shape, n, m, T, rng):
+    """A schedule whose every step, or every step of a stretch, reads the
+    same batch: full_batch, round_robin with m = n, a constant custom matrix,
+    one constant only in stretches, or a constant batch that holds an index
+    twice (a matrix no rule realizes)."""
+    if shape == "full_batch":
+        return realize(ScheduleSpec("full_batch", n=n, m=n, T=T))
+    if shape == "round_robin":
+        return realize(ScheduleSpec("round_robin", n=n, m=n, T=T))
+    if shape == "repeated_index":
+        row = rng.integers(0, n, size=m + 1)
+        row[-1] = row[0]
+        return RealizedSchedule(batches=np.tile(row, (T, 1)), n=n)
+    rows = [rng.permutation(n)[:m]]
+    if shape == "stretches":
+        rows += [rng.permutation(n)[:m] for _ in range(2)]
+    at = np.sort(rng.integers(0, len(rows), size=T))
+    custom = tuple(tuple(int(i) + 1 for i in rows[k]) for k in at)
+    return realize(ScheduleSpec("custom", n=n, m=m, T=T, custom_indices=custom))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(
+        ["linear", "convex_huber", "clipped_huber", "quadratic_nonconvex",
+         "quadratic_strongly_convex", "custom_smooth"]
+    ),
+    shape=st.sampled_from(
+        ["full_batch", "round_robin", "constant", "stretches", "repeated_index"]
+    ),
+    n=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=4),
+    T=st.integers(min_value=1, max_value=15),
+    m_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(family="convex_huber", shape="full_batch", n=12, d=2, T=15, m_frac=1.0, seed=3)
+@example(family="quadratic_nonconvex", shape="repeated_index", n=5, d=3, T=9,
+         m_frac=1.0, seed=4)
+def test_a_repeated_batch_is_bitwise_the_step_by_step_references(
+    family, shape, n, d, T, m_frac, seed
+):
+    # Single runs against reference_path and paired runs against the
+    # explicit stack, at block sizes 1, 2, 7 and T and one or three patched
+    # slots per chunk.  ``clipped_huber`` spreads convex_huber's z^d column
+    # over [-2, 2] under a tau of at most 2, so that a batch leaves the band
+    # on either side, or not, as w^d moves.  n = 12 and d = 2 make the free
+    # mean of a full_batch a sum of 12 numbers along the batch axis.
+    m = 1 + int(m_frac * (n - 1))
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.5, 2.0))
+    clip = family == "clipped_huber"
+    if clip:
+        d = max(d, 2)
+        inst = convex_huber_instance(
+            d=d, L=4.0 * math.sqrt(d) * beta, beta=beta, tau=rng.uniform(0.1, 2.0),
+            w1=rng.uniform(-0.5, 0.5, size=d),
+        )
+    else:
+        inst = _instance_of(family, d, beta)
+    sched = _repeated_schedule(shape, n, m, T, rng)
+    S = sample_dataset(inst, n, seed=seed)
+    if clip:
+        S.examples[:, -1] = rng.uniform(-2.0, 2.0, size=n)
+    repl = sample_examples(inst, n, rng)
+    plan = custom_plan(rng.uniform(0.0, 1.0 / beta, size=T))
+    track = family.startswith("quadratic")
+    path = reference_path(inst, S, sched, plan.etas())
+    finals, paths, sup = _paired_by_explicit_stack(
+        inst, S, repl, sched, plan.etas(), track
+    )
+    for B in (1, 2, 7, T):
+        for width in (1, 3):
+            case = (B, width)
+            with block_of(B), chunk_of(width):
+                assert np.array_equal(run(inst, S, sched, plan).iterates, path), case
+                assert np.array_equal(run_final(inst, S, sched, plan), path[-1]), case
+                pt, got = paired_with_path(
+                    inst, S, repl, sched, plan, track_grad_sup=True
+                )
+            assert np.array_equal(pt.finals, finals), case
+            assert np.array_equal(got, paths), case
+            assert pt.grad_sup == sup, case
 
 
 def _first_clip_tau(inst, S, sched, etas, target):

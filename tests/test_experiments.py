@@ -8,7 +8,7 @@ import pytest
 from batchstab.bounds import analytic_gen_error
 from batchstab.engine import constant_plan
 from batchstab import experiments
-from batchstab.errors import ConfigError, DivergenceError
+from batchstab.errors import CapabilityError, ConfigError, DivergenceError
 from batchstab.experiments import (
     ExperimentConfig,
     config_from_dict,
@@ -21,7 +21,9 @@ from batchstab.problems import (
     ProblemInstance,
     convex_huber_instance,
     custom_smooth_instance,
+    empirical_risk,
     linear_instance,
+    quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
 )
 from batchstab.schedule import ScheduleSpec
@@ -494,3 +496,132 @@ def test_the_equivalence_spread_reads_only_defined_means():
     })
     assert fields["passed"] is True and fields["spread"] == 0.25
     assert fields["per_schedule"]["c"] == {"status": "skipped", "reason": "stderr undefined"}
+
+
+def _per_trial_gen_errors(instance, n, etas, spec, master_seed, trials, s_idx=0):
+    """Population minus empirical risk at each trial's final iterate, one
+    float per trial, or NaN for a trial that diverged."""
+    values = []
+    for trial in range(trials):
+        S = experiments._trial_dataset(instance, n, master_seed, trial)
+        sched = experiments._trial_schedule(spec, master_seed, trial, s_idx)
+        try:
+            w = experiments.run_final(instance, S, sched, etas)
+        except DivergenceError:
+            values.append(np.nan)
+            continue
+        values.append(float(instance.population_risk(w)) - empirical_risk(instance, w, S))
+    return np.array(values)
+
+
+def _every_third_trial_diverges(monkeypatch):
+    run_final = experiments.run_final
+    calls = []
+
+    def diverging(*args):
+        calls.append(len(calls))
+        if len(calls) % 3 == 0:
+            raise DivergenceError("non-finite iterate produced at step 1")
+        return run_final(*args)
+
+    monkeypatch.setattr(experiments, "run_final", diverging)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family", ["linear", "convex_huber", "quadratic_nonconvex", "quadratic_strongly_convex"]
+)
+def test_gen_error_values_are_the_per_trial_float_path(family, monkeypatch):
+    # One population-risk call per block of trials gives each trial's value
+    # bit for bit, divergent trials left out as NaN.
+    n, T, trials = 9, 12, 23
+    inst = {
+        "linear": lambda: linear_instance(d=3),
+        "convex_huber": lambda: convex_huber_instance(d=8, L=1.0, beta=1.0),
+        "quadratic_nonconvex": lambda: quadratic_nonconvex_instance(d=9, beta=1.0),
+        "quadratic_strongly_convex": lambda: quadratic_strongly_convex_instance(
+            d=4, L=1.0, beta=1.0, gamma=0.5
+        ),
+    }[family]()
+    etas = constant_plan(0.4, T).etas()
+    for s_idx, (kind, m) in enumerate(
+        (("full_batch", n), ("round_robin", 1), ("random_reshuffle", 4),
+         ("uniform_random", 5))
+    ):
+        spec = ScheduleSpec(kind, n=n, m=m, T=T)
+        for allow in (False, True):
+            with monkeypatch.context() as patch:
+                if allow:
+                    calls = _every_third_trial_diverges(patch)
+                block = (inst, n, etas, spec, s_idx, 5, 0, trials, allow)
+                values, excluded = experiments._gen_error_block(block)
+                if allow:
+                    calls.clear()
+                expected = _per_trial_gen_errors(inst, n, etas, spec, 5, trials, s_idx)
+            assert excluded == np.isnan(expected).sum() == (trials // 3 if allow else 0)
+            nan = np.isnan(expected)
+            assert np.array_equal(np.isnan(values), nan), (kind, allow)
+            assert values[~nan].tobytes() == expected[~nan].tobytes(), (kind, allow)
+
+
+def test_a_final_outside_the_huber_region_skips_with_the_region_reason(monkeypatch):
+    # eta = 1e6 drives w^d out of the region where the population risk is
+    # the closed form; the reason is the one population_risk raises with,
+    # after the first trial's run.
+    config = small_config(
+        plan={"kind": "constant", "eta": 1e6, "T": 20}, checks=["gen_error_mc"]
+    )
+    limit = config.instance.params.tau - config.instance.scales[-1]
+    reason = (
+        "population risk queried outside the analytic region "
+        f"|w^d - w1^d| <= {float(limit)!r}; iterates should never leave it"
+    )
+    run_final, calls = experiments.run_final, []
+
+    def counted(*args):
+        calls.append(args)
+        return run_final(*args)
+
+    monkeypatch.setattr(experiments, "run_final", counted)
+    report = run_full_verification(config)
+    for section in report["schedules"].values():
+        assert section["gen_error_mc"] == {"status": "skipped", "reason": reason}
+    assert len(calls) == len(config.schedules)
+
+
+@pytest.mark.parametrize(
+    "events, allow, raised, runs",
+    [
+        ({1: "region", 3: "diverge"}, False, CapabilityError, 4),
+        ({1: "diverge", 3: "region"}, False, DivergenceError, 2),
+        ({1: "diverge", 3: "region"}, True, CapabilityError, 6),
+    ],
+)
+def test_the_first_of_a_divergence_and_a_region_error_in_trial_order_wins(
+    monkeypatch, events, allow, raised, runs
+):
+    # A block holds a trial whose final leaves the Huber region and one that
+    # diverges.  As in trial order, the earlier one is raised, unless the
+    # divergence is allowed; a divergence that is not stops the block.
+    inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
+    run_final = experiments.run_final
+    calls = []
+
+    def scripted(*args):
+        event = events.get(len(calls))
+        calls.append(event)
+        if event == "diverge":
+            raise DivergenceError("non-finite iterate produced at step 1")
+        w = run_final(*args)
+        if event == "region":
+            w[-1] += 10.0
+        return w
+
+    monkeypatch.setattr(experiments, "run_final", scripted)
+    spec = ScheduleSpec("round_robin", n=6, m=1, T=5)
+    with pytest.raises(raised):
+        estimate_gen_error(
+            inst, 6, constant_plan(0.5, 5), spec, trials=6, master_seed=3,
+            allow_divergence=allow,
+        )
+    assert len(calls) == runs

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from batchstab import problems
 from batchstab.errors import AnalyticRegionError, CapabilityError, ConfigError
 from batchstab.problems import (
     Dataset,
@@ -279,6 +280,61 @@ def test_verify_regularity_families():
     w = inst_dir = z / np.linalg.norm(z)
     ratio = abs(lin.loss(w, z) - lin.loss(np.zeros(4), z)) / np.linalg.norm(w)
     assert ratio == pytest.approx(2.0)
+
+
+def _per_coordinate_mismatch(instance, w, z, tol):
+    """The central-difference check with one pair of loss calls per
+    coordinate: the reference for the stacked check."""
+    if instance.family == "convex_huber":
+        u = w[-1] - instance.w1[-1] - z[-1]
+        if abs(abs(u) - instance.params.tau) < 1e-4:
+            return None
+    h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
+    g = instance.grad(w, z)
+    for k in range(instance.d):
+        e = np.zeros(instance.d)
+        e[k] = h
+        fd = (float(instance.loss(w + e, z)) - float(instance.loss(w - e, z))) / (2 * h)
+        if abs(fd - g[k]) > tol * (1.0 + abs(g[k])):
+            return (
+                f"finite-difference mismatch in coordinate {k}: "
+                f"analytic {g[k]!r} vs central difference {fd!r}"
+            )
+    return None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: linear_instance(d=3),
+        lambda: convex_huber_instance(d=9, L=1.0, beta=2.0, w1=np.linspace(-1, 1, 9)),
+        lambda: quadratic_nonconvex_instance(d=3, beta=1.5, lam=[-1.5, -0.5, -1.0]),
+        lambda: quadratic_strongly_convex_instance(d=8, L=1.0, beta=2.0, gamma=1.0),
+        lambda: custom_smooth_instance(
+            d=4, loss_fn=lambda w, z: np.log(np.cosh(w - z)).sum(axis=-1),
+            grad_fn=lambda w, z: np.tanh(w - z), scales=np.full(4, 0.7), beta=1.0,
+        ),
+    ],
+)
+def test_the_stacked_finite_differences_are_the_per_coordinate_loop(make):
+    # The same verdict and message, naming the same first coordinate, at
+    # tolerances that pass every coordinate, some or none.
+    inst = make()
+    rng = np.random.default_rng(41)
+    messages = set()
+    for _ in range(40):
+        w = inst.w1 + rng.normal(size=inst.d)
+        z = inst.scales * rng.choice([-1.0, 1.0], size=inst.d)
+        for tol in (1e-6, 1e-9, 1e-10, 1e-11, 0.0):
+            got = problems._finite_difference_mismatch(inst, w, z, tol)
+            assert got == _per_coordinate_mismatch(inst, w, z, tol)
+            messages.add(got and got.split(":")[0])
+    assert None in messages and len(messages) > 2
+    if inst.family == "convex_huber":
+        # within 1e-4 of the kink neither differences: no mismatch at tol 0
+        w[-1] = inst.w1[-1] + z[-1] + inst.params.tau - 5e-5
+        assert problems._finite_difference_mismatch(inst, w, z, 0.0) is None
+        assert _per_coordinate_mismatch(inst, w, z, 0.0) is None
 
 
 def test_constructor_invariants():

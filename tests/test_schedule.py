@@ -224,3 +224,53 @@ def test_uniform_random_partition_picks_the_batches_of_a_full_argsort():
             expected = np.argsort(keys, axis=1)[:, :m]
             sched = realize(ScheduleSpec("uniform_random", n=n, m=m, T=T, seed=seed))
             assert np.array_equal(sched.batches, expected), (seed, n, m, T)
+
+
+def _shuffled_epochs(seed, n, m, epochs, T):
+    """``epochs`` sequential ``permutation(n)`` draws of the generator of
+    ``substream(seed, 0)``, each cut into n // m batches of m, recycled in
+    turn and truncated to T steps."""
+    rng = np.random.default_rng(substream(seed, 0))
+    per = n // m
+    chunks = [rng.permutation(n)[: per * m].reshape(per, m) for _ in range(epochs)]
+    steps = [chunks[e % epochs] for e in range(-(-T // per))]
+    return np.concatenate(steps + [np.empty((0, m), dtype=np.int64)])[:T]
+
+
+_shuffle_cases = given(
+    n=st.integers(min_value=1, max_value=12),
+    m_frac=st.floats(min_value=0.0, max_value=1.0),
+    T=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+
+
+@settings(max_examples=100, derandomize=True)
+@_shuffle_cases
+def test_reshuffle_epoch_e_is_the_e_th_permutation_of_one_stream(n, m_frac, T, seed):
+    m = 1 + int(m_frac * (n - 1))
+    sched = realize(ScheduleSpec("random_reshuffle", n=n, m=m, T=T, seed=seed))
+    expected = _shuffled_epochs(seed, n, m, max(1, -(-T // (n // m))), T)
+    assert sched.batches.dtype == np.int64
+    assert np.array_equal(sched.batches, expected)
+
+
+@settings(max_examples=100, derandomize=True)
+@_shuffle_cases
+def test_single_shuffle_recycles_the_first_permutation_of_its_stream(n, m_frac, T, seed):
+    # single_shuffle's batches as they were before random_reshuffle came to
+    # share its stream: its one permutation, recycled every epoch.
+    m = 1 + int(m_frac * (n - 1))
+    sched = realize(ScheduleSpec("single_shuffle", n=n, m=m, T=T, seed=seed))
+    assert sched.batches.dtype == np.int64
+    assert np.array_equal(sched.batches, _shuffled_epochs(seed, n, m, 1, T))
+
+
+@settings(max_examples=100, derandomize=True)
+@_shuffle_cases
+def test_reshuffles_are_prefix_stable_in_the_horizon(n, m_frac, T, seed):
+    m = 1 + int(m_frac * (n - 1))
+    long = realize(ScheduleSpec("random_reshuffle", n=n, m=m, T=T + 13, seed=seed))
+    for t in (0, T // 2, T):
+        short = realize(ScheduleSpec("random_reshuffle", n=n, m=m, T=t, seed=seed))
+        assert np.array_equal(short.batches, long.batches[:t])
