@@ -8,6 +8,13 @@ exact per-step inequalities that every measurement sits inside the
 theoretical sandwich.
 """
 
+import os
+
+# Before numpy loads OpenBLAS, which would otherwise start a worker pool that
+# only spins: batchstab's parallelism is --jobs worker processes, and its
+# only BLAS calls are on length-d vectors.  A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from batchstab.bounds import (
     BoundSet,
     analytic_gen_error,

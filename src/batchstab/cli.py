@@ -6,7 +6,8 @@ parallelism overrides.  Outputs are deterministic: rerunning a manifest
 reproduces byte-identical files (wall time goes to stderr, never into a
 file).  Exit status is 0 when no enabled check failed and at least one
 passed, 1 when a check failed or every check skipped, and 2 on config or
-usage errors.  A grid-sweep cell is a verify run of its own config.
+usage errors, a dumped trajectory that diverges included.  A grid-sweep cell
+is a verify run of its own config.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from batchstab.engine import run, trajectory_to_csv
-from batchstab.errors import ConfigError
+from batchstab.errors import ConfigError, DivergenceError
 from batchstab.experiments import (
     config_field,
     config_from_dict,
@@ -82,6 +85,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config not found: {path}") from None
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot parse config {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"the config must be a JSON object, not {type(cfg).__name__}")
     return cfg
@@ -211,6 +216,8 @@ def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
         raise ConfigError("grid sweep requires non-empty 'axes'")
     base = config_field(sweep, "base", dict, {})
     trials = config_field(sweep, "trials", int, 0, minimum=0)
+    # ``schedule`` is the grid's field, read per cell, not a verify field.
+    verified = {k: v for k, v in base.items() if k != "schedule"}
 
     # Each row repeats its axis values as the config wrote them.
     grid: list[dict] = [{}]
@@ -233,7 +240,7 @@ def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
             if cell["schedule"] == "full_batch":
                 schedule["m"] = n
         report = run_full_verification(config_from_dict(dict(
-            base, n=n, plan=plan, schedules=[schedule],
+            verified, n=n, plan=plan, schedules=[schedule],
             checks=["sandwich", "gen_error_mc"] if trials else ["sandwich"],
             # without gen_error_mc the trial count is never read
             trials=max(trials, 1), master_seed=cfg.get("master_seed"),
@@ -282,7 +289,12 @@ def _cmd_dump(cfg: dict, args, out_dir: Path) -> int:
     spec = schedule_spec_from_dict(
         {"seed": seed, **config_field(dump, "schedule", dict)}, n=n, T=plan.T
     )
-    traj = run(instance, dataset, realize(spec), plan)
+    try:
+        # The engine names the step of divergence; numpy's warnings add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(instance, dataset, realize(spec), plan)
+    except DivergenceError as e:
+        raise ConfigError(f"the dumped trajectory diverges: {e}") from None
     trajectory_to_csv(traj, out_dir / "trajectory.csv")
     print(f"wrote trajectory.csv ({plan.T + 1} rows)")
     return 0

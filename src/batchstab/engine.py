@@ -29,11 +29,12 @@ taken once per block; a single convex_huber run steps its one Huber
 coordinate by ``ProblemInstance.scalar_steps``.  Each is the floating-point
 operations of the per-step update in the same order.
 Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
-paired block's terms and one chunk of its patched batches.  Iterates leave
-the loop only through an ``on_block`` hook, which sees each block's stepped
-rows once they have passed their checks: ``run`` collects its path through
-it, and the growth-recursion audit of ``stability`` streams through it and
-reads only those rows.
+paired block's terms and one chunk of its patched batches; a batch that
+every step reads is held once, as m d.  Iterates leave the loop only
+through an ``on_block`` hook, which sees each block's stepped rows once they
+have passed their checks: ``run`` collects its path through it, and the
+growth-recursion audit of ``stability`` streams through it and reads only
+those rows.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -247,9 +248,10 @@ def _base_rows(x: np.ndarray | None, P: int) -> np.ndarray | None:
 
 def _block_steps(instance: ProblemInstance, m: int, rows: int, paired: bool) -> int:
     """Steps per block: the most, at least 1, for which a block's iterates of
-    ``rows`` stepped rows and its batches of m examples together, and for a
-    paired block the step terms of each row, hold at most
-    ``_BLOCK_ELEMENTS`` numbers."""
+    ``rows`` stepped rows and the m examples it gathers per step together,
+    and for a paired block the step terms of each row, hold at most
+    ``_BLOCK_ELEMENTS`` numbers.  m is 0 for a batch that every step reads,
+    since it is gathered, and its terms taken, once."""
     span = (rows + m) * instance.d
     if paired:
         span = max(span, rows * instance.step_terms_size(m))
@@ -283,7 +285,8 @@ def _evolve(
     instead of T (n+1) d.
 
     The steps run in blocks of B = ``_block_steps`` steps, sized by P_T, the
-    rows stepped by the last block (1 without ``replacements``).
+    rows stepped by the last block (1 without ``replacements``), and by the
+    m examples each step gathers, none when the batch repeats (below).
     Per block, the batches of its B steps are gathered at once, and each
     step writes the iterates of the P stepped rows into one (B, P, d)
     buffer.  The batch gradient is split as ``ProblemInstance`` states it:
@@ -340,9 +343,10 @@ def _evolve(
     Working memory is O((n + B m) d + B P d), plus a paired block's step
     terms, bounded with the iterates but at least one step's (P m for
     convex_huber, P m d for custom_smooth), plus one chunk of its patched
-    batches (``_chunk_slots``).  Once an iterate is non-finite, a custom
-    ``grad_fn`` may still be called on it for the rest of its block before
-    ``DivergenceError`` is raised.
+    batches (``_chunk_slots``).  A repeated batch and its terms are held
+    once, so there B m is m and the terms are one step's.  Once an iterate
+    is non-finite, a custom ``grad_fn`` may still be called on it for the
+    rest of its block before ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
     d = instance.d
@@ -362,7 +366,9 @@ def _evolve(
     order = np.empty(R, dtype=np.intp)
     order[rank] = np.arange(R)
     rows_last = 1 + int(joined[-1] if T else 0)
-    B = _block_steps(instance, m, rows_last, replacements is not None)
+    # Every step reads the same batch: its terms, taken once, stand for all.
+    repeated = T > 1 and bool((batches[1:] == batches[0]).all())
+    B = _block_steps(instance, 0 if repeated else m, rows_last, replacements is not None)
     work = np.empty(min(B, T) * rows_last * d)
     limit = instance.huber_region_limit(etas)
     w1d = instance.w1[-1]
@@ -388,8 +394,6 @@ def _evolve(
             instance, gathered, idx, replacements[idx], rank[1 + idx], P
         )
 
-    # Every step reads the same batch: its terms, taken once, stand for all.
-    repeated = T > 1 and bool((batches[1:] == batches[0]).all())
     if repeated:
         free, terms = batch_terms(batches[:1], rows_last)
     for t0 in range(0, T, B):

@@ -31,7 +31,8 @@ diverges, or whose iterates leave the Huber band the engine asserts, is a
 check failed and at least one passed.
 
 Every config value is read by ``config_field``, which refuses a malformed
-field with a ``ConfigError`` naming it.
+field with a ``ConfigError`` naming it; a field that nothing reads is
+refused in the same way.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from batchstab.errors import (
     RegimeError,
 )
 from batchstab.problems import (
-    QUADRATIC_FAMILIES,
     Dataset,
     ProblemInstance,
     convex_huber_instance,
@@ -172,11 +172,42 @@ def _describe(kind) -> str:
     return _NOUNS[kind]
 
 
+def _refuse_unknown(cfg: dict, known, where: str) -> None:
+    """Refuse a field of ``cfg`` that no reader reads: a misspelled field
+    would otherwise be ignored and its default used."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown field {unknown[0]!r} in {where}; known fields: {sorted(known)}"
+        )
+
+
+# The fields each family's constructor reads, beside family, d, w1 and beta.
+_INSTANCE_FIELDS = {
+    "linear": (),
+    "convex_huber": ("L", "tau"),
+    "quadratic_nonconvex": ("lam",),
+    "quadratic_strongly_convex": ("L", "gamma"),
+}
+_CONFIG_FIELDS = (
+    "name", "instance", "n", "plan", "schedules", "trials", "master_seed", "checks",
+    "stability_trials", "regularity_trials", "jobs", "allow_divergence", "class",
+)
+# Known whatever the kind: the grid sweep rewrites a plan's kind and may
+# leave another kind's field set, or null.
+_PLAN_FIELDS = ("kind", "T", "eta", "coeff", "c", "values")
+_SCHEDULE_FIELDS = ("kind", "m", "seed", "custom_indices")
+
+
 def instance_from_config(cfg: dict) -> ProblemInstance:
     """Build an instance from its config object (see README for the schema)."""
     family = config_field(cfg, "family", str)
-    if family not in ("linear", "convex_huber", *QUADRATIC_FAMILIES):
+    if family not in _INSTANCE_FIELDS:
         raise ConfigError(f"cannot build family {family!r} from a config file")
+    _refuse_unknown(
+        cfg, ("family", "d", "w1", "beta", *_INSTANCE_FIELDS[family]),
+        f"'instance' of family {family!r}",
+    )
     d = config_field(cfg, "d", int, minimum=1)
     w1 = config_field(cfg, "w1", list, None, of=float)
     beta = config_field(cfg, "beta", float, 1.0 if family == "linear" else _REQUIRED)
@@ -198,6 +229,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     Error messages name the offending field and the violated constraint.
     """
     instance = instance_from_config(config_field(cfg, "instance", dict))
+    _refuse_unknown(cfg, _CONFIG_FIELDS, "the config")
     n = config_field(cfg, "n", int, minimum=1)
     plan = plan_from_dict(config_field(cfg, "plan", dict), instance)
     schedules = []
@@ -243,6 +275,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
 
 def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
     kind = config_field(cfg, "kind", str)
+    _refuse_unknown(cfg, _PLAN_FIELDS, "'plan'")
     T = config_field(cfg, "T", int, minimum=0)
     if kind == "constant":
         plan = StepSizePlan(kind="constant", T=T, eta=config_field(cfg, "eta", float))
@@ -266,6 +299,7 @@ def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
 
 def schedule_spec_from_dict(cfg: dict, n: int, T: int) -> ScheduleSpec:
     kind = config_field(cfg, "kind", str)
+    _refuse_unknown(cfg, _SCHEDULE_FIELDS, "a schedule")
     custom = config_field(cfg, "custom_indices", list, None, of=list[int])
     return ScheduleSpec(
         kind=kind, n=n, T=T,

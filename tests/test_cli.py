@@ -175,27 +175,84 @@ def test_a_path_that_cannot_be_read_or_made_exits_two_naming_it(tmp_path, capsys
     assert (config if bad == "config_is_a_directory" else out) in err
 
 
-def test_verify_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # The shipped convex_sandwich shape, trial counts cut down, at seed 0 in
-    # two fresh interpreters whose str hashes differ.
+@pytest.mark.parametrize(
+    "content", [b'{"name": 1,', b"\xff\xfe"], ids=["not_json", "not_utf8"]
+)
+def test_a_config_that_cannot_be_parsed_exits_two_naming_it(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot parse config {path}: ")
+    assert not any(out.glob("*"))
+
+
+def subprocess_env(**variables):
+    """The environment of a fresh interpreter that imports this checkout's
+    batchstab, with ``variables`` set, or unset where None."""
+    src = str(Path(batchstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name, value in variables.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
+def verify_outputs_in_fresh_interpreters(tmp_path, envs):
+    """``report.json`` and ``summary.csv`` of ``verify`` on the shipped
+    convex_sandwich shape, trial counts cut down, at seed 0, in one fresh
+    interpreter per environment."""
     cfg = json.loads((CONFIG_DIR / "convex_sandwich.json").read_text())
     cfg.update(trials=20, stability_trials=1, regularity_trials=5)
     path = write_config(tmp_path, cfg)
-    src = str(Path(batchstab.__file__).resolve().parents[1])
     outputs = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / hash_seed
-        env = dict(
-            os.environ, PYTHONHASHSEED=hash_seed,
-            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        )
+    for i, env in enumerate(envs):
+        out = tmp_path / str(i)
         subprocess.run(
             [sys.executable, "-m", "batchstab.cli", "verify", "--config", path,
              "--out", str(out), "--seed", "0"],
             env=env, capture_output=True, check=True,
         )
         outputs.append([(out / f).read_bytes() for f in ("report.json", "summary.csv")])
+    return outputs
+
+
+def test_verify_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Two fresh interpreters whose str hashes differ.
+    outputs = verify_outputs_in_fresh_interpreters(
+        tmp_path, [subprocess_env(PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    )
     assert outputs[0] == outputs[1]
+
+
+def test_verify_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # batchstab's default of one OpenBLAS thread, and a user's one or two.
+    outputs = verify_outputs_in_fresh_interpreters(
+        tmp_path, [subprocess_env(OPENBLAS_NUM_THREADS=v) for v in (None, "1", "2")]
+    )
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.parametrize("preset, kept", [(None, "1"), ("2", "2")])
+def test_importing_batchstab_starts_no_blas_worker_thread(preset, kept):
+    # numpy's OpenBLAS starts one worker thread per further core unless told
+    # otherwise; batchstab runs on one BLAS thread unless the user set a count.
+    code = (
+        "import os, batchstab; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env(OPENBLAS_NUM_THREADS=preset),
+        capture_output=True, text=True, check=True,
+    )
+    threads, value = done.stdout.split()
+    assert value == kept
+    if preset is None:
+        assert threads == "1"
 
 
 def test_invariant_violation_names_the_field(tmp_path, capsys):
@@ -282,10 +339,9 @@ def test_a_serial_verify_never_imports_the_process_pool(tmp_path):
         f"'--out', {str(tmp_path / 'o')!r}, '--jobs', '1']); "
         "print(code, 'concurrent.futures' in sys.modules)"
     )
-    src = str(Path(batchstab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True,
+        text=True, check=True,
     )
     assert done.stdout.splitlines()[-1] == "0 False"
 
@@ -398,6 +454,24 @@ def test_dump_trajectory_is_the_per_step_path_bit_for_bit(tmp_path):
     assert_pinned_digests({"dump:convex_huber_trajectory": (out / "trajectory.csv").read_text()})
 
 
+def test_a_diverging_dump_trajectory_exits_two_naming_the_step(tmp_path, capsys):
+    payload = {
+        "master_seed": 1,
+        "dump": {
+            "what": "trajectory", "n": 5,
+            "instance": {"family": "quadratic_nonconvex", "d": 2, "beta": 1.0},
+            "plan": {"kind": "constant", "eta": 1e200, "T": 400},
+            "schedule": {"kind": "round_robin", "m": 1},
+        },
+    }
+    out = tmp_path / "o"
+    assert main(["dump", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "non-finite iterate produced at step 2" in err
+    assert not any(out.glob("*"))
+
+
 def test_sweep_uniform_stability_demo(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -476,6 +550,19 @@ def test_shipped_flagship_config_parses():
     config = config_from_dict(cfg)
     assert config.n == 50 and config.trials == 2000
     assert math.isclose(config.plan.etas().sum(), 50.0)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [CONFIG_DIR / f"{name}.json"
+     for name in ("convex_sandwich", "nonconvex_lower", "strongly_convex_sandwich")]
+    + [CONFIG_DIR.parent / "perfbench" / "configs" / "paired_large_n.json"],
+    ids=lambda p: p.stem,
+)
+def test_every_kept_verify_config_loads(path):
+    from batchstab.experiments import config_from_dict
+
+    config_from_dict(json.loads(path.read_text()))
 
 
 def huber_grid_config():
@@ -681,6 +768,13 @@ MALFORMED = [
     ("sweep", huber_grid_config, ("sweep", "trials"), "2", "field 'trials'"),
     ("dump", dump_schedule_config, ("dump", "n"), "3", "field 'n'"),
     ("dump", dump_schedule_config, ("dump", "T"), 2.5, "field 'T'"),
+    # A field that nothing reads, once ignored in favour of its default.
+    ("verify", mini_verify_config, ("stability_trial",), 1, "field 'stability_trial'"),
+    ("verify", mini_verify_config, ("plan", "etaa"), 9, "field 'etaa'"),
+    ("verify", mini_verify_config, ("instance", "gamma"), 1.0, "field 'gamma'"),
+    ("verify", mini_verify_config, ("schedules", 1, "mm"), 2, "field 'mm'"),
+    ("sweep", huber_grid_config, ("sweep", "base", "trails"), 5, "field 'trails'"),
+    ("dump", dump_schedule_config, ("dump", "schedule", "M"), 2, "field 'M'"),
 ]
 
 
@@ -787,9 +881,11 @@ def test_a_grid_cell_is_the_verify_run_of_its_config(tmp_path):
     out = tmp_path / "g"
     assert main(["sweep", "--config", write_config(tmp_path, grid), "--out", str(out)]) == 0
     row = json.loads((out / "sweep.json").read_text())[1]
+    # The base's one schedule becomes the cell's list of schedules.
+    cell = dict(grid["sweep"]["base"])
     cell = dict(
-        grid["sweep"]["base"], plan={"kind": "constant", "eta": 0.5, "T": 10},
-        schedules=[grid["sweep"]["base"]["schedule"]], checks=["sandwich", "gen_error_mc"],
+        cell, plan={"kind": "constant", "eta": 0.5, "T": 10},
+        schedules=[cell.pop("schedule")], checks=["sandwich", "gen_error_mc"],
         trials=grid["sweep"]["trials"], master_seed=grid["master_seed"],
     )
     out = tmp_path / "v"

@@ -836,12 +836,12 @@ def test_a_full_batch_huber_run_takes_its_batch_terms_once():
     # A structural guard on the repeated batch: a full_batch run gathers its
     # one (1, n, d) batch once, takes its free means and z^d column once,
     # and each block's scalar_steps reads that (1, n) column for all its
-    # steps.
-    d, n, T = 4, 50, 2000
+    # steps.  Its blocks are sized by the iterates alone.
+    d, n, T = 4, 50, 10_000
     inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
     S = sample_dataset(inst, n, seed=64)
     sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=T))
-    B = engine._BLOCK_ELEMENTS // ((1 + n) * d)
+    B = engine._BLOCK_ELEMENTS // d
     with _batch_term_calls() as calls:
         run_final(inst, S, sched, constant_plan(0.5, T))
     blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
@@ -849,6 +849,18 @@ def test_a_full_batch_huber_run_takes_its_batch_terms_once():
     assert calls["free_grad_mean"] == calls["step_terms"] == [((1, n, d),)]
     assert calls["scalar_steps"] == [(float, (b,), (1, n)) for b in blocks]
     assert calls["step_map"] == []
+
+
+def test_a_full_batch_huber_run_at_the_shipped_shape_is_one_block():
+    # The convex_sandwich shape: the one batch is gathered once, so it does
+    # not shrink the blocks, and the T steps of a single run fit one block.
+    d, n, T = 8, 50, 100
+    inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
+    S = sample_dataset(inst, n, seed=66)
+    sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=T))
+    with _batch_term_calls() as calls:
+        run_final(inst, S, sched, constant_plan(0.5, T))
+    assert calls["scalar_steps"] == [(float, (T,), (1, n))]
 
 
 @contextlib.contextmanager
