@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from batchstab.errors import RegimeError
-
 
 def suffix_products(factors: np.ndarray) -> np.ndarray:
     """suffix[t] = product of factors[t+1:], computed in one reverse pass.
@@ -23,17 +21,11 @@ def suffix_products(factors: np.ndarray) -> np.ndarray:
 def affine_steps(instance, etas: np.ndarray):
     """The affine form of ``instance`` along a run with step sizes ``etas``.
 
-    Returns (e, c, factors, tail): e and c of ``instance.affine_form()``, the
+    Returns (e, c, factors, tail): e and c of ``instance.affine_form(etas)``,
+    which refuses a plan whose iterates could leave the analytic region, the
     per-step factors 1 - eta_t a and their suffix products
-    tail[t] = prod_{j>t} (1 - eta_j a), both (T, d).  A convex_huber plan
-    under which iterates could leave the Huber region, where the form stops
-    holding, is refused with ``RegimeError``.
+    tail[t] = prod_{j>t} (1 - eta_j a), both (T, d).
     """
-    a, e, c = instance.affine_form()
-    if instance.family == "convex_huber" and instance.huber_region_limit(etas) is None:
-        raise RegimeError(
-            "the convex_huber closed forms require eta_t <= 1/beta and tau >= "
-            "twice the last data scale, so that iterates stay in the Huber region"
-        )
+    a, e, c = instance.affine_form(etas)
     factors = 1.0 - etas[:, None] * a
     return e, c, factors, suffix_products(factors)

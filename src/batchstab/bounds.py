@@ -173,28 +173,12 @@ def analytic_gen_error(instance: ProblemInstance, plan: StepSizePlan, n: int) ->
         (1/n) sum_k (s_k e_k)^2 sum_t eta_t prod_{j>t} (1 - eta_j a_k)
 
     The value is identical for every data-independent schedule and every
-    batch size, so no schedule argument exists.  Admissible plans: any for
-    linear; eta_t <= 1/beta and tau >= 2 s_d for convex_huber (iterates then
-    stay inside the Huber region); the decreasing eta_t = coeff/t for
-    quadratic_nonconvex; a constant eta <= 1/(beta+gamma) for
-    quadratic_strongly_convex.
+    batch size, so no schedule argument exists.  The family refuses a plan
+    it admits no oracle under (``check_oracle_plan``), or under which its
+    iterates could leave its analytic region (``affine_form``).
     """
     etas = plan.etas()
-    if instance.family == "quadratic_nonconvex":
-        _require(
-            plan.kind == "inverse_t",
-            "the nonconvex oracle requires the decreasing plan eta_t = coeff/t",
-        )
-    if instance.family == "quadratic_strongly_convex":
-        beta, gamma = instance.params.beta, instance.params.gamma
-        _require(
-            plan.kind == "constant",
-            "the strongly-convex oracle requires a constant step size",
-        )
-        _require(
-            plan.T == 0 or plan.eta <= (1.0 / (beta + gamma)) * (1.0 + REL_SLACK),
-            "the strongly-convex oracle requires eta <= 1/(beta+gamma)",
-        )
+    instance.check_oracle_plan(plan)
     e, _, _, tail = affine_steps(instance, etas)
     series = (etas[:, None] * tail).sum(axis=0)  # (d,)
     return float((instance.scales**2 * e**2 * series).sum() / n)

@@ -64,12 +64,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out_dir = _output_dir(args.out)
         started = time.perf_counter()
-        if args.command == "verify":
-            status = _cmd_verify(cfg, args, out_dir)
-        elif args.command == "sweep":
-            status = _cmd_sweep(cfg, args, out_dir)
-        else:
-            status = _cmd_dump(cfg, args, out_dir)
+        # The engine or the report names each overflow; numpy's warnings add nothing.
+        command = {"verify": _cmd_verify, "sweep": _cmd_sweep, "dump": _cmd_dump}
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            status = command[args.command](cfg, args, out_dir)
         print(f"wall time: {time.perf_counter() - started:.2f}s", file=sys.stderr)
         return status
     except ValueError as e:
@@ -130,9 +128,12 @@ def _cmd_verify(cfg: dict, args, out_dir: Path) -> int:
         _write_json(out_dir / "report.json", report)
     if args.format in ("csv", "both"):
         _write_csv(out_dir / "summary.csv", _SUMMARY_HEADER, _summary_rows(report))
+    sections = (report["checks"], *report["schedules"].values())
+    statuses = [c["status"] for s in sections for k, c in s.items() if k != "spec"]
     print(
         f"{report['name']}: {'PASS' if report['passed'] else 'FAIL'} "
-        f"({len(report['failures'])} failing checks)"
+        f"({statuses.count('fail')} failing, {statuses.count('pass')} passing, "
+        f"{statuses.count('skipped')} skipped checks)"
     )
     return 0 if report["passed"] else 1
 
@@ -172,7 +173,7 @@ def _cmd_sweep(cfg: dict, args, out_dir: Path) -> int:
     cfg = _apply_overrides(cfg, args)
     if mode == "uniform_stability_demo":
         rows = uniform_stability_failure_demo(
-            ns=config_field(sweep, "ns", list, of=int, minimum=1),
+            ns=config_field(sweep, "ns", list[int], minimum=1),
             epochs=config_field(sweep, "epochs", int, minimum=1),
             d=config_field(sweep, "d", int, minimum=1),
             trials=config_field(sweep, "trials", int, 200, minimum=1),
@@ -212,7 +213,7 @@ def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
         raise ConfigError(
             f"unknown sweep axes {sorted(unknown)}; allowed: {sorted(_GRID_AXES)}"
         )
-    if not axes or not all(config_field(axes, a, list, of=_GRID_AXES[a]) for a in axes):
+    if not axes or not all(config_field(axes, a, list[_GRID_AXES[a]]) for a in axes):
         raise ConfigError("grid sweep requires non-empty 'axes'")
     base = config_field(sweep, "base", dict, {})
     trials = config_field(sweep, "trials", int, 0, minimum=0)
@@ -290,9 +291,7 @@ def _cmd_dump(cfg: dict, args, out_dir: Path) -> int:
         {"seed": seed, **config_field(dump, "schedule", dict)}, n=n, T=plan.T
     )
     try:
-        # The engine names the step of divergence; numpy's warnings add nothing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = run(instance, dataset, realize(spec), plan)
+        traj = run(instance, dataset, realize(spec), plan)
     except DivergenceError as e:
         raise ConfigError(f"the dumped trajectory diverges: {e}") from None
     trajectory_to_csv(traj, out_dir / "trajectory.csv")

@@ -7,34 +7,17 @@ The update at step t averages the example gradients over the selected batch:
 ``run`` executes a single trajectory; ``run_paired`` executes the same
 schedule realization on a dataset and on all n of its single-replacement
 neighbors, sharing one index matrix across the n+1 runs.  Both are thin
-wrappers over a core loop that is vectorized across stacked trajectories.
-Paired runs copy neither the dataset per neighbor nor a batch per stepped
-run: by the counting identity, at step t only the m neighbors whose index is
-in K_t read a batch that differs from the base run, so the batch terms of
-every run at step t are those of the base batch and of the m patched
-batches (``ProblemInstance`` states which terms each family's gradient
-reads).  Nor do they step a neighbor before the first step that selects its
-index, since until then it is the base run bit for bit: a block steps only
-the base run and the neighbors selected by its end, so a paired run costs
-sum_t (1 + |K_1 u ... u K_t|) d, not T (n+1) d.
-The loop steps in blocks of B steps, B set so that a block's iterates and
-batches hold about ``_BLOCK_ELEMENTS`` numbers: each block gathers its
-batches once and checks its iterates once (see ``_evolve``).  The gradient
-coordinates that do not read w (the first ``ProblemInstance.grad_free_coords``:
-all of linear's, all but the Huber one of convex_huber's) have updates
-eta_t g_t known before the block steps, so they come from one cumulative
-subtraction instead of a Python loop over the block's steps; only the
-coordinates that read w step one step at a time, from terms of each batch
-taken once per block; a single convex_huber run steps its one Huber
-coordinate by ``ProblemInstance.scalar_steps``.  Each is the floating-point
-operations of the per-step update in the same order.
-Working memory is O((n + B m) d + B P d) when a block steps P runs, plus a
-paired block's terms and one chunk of its patched batches; a batch that
-every step reads is held once, as m d.  Iterates leave the loop only
-through an ``on_block`` hook, which sees each block's stepped rows once they
-have passed their checks: ``run`` collects its path through it, and the
-growth-recursion audit of ``stability`` streams through it and reads only
-those rows.
+wrappers over one core loop, ``_evolve``, vectorized across stacked
+trajectories.  It steps in blocks of about ``_BLOCK_ELEMENTS`` numbers,
+takes the batch gradient in the parts ``ProblemInstance`` states, copies
+neither a dataset per neighbor nor a batch per stepped run, and steps a
+neighbor only from the first step that selects its replaced example, so a
+paired run costs sum_t (1 + |K_1 u ... u K_t|) d, not T (n+1) d.  Every
+path is the floating-point operations of the per-step update in their
+order; ``_evolve`` has the details and the memory bound.  Iterates leave
+the loop only through an ``on_block`` hook, which sees each block's stepped
+rows once they have passed their checks: ``run`` collects its path through
+it, and the growth-recursion audit of ``stability`` streams through it.
 Closed-form final iterates are available for the built-in constructions and
 serve as independent oracles for the iterative path.
 
@@ -51,7 +34,7 @@ import numpy as np
 
 from batchstab._series import affine_steps
 from batchstab.errors import AnalyticRegionError, ConfigError, DivergenceError
-from batchstab.problems import QUADRATIC_FAMILIES, Dataset, ProblemInstance, REL_SLACK
+from batchstab.problems import Dataset, ProblemInstance, REL_SLACK
 from batchstab.schedule import RealizedSchedule
 
 PLAN_KINDS = ("constant", "inverse_t", "custom")
@@ -281,8 +264,7 @@ def _evolve(
     0 and the neighbors selected by the block's last step.  A neighbor
     that joins the prefix starts its block as a copy of row 0, which is what
     it would have computed, since it read the unpatched base batch at every
-    earlier step.  A paired run thus costs sum_t (1 + |K_1 u ... u K_t|) d
-    instead of T (n+1) d.
+    earlier step.
 
     The steps run in blocks of B = ``_block_steps`` steps, sized by P_T, the
     rows stepped by the last block (1 without ``replacements``), and by the
@@ -296,7 +278,7 @@ def _evolve(
     block, from the gathered (B, m, d) batches.  A paired block takes the
     terms of its P rows from those of the base batch and of the m patched
     batches of each step (``_stepped_terms``), so no step copies its batch
-    per row, except that custom_smooth's terms are its patched batch.
+    per row, unless its terms are the batch itself.
 
     When every row of the index matrix is the same batch (full_batch,
     round_robin with m = n, a constant custom matrix), that batch is
@@ -315,8 +297,8 @@ def _evolve(
     * the other d - f coordinates, one step at a time: row k reads w_k from
       the row before, whose first f coordinates are already final, through
       ``step_map`` on its rows' terms.  A single run of a ``scalar_step``
-      family (convex_huber) steps its one such coordinate through the block
-      by ``scalar_steps`` instead.
+      family steps its one such coordinate through the block by
+      ``scalar_steps`` instead.
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
@@ -326,9 +308,8 @@ def _evolve(
     * a non-finite iterate raises ``DivergenceError``.  Scanning after the
       fact is exact: under w - eta g a non-finite coordinate never becomes
       finite again, so a later step cannot hide an earlier one;
-    * a convex_huber iterate outside the invariant band of
-      ``huber_region_limit`` raises ``AnalyticRegionError``; at the same step
-      the divergence wins;
+    * an iterate outside the invariant band of ``huber_region_limit``
+      raises ``AnalyticRegionError``; at the same step the divergence wins;
     * ``track_grad_sup`` takes the max of ``grad_sup_norm`` over the buffer.
 
     The hook, when given, sees the iterates in path order as they are
@@ -341,12 +322,12 @@ def _evolve(
     with row 0 standing in for every run outside the prefix.
 
     Working memory is O((n + B m) d + B P d), plus a paired block's step
-    terms, bounded with the iterates but at least one step's (P m for
-    convex_huber, P m d for custom_smooth), plus one chunk of its patched
-    batches (``_chunk_slots``).  A repeated batch and its terms are held
-    once, so there B m is m and the terms are one step's.  Once an iterate
-    is non-finite, a custom ``grad_fn`` may still be called on it for the
-    rest of its block before ``DivergenceError`` is raised.
+    terms, bounded with the iterates but at least one step's (P times
+    ``step_terms_size``), plus one chunk of its patched batches
+    (``_chunk_slots``).  A repeated batch and its terms are held once, so
+    there B m is m and the terms are one step's.  Once an iterate is
+    non-finite, a custom ``grad_fn`` may still be called on it for the rest
+    of its block before ``DivergenceError`` is raised.
     """
     T = etas.shape[0]
     d = instance.d
@@ -509,12 +490,12 @@ def run_paired(
     block in which its index is first selected, so the work is
     sum_t (1 + |K_1 u ... u K_t|) d and memory that of ``_evolve``.
     ``track_grad_sup`` records the largest ``grad_sup_norm`` along every
-    path; it is honored for the quadratic families only and ignored for the
-    others.  ``on_block(rows, runs)`` sees the iterates in path order as
-    ``_evolve`` stores them: the (k, P, d) rows of the P runs stepped, with
-    their (P,) run indices, run 0 first; every other run is run 0 at those
-    steps.  A check over every step thus need not read rows that were not
-    stepped.
+    path; it is honored for the families that track it (the quadratics) and
+    ignored for the others.  ``on_block(rows, runs)`` sees the iterates in
+    path order as ``_evolve`` stores them: the (k, P, d) rows of the P runs
+    stepped, with their (P,) run indices, run 0 first; every other run is
+    run 0 at those steps.  A check over every step thus need not read rows
+    that were not stepped.
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)
@@ -524,10 +505,9 @@ def run_paired(
             f"replacements must be shaped (n, d) = {(S.n, instance.d)}, "
             f"got {replacements.shape}"
         )
-    if track_grad_sup and instance.family not in QUADRATIC_FAMILIES:
-        track_grad_sup = False
     finals, sup = _evolve(
-        instance, S.examples, sched.batches, etas, track_grad_sup=track_grad_sup,
+        instance, S.examples, sched.batches, etas,
+        track_grad_sup=track_grad_sup and instance.tracks_grad_sup,
         replacements=replacements, on_block=on_block,
     )
     return PairedTrajectory(finals=finals, schedule=sched, etas=etas, grad_sup=sup)
@@ -564,8 +544,8 @@ def closed_form_final(
         c + prod_t (1 - eta_t a) (w1 - c)
           - (e/m) sum_t eta_t prod_{j>t} (1 - eta_j a) sum_{z in K_t} z
 
-    Refused for a convex_huber plan under which iterates could leave the
-    Huber region (see ``affine_steps``).
+    Refused for a plan under which iterates could leave the family's
+    analytic region (see ``affine_steps``).
     """
     etas = plan.etas()
     _check_run_inputs(instance, S, sched, etas)

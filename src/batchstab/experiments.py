@@ -25,10 +25,10 @@ A check that cannot run on the configuration raises ``RegimeError`` or
 gradient bound); the runner records it as ``skipped`` with the message as
 its reason, and a skip is not a failure.  ``gen_error_mc`` also skips, with
 its estimate attached, when the stderr or the oracle is undefined, or when
-the population risk is queried outside the Huber region.  A run that
-diverges, or whose iterates leave the Huber band the engine asserts, is a
-``fail`` with the engine's message as its reason.  A report passes when no
-check failed and at least one passed.
+the population risk is queried outside its analytic region.  A run that
+diverges, whose risk overflows at a finite final iterate, or whose iterates
+leave the band the engine asserts, is a ``fail`` with the message as its
+reason.  A report passes when no check failed and at least one passed.
 
 Every config value is read by ``config_field``, which refuses a malformed
 field with a ``ConfigError`` naming it; a field that nothing reads is
@@ -64,11 +64,9 @@ from batchstab.errors import (
 from batchstab.problems import (
     Dataset,
     ProblemInstance,
-    convex_huber_instance,
     empirical_risk,
+    family_class,
     linear_instance,
-    quadratic_nonconvex_instance,
-    quadratic_strongly_convex_instance,
     sample_examples,
     verify_regularity,
 )
@@ -79,13 +77,6 @@ from batchstab.schedule import (
     realize,
 )
 from batchstab.seeding import AUDIT, DATA, REPLACEMENTS, SCHEDULE, rng_at, seed_at
-
-_CLASS_BY_FAMILY = {
-    "linear": "convex",
-    "convex_huber": "convex",
-    "quadratic_nonconvex": "nonconvex_smooth",
-    "quadratic_strongly_convex": "strongly_convex",
-}
 
 _RECURSION_BY_CLASS = {
     "convex": "convex",
@@ -112,9 +103,6 @@ class ExperimentConfig:
     allow_divergence: bool = False
     bound_class: str | None = None
 
-    def resolved_class(self) -> str | None:
-        return self.bound_class or _CLASS_BY_FAMILY.get(self.instance.family)
-
 
 # -- config readers -----------------------------------------------------------
 
@@ -123,15 +111,15 @@ _NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a strin
           list: "a list", dict: "an object"}
 
 
-def config_field(cfg, name: str, kind, default=_REQUIRED, *, minimum=None, of=None):
+def config_field(cfg, name: str, kind, default=_REQUIRED, *, minimum=None):
     """Field ``name`` of the config object ``cfg``, read as ``kind``.
 
     ``kind`` is bool, int, float, str, list or dict, or ``list[k]`` for a
-    list whose items are read as ``k``; ``of=k`` is short for
-    ``kind=list[k]``.  A bool is only a bool, an int is never a float or a
-    string, and a float is any number, returned as a float.  ``minimum``
-    bounds a number, or every number of a list.  A missing or null field
-    gives ``default``.  Every refusal is a ``ConfigError`` naming the field.
+    list whose items are read as ``k``.  A bool is only a bool, an int is
+    never a float or a string, and a float is any number, returned as a
+    float.  ``minimum`` bounds a number, or every number of a list.  A
+    missing or null field gives ``default``.  Every refusal is a
+    ``ConfigError`` naming the field.
     """
     if not isinstance(cfg, dict):
         raise ConfigError(f"expected an object holding field {name!r}, got {cfg!r}")
@@ -140,7 +128,6 @@ def config_field(cfg, name: str, kind, default=_REQUIRED, *, minimum=None, of=No
         if default is _REQUIRED:
             raise ConfigError(f"config is missing required field {name!r}")
         return default
-    kind = kind if of is None else list[of]
     typed = _typed(value, kind, minimum)
     if typed is _REFUSED:
         at_least = "" if minimum is None else f" >= {minimum}"
@@ -182,13 +169,6 @@ def _refuse_unknown(cfg: dict, known, where: str) -> None:
         )
 
 
-# The fields each family's constructor reads, beside family, d, w1 and beta.
-_INSTANCE_FIELDS = {
-    "linear": (),
-    "convex_huber": ("L", "tau"),
-    "quadratic_nonconvex": ("lam",),
-    "quadratic_strongly_convex": ("L", "gamma"),
-}
 _CONFIG_FIELDS = (
     "name", "instance", "n", "plan", "schedules", "trials", "master_seed", "checks",
     "stability_trials", "regularity_trials", "jobs", "allow_divergence", "class",
@@ -201,26 +181,15 @@ _SCHEDULE_FIELDS = ("kind", "m", "seed", "custom_indices")
 
 def instance_from_config(cfg: dict) -> ProblemInstance:
     """Build an instance from its config object (see README for the schema)."""
-    family = config_field(cfg, "family", str)
-    if family not in _INSTANCE_FIELDS:
-        raise ConfigError(f"cannot build family {family!r} from a config file")
+    cls = family_class(config_field(cfg, "family", str))
     _refuse_unknown(
-        cfg, ("family", "d", "w1", "beta", *_INSTANCE_FIELDS[family]),
-        f"'instance' of family {family!r}",
+        cfg, ("family", "d", "w1", *cls.config_fields),
+        f"'instance' of family {cls.family!r}",
     )
     d = config_field(cfg, "d", int, minimum=1)
-    w1 = config_field(cfg, "w1", list, None, of=float)
-    beta = config_field(cfg, "beta", float, 1.0 if family == "linear" else _REQUIRED)
-    if family == "linear":
-        return linear_instance(d, beta=beta, w1=w1)
-    if family == "convex_huber":
-        L, tau = config_field(cfg, "L", float), config_field(cfg, "tau", float, None)
-        return convex_huber_instance(d, L=L, beta=beta, tau=tau, w1=w1)
-    if family == "quadratic_nonconvex":
-        lam = config_field(cfg, "lam", list, None, of=float)
-        return quadratic_nonconvex_instance(d, beta=beta, lam=lam, w1=w1)
-    L, gamma = config_field(cfg, "L", float), config_field(cfg, "gamma", float)
-    return quadratic_strongly_convex_instance(d, L=L, beta=beta, gamma=gamma, w1=w1)
+    w1 = config_field(cfg, "w1", list[float], None)
+    fields = {k: config_field(cfg, k, *read) for k, read in cls.config_fields.items()}
+    return cls(d, w1=w1, **fields)
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
@@ -233,7 +202,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     n = config_field(cfg, "n", int, minimum=1)
     plan = plan_from_dict(config_field(cfg, "plan", dict), instance)
     schedules = []
-    for s in config_field(cfg, "schedules", list, of=dict):
+    for s in config_field(cfg, "schedules", list[dict]):
         if s.get("seed") is not None:
             raise ConfigError(
                 "field 'seed' of a schedule is refused: every trial draws its "
@@ -251,7 +220,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
                 f"field 'schedules' lists two schedules labelled {spec.label()!r}"
             )
         labels.add(spec.label())
-    checks = tuple(config_field(cfg, "checks", list, ALL_CHECKS, of=str))
+    checks = tuple(config_field(cfg, "checks", list[str], ALL_CHECKS))
     for c in checks:
         if c not in ALL_CHECKS:
             raise ConfigError(f"unknown check {c!r}; valid checks: {ALL_CHECKS}")
@@ -289,7 +258,7 @@ def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
             coeff = c / instance.params.beta
         plan = StepSizePlan(kind="inverse_t", T=T, coeff=coeff)
     elif kind == "custom":
-        values = tuple(config_field(cfg, "values", list, (), of=float))
+        values = tuple(config_field(cfg, "values", list[float], ()))
         plan = StepSizePlan(kind="custom", T=T, values=values)
     else:
         raise ConfigError(f"plan kind {kind!r} must be constant, inverse_t, or custom")
@@ -300,7 +269,7 @@ def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
 def schedule_spec_from_dict(cfg: dict, n: int, T: int) -> ScheduleSpec:
     kind = config_field(cfg, "kind", str)
     _refuse_unknown(cfg, _SCHEDULE_FIELDS, "a schedule")
-    custom = config_field(cfg, "custom_indices", list, None, of=list[int])
+    custom = config_field(cfg, "custom_indices", list[list[int]], None)
     return ScheduleSpec(
         kind=kind, n=n, T=T,
         m=config_field(cfg, "m", int, n if kind == "full_batch" else 1),
@@ -373,13 +342,16 @@ def _gen_error_block(args) -> tuple[np.ndarray, int]:
     The empirical risk is taken per trial, beside its dataset; the finals
     are kept in an (R, d) array and take the population risk in one call.
     Trial 0's is also taken alone first, so that a config whose finals
-    leave the Huber region is refused after one run, not after the block.
-    A divergence that is not allowed stops the block; as in trial order, a
-    trial before it that left the region is refused first.
+    leave the analytic region is refused after one run, not after the block.
+    A trial whose final is finite but whose value is not (a risk that
+    overflows) diverged too.  A divergence that is not allowed stops the
+    block; as in trial order, a trial before it that left the region or
+    whose value is not finite is refused first.
     """
     (instance, n, etas, sspec, s_idx, master_seed, t0, t1, allow_div) = args
     finals = np.empty((t1 - t0, instance.d))
     values = np.full(t1 - t0, np.nan)
+    ran = np.zeros(t1 - t0, dtype=bool)
     diverged = None
     for k, trial in enumerate(range(t0, t1)):
         S = _trial_dataset(instance, n, master_seed, trial)
@@ -394,17 +366,25 @@ def _gen_error_block(args) -> tuple[np.ndarray, int]:
         if k == 0:
             _population_risk(instance, finals[0])
         values[k] = -empirical_risk(instance, finals[k], S)
-    kept = ~np.isnan(values)
-    if kept.any():
-        values[kept] += _population_risk(instance, finals[kept])
+        ran[k] = True
+    if ran.any():
+        values[ran] += _population_risk(instance, finals[ran])
+    overflowed = ran & ~np.isfinite(values)
+    if overflowed.any() and not allow_div:
+        k = int(np.argmax(overflowed))
+        raise DivergenceError(
+            f"non-finite generalization error {float(values[k])!r} at trial "
+            f"{t0 + k}: the risk overflows at its finite final iterate"
+        )
+    values[overflowed] = np.nan
     if diverged is not None:
         raise diverged
-    return values, int((~kept).sum())
+    return values, int(np.isnan(values).sum())
 
 
 def _population_risk(instance: ProblemInstance, W: np.ndarray) -> np.ndarray:
     """The population risk at each final of W, refused with
-    ``CapabilityError`` outside the Huber region."""
+    ``CapabilityError`` outside the analytic region."""
     try:
         return instance.population_risk(W)
     except AnalyticRegionError as e:
@@ -428,7 +408,9 @@ def estimate_gen_error(
     substream, run, and evaluate population risk minus empirical risk at the
     final iterate.  The population side is analytic, so dataset sampling and
     schedule randomness are the only noise sources.  A population risk
-    queried outside the Huber region is refused with ``CapabilityError``.
+    queried outside the analytic region is refused with ``CapabilityError``.
+    A trial that diverges, or whose risk overflows, raises
+    ``DivergenceError`` unless ``allow_divergence`` excludes it.
     """
     if trials < 1:
         raise ConfigError("estimate_gen_error requires trials >= 1")
@@ -476,9 +458,9 @@ def estimate_stability(
 
     Per trial: sample a dataset and n replacement examples, run the n+1
     paired trajectories under one shared schedule realization, and record
-    the mean final gap.  For the quadratic families the largest gradient
-    norm seen anywhere along any path (against the worst support example)
-    is tracked as well.
+    the mean final gap.  For the families that track it the largest
+    gradient norm seen anywhere along any path (against the worst support
+    example) is tracked as well.
     """
     if trials < 1:
         raise ConfigError("estimate_stability requires trials >= 1")
@@ -559,7 +541,7 @@ def uniform_stability_failure_demo(
         instance = linear_instance(d)
         flat = bounds_mod.uniform_stability_constant(epochs, d, float(etas[0]))
         decaying = bounds_mod.gen_error_upper(
-            "convex", plan, n, L=instance.params.L, beta=instance.params.beta
+            instance.bound_class, plan, n, L=instance.params.L, beta=instance.params.beta
         )
         sspec = ScheduleSpec(kind="round_robin", n=n, m=1, T=T)
         est = estimate_gen_error(
@@ -591,7 +573,7 @@ class _Context:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.cls = config.resolved_class()
+        self.cls = config.bound_class or config.instance.bound_class
         self.rec_class = _RECURSION_BY_CLASS.get(self.cls)
         wants_bounds = {"sandwich", "schedule_equivalence"} & set(config.checks)
         self.bound_set = None

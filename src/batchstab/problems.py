@@ -1,22 +1,14 @@
 """Loss families, data distributions, and their closed-form regularity data.
 
-Four concrete constructions plus a user-supplied escape hatch:
-
-    linear                     f(w, z) = <w, z> with sign-vector examples in
-                               {-1, +1}^d; Lipschitz constant sqrt(d).
-    convex_huber               linear in the first d-1 coordinates plus a
-                               Huberized quadratic in the last one,
-                               u = w^d - w1^d - z^d:
-                                   (beta/2) u^2             if |u| <= tau
-                                   beta tau (|u| - tau/2)   otherwise.
-                               Gradients stay bounded by L while the loss
-                               remains beta-smooth and convex.
-    quadratic_nonconvex        f(w, z) = (w-z)' Lam (w-z) / 2 with every
-                               diagonal entry of Lam negative, |lam_k| <= beta.
-    quadratic_strongly_convex  same quadratic with Lam = diag(beta, gamma,
-                               ..., gamma), beta >= gamma > 0.
-    custom_smooth              caller-provided loss/gradient pair; excluded
-                               from the analytic-oracle operations.
+Each loss family is a subclass of ``ProblemInstance`` that states every fact
+of the family once, in its own class: its constructor checks and the config
+fields it reads, its loss and its exact gradient in w (``loss(w, z)`` and
+``grad(w, z)``, on float arrays that broadcast over leading dimensions), the
+split of its batch gradient, its affine form and analytic region, the plans
+its generalization-error oracle admits, its population risk, its bound
+class and its regularity facts.  The public constructors
+(``linear_instance``, ...) are these classes, and ``family_class`` maps the
+family name a config gives to its class.
 
 Examples are drawn coordinatewise from symmetric two-point laws: each
 coordinate equals +/- its configured scale with probability 1/2, all
@@ -24,48 +16,19 @@ coordinates independent.  That makes the population risk of every built-in
 family available in closed form.
 
 Every built-in family has a gradient that is affine in w and z on its
-analytic region, grad f(w, z) = a * (w - c) + e * z coordinatewise; the
-closed-form final iterate, the exact generalization error and the
-population risk are each one formula in (a, e, c).  The last column says
-which gradient coordinates read the iterate; every other coordinate is z
-itself.  ``ProblemInstance.grad_free_coords`` counts the leading coordinates
-that do not read w (custom_smooth's ``grad_fn`` is opaque, so all of its
-coordinates are taken to read w):
-
-    family          a                e                   c                  reads w
-    linear          0                1                   0                  none
-    convex_huber    (0, ..., 0, b)   (1, ..., 1, -b)     (0, ..., 0, w1^d)  the last
-    quadratics      lam              -lam                0                  all
-    custom_smooth   -                -                   -                  all
-
-For convex_huber (b = beta) the region is |w^d - w1^d - z^d| <= tau; the
-iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
-(``ProblemInstance.huber_region_limit``).
+analytic region, grad f(w, z) = a * (w - c) + e * z coordinatewise
+(``ProblemInstance.affine_form``); the closed-form final iterate, the exact
+generalization error and the population risk are each one formula in
+(a, e, c).
 
 The mean gradient over a batch is stated once, in parts the engine can
-compute apart: ``free_grad_mean``, the batch mean of the first
-``grad_free_coords`` coordinates of z, and ``step_map``, the coordinates
-that read w, as a map of w and of the batch's ``step_terms``, which do not
-read w:
-
-    family          step_terms               step_map(w, terms)                   scalar_steps
-    linear          none                     none                                 -
-    convex_huber    z^d column (m,)          in band: (w^d - w1^d - zbar^d) beta  w^d
-                                             else: mean_j slope(w^d - w1^d - z_j^d)
-    quadratics      batch mean zbar (d,)     lam (w - zbar)                       -
-    custom_smooth   the batch itself (m, d)  mean_j grad_fn(w, z_j)               -
-
-``step_terms_size`` gives the size of the terms of one batch, by which the
-engine sizes a paired block.  A paired run takes each run's terms from those
-of the base batch and of the m batches with one selected example replaced
-(``engine._evolve``).  convex_huber's batch slope has one rule, stated at
-``step_map``: a batch is in band when the clip of every example's slope
-beta u to [-beta tau, beta tau] is the identity, and then its mean slope is
-the slope at the batch mean zbar^d; otherwise it is the mean of the clipped
-slopes.  The last column names the family whose step reads a single
-coordinate of w (``scalar_step``); ``scalar_steps`` steps that coordinate of
-one run through a whole block.  The slope, its band and its cap beta tau are
-stated in this class only.
+compute apart (``ProblemInstance.batch_grad_mean``): ``free_grad_mean``,
+the batch mean of the coordinates of z that do not read w, and ``step_map``,
+the coordinates that read w, as a map of w and of the batch's
+``step_terms``, which do not read w; ``step_terms_size`` counts the terms
+of one batch, by which the engine sizes a paired block.  A family whose
+step reads a single coordinate of w (``scalar_step``) steps that
+coordinate of one run through a whole block in ``scalar_steps``.
 """
 
 from __future__ import annotations
@@ -78,11 +41,13 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator
 
-from batchstab.errors import AnalyticRegionError, CapabilityError, ConfigError
+from batchstab.errors import (
+    AnalyticRegionError,
+    CapabilityError,
+    ConfigError,
+    RegimeError,
+)
 from batchstab.seeding import rng_at
-
-QUADRATIC_FAMILIES = ("quadratic_nonconvex", "quadratic_strongly_convex")
-FAMILIES = ("linear", "convex_huber", *QUADRATIC_FAMILIES, "custom_smooth")
 
 # Relative slack absorbing float rounding in exact-inequality checks.
 REL_SLACK = 1e-9
@@ -110,95 +75,38 @@ class ProblemInstance:
     """A loss family plus its data distribution, immutable after construction.
 
     ``scales`` holds the per-coordinate magnitude of the symmetric two-point
-    example distribution.  All operations are pure.
+    example distribution.  All operations are pure.  Each family is a
+    subclass; the class attributes below are its facts, with the defaults a
+    family keeps unless its class says otherwise.
     """
 
-    def __init__(
-        self,
-        family: str,
-        params: LossParams,
-        scales: np.ndarray,
-        lam: np.ndarray | None = None,
-        loss_fn: Callable | None = None,
-        grad_fn: Callable | None = None,
-    ):
-        if family not in FAMILIES:
-            raise ConfigError(f"unknown family {family!r}")
-        self.family = family
+    family: str
+    bound_class: str | None = None  # one of ``bounds.BOUND_CLASSES``
+    tracks_grad_sup = False  # paired runs track ``grad_sup_norm``
+    lipschitz_checked = False  # ``verify_regularity`` checks L
+    scalar_step = False  # a single run steps by ``scalar_steps``
+    # The config fields the constructor reads beside family, d and w1, as
+    # name -> (kind,) for a required field or (kind, default).
+    config_fields: dict = {}
+
+    def __init__(self, params: LossParams, scales, grad_free_coords: int = 0):
         self.params = params
-        self.scales = np.asarray(scales, dtype=float)
-        self.lam = None if lam is None else np.asarray(lam, dtype=float)
-        self.loss_fn = loss_fn
-        self.grad_fn = grad_fn
         self.d = params.d
-        # The leading gradient coordinates that are the example itself: the
-        # engine may compute their updates for a block of steps before it
-        # steps (see ``engine._evolve``).
-        self.grad_free_coords = {"linear": params.d, "convex_huber": params.d - 1}.get(
-            family, 0
-        )
-        # Whether a single run steps its one coordinate that reads w by
-        # ``scalar_steps`` (the module docstring's table).
-        self.scalar_step = family == "convex_huber"
-        w1 = params.w1 if params.w1 is not None else (0.0,) * params.d
-        self.w1 = np.asarray(w1, dtype=float)
-        if self.w1.shape != (self.d,):
-            raise ConfigError(f"w1 must have length d={self.d}")
-        if self.scalar_step:
-            # the Huber slope's cap beta tau, and w1^d as a float
-            self._huber_cap = params.beta * params.tau
-            self._w1d = float(self.w1[-1])
+        self.scales = np.asarray(scales, dtype=float)
+        self.w1 = np.asarray(params.w1, dtype=float)
+        self.lam = None if params.lam is None else np.asarray(params.lam, dtype=float)
+        # The leading gradient coordinates that are the example itself, which
+        # the engine updates a block of steps at a time (``engine._evolve``).
+        self.grad_free_coords = grad_free_coords
         if self.scales.shape != (self.d,):
             raise ConfigError(f"scales must have length d={self.d}")
-
-    # -- loss / gradient -------------------------------------------------
-
-    def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Loss value; w and z broadcast over leading dimensions."""
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if self.family == "linear":
-            return (w * z).sum(axis=-1)
-        if self.family == "convex_huber":
-            beta, tau = self.params.beta, self.params.tau
-            lin = (w[..., :-1] * z[..., :-1]).sum(axis=-1)
-            u = w[..., -1] - self.w1[-1] - z[..., -1]
-            au = np.abs(u)
-            quad = 0.5 * beta * u * u
-            ramp = beta * tau * (au - 0.5 * tau)
-            return lin + np.where(au <= tau, quad, ramp)
-        if self.family in QUADRATIC_FAMILIES:
-            diff = w - z
-            return 0.5 * (diff * diff * self.lam).sum(axis=-1)
-        if self.loss_fn is None:
-            raise CapabilityError("custom_smooth instance has no loss_fn")
-        return self.loss_fn(w, z)
-
-    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Exact closed-form gradient in w; broadcasts like :meth:`loss`."""
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if self.family == "linear":
-            return np.broadcast_to(z, np.broadcast_shapes(w.shape, z.shape)).copy()
-        if self.family == "convex_huber":
-            shape = np.broadcast_shapes(w.shape, z.shape)
-            g = np.empty(shape, dtype=float)
-            g[..., :-1] = np.broadcast_to(z[..., :-1], shape[:-1] + (self.d - 1,))
-            u = np.asarray(w[..., -1] - self.w1[-1] - z[..., -1])
-            g[..., -1] = self._huber_slope(u)
-            return g
-        if self.family in QUADRATIC_FAMILIES:
-            return self.lam * (w - z)
-        if self.grad_fn is None:
-            raise CapabilityError("custom_smooth instance has no grad_fn")
-        return self.grad_fn(w, z)
 
     def batch_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Mean gradient over a batch: W is (..., d), Z is (..., m, d).
 
         The first ``grad_free_coords`` coordinates are :meth:`free_grad_mean`;
-        the rest are :meth:`step_map` of the batch's :meth:`step_terms`.  The
-        engine computes the parts apart; this is the whole per-step map.
+        the rest are ``step_map`` of the batch's ``step_terms``.  The engine
+        computes the parts apart; this is the whole per-step map.
         """
         f = self.grad_free_coords
         if f == self.d:
@@ -222,29 +130,179 @@ class ProblemInstance:
         """
         return np.add.reduce(Z[..., : self.grad_free_coords], -2) / Z.shape[-2]
 
-    def step_terms(self, Z: np.ndarray):
-        """What :meth:`step_map` reads of each batch of Z (..., m, d); none of it
-        reads w: the quadratics' batch mean (..., d), convex_huber's z^d column
-        (..., m), custom_smooth's batch itself, None for linear."""
-        if self.family == "convex_huber":
-            return Z[..., -1]
-        if self.family in QUADRATIC_FAMILIES:
-            return np.add.reduce(Z, -2) / Z.shape[-2]
-        if self.family == "custom_smooth":
-            return Z
+    def affine_form(self, etas: np.ndarray | None = None):
+        """(a, e, c), each (d,), with grad f(w, z) = a * (w - c) + e * z on the
+        analytic region; refused (``RegimeError``) for step sizes ``etas``
+        under which the iterates could leave it."""
+        raise CapabilityError(f"family {self.family!r} has no affine gradient form")
+
+    def huber_region_limit(self, etas: np.ndarray) -> float | None:
+        """The band of |w^d - w1^d| the iterates keep under ``etas``, or None."""
+        return None
+
+    def check_analytic_region(self, W: np.ndarray) -> None:
+        """Refuse a point of W where the population risk is not exact."""
+
+    def check_oracle_plan(self, plan) -> None:
+        """Refuse a plan under which ``bounds.analytic_gen_error`` is unknown."""
+
+    def population_risk(self, w: np.ndarray) -> np.ndarray:
+        """Exact expectation of the loss under the example distribution:
+        (1/2) [sum_k a_k (w_k - c_k)^2 + sum_k a_k s_k^2]."""
+        w = np.asarray(w, dtype=float)
+        a, _, c = self.affine_form()
+        self.check_analytic_region(w)
+        return 0.5 * ((a * (w - c) ** 2).sum(axis=-1) + (a * self.scales**2).sum())
+
+    def grad_sup_norm(self, W: np.ndarray) -> np.ndarray:
+        """Largest gradient norm over the example support, per point of W.
+
+        Defined for the families that track it, the quadratics, where the
+        per-coordinate worst case is the sign of z opposing w:
+        max_z ||Lam (w - z)||.  It runs once per block of every tracked
+        paired run, so it works in place on one temporary the size of W.
+        """
+        if not self.tracks_grad_sup:
+            raise CapabilityError("grad_sup_norm is defined for quadratic families")
+        worst = np.abs(W)
+        worst += self.scales
+        worst *= self.lam
+        np.square(worst, out=worst)
+        return np.sqrt(worst.sum(axis=-1))
+
+    def near_kink(self, w: np.ndarray, z: np.ndarray) -> bool:
+        """Whether f(., z) has a kink within 1e-4 of w."""
+        return False
+
+    def to_config(self) -> dict:
+        cfg = {"family": self.family, "d": self.d}
+        p = self.params
+        fields = (("L", p.L), ("beta", p.beta), ("gamma", p.gamma), ("tau", p.tau))
+        for name, val in fields:
+            if val not in (None, 0.0) or name == "beta":
+                cfg[name] = val
+        if self.lam is not None:
+            cfg["lam"] = [float(v) for v in self.lam]
+        if np.any(self.w1 != 0.0):
+            cfg["w1"] = [float(v) for v in self.w1]
+        return cfg
+
+
+class LinearInstance(ProblemInstance):
+    """linear: f(w, z) = <w, z> with sign-vector examples in {-1, +1}^d and
+    the Lipschitz constant forced to sqrt(d).  The affine form is a = 0,
+    e = 1, c = 0 everywhere: no gradient coordinate reads w, so there are no
+    ``step_terms`` and ``step_map`` is empty."""
+
+    family = "linear"
+    bound_class = "convex"
+    lipschitz_checked = True
+    config_fields = {"beta": (float, 1.0)}
+
+    def __init__(self, d: int, beta: float = 1.0, w1=None):
+        if d < 1:
+            raise ConfigError("linear family requires d >= 1")
+        params = LossParams(d=d, L=math.sqrt(d), beta=beta, w1=_w1_tuple(w1, d))
+        super().__init__(params, np.ones(d), grad_free_coords=d)
+
+    def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return (w * z).sum(axis=-1)
+
+    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(z, np.broadcast_shapes(w.shape, z.shape)).copy()
+
+    def step_terms(self, Z: np.ndarray) -> None:
         return None
 
     def step_terms_size(self, m: int) -> int:
-        """How many numbers :meth:`step_terms` gives for one batch of m."""
-        sizes = {"linear": 0, "convex_huber": m, "custom_smooth": m * self.d}
-        return sizes.get(self.family, self.d)
+        return 0
 
     def step_map(self, W: np.ndarray, terms) -> np.ndarray:
-        """The mean gradient coordinates that read w, the last d -
-        ``grad_free_coords``, at W (..., d) from the :meth:`step_terms` of its
-        batch.  Empty for linear.
+        return np.empty(W.shape[:-1] + (0,))
 
-        convex_huber's batch slope takes one rule, row by row, which
+    def affine_form(self, etas: np.ndarray | None = None):
+        return np.zeros(self.d), np.ones(self.d), np.zeros(self.d)
+
+
+class ConvexHuberInstance(ProblemInstance):
+    """convex_huber: convex, Lipschitz and smooth, with bounded gradients.
+
+    Linear in the first d-1 coordinates plus a Huberized quadratic in the
+    last one, u = w^d - w1^d - z^d:
+
+        (beta/2) u^2             if |u| <= tau
+        beta tau (|u| - tau/2)   otherwise.
+
+    Gradients stay bounded by L while the loss remains beta-smooth and
+    convex.  Requires d >= 2, L > 0, beta > 0 and
+    0 < tau <= L/(sqrt(d) beta), the default tau.  The examples have scale
+    L/sqrt(d), and s_d = L/(2 beta sqrt(d)) in the last coordinate.
+
+    With b = beta the affine form is a = (0, ..., 0, b), e = (1, ..., 1, -b),
+    c = (0, ..., 0, w1^d), on the analytic region |w^d - w1^d - z^d| <= tau;
+    the iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
+    (:meth:`huber_region_limit`).  Only the last gradient coordinate reads
+    w, through the z^d column of the batch, by the one rule of
+    :meth:`step_map`, which :meth:`scalar_steps` applies to floats.
+    """
+
+    family = "convex_huber"
+    bound_class = "convex"
+    lipschitz_checked = True
+    scalar_step = True
+    config_fields = {"beta": (float,), "L": (float,), "tau": (float, None)}
+
+    def __init__(
+        self, d: int, L: float, beta: float, tau: float | None = None, w1=None
+    ):
+        if d < 2:
+            raise ConfigError("convex_huber requires d >= 2")
+        if L <= 0 or beta <= 0:
+            raise ConfigError("convex_huber requires L > 0 and beta > 0")
+        tau_max = L / (math.sqrt(d) * beta)
+        if tau is None:
+            tau = tau_max
+        if not 0 < tau <= tau_max * (1 + REL_SLACK):
+            raise ConfigError(
+                "tau must satisfy 0 < tau <= L/(sqrt(d) beta) = "
+                f"{tau_max!r}, got {tau!r}"
+            )
+        scales = np.full(d, L / math.sqrt(d))
+        scales[-1] = L / (2.0 * beta * math.sqrt(d))
+        params = LossParams(d=d, L=L, beta=beta, tau=tau, w1=_w1_tuple(w1, d))
+        super().__init__(params, scales, grad_free_coords=d - 1)
+        # the Huber slope's cap beta tau, and w1^d as a float
+        self._huber_cap = params.beta * params.tau
+        self._w1d = float(self.w1[-1])
+
+    def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        beta, tau = self.params.beta, self.params.tau
+        lin = (w[..., :-1] * z[..., :-1]).sum(axis=-1)
+        u = w[..., -1] - self.w1[-1] - z[..., -1]
+        au = np.abs(u)
+        quad = 0.5 * beta * u * u
+        ramp = beta * tau * (au - 0.5 * tau)
+        return lin + np.where(au <= tau, quad, ramp)
+
+    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        shape = np.broadcast_shapes(w.shape, z.shape)
+        g = np.empty(shape, dtype=float)
+        g[..., :-1] = np.broadcast_to(z[..., :-1], shape[:-1] + (self.d - 1,))
+        u = np.asarray(w[..., -1] - self.w1[-1] - z[..., -1])
+        g[..., -1] = self._huber_slope(u)
+        return g
+
+    def step_terms(self, Z: np.ndarray) -> np.ndarray:
+        return Z[..., -1]
+
+    def step_terms_size(self, m: int) -> int:
+        return m
+
+    def step_map(self, W: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The mean slope of the Huber coordinate at W (..., d), as a (..., 1)
+        array, from the z^d column of its batch.
+
+        The batch slope takes one rule, row by row, which
         :meth:`scalar_steps` applies to floats.  With c = w^d - w1^d and
         u_j = c - z_j^d, a batch is in band when every beta u_j lies in
         [-beta tau, beta tau].  The clip is then the identity and the slope
@@ -256,28 +314,22 @@ class ProblemInstance:
         (c - max_j z_j^d) beta >= -beta tau and
         (c - min_j z_j^d) beta <= beta tau.  A NaN fails either test.
         """
-        if self.family == "convex_huber":
-            beta, cap, m = self.params.beta, self._huber_cap, terms.shape[-1]
-            c = W[..., -1:] - self._w1d
-            g = (c - np.add.reduce(terms, -1, keepdims=True) / m) * beta
-            u = c - terms
-            reach = np.abs(u)
-            # Every row is in band when the largest |u_j| of all rows is.
-            if not np.maximum.reduce(reach, None) * beta <= cap:
-                band = np.maximum.reduce(reach, -1, keepdims=True) * beta <= cap
-                slopes = self._huber_slope(u)
-                g = np.where(band, g, np.add.reduce(slopes, -1, keepdims=True) / m)
-            return g
-        if self.family in QUADRATIC_FAMILIES:
-            return self.lam * (W - terms)
-        if self.family == "custom_smooth":
-            return self.grad(W[..., None, :], terms).mean(axis=-2)
-        return np.empty(W.shape[:-1] + (0,))
+        beta, cap, m = self.params.beta, self._huber_cap, terms.shape[-1]
+        c = W[..., -1:] - self._w1d
+        g = (c - np.add.reduce(terms, -1, keepdims=True) / m) * beta
+        u = c - terms
+        reach = np.abs(u)
+        # Every row is in band when the largest |u_j| of all rows is.
+        if not np.maximum.reduce(reach, None) * beta <= cap:
+            band = np.maximum.reduce(reach, -1, keepdims=True) * beta <= cap
+            slopes = self._huber_slope(u)
+            g = np.where(band, g, np.add.reduce(slopes, -1, keepdims=True) / m)
+        return g
 
     def scalar_steps(self, w: float, etas, terms: np.ndarray) -> list[float]:
-        """Step the Huber coordinate of one convex_huber run through a block
-        from w: the iterates after each of its b steps, :meth:`step_map`'s
-        bit for bit, so a single run steps that coordinate here alone.
+        """Step the Huber coordinate of one run through a block from w: the
+        iterates after each of its b steps, :meth:`step_map`'s bit for bit,
+        so a single run steps that coordinate here alone.
 
         ``etas`` holds the block's b step sizes as floats and ``terms`` its
         (b, m) z^d column (:meth:`step_terms`), or the (1, m) column of one
@@ -309,7 +361,7 @@ class ProblemInstance:
         return path
 
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
-        """Derivative of the convex_huber term in u: beta u clipped to
+        """Derivative of the Huber term in u: beta u clipped to
         [-beta tau, beta tau], written over u, which callers pass as a
         temporary.  On that interval, its linear piece, the clip is the
         identity (see :meth:`step_map`).
@@ -323,31 +375,20 @@ class ProblemInstance:
         np.maximum(u, -cap, out=u)
         return np.minimum(u, cap, out=u)
 
-    # -- closed-form data --------------------------------------------------
-
-    def affine_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, e, c), each (d,), with grad f(w, z) = a * (w - c) + e * z on
-        the analytic region; see the module docstring for the table."""
+    def affine_form(self, etas: np.ndarray | None = None):
         d = self.d
-        if self.family == "linear":
-            return np.zeros(d), np.ones(d), np.zeros(d)
-        if self.family == "convex_huber":
-            a, e, c = np.zeros(d), np.ones(d), np.zeros(d)
-            a[-1], e[-1], c[-1] = self.params.beta, -self.params.beta, self.w1[-1]
-            return a, e, c
-        if self.family in QUADRATIC_FAMILIES:
-            return self.lam, -self.lam, np.zeros(d)
-        raise CapabilityError(f"family {self.family!r} has no affine gradient form")
+        a, e, c = np.zeros(d), np.ones(d), np.zeros(d)
+        a[-1], e[-1], c[-1] = self.params.beta, -self.params.beta, self.w1[-1]
+        if etas is not None and self.huber_region_limit(etas) is None:
+            raise RegimeError(
+                "the convex_huber closed forms require eta_t <= 1/beta and tau >= "
+                "twice the last data scale, so that iterates stay in the Huber region"
+            )
+        return a, e, c
 
     def huber_region_limit(self, etas: np.ndarray) -> float | None:
-        """Half-width tau/2 of the band |w^d - w1^d| that convex_huber iterates
-        never leave under the step sizes ``etas``.
-
-        The band is invariant when every eta_t <= 1/beta and tau >= 2 s_d; the
-        limit is None when either fails, and for every other family.
-        """
-        if self.family != "convex_huber":
-            return None
+        """tau/2: the band |w^d - w1^d| <= tau/2 is invariant when every
+        eta_t <= 1/beta and tau >= 2 s_d; None when either fails."""
         p = self.params
         if etas.size and etas.max() > (1.0 / p.beta) * (1.0 + REL_SLACK):
             return None
@@ -355,158 +396,185 @@ class ProblemInstance:
             return None
         return 0.5 * p.tau
 
-    def population_risk(self, w: np.ndarray) -> np.ndarray:
-        """Exact expectation of the loss under the example distribution:
-        (1/2) [sum_k a_k (w_k - c_k)^2 + sum_k a_k s_k^2]."""
-        w = np.asarray(w, dtype=float)
-        a, _, c = self.affine_form()
-        if self.family == "convex_huber":
-            v = w[..., -1] - c[-1]
-            limit = self.params.tau - self.scales[-1]
-            if np.any(np.abs(v) > limit * (1.0 + REL_SLACK) + ABS_SLACK):
-                raise AnalyticRegionError(
-                    "population risk queried outside the analytic region "
-                    f"|w^d - w1^d| <= {float(limit)!r}; iterates should never leave it"
-                )
-        return 0.5 * ((a * (w - c) ** 2).sum(axis=-1) + (a * self.scales**2).sum())
+    def check_analytic_region(self, W: np.ndarray) -> None:
+        """Every example keeps |u| <= tau while |w^d - w1^d| <= tau - s_d."""
+        v = W[..., -1] - self.w1[-1]
+        limit = self.params.tau - self.scales[-1]
+        if np.any(np.abs(v) > limit * (1.0 + REL_SLACK) + ABS_SLACK):
+            raise AnalyticRegionError(
+                "population risk queried outside the analytic region "
+                f"|w^d - w1^d| <= {float(limit)!r}; iterates should never leave it"
+            )
 
-    def grad_sup_norm(self, W: np.ndarray) -> np.ndarray:
-        """Largest gradient norm over the example support, per point of W.
+    def near_kink(self, w: np.ndarray, z: np.ndarray) -> bool:
+        u = w[-1] - self.w1[-1] - z[-1]
+        return abs(abs(u) - self.params.tau) < 1e-4
 
-        Defined for the quadratic families, where the per-coordinate worst
-        case is the sign of z opposing w: max_z ||Lam (w - z)||.  It runs
-        once per block of every tracked paired run, so it works in place on
-        one temporary the size of W.
-        """
-        if self.family not in QUADRATIC_FAMILIES:
-            raise CapabilityError("grad_sup_norm is defined for quadratic families")
-        worst = np.abs(W)
-        worst += self.scales
-        worst *= self.lam
-        np.square(worst, out=worst)
-        return np.sqrt(worst.sum(axis=-1))
 
-    def to_config(self) -> dict:
-        cfg = {"family": self.family, "d": self.d}
-        p = self.params
-        for name, val in (
-            ("L", p.L),
-            ("beta", p.beta),
-            ("gamma", p.gamma),
-            ("tau", p.tau),
-        ):
-            if val not in (None, 0.0) or name == "beta":
-                cfg[name] = val
-        if self.lam is not None:
-            cfg["lam"] = [float(v) for v in self.lam]
-        if np.any(self.w1 != 0.0):
-            cfg["w1"] = [float(v) for v in self.w1]
-        return cfg
+class _DiagonalQuadratic(ProblemInstance):
+    """f(w, z) = (w-z)' Lam (w-z) / 2 with Lam = diag(lam), the formulas the
+    two quadratic families share.  Affine form a = lam, e = -lam, c = 0
+    everywhere.  Every gradient coordinate reads w: the ``step_terms`` of a
+    batch are its mean zbar (d,), and ``step_map`` is lam (w - zbar).  Paired
+    runs track the largest gradient norm on the support (``grad_sup_norm``).
+    """
+
+    tracks_grad_sup = True
+
+    def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        diff = w - z
+        return 0.5 * (diff * diff * self.lam).sum(axis=-1)
+
+    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return self.lam * (w - z)
+
+    def step_terms(self, Z: np.ndarray) -> np.ndarray:
+        return np.add.reduce(Z, -2) / Z.shape[-2]
+
+    def step_terms_size(self, m: int) -> int:
+        return self.d
+
+    def step_map(self, W: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        return self.lam * (W - terms)
+
+    def affine_form(self, etas: np.ndarray | None = None):
+        return self.lam, -self.lam, np.zeros(self.d)
+
+
+class QuadraticNonconvexInstance(_DiagonalQuadratic):
+    """quadratic_nonconvex: every diagonal entry of Lam is negative, with
+    |lam_k| <= beta (default lam_k = -beta); the examples have scale
+    1/sqrt(beta d).  Its exact generalization error is known under the
+    decreasing plan eta_t = coeff/t."""
+
+    family = "quadratic_nonconvex"
+    bound_class = "nonconvex_smooth"
+    config_fields = {"beta": (float,), "lam": (list[float], None)}
+
+    def __init__(self, d: int, beta: float, lam=None, w1=None):
+        if d < 1 or beta <= 0:
+            raise ConfigError("quadratic_nonconvex requires d >= 1 and beta > 0")
+        lam = np.full(d, -beta) if lam is None else np.asarray(lam, dtype=float)
+        if lam.shape != (d,):
+            raise ConfigError(f"lam must have length d={d}")
+        if np.any(lam >= 0) or np.any(np.abs(lam) > beta * (1 + REL_SLACK)):
+            raise ConfigError(
+                "quadratic_nonconvex requires lam_k < 0 and |lam_k| <= beta"
+            )
+        lam = tuple(float(v) for v in lam)
+        params = LossParams(d=d, beta=beta, lam=lam, w1=_w1_tuple(w1, d))
+        super().__init__(params, np.full(d, 1.0 / math.sqrt(beta * d)))
+
+    def check_oracle_plan(self, plan) -> None:
+        if plan.kind != "inverse_t":
+            raise RegimeError(
+                "the nonconvex oracle requires the decreasing plan eta_t = coeff/t"
+            )
+
+
+class QuadraticStronglyConvexInstance(_DiagonalQuadratic):
+    """quadratic_strongly_convex: Lam = diag(beta, gamma, ..., gamma) with
+    beta >= gamma > 0; the examples have scale L/(gamma sqrt(d)).  Requires
+    d >= (beta^2 - gamma^2) / (3 gamma^2), the dimension at which path
+    gradients stay below 4L.  Its exact generalization error is known under
+    a constant eta <= 1/(beta+gamma)."""
+
+    family = "quadratic_strongly_convex"
+    bound_class = "strongly_convex"
+    config_fields = {"beta": (float,), "L": (float,), "gamma": (float,)}
+
+    def __init__(self, d: int, L: float, beta: float, gamma: float, w1=None):
+        if d < 1 or gamma <= 0 or beta < gamma:
+            raise ConfigError(
+                "strongly-convex family requires d >= 1 and beta >= gamma > 0"
+            )
+        if L <= 0:
+            raise ConfigError("strongly-convex family requires L > 0")
+        d_min = (beta**2 - gamma**2) / (3.0 * gamma**2)
+        if d < d_min:
+            raise ConfigError(
+                f"dimension d={d} below the path-gradient threshold {d_min!r}"
+            )
+        lam = (float(beta),) + (float(gamma),) * (d - 1)
+        params = LossParams(
+            d=d, L=L, beta=beta, gamma=gamma, lam=lam, w1=_w1_tuple(w1, d)
+        )
+        super().__init__(params, np.full(d, L / (gamma * math.sqrt(d))))
+
+    def check_oracle_plan(self, plan) -> None:
+        beta, gamma = self.params.beta, self.params.gamma
+        if plan.kind != "constant":
+            raise RegimeError(
+                "the strongly-convex oracle requires a constant step size"
+            )
+        if not (plan.T == 0 or plan.eta <= (1.0 / (beta + gamma)) * (1.0 + REL_SLACK)):
+            raise RegimeError(
+                "the strongly-convex oracle requires eta <= 1/(beta+gamma)"
+            )
+
+
+class CustomSmoothInstance(ProblemInstance):
+    """custom_smooth: a caller-provided loss/gradient pair, with no bound
+    class and no affine form, so excluded from the analytic-oracle
+    operations, and not built from a config file.  ``grad_fn`` is opaque, so
+    every gradient coordinate is taken to read w: the ``step_terms`` of a
+    batch are the batch itself (m, d), and ``step_map`` is
+    mean_j grad_fn(w, z_j)."""
+
+    family = "custom_smooth"
+
+    def __init__(
+        self, d: int, loss_fn: Callable, grad_fn: Callable, scales, beta: float,
+        L: float | None = None, w1=None,
+    ):
+        params = LossParams(d=d, L=L, beta=beta, w1=_w1_tuple(w1, d))
+        super().__init__(params, scales)
+        self.loss_fn, self.grad_fn = loss_fn, grad_fn
+
+    def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        if self.loss_fn is None:
+            raise CapabilityError("custom_smooth instance has no loss_fn")
+        return self.loss_fn(w, z)
+
+    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        if self.grad_fn is None:
+            raise CapabilityError("custom_smooth instance has no grad_fn")
+        return self.grad_fn(w, z)
+
+    def step_terms(self, Z: np.ndarray) -> np.ndarray:
+        return Z
+
+    def step_terms_size(self, m: int) -> int:
+        return m * self.d
+
+    def step_map(self, W: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        return self.grad(W[..., None, :], terms).mean(axis=-2)
 
 
 # -- constructors ----------------------------------------------------------
 
+# Each family's class is its public constructor.
+linear_instance = LinearInstance
+convex_huber_instance = ConvexHuberInstance
+quadratic_nonconvex_instance = QuadraticNonconvexInstance
+quadratic_strongly_convex_instance = QuadraticStronglyConvexInstance
+custom_smooth_instance = CustomSmoothInstance
 
-def linear_instance(d: int, beta: float = 1.0, w1=None) -> ProblemInstance:
-    """<w, z> over sign vectors; the Lipschitz constant is forced to sqrt(d)."""
-    if d < 1:
-        raise ConfigError("linear family requires d >= 1")
-    params = LossParams(d=d, L=math.sqrt(d), beta=beta, w1=_w1_tuple(w1, d))
-    return ProblemInstance("linear", params, scales=np.ones(d))
-
-
-def convex_huber_instance(
-    d: int, L: float, beta: float, tau: float | None = None, w1=None
-) -> ProblemInstance:
-    """Convex Lipschitz-and-smooth construction with bounded gradients."""
-    if d < 2:
-        raise ConfigError("convex_huber requires d >= 2")
-    if L <= 0 or beta <= 0:
-        raise ConfigError("convex_huber requires L > 0 and beta > 0")
-    tau_max = L / (math.sqrt(d) * beta)
-    if tau is None:
-        tau = tau_max
-    if not 0 < tau <= tau_max * (1 + REL_SLACK):
-        raise ConfigError(
-            f"tau must satisfy 0 < tau <= L/(sqrt(d) beta) = {tau_max!r}, got {tau!r}"
-        )
-    scales = np.full(d, L / math.sqrt(d))
-    scales[-1] = L / (2.0 * beta * math.sqrt(d))
-    params = LossParams(d=d, L=L, beta=beta, tau=tau, w1=_w1_tuple(w1, d))
-    return ProblemInstance("convex_huber", params, scales=scales)
+# The families a config file can name; custom_smooth's functions cannot be
+# written in one.
+_CONFIG_FAMILIES = {cls.family: cls for cls in (
+    LinearInstance, ConvexHuberInstance, QuadraticNonconvexInstance,
+    QuadraticStronglyConvexInstance,
+)}
+FAMILIES = (*_CONFIG_FAMILIES, CustomSmoothInstance.family)
 
 
-def quadratic_nonconvex_instance(
-    d: int, beta: float, lam=None, w1=None
-) -> ProblemInstance:
-    """Concave diagonal quadratic; every eigenvalue negative with |lam| <= beta."""
-    if d < 1 or beta <= 0:
-        raise ConfigError("quadratic_nonconvex requires d >= 1 and beta > 0")
-    lam = np.full(d, -beta) if lam is None else np.asarray(lam, dtype=float)
-    if lam.shape != (d,):
-        raise ConfigError(f"lam must have length d={d}")
-    if np.any(lam >= 0) or np.any(np.abs(lam) > beta * (1 + REL_SLACK)):
-        raise ConfigError("quadratic_nonconvex requires lam_k < 0 and |lam_k| <= beta")
-    params = LossParams(
-        d=d, L=None, beta=beta, lam=tuple(float(v) for v in lam), w1=_w1_tuple(w1, d)
-    )
-    return ProblemInstance(
-        "quadratic_nonconvex",
-        params,
-        scales=np.full(d, 1.0 / math.sqrt(beta * d)),
-        lam=lam,
-    )
-
-
-def quadratic_strongly_convex_instance(
-    d: int, L: float, beta: float, gamma: float, w1=None
-) -> ProblemInstance:
-    """Diagonal quadratic with spectrum {beta, gamma, ..., gamma}.
-
-    Requires beta >= gamma > 0 and d >= (beta^2 - gamma^2) / (3 gamma^2), the
-    dimension at which path gradients stay below 4L.
-    """
-    if d < 1 or gamma <= 0 or beta < gamma:
-        raise ConfigError("strongly-convex family requires d >= 1 and beta >= gamma > 0")
-    if L <= 0:
-        raise ConfigError("strongly-convex family requires L > 0")
-    d_min = (beta**2 - gamma**2) / (3.0 * gamma**2)
-    if d < d_min:
-        raise ConfigError(
-            f"dimension d={d} below the path-gradient threshold {d_min!r}"
-        )
-    lam = np.full(d, gamma)
-    lam[0] = beta
-    params = LossParams(
-        d=d, L=L, beta=beta, gamma=gamma, lam=tuple(float(v) for v in lam),
-        w1=_w1_tuple(w1, d),
-    )
-    return ProblemInstance(
-        "quadratic_strongly_convex",
-        params,
-        scales=np.full(d, L / (gamma * math.sqrt(d))),
-        lam=lam,
-    )
-
-
-def custom_smooth_instance(
-    d: int,
-    loss_fn: Callable,
-    grad_fn: Callable,
-    scales,
-    beta: float,
-    L: float | None = None,
-    w1=None,
-) -> ProblemInstance:
-    """User-supplied smooth loss; excluded from analytic-oracle operations."""
-    params = LossParams(d=d, L=L, beta=beta, w1=_w1_tuple(w1, d))
-    return ProblemInstance(
-        "custom_smooth",
-        params,
-        scales=np.asarray(scales, dtype=float),
-        loss_fn=loss_fn,
-        grad_fn=grad_fn,
-    )
+def family_class(family: str) -> type[ProblemInstance]:
+    """The class of the family a config names."""
+    cls = _CONFIG_FAMILIES.get(family)
+    if cls is None:
+        raise ConfigError(f"cannot build family {family!r} from a config file")
+    return cls
 
 
 def _w1_tuple(w1, d: int) -> tuple[float, ...]:
@@ -589,9 +657,6 @@ class RegularityVerdict:
     max_lipschitz_ratio: float = 0.0
     max_smoothness_ratio: float = 0.0
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def verify_regularity(
     instance: ProblemInstance, trials: int, seed: int
@@ -599,12 +664,12 @@ def verify_regularity(
     """Sample random point pairs and examples; check the regularity constants.
 
     Checks, each on every sampled pair:
-      * |f(w,z) - f(u,z)| <= L ||w-u||          (Lipschitz families only)
+      * |f(w,z) - f(u,z)| <= L ||w-u||   (``lipschitz_checked`` families with an L)
       * ||grad f(w,z) - grad f(u,z)|| <= beta ||w-u||
       * <grad f(w,z) - grad f(u,z), w-u> >= gamma ||w-u||^2   (gamma > 0)
       * gradient vs central finite difference, step 1e-6 (1 + ||w||),
-        tolerance 1e-6 relative to (1 + |component|), at points at least
-        1e-4 away from any Huber kink.
+        tolerance 1e-6 relative to (1 + |component|), at points not
+        ``near_kink``.
     """
     if trials < 1:
         raise ConfigError("verify_regularity requires trials >= 1")
@@ -615,7 +680,7 @@ def verify_regularity(
     max_smooth = 0.0
     slack = 1.0 + REL_SLACK
 
-    lipschitz = p.L is not None and instance.family in ("linear", "convex_huber")
+    lipschitz = p.L is not None and instance.lipschitz_checked
 
     for k in range(trials):
         w = instance.w1 + rng.normal(scale=1.0, size=instance.d)
@@ -665,10 +730,8 @@ def verify_regularity(
 def _finite_difference_mismatch(
     instance: ProblemInstance, w: np.ndarray, z: np.ndarray, tol: float = 1e-6
 ) -> str | None:
-    if instance.family == "convex_huber":
-        u = w[-1] - instance.w1[-1] - z[-1]
-        if abs(abs(u) - instance.params.tau) < 1e-4:
-            return None  # too close to the kink for a two-sided difference
+    if instance.near_kink(w, z):
+        return None  # too close to the kink for a two-sided difference
     h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
     g = instance.grad(w, z)
     # w + h e_k for every k, then w - h e_k: one loss call on the (2d, d) stack

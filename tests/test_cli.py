@@ -27,7 +27,7 @@ from batchstab.experiments import (
     run_full_verification,
     schedule_spec_from_dict,
 )
-from batchstab.problems import FAMILIES, Dataset, ProblemInstance, sample_examples
+from batchstab.problems import FAMILIES, ConvexHuberInstance, Dataset, sample_examples
 from batchstab.schedule import VALID_KINDS, realize
 from batchstab.seeding import rng_at
 from conftest import assert_pinned_digests, block_of, reference_path
@@ -90,7 +90,7 @@ def test_an_equivalence_that_compared_nothing_skips_and_the_run_fails(tmp_path, 
     }
     out = tmp_path / "out"
     assert main(["verify", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-    assert "one-trial: FAIL (0 failing checks)" in capsys.readouterr().out
+    assert "one-trial: FAIL (0 failing, 0 passing, 3 skipped checks)" in capsys.readouterr().out
     report = _strict_json((out / "report.json").read_text())
     for section in report["schedules"].values():
         assert section["gen_error_mc"]["status"] == "skipped"
@@ -775,6 +775,11 @@ MALFORMED = [
     ("verify", mini_verify_config, ("schedules", 1, "mm"), 2, "field 'mm'"),
     ("sweep", huber_grid_config, ("sweep", "base", "trails"), 5, "field 'trails'"),
     ("dump", dump_schedule_config, ("dump", "schedule", "M"), 2, "field 'M'"),
+    # A family that no config can build, named as the config wrote it.
+    ("verify", mini_verify_config, ("instance", "family"), "custom_smooth",
+     "cannot build family 'custom_smooth' from a config file"),
+    ("verify", mini_verify_config, ("instance", "family"), "Linear",
+     "cannot build family 'Linear' from a config file"),
 ]
 
 
@@ -811,7 +816,7 @@ def test_a_run_whose_every_check_skipped_does_not_pass(tmp_path, capsys, instanc
     statuses = [s["gen_error_mc"]["status"] for s in report["schedules"].values()]
     assert statuses == ["skipped", "skipped"]
     assert report["passed"] is False and report["failures"] == []
-    assert "cli-mini: FAIL (0 failing checks)" in capsys.readouterr().out
+    assert "cli-mini: FAIL (0 failing, 0 passing, 2 skipped checks)" in capsys.readouterr().out
 
 
 def test_divergence_during_verify_is_a_recorded_failure(tmp_path):
@@ -830,6 +835,39 @@ def test_divergence_during_verify_is_a_recorded_failure(tmp_path):
         assert section["gen_error_mc"]["reason"].startswith("non-finite iterate produced at step")
     assert report["failures"] == ["gen_error_mc", "gen_error_mc"]
     assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # every check that runs the engine diverges at step 1 or 2
+        {"plan": {"kind": "constant", "eta": 1e300, "T": 5}},
+        # finite iterates near 1e240 whose risk overflows
+        {"plan": {"kind": "constant", "eta": 1e6, "T": 40}, "trials": 5,
+         "master_seed": 1, "checks": ["gen_error_mc"]},
+    ],
+    ids=["divergence", "overflowing-risk"],
+)
+def test_a_diverging_verify_prints_no_numpy_warnings(tmp_path, changes, jobs):
+    # The engine names the step of a divergence and the report the trial
+    # whose risk overflows: numpy's warnings, from the command or from a
+    # worker, would add nothing to stderr.
+    cfg = dict(
+        mini_verify_config(),
+        instance={"family": "quadratic_nonconvex", "d": 3, "beta": 1.0},
+        **changes,
+    )
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "batchstab.cli", "verify", "--config",
+         write_config(tmp_path, cfg), "--out", str(out), "--jobs", jobs],
+        env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("wall time: ")
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] and "gen_error_mc" in report["failures"]
 
     cfg["allow_divergence"] = True
     with np.errstate(over="ignore", invalid="ignore"):
@@ -862,7 +900,7 @@ def test_jobs_below_one_is_refused_naming_it(tmp_path, capsys, command, config, 
 def test_an_engine_region_violation_is_a_recorded_failure(tmp_path, monkeypatch):
     # A band no convex_huber iterate keeps: the engine's own assertion fires
     # in every check that runs it, as it would on an engine bug.
-    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, etas: 1e-12)
+    monkeypatch.setattr(ConvexHuberInstance, "huber_region_limit", lambda self, etas: 1e-12)
     out = tmp_path / "o"
     path = write_config(tmp_path, mini_verify_config())
     assert main(["verify", "--config", path, "--out", str(out)]) == 1

@@ -7,7 +7,7 @@ import pytest
 
 from batchstab import bounds, experiments
 from batchstab.experiments import config_from_dict, run_full_verification
-from batchstab.problems import ProblemInstance
+from batchstab.problems import ConvexHuberInstance, ProblemInstance
 from batchstab.schedule import RealizedSchedule
 
 # small batches, where m / (m + 1) is far from 1
@@ -28,7 +28,7 @@ def _control_config(checks, schedules=_SCHEDULES):
 
 
 _free_grad_mean = ProblemInstance.free_grad_mean
-_scalar_steps = ProblemInstance.scalar_steps
+_scalar_steps = ConvexHuberInstance.scalar_steps
 
 
 def _free_mean_over_m_plus_1(self, Z):
@@ -44,9 +44,10 @@ def _scalar_mean_over_m_plus_1(self, w, etas, terms):
     return _scalar_steps(self, w, [e * (m / (m + 1)) for e in etas], terms)
 
 
+# Each mutant with the class that defines the method it replaces.
 _MUTANTS = {
-    "free_grad_mean": _free_mean_over_m_plus_1,
-    "scalar_steps": _scalar_mean_over_m_plus_1,
+    "free_grad_mean": (ProblemInstance, _free_mean_over_m_plus_1),
+    "scalar_steps": (ConvexHuberInstance, _scalar_mean_over_m_plus_1),
 }
 
 
@@ -74,7 +75,8 @@ def test_batch_means_over_m_plus_1_fail_the_checks_that_run_the_engine(
     monkeypatch, mutated, checks
 ):
     for name in mutated:
-        monkeypatch.setattr(ProblemInstance, name, _MUTANTS[name])
+        owner, mutant = _MUTANTS[name]
+        monkeypatch.setattr(owner, name, mutant)
     report = run_full_verification(_control_config(checks))
     for label, section in report["schedules"].items():
         for check in checks:
@@ -151,9 +153,9 @@ def test_a_mis_scaled_gradient_fails_the_regularity_check(monkeypatch):
     checks = ["regularity"]
     report = run_full_verification(_control_config(checks))
     assert report["checks"]["regularity"]["status"] == "pass" and report["passed"]
-    grad = ProblemInstance.grad
+    grad = ConvexHuberInstance.grad
     monkeypatch.setattr(
-        ProblemInstance, "grad", lambda self, w, z: grad(self, w, z) * 1.1
+        ConvexHuberInstance, "grad", lambda self, w, z: grad(self, w, z) * 1.1
     )
     _run_check_fails(run_full_verification(_control_config(checks)), "regularity")
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from batchstab import engine
 from batchstab.engine import (
@@ -26,7 +26,9 @@ from batchstab.errors import (
     RegimeError,
 )
 from batchstab.problems import (
+    ConvexHuberInstance,
     ProblemInstance,
+    QuadraticStronglyConvexInstance,
     convex_huber_instance,
     custom_smooth_instance,
     linear_instance,
@@ -561,7 +563,7 @@ def test_drift_before_the_divergence_raises_the_region_error(monkeypatch):
     assert 0 < k < sched.T - 2
     etas[k + 1] = math.inf  # a divergence one step later, in the same block
     assert _first_bad_step(reference_path(inst, S, sched, etas)) == k + 2
-    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    monkeypatch.setattr(ConvexHuberInstance, "huber_region_limit", lambda self, e: limit)
     with np.errstate(invalid="ignore"), pytest.raises(AnalyticRegionError) as info:
         run_final(inst, S, sched, etas)
     assert str(info.value).startswith(
@@ -578,7 +580,7 @@ def test_drift_at_the_divergence_step_raises_the_divergence(monkeypatch):
     path = reference_path(inst, S, sched, etas)
     assert _first_bad_step(path) == s
     assert _drift(inst, path)[s - 1] > limit  # both checks fire at step s
-    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    monkeypatch.setattr(ConvexHuberInstance, "huber_region_limit", lambda self, e: limit)
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError, match=rf"at step {s}$"):
             run_final(inst, S, sched, etas)
@@ -866,11 +868,11 @@ def test_a_full_batch_huber_run_at_the_shipped_shape_is_one_block():
 @contextlib.contextmanager
 def _batch_term_calls():
     """The argument shapes (a float's type) of every call of the batch-term
-    methods, by name, made inside the block."""
+    methods of convex_huber instances, by name, made inside the block."""
     calls = {"free_grad_mean": [], "step_terms": [], "scalar_steps": [], "step_map": []}
 
     def counted(name):
-        method = getattr(ProblemInstance, name)
+        method = getattr(ConvexHuberInstance, name)
 
         def call(self, *args):
             calls[name].append(tuple(
@@ -881,7 +883,7 @@ def _batch_term_calls():
         return call
 
     with mock.patch.multiple(
-        ProblemInstance, **{name: counted(name) for name in calls}
+        ConvexHuberInstance, **{name: counted(name) for name in calls}
     ):
         yield calls
 
@@ -994,7 +996,7 @@ def test_a_single_huber_run_steps_its_clipped_steps_in_scalar_steps():
     # reference path, fell in the blocks of every run that returned, "none"
     # for a block with none.
     seen, raised, mapped = set(), set(), []
-    step_map = ProblemInstance.step_map
+    step_map = ConvexHuberInstance.step_map
 
     def recorded(self, W, terms):
         mapped.append(W.shape)
@@ -1021,6 +1023,9 @@ def test_a_single_huber_run_steps_its_clipped_steps_in_scalar_steps():
         # never clipped at tau = 1e6: the in-band path
         free = convex_huber_instance(d=d, L=1e6 * math.sqrt(d) * beta, beta=beta, w1=w1)
         tau = _first_clip_tau(free, S, sched, etas, target)
+        # A first record of a subnormal |u_j| halves to tau = 0, which the
+        # constructor refuses.
+        assume(tau > 0.0)
         inst = convex_huber_instance(
             d=d, L=tau * math.sqrt(d) * beta, beta=beta, tau=tau, w1=w1
         )
@@ -1049,7 +1054,7 @@ def test_a_single_huber_run_steps_its_clipped_steps_in_scalar_steps():
                 if not ks.size:
                     places.add("none")
             with block_of(B), mock.patch.object(
-                ProblemInstance, "step_map", recorded
+                ConvexHuberInstance, "step_map", recorded
             ), np.errstate(over="ignore", invalid="ignore"):
                 for call, expected in calls:
                     if out is not None and (bad is None or out < bad):
@@ -1083,7 +1088,7 @@ def test_convex_huber_band_names_its_step_wherever_it_falls(where, monkeypatch):
     paired_drift = np.abs(paths[1:, :, -1] - inst.w1[-1]).max(axis=1)
     s_paired = 1 + int(np.flatnonzero(paired_drift > limit * (1.0 + 1e-9))[0])
     assert 3 < s_paired <= s < sched.T - 3
-    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    monkeypatch.setattr(ConvexHuberInstance, "huber_region_limit", lambda self, e: limit)
     plan = custom_plan(etas)
     for R, step, calls in (
         (1, s, (lambda: run(inst, S, sched, plan),
@@ -1169,7 +1174,8 @@ def test_paired_quadratic_run_steps_only_the_selected_neighbors():
     # the last block steps the base run and the T neighbors selected
     B = engine._BLOCK_ELEMENTS // ((1 + T + 1) * d)
     maps, terms = [], []
-    step_map, step_terms = ProblemInstance.step_map, ProblemInstance.step_terms
+    step_map = QuadraticStronglyConvexInstance.step_map
+    step_terms = QuadraticStronglyConvexInstance.step_terms
 
     def counted_map(self, W, t):
         maps.append((W.shape, t.shape))
@@ -1180,7 +1186,7 @@ def test_paired_quadratic_run_steps_only_the_selected_neighbors():
         return step_terms(self, Z)
 
     with mock.patch.multiple(
-        ProblemInstance, step_map=counted_map, step_terms=counted_terms
+        QuadraticStronglyConvexInstance, step_map=counted_map, step_terms=counted_terms
     ):
         run_paired(inst, S, repl, sched, constant_plan(0.5, T))
     blocks = range(0, T, B)
@@ -1253,7 +1259,7 @@ def test_a_neighbor_that_leaves_the_huber_band_where_it_joins_names_its_step(
     drift = np.abs(paths[1:, :, -1] - inst.w1[-1])
     limit = float(max(drift[: s - 1].max(), drift[s - 1, 0]))
     assert drift[s - 1].argmax() == s and drift[s - 1, s] > limit * (1.0 + 1e-9)
-    monkeypatch.setattr(ProblemInstance, "huber_region_limit", lambda self, e: limit)
+    monkeypatch.setattr(ConvexHuberInstance, "huber_region_limit", lambda self, e: limit)
     plan = custom_plan(etas)
     with block_of(_step_places(s)[where]):
         with pytest.raises(AnalyticRegionError) as info:

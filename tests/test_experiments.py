@@ -14,11 +14,12 @@ from batchstab.experiments import (
     config_from_dict,
     estimate_gen_error,
     estimate_stability,
+    instance_from_config,
     run_full_verification,
     uniform_stability_failure_demo,
 )
 from batchstab.problems import (
-    ProblemInstance,
+    ConvexHuberInstance,
     convex_huber_instance,
     custom_smooth_instance,
     empirical_risk,
@@ -217,6 +218,37 @@ def test_divergent_trials_are_excluded_only_when_allowed():
         )
     assert est.excluded == 3
     assert est.mean is None and est.stderr is None
+
+
+def test_a_trial_whose_risk_overflows_at_a_finite_final_is_divergent():
+    # Iterates near 1e240 stay finite, so the engine raises nothing, but the
+    # population risk at them overflows: each trial counts as divergent.
+    def gen_error_mc(**overrides):
+        config = small_config(
+            instance={"family": "quadratic_nonconvex", "d": 3, "beta": 1.0},
+            n=8, plan={"kind": "constant", "eta": 1e6, "T": 40},
+            schedules=[{"kind": "round_robin", "m": 1}], trials=5, master_seed=1,
+            checks=["gen_error_mc"], **overrides,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            final = experiments.run_final(
+                config.instance, experiments._trial_dataset(config.instance, 8, 1, 0),
+                experiments._trial_schedule(config.schedules[0], 1, 0, 0), config.plan,
+            )
+            report = run_full_verification(config)
+        assert np.isfinite(final).all()
+        return report["schedules"]["round_robin_m1"]["gen_error_mc"]
+
+    failed = gen_error_mc()
+    assert failed["status"] == "fail"
+    assert failed["reason"].startswith("non-finite generalization error ")
+    assert "at trial 0: the risk overflows" in failed["reason"]
+    excluded = gen_error_mc(allow_divergence=True)
+    assert excluded["status"] == "skipped"
+    assert (excluded["mean"], excluded["excluded"]) == (None, 5)
+    assert excluded["reason"].startswith(
+        "stderr undefined with 0 of 5 trials kept (5 excluded as divergent)"
+    )
 
 
 def test_config_validation_messages():
@@ -432,7 +464,7 @@ def test_a_failed_gen_error_mc_skips_the_equivalence_naming_its_schedules(monkey
     # A band no convex_huber iterate keeps: every gen_error_mc run fails.
     config = small_config(trials=10, checks=["gen_error_mc", "schedule_equivalence"])
     with monkeypatch.context() as patch:
-        patch.setattr(ProblemInstance, "huber_region_limit", lambda self, etas: 1e-12)
+        patch.setattr(ConvexHuberInstance, "huber_region_limit", lambda self, etas: 1e-12)
         report = run_full_verification(config)
     for section in report["schedules"].values():
         assert section["gen_error_mc"]["status"] == "fail"
@@ -625,3 +657,25 @@ def test_the_first_of_a_divergence_and_a_region_error_in_trial_order_wins(
             allow_divergence=allow,
         )
     assert len(calls) == runs
+
+
+@pytest.mark.parametrize(
+    "cfg, cls",
+    [
+        ({"family": "linear", "d": 3}, "convex"),
+        ({"family": "convex_huber", "d": 3, "L": 1.0, "beta": 1.0}, "convex"),
+        ({"family": "quadratic_nonconvex", "d": 3, "beta": 1.0}, "nonconvex_smooth"),
+        ({"family": "quadratic_strongly_convex", "d": 3, "L": 1.0, "beta": 1.0,
+          "gamma": 1.0}, "strongly_convex"),
+    ],
+)
+def test_each_family_reads_its_own_fields_and_resolves_its_bound_class(cfg, cls):
+    instance = instance_from_config(cfg)
+    assert instance.family == cfg["family"] and instance.bound_class == cls
+    report = run_full_verification(small_config(instance=cfg, checks=[]))
+    assert report["instance"]["family"] == cfg["family"] and report["loss_class"] == cls
+    # a field of another family is refused, naming this one
+    other = "gamma" if "gamma" not in cfg else "tau"
+    with pytest.raises(ConfigError, match=rf"unknown field '{other}' in 'instance' of "
+                                          rf"family '{cfg['family']}'"):
+        instance_from_config(dict(cfg, **{other: 1.0}))

@@ -1,15 +1,19 @@
-"""Source hygiene: no module imports a name it never uses, and no private
-name of ``src/`` is dead.
+"""Source hygiene: no module imports a name it never uses, no private name
+of ``src/`` is dead, and no code in ``src/`` branches on a family's name.
 
 AST scans.  Of every module in ``src/`` and ``tests/``: each name an import
 binds must be read somewhere in its module.  A package's ``__init__.py``
 imports to re-export, so it is not scanned.  Of ``src/`` as a whole: each
 private module-level function, class or constant (one leading underscore)
-must be read somewhere in ``src/``, as a name or as an attribute.
+must be read somewhere in ``src/``, as a name or as an attribute; and a
+loss family's facts are read from its class, never by testing its name,
+except in the one registry lookup of ``problems``.
 """
 
 import ast
 from pathlib import Path
+
+from batchstab.problems import FAMILIES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,3 +114,93 @@ def test_every_private_module_level_name_in_src_is_read_in_src():
         if name not in read
     ]
     assert dead == []
+
+
+def family_branches(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every place the source branches on the
+    name of a loss family: a comparison of ``.family`` or of a ``family``
+    name with a string, a comparison with a family's name, a membership
+    test in a tuple of family names (or a ``*FAMILIES`` table), a table
+    indexed by a family (``t[family]``, ``t.get(x.family)``), a dict keyed
+    by family names, or a ``.startswith`` test of a family."""
+
+    def is_family(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "family") or (
+            isinstance(node, ast.Name) and node.id == "family"
+        )
+
+    def is_name(node):
+        return isinstance(node, ast.Constant) and node.value in FAMILIES
+
+    def is_names(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_name(e) for e in node.elts)
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return name.endswith("FAMILIES")
+
+    def branches(node) -> bool:
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            strings = [o for o in operands if isinstance(o, ast.Constant)
+                       and isinstance(o.value, str)]
+            return (
+                any(map(is_name, operands))
+                or (any(map(is_family, operands)) and bool(strings))
+                or any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                and any(map(is_names, node.comparators))
+            )
+        if isinstance(node, ast.Subscript):
+            return is_family(node.slice)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "get":
+                return bool(node.args) and is_family(node.args[0])
+            return node.func.attr in ("startswith", "endswith") and is_family(
+                node.func.value
+            )
+        if isinstance(node, ast.Dict):
+            return any(k is not None and is_name(k) for k in node.keys)
+        return False
+
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if branches(node):
+            found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_scan_finds_each_branch_on_a_family_name():
+    source = (
+        "def f(instance, cfg, kind, family, TABLE):\n"
+        "    if instance.family == 'convex_huber': pass\n"
+        "    if family != 'custom': pass\n"
+        "    if instance.family not in QUADRATIC_FAMILIES: pass\n"
+        "    if kind in ('quadratic_nonconvex', 'other'): pass\n"
+        "    x = TABLE[family]\n"
+        "    y = TABLE.get(instance.family, 0)\n"
+        "    z = {'linear': 1}\n"
+        "    if instance.family.startswith('quadratic'): pass\n"
+        "    if kind == 'linear': pass\n"
+        "class C:\n"
+        "    family = 'linear'\n"
+        "    def g(self):\n"
+        "        return f'family {self.family!r}', {self.family: 1}, kind == 'x'\n"
+    )
+    assert family_branches(source) == [(line, "f") for line in range(2, 11)]
+
+
+def test_no_code_in_src_branches_on_a_family_name():
+    # A family's facts are its class's: the one lookup by name is the
+    # registry that maps a config's family string to its class.
+    found = [
+        f"{path.relative_to(ROOT)}: {where}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for _, where in family_branches(path.read_text())
+    ]
+    assert found == ["src/batchstab/problems.py: family_class"]

@@ -337,6 +337,27 @@ def test_the_stacked_finite_differences_are_the_per_coordinate_loop(make):
         assert _per_coordinate_mismatch(inst, w, z, 0.0) is None
 
 
+def test_the_methods_the_span_tracer_wraps_are_stated_once_on_the_base_class():
+    # perfbench's tracer wraps these in ``vars(ProblemInstance)``: a family
+    # class that overrode one would run untraced.
+    wrapped = {"batch_grad_mean", "grad_sup_norm", "population_risk"}
+    assert wrapped <= set(vars(problems.ProblemInstance))
+
+    def subclasses(cls):
+        return [c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))]
+
+    families = subclasses(problems.ProblemInstance)
+    assert {getattr(c, "family", None) for c in families} >= set(problems.FAMILIES)
+    for cls in families:
+        assert not wrapped & set(vars(cls)), cls
+
+
+def test_an_integer_gamma_keeps_a_fractional_beta_in_the_strongly_convex_spectrum():
+    inst = quadratic_strongly_convex_instance(d=3, L=1, beta=2.5, gamma=1)
+    assert inst.lam.tolist() == [2.5, 1.0, 1.0]
+    assert inst.params.lam == (2.5, 1.0, 1.0)
+
+
 def test_constructor_invariants():
     with pytest.raises(ConfigError):
         convex_huber_instance(d=4, L=1.0, beta=1.0, tau=10.0)
