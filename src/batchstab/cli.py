@@ -24,10 +24,13 @@ import numpy as np
 from batchstab.engine import run, trajectory_to_csv
 from batchstab.errors import ConfigError, DivergenceError
 from batchstab.experiments import (
+    REQUIRED,
+    VERIFY_FIELDS,
     config_field,
     config_from_dict,
     instance_from_config,
     plan_from_dict,
+    read_config,
     run_full_verification,
     schedule_spec_from_dict,
     uniform_stability_failure_demo,
@@ -167,24 +170,31 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+# Every command's top level knows name and the fields --seed and --jobs write.
+_TOP_FIELDS = {k: VERIFY_FIELDS[k] for k in ("name", "master_seed", "jobs")}
+_SWEEP_CONFIG_FIELDS = {**_TOP_FIELDS, "sweep": (dict,)}
+_SWEEP_FIELDS = {  # the sweep object, by mode
+    "uniform_stability_demo": {"mode": (str,), "ns": (list[int], REQUIRED, 1),
+                               "epochs": (int, REQUIRED, 1), "d": (int, REQUIRED, 1),
+                               "trials": (int, 200, 1)},
+    "grid": {"mode": (str,), "axes": (dict,), "base": (dict, {}), "trials": (int, 0, 0)},
+}
+
+
 def _cmd_sweep(cfg: dict, args, out_dir: Path) -> int:
-    sweep = config_field(cfg, "sweep", dict)
-    mode = config_field(sweep, "mode", str)
-    cfg = _apply_overrides(cfg, args)
-    if mode == "uniform_stability_demo":
+    top = read_config(_apply_overrides(cfg, args), _SWEEP_CONFIG_FIELDS, "the config")
+    mode = config_field(top["sweep"], "mode", str)
+    if mode not in _SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep mode {mode!r}")
+    sweep = read_config(top["sweep"], _SWEEP_FIELDS[mode], f"'sweep' of mode {mode!r}")
+    if mode == "grid":
+        rows, ok = _grid_rows(top, sweep)
+    else:
         rows = uniform_stability_failure_demo(
-            ns=config_field(sweep, "ns", list[int], minimum=1),
-            epochs=config_field(sweep, "epochs", int, minimum=1),
-            d=config_field(sweep, "d", int, minimum=1),
-            trials=config_field(sweep, "trials", int, 200, minimum=1),
-            master_seed=config_field(cfg, "master_seed", int, 0, minimum=0),
-            jobs=config_field(cfg, "jobs", int, 1, minimum=1),
+            ns=sweep["ns"], epochs=sweep["epochs"], d=sweep["d"], trials=sweep["trials"],
+            master_seed=top["master_seed"], jobs=top["jobs"],
         )
         ok = all(r["within_bound"] for r in rows)
-    elif mode == "grid":
-        rows, ok = _grid_rows(cfg, sweep)
-    else:
-        raise ConfigError(f"unknown sweep mode {mode!r}")
     if not rows:
         raise ConfigError("sweep produced no rows; is the grid empty?")
     if args.format in ("json", "both"):
@@ -195,10 +205,27 @@ def _cmd_sweep(cfg: dict, args, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-_GRID_AXES = {"n": int, "T": int, "eta": float, "c": float, "schedule": str}
+_GRID_AXES = {"n": (list[int], None), "T": (list[int], None), "eta": (list[float], None),
+              "c": (list[float], None), "schedule": (list[str], None)}
+# The verify fields the grid sets in every cell, and where each comes from.
+_GRID_CELL_FIELDS = {
+    "schedules": "the base's 'schedule' and the 'schedule' axis",
+    "checks": "the sweep's 'trials' (sandwich, plus gen_error_mc when trials > 0)",
+    "trials": "the sweep's 'trials'",
+    "master_seed": "the top level of the config",
+    "jobs": "the top level of the config",
+}
+# A verify config without the fields each cell sets, plus the one schedule
+# of every cell; an axis may give n or the plan's fields.
+_GRID_BASE_FIELDS = {
+    **{k: read for k, read in VERIFY_FIELDS.items() if k not in _GRID_CELL_FIELDS},
+    "n": (int, None, 1),
+    "plan": (dict, {}),
+    "schedule": (dict, {"kind": "full_batch"}),
+}
 
 
-def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
+def _grid_rows(top: dict, sweep: dict) -> tuple[list[dict], bool]:
     """One row per grid cell: bounds, oracle, optional Monte Carlo estimate.
 
     A cell is verified as ``base`` with the cell's axis values (n, T, eta for
@@ -207,45 +234,49 @@ def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
     joins the bound reasons and a Monte Carlo skip reason; the verdict is
     that of the checks that ran, empty when none did.
     """
-    axes = config_field(sweep, "axes", dict)
+    axes, trials = sweep["axes"], sweep["trials"]
     unknown = set(axes) - set(_GRID_AXES)
     if unknown:
         raise ConfigError(
             f"unknown sweep axes {sorted(unknown)}; allowed: {sorted(_GRID_AXES)}"
         )
-    if not axes or not all(config_field(axes, a, list[_GRID_AXES[a]]) for a in axes):
+    values = read_config(axes, _GRID_AXES, "'axes'")
+    if not axes or not all(values[a] for a in axes):
         raise ConfigError("grid sweep requires non-empty 'axes'")
-    base = config_field(sweep, "base", dict, {})
-    trials = config_field(sweep, "trials", int, 0, minimum=0)
-    # ``schedule`` is the grid's field, read per cell, not a verify field.
-    verified = {k: v for k, v in base.items() if k != "schedule"}
+    for name, source in _GRID_CELL_FIELDS.items():
+        if name in sweep["base"]:
+            raise ConfigError(
+                f"field {name!r} is refused in the grid's 'base': every cell "
+                f"takes it from {source}"
+            )
+    base = read_config(sweep["base"], _GRID_BASE_FIELDS, "the grid's 'base'")
+    base_schedule = base.pop("schedule")
 
     # Each row repeats its axis values as the config wrote them.
     grid: list[dict] = [{}]
-    for axis, values in axes.items():
-        grid = [dict(cell, **{axis: v}) for cell in grid for v in values]
+    for axis, points in axes.items():
+        grid = [dict(cell, **{axis: v}) for cell in grid for v in points]
 
     rows: list[dict] = []
     for cell in grid:
-        n = cell.get("n", base.get("n"))
-        plan = dict(config_field(base, "plan", dict, {}))
+        n = cell.get("n", base["n"])
+        plan = dict(base["plan"])
         if "T" in cell:
             plan["T"] = cell["T"]
         if "eta" in cell:
             plan.update(kind="constant", eta=cell["eta"])
         if "c" in cell:
             plan.update(kind="inverse_t", c=cell["c"], eta=None, coeff=None)
-        schedule = config_field(base, "schedule", dict, {"kind": "full_batch"})
+        schedule = base_schedule
         if "schedule" in cell:
             schedule = dict(schedule, kind=cell["schedule"])
             if cell["schedule"] == "full_batch":
                 schedule["m"] = n
         report = run_full_verification(config_from_dict(dict(
-            verified, n=n, plan=plan, schedules=[schedule],
+            base, n=n, plan=plan, schedules=[schedule],
             checks=["sandwich", "gen_error_mc"] if trials else ["sandwich"],
             # without gen_error_mc the trial count is never read
-            trials=max(trials, 1), master_seed=cfg.get("master_seed"),
-            jobs=cfg.get("jobs"),
+            trials=max(trials, 1), master_seed=top["master_seed"], jobs=top["jobs"],
         )))
         bounds = report.get("bounds", {})
         (mc,) = [s.get("gen_error_mc") for s in report["schedules"].values()]
@@ -264,32 +295,36 @@ def _grid_rows(cfg: dict, sweep: dict) -> tuple[list[dict], bool]:
     return rows, all(row["verdict"] != "fail" for row in rows)
 
 
+_DUMP_CONFIG_FIELDS = {**_TOP_FIELDS, "dump": (dict,)}
+_DUMPED = {"what": (str,), "n": (int, REQUIRED, 1)}
+_DUMP_FIELDS = {  # the dump object, by what it dumps
+    "schedule": {**_DUMPED, "T": (int, REQUIRED, 0), "schedule": (dict,)},
+    "dataset": {**_DUMPED, "instance": (dict,)},
+    "trajectory": {**_DUMPED, "instance": (dict,), "plan": (dict,), "schedule": (dict,)},
+}
+
+
 def _cmd_dump(cfg: dict, args, out_dir: Path) -> int:
-    dump = config_field(cfg, "dump", dict)
-    what = config_field(dump, "what", str)
-    if what not in ("schedule", "dataset", "trajectory"):
+    top = read_config(_apply_overrides(cfg, args), _DUMP_CONFIG_FIELDS, "the config")
+    what = config_field(top["dump"], "what", str)
+    if what not in _DUMP_FIELDS:
         raise ConfigError(f"unknown dump target {what!r}")
-    seed = config_field(_apply_overrides(cfg, args), "master_seed", int, 0, minimum=0)
-    n = config_field(dump, "n", int, minimum=1)
+    dump = read_config(top["dump"], _DUMP_FIELDS[what], f"'dump' of target {what!r}")
+    seed, n = top["master_seed"], dump["n"]
     if what == "schedule":
         # The master seed is the default seed of the dumped schedule.
-        spec = schedule_spec_from_dict(
-            {"seed": seed, **config_field(dump, "schedule", dict)},
-            n=n, T=config_field(dump, "T", int, minimum=0),
-        )
+        spec = schedule_spec_from_dict({"seed": seed, **dump["schedule"]}, n=n, T=dump["T"])
         schedule_to_csv(realize(spec), out_dir / "schedule.csv")
         print(f"wrote schedule.csv ({spec.T} rows)")
         return 0
-    instance = instance_from_config(config_field(dump, "instance", dict))
+    instance = instance_from_config(dump["instance"])
     dataset = Dataset(examples=sample_examples(instance, n, rng_at(seed, 0)))
     if what == "dataset":
         dataset_to_csv(dataset, out_dir / "dataset.csv")
         print(f"wrote dataset.csv ({n} rows)")
         return 0
-    plan = plan_from_dict(config_field(dump, "plan", dict), instance)
-    spec = schedule_spec_from_dict(
-        {"seed": seed, **config_field(dump, "schedule", dict)}, n=n, T=plan.T
-    )
+    plan = plan_from_dict(dump["plan"], instance)
+    spec = schedule_spec_from_dict({"seed": seed, **dump["schedule"]}, n=n, T=plan.T)
     try:
         traj = run(instance, dataset, realize(spec), plan)
     except DivergenceError as e:

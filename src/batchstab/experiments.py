@@ -30,9 +30,14 @@ diverges, whose risk overflows at a finite final iterate, or whose iterates
 leave the band the engine asserts, is a ``fail`` with the message as its
 reason.  A report passes when no check failed and at least one passed.
 
-Every config value is read by ``config_field``, which refuses a malformed
-field with a ``ConfigError`` naming it; a field that nothing reads is
-refused in the same way.
+Every config object is read by ``read_config`` through one table, which
+states each of the object's fields once: its kind, its default and its
+minimum.  Each field is read by ``config_field``, which refuses a malformed
+one with a ``ConfigError`` naming it, and a field the table does not name is
+refused in the same way.  Where an object's fields depend on one of them (an
+instance's ``family``, a sweep's ``mode``, a dump's ``what``), that field is
+read first and picks the table.  ``ProblemInstance.to_config`` writes the
+instance table back, so a report's ``instance`` loads as a config.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import get_args, get_origin
 
 import numpy as np
@@ -62,6 +67,8 @@ from batchstab.errors import (
     RegimeError,
 )
 from batchstab.problems import (
+    ABS_SLACK,
+    REL_SLACK,
     Dataset,
     ProblemInstance,
     empirical_risk,
@@ -88,6 +95,9 @@ _RECURSION_BY_CLASS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One verify run, as ``config_from_dict`` builds it; ``VERIFY_FIELDS``
+    states each field's default.  ``bound_class`` is the config's ``class``."""
+
     name: str
     instance: ProblemInstance
     n: int
@@ -95,187 +105,12 @@ class ExperimentConfig:
     schedules: tuple[ScheduleSpec, ...]
     trials: int
     master_seed: int
-    # ALL_CHECKS is derived from the check tables at the end of this module.
-    checks: tuple[str, ...] = field(default_factory=lambda: ALL_CHECKS)
-    stability_trials: int = 20
-    regularity_trials: int = 200
-    jobs: int = 1
-    allow_divergence: bool = False
-    bound_class: str | None = None
-
-
-# -- config readers -----------------------------------------------------------
-
-_REQUIRED, _REFUSED = object(), object()
-_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-          list: "a list", dict: "an object"}
-
-
-def config_field(cfg, name: str, kind, default=_REQUIRED, *, minimum=None):
-    """Field ``name`` of the config object ``cfg``, read as ``kind``.
-
-    ``kind`` is bool, int, float, str, list or dict, or ``list[k]`` for a
-    list whose items are read as ``k``.  A bool is only a bool, an int is
-    never a float or a string, and a float is any number, returned as a
-    float.  ``minimum`` bounds a number, or every number of a list.  A
-    missing or null field gives ``default``.  Every refusal is a
-    ``ConfigError`` naming the field.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"expected an object holding field {name!r}, got {cfg!r}")
-    value = cfg.get(name)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"config is missing required field {name!r}")
-        return default
-    typed = _typed(value, kind, minimum)
-    if typed is _REFUSED:
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(
-            f"field {name!r} must be {_describe(kind)}{at_least}, got {value!r}"
-        )
-    return typed
-
-
-def _typed(value, kind, minimum):
-    """``value`` read as ``kind``, or ``_REFUSED`` when it is not one."""
-    if get_origin(kind) is list:
-        if not isinstance(value, list):
-            return _REFUSED
-        items = [_typed(v, get_args(kind)[0], minimum) for v in value]
-        return _REFUSED if any(v is _REFUSED for v in items) else items
-    if isinstance(value, bool) and kind is not bool:
-        return _REFUSED
-    if kind is float and isinstance(value, int) and abs(value) <= sys.float_info.max:
-        value = float(value)
-    if not isinstance(value, kind) or (minimum is not None and not value >= minimum):
-        return _REFUSED
-    return value
-
-
-def _describe(kind) -> str:
-    if get_origin(kind) is list:
-        return "a list of items each " + _describe(get_args(kind)[0])
-    return _NOUNS[kind]
-
-
-def _refuse_unknown(cfg: dict, known, where: str) -> None:
-    """Refuse a field of ``cfg`` that no reader reads: a misspelled field
-    would otherwise be ignored and its default used."""
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise ConfigError(
-            f"unknown field {unknown[0]!r} in {where}; known fields: {sorted(known)}"
-        )
-
-
-_CONFIG_FIELDS = (
-    "name", "instance", "n", "plan", "schedules", "trials", "master_seed", "checks",
-    "stability_trials", "regularity_trials", "jobs", "allow_divergence", "class",
-)
-# Known whatever the kind: the grid sweep rewrites a plan's kind and may
-# leave another kind's field set, or null.
-_PLAN_FIELDS = ("kind", "T", "eta", "coeff", "c", "values")
-_SCHEDULE_FIELDS = ("kind", "m", "seed", "custom_indices")
-
-
-def instance_from_config(cfg: dict) -> ProblemInstance:
-    """Build an instance from its config object (see README for the schema)."""
-    cls = family_class(config_field(cfg, "family", str))
-    _refuse_unknown(
-        cfg, ("family", "d", "w1", *cls.config_fields),
-        f"'instance' of family {cls.family!r}",
-    )
-    d = config_field(cfg, "d", int, minimum=1)
-    w1 = config_field(cfg, "w1", list[float], None)
-    fields = {k: config_field(cfg, k, *read) for k, read in cls.config_fields.items()}
-    return cls(d, w1=w1, **fields)
-
-
-def config_from_dict(cfg: dict) -> ExperimentConfig:
-    """Build a validated config from a JSON-style mapping.
-
-    Error messages name the offending field and the violated constraint.
-    """
-    instance = instance_from_config(config_field(cfg, "instance", dict))
-    _refuse_unknown(cfg, _CONFIG_FIELDS, "the config")
-    n = config_field(cfg, "n", int, minimum=1)
-    plan = plan_from_dict(config_field(cfg, "plan", dict), instance)
-    schedules = []
-    for s in config_field(cfg, "schedules", list[dict]):
-        if s.get("seed") is not None:
-            raise ConfigError(
-                "field 'seed' of a schedule is refused: every trial draws its "
-                "schedule from master_seed"
-            )
-        schedules.append(schedule_spec_from_dict(s, n=n, T=plan.T))
-    if not schedules:
-        raise ConfigError("field 'schedules' must list at least one schedule")
-    labels = set()
-    for spec in schedules:
-        spec.validate()
-        # The report and the Monte Carlo estimates are keyed by label.
-        if spec.label() in labels:
-            raise ConfigError(
-                f"field 'schedules' lists two schedules labelled {spec.label()!r}"
-            )
-        labels.add(spec.label())
-    checks = tuple(config_field(cfg, "checks", list[str], ALL_CHECKS))
-    for c in checks:
-        if c not in ALL_CHECKS:
-            raise ConfigError(f"unknown check {c!r}; valid checks: {ALL_CHECKS}")
-    bound_class = config_field(cfg, "class", str, None)
-    if bound_class not in (None, *bounds_mod.BOUND_CLASSES):
-        raise ConfigError(f"field 'class' must be one of "
-                          f"{bounds_mod.BOUND_CLASSES}, got {bound_class!r}")
-    return ExperimentConfig(
-        name=config_field(cfg, "name", str, "experiment"),
-        instance=instance, n=n, plan=plan, schedules=tuple(schedules),
-        trials=config_field(cfg, "trials", int, minimum=1),
-        master_seed=config_field(cfg, "master_seed", int, 0, minimum=0),
-        checks=checks,
-        stability_trials=config_field(cfg, "stability_trials", int, 20, minimum=1),
-        regularity_trials=config_field(cfg, "regularity_trials", int, 200, minimum=1),
-        jobs=config_field(cfg, "jobs", int, 1, minimum=1),
-        allow_divergence=config_field(cfg, "allow_divergence", bool, False),
-        bound_class=bound_class,
-    )
-
-
-def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
-    kind = config_field(cfg, "kind", str)
-    _refuse_unknown(cfg, _PLAN_FIELDS, "'plan'")
-    T = config_field(cfg, "T", int, minimum=0)
-    if kind == "constant":
-        plan = StepSizePlan(kind="constant", T=T, eta=config_field(cfg, "eta", float))
-    elif kind == "inverse_t":
-        coeff = config_field(cfg, "coeff", float, None)
-        if coeff is None:
-            # eta_t = c / (beta t), resolved against the instance smoothness
-            c = config_field(cfg, "c", float, None)
-            if c is None:
-                raise ConfigError("inverse_t plan requires field 'coeff' or 'c'")
-            coeff = c / instance.params.beta
-        plan = StepSizePlan(kind="inverse_t", T=T, coeff=coeff)
-    elif kind == "custom":
-        values = tuple(config_field(cfg, "values", list[float], ()))
-        plan = StepSizePlan(kind="custom", T=T, values=values)
-    else:
-        raise ConfigError(f"plan kind {kind!r} must be constant, inverse_t, or custom")
-    plan.validate()
-    return plan
-
-
-def schedule_spec_from_dict(cfg: dict, n: int, T: int) -> ScheduleSpec:
-    kind = config_field(cfg, "kind", str)
-    _refuse_unknown(cfg, _SCHEDULE_FIELDS, "a schedule")
-    custom = config_field(cfg, "custom_indices", list[list[int]], None)
-    return ScheduleSpec(
-        kind=kind, n=n, T=T,
-        m=config_field(cfg, "m", int, n if kind == "full_batch" else 1),
-        seed=config_field(cfg, "seed", int, 0, minimum=0),
-        custom_indices=None if custom is None else tuple(map(tuple, custom)),
-    )
+    checks: tuple[str, ...]
+    stability_trials: int
+    regularity_trials: int
+    jobs: int
+    allow_divergence: bool
+    bound_class: str | None
 
 
 # -- Monte Carlo estimators ---------------------------------------------------
@@ -294,8 +129,11 @@ class MonteCarloEstimate:
     grad_sup_max: float | None = None
 
     def agrees_with(self, value: float) -> bool:
-        """The mean lies within 3 standard errors of ``value``; needs a stderr."""
-        return abs(self.mean - value) <= 3.0 * self.stderr
+        """The mean lies within 3 standard errors of ``value``, plus the
+        rounding slack of the lab's exact comparisons, which decides an
+        estimate whose every trial gave one value; needs a stderr."""
+        slack = REL_SLACK * abs(value) + ABS_SLACK
+        return abs(self.mean - value) <= 3.0 * self.stderr + slack
 
 
 def _blocks(trials: int, jobs: int) -> list[tuple[int, int]]:
@@ -486,7 +324,7 @@ def estimate_stability(
 
 def _equivalence(oracle: float, estimates: dict[str, MonteCarloEstimate]) -> dict:
     """Every schedule's mean against the one schedule-free oracle: verdicts
-    (|mean - oracle| <= 3 stderr) and the spread of the defined means.
+    (``MonteCarloEstimate.agrees_with``) and the spread of the defined means.
     Refused with ``CapabilityError`` when fewer than two schedules have a
     standard error, since then nothing is compared."""
     compared = sum(est.stderr is not None for est in estimates.values())
@@ -852,3 +690,191 @@ def run_full_verification(config: ExperimentConfig) -> dict:
     report["failures"] = failures
     report["passed"] = not failures and passes > 0
     return report
+
+
+# -- config readers -----------------------------------------------------------
+
+REQUIRED, _REFUSED = object(), object()
+_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def config_field(cfg, name: str, kind, default=REQUIRED, minimum=None):
+    """Field ``name`` of the config object ``cfg``, read as ``kind``.
+
+    ``kind`` is bool, int, float, str, list or dict, or ``list[k]`` for a
+    list whose items are read as ``k``.  A bool is only a bool, an int is
+    never a float or a string, and a float is any number, returned as a
+    float.  ``minimum`` bounds a number, or every number of a list.  A
+    missing or null field gives ``default``.  Every refusal is a
+    ``ConfigError`` naming the field.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"expected an object holding field {name!r}, got {cfg!r}")
+    value = cfg.get(name)
+    if value is None:
+        if default is REQUIRED:
+            raise _missing(name)
+        return default
+    typed = _typed(value, kind, minimum)
+    if typed is _REFUSED:
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(
+            f"field {name!r} must be {_describe(kind)}{at_least}, got {value!r}"
+        )
+    return typed
+
+
+def _missing(name: str) -> ConfigError:
+    return ConfigError(f"config is missing required field {name!r}")
+
+
+def _typed(value, kind, minimum):
+    """``value`` read as ``kind``, or ``_REFUSED`` when it is not one."""
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            return _REFUSED
+        items = [_typed(v, get_args(kind)[0], minimum) for v in value]
+        return _REFUSED if any(v is _REFUSED for v in items) else items
+    if isinstance(value, bool) and kind is not bool:
+        return _REFUSED
+    if kind is float and isinstance(value, int) and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if not isinstance(value, kind) or (minimum is not None and not value >= minimum):
+        return _REFUSED
+    return value
+
+
+def _describe(kind) -> str:
+    if get_origin(kind) is list:
+        return "a list of items each " + _describe(get_args(kind)[0])
+    return _NOUNS[kind]
+
+
+def read_config(cfg, table: dict, where: str) -> dict:
+    """Every field of ``table`` read from the config object ``cfg``.
+
+    ``table`` maps each field the object may hold to the arguments of
+    ``config_field`` after its name: ``(kind,)`` for a required field,
+    ``(kind, default)`` or ``(kind, default, minimum)``, with ``REQUIRED``
+    as the default of a required field that has a minimum.  Any other field is
+    refused, naming it and ``where`` the object is: a misspelled field would
+    otherwise be ignored and its default used.
+    """
+    unknown = sorted(set(cfg) - set(table)) if isinstance(cfg, dict) else ()
+    if unknown:
+        raise ConfigError(
+            f"unknown field {unknown[0]!r} in {where}; known fields: {sorted(table)}"
+        )
+    return {name: config_field(cfg, name, *read) for name, read in table.items()}
+
+
+# The top level of a verify config.  ``class`` is a bound class overriding
+# the family's.
+VERIFY_FIELDS = {
+    "name": (str, "experiment"),
+    "instance": (dict,),
+    "n": (int, REQUIRED, 1),
+    "plan": (dict,),
+    "schedules": (list[dict],),
+    "trials": (int, REQUIRED, 1),
+    "master_seed": (int, 0, 0),
+    "checks": (list[str], ALL_CHECKS),
+    "stability_trials": (int, 20, 1),
+    "regularity_trials": (int, 200, 1),
+    "jobs": (int, 1, 1),
+    "allow_divergence": (bool, False),
+    "class": (str, None),
+}
+# Known whatever the kind: the grid sweep rewrites a plan's kind and may
+# leave another kind's field set, or null.
+_PLAN_FIELDS = {"kind": (str,), "T": (int, REQUIRED, 0), "eta": (float, None),
+                "coeff": (float, None), "c": (float, None), "values": (list[float], ())}
+# ``m`` defaults to n for full_batch, else to 1.
+_SCHEDULE_FIELDS = {"kind": (str,), "m": (int, None), "seed": (int, 0, 0),
+                    "custom_indices": (list[list[int]], None)}
+
+
+def instance_from_config(cfg: dict) -> ProblemInstance:
+    """Build an instance from its config object (see README for the schema):
+    its family, d, w1 and the family's ``config_fields``."""
+    cls = family_class(config_field(cfg, "family", str))
+    table = {"family": (str,), "d": (int, REQUIRED, 1), "w1": (list[float], None),
+             **cls.config_fields}
+    fields = read_config(cfg, table, f"'instance' of family {cls.family!r}")
+    del fields["family"]
+    return cls(**fields)
+
+
+def config_from_dict(cfg: dict) -> ExperimentConfig:
+    """Build a validated config from a JSON-style mapping.
+
+    Error messages name the offending field and the violated constraint.
+    """
+    fields = read_config(cfg, VERIFY_FIELDS, "the config")
+    instance = instance_from_config(fields["instance"])
+    plan = plan_from_dict(fields["plan"], instance)
+    schedules = []
+    for s in fields["schedules"]:
+        if s.get("seed") is not None:
+            raise ConfigError(
+                "field 'seed' of a schedule is refused: every trial draws its "
+                "schedule from master_seed"
+            )
+        schedules.append(schedule_spec_from_dict(s, n=fields["n"], T=plan.T))
+    if not schedules:
+        raise ConfigError("field 'schedules' must list at least one schedule")
+    labels = set()
+    for spec in schedules:
+        spec.validate()
+        # The report and the Monte Carlo estimates are keyed by label.
+        if spec.label() in labels:
+            raise ConfigError(
+                f"field 'schedules' lists two schedules labelled {spec.label()!r}"
+            )
+        labels.add(spec.label())
+    for c in fields["checks"]:
+        if c not in ALL_CHECKS:
+            raise ConfigError(f"unknown check {c!r}; valid checks: {ALL_CHECKS}")
+    bound_class = fields.pop("class")
+    if bound_class not in (None, *bounds_mod.BOUND_CLASSES):
+        raise ConfigError(f"field 'class' must be one of "
+                          f"{bounds_mod.BOUND_CLASSES}, got {bound_class!r}")
+    return ExperimentConfig(**dict(
+        fields, instance=instance, plan=plan, schedules=tuple(schedules),
+        checks=tuple(fields["checks"]), bound_class=bound_class,
+    ))
+
+
+def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
+    fields = read_config(cfg, _PLAN_FIELDS, "'plan'")
+    kind, T = fields["kind"], fields["T"]
+    if kind == "constant":
+        if fields["eta"] is None:
+            raise _missing("eta")
+        plan = StepSizePlan(kind="constant", T=T, eta=fields["eta"])
+    elif kind == "inverse_t":
+        coeff = fields["coeff"]
+        if coeff is None:
+            # eta_t = c / (beta t), resolved against the instance smoothness
+            if fields["c"] is None:
+                raise ConfigError("inverse_t plan requires field 'coeff' or 'c'")
+            coeff = fields["c"] / instance.params.beta
+        plan = StepSizePlan(kind="inverse_t", T=T, coeff=coeff)
+    elif kind == "custom":
+        plan = StepSizePlan(kind="custom", T=T, values=tuple(fields["values"]))
+    else:
+        raise ConfigError(f"plan kind {kind!r} must be constant, inverse_t, or custom")
+    plan.validate()
+    return plan
+
+
+def schedule_spec_from_dict(cfg: dict, n: int, T: int) -> ScheduleSpec:
+    fields = read_config(cfg, _SCHEDULE_FIELDS, "a schedule")
+    kind, m, custom = fields["kind"], fields["m"], fields["custom_indices"]
+    if m is None:
+        m = n if kind == "full_batch" else 1
+    return ScheduleSpec(
+        kind=kind, n=n, T=T, m=m, seed=fields["seed"],
+        custom_indices=None if custom is None else tuple(map(tuple, custom)),
+    )

@@ -86,7 +86,8 @@ class ProblemInstance:
     lipschitz_checked = False  # ``verify_regularity`` checks L
     scalar_step = False  # a single run steps by ``scalar_steps``
     # The config fields the constructor reads beside family, d and w1, as
-    # name -> (kind,) for a required field or (kind, default).
+    # name -> (kind,) for a required field or (kind, default), each the name
+    # of a ``LossParams`` field, from which ``to_config`` writes it.
     config_fields: dict = {}
 
     def __init__(self, params: LossParams, scales, grad_free_coords: int = 0):
@@ -175,16 +176,14 @@ class ProblemInstance:
         return False
 
     def to_config(self) -> dict:
+        """The config object that builds this instance again: its family, d,
+        w1 when it is nonzero, and each of its ``config_fields``."""
         cfg = {"family": self.family, "d": self.d}
-        p = self.params
-        fields = (("L", p.L), ("beta", p.beta), ("gamma", p.gamma), ("tau", p.tau))
-        for name, val in fields:
-            if val not in (None, 0.0) or name == "beta":
-                cfg[name] = val
-        if self.lam is not None:
-            cfg["lam"] = [float(v) for v in self.lam]
         if np.any(self.w1 != 0.0):
             cfg["w1"] = [float(v) for v in self.w1]
+        for name in self.config_fields:
+            value = getattr(self.params, name)
+            cfg[name] = list(value) if isinstance(value, tuple) else value
         return cfg
 
 

@@ -368,6 +368,10 @@ def test_dump_schedule_round_robin(tmp_path):
     assert main(["dump", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "schedule.csv").read_text().strip().splitlines()
     assert lines == ["1", "2", "3", "1", "2"]
+    # --seed and --jobs write the top level of every command's config.
+    flags = ["--seed", "3", "--jobs", "2"]
+    assert main(["dump", "--config", cfg, "--out", str(tmp_path / "f"), *flags]) == 0
+    assert (tmp_path / "f" / "schedule.csv").read_text() == (out / "schedule.csv").read_text()
 
 
 def test_dump_dataset_is_reproducible(tmp_path):
@@ -552,17 +556,34 @@ def test_shipped_flagship_config_parses():
     assert math.isclose(config.plan.etas().sum(), 50.0)
 
 
+PAIRED_LARGE_N = CONFIG_DIR.parent / "perfbench" / "configs" / "paired_large_n.json"
+
+
+class Loaded(Exception):
+    """Raised in place of the experiments layer, once a command has read its config."""
+
+
+def command_of(cfg: dict) -> str:
+    return "sweep" if "sweep" in cfg else "dump" if "dump" in cfg else "verify"
+
+
 @pytest.mark.parametrize(
     "path",
     [CONFIG_DIR / f"{name}.json"
-     for name in ("convex_sandwich", "nonconvex_lower", "strongly_convex_sandwich")]
-    + [CONFIG_DIR.parent / "perfbench" / "configs" / "paired_large_n.json"],
+     for name in ("convex_sandwich", "nonconvex_lower", "strongly_convex_sandwich",
+                  "sweep_nonconvex_T", "uniform_stability_demo")]
+    + [PAIRED_LARGE_N],
     ids=lambda p: p.stem,
 )
-def test_every_kept_verify_config_loads(path):
-    from batchstab.experiments import config_from_dict
+def test_every_kept_verify_config_loads(tmp_path, monkeypatch, path):
+    def loaded(*args, **kwargs):
+        raise Loaded
 
-    config_from_dict(json.loads(path.read_text()))
+    monkeypatch.setattr(cli, "run_full_verification", loaded)
+    monkeypatch.setattr(cli, "uniform_stability_failure_demo", loaded)
+    command = command_of(json.loads(path.read_text()))
+    with pytest.raises(Loaded):
+        main([command, "--config", str(path), "--out", str(tmp_path / "o")])
 
 
 def huber_grid_config():
@@ -780,6 +801,18 @@ MALFORMED = [
      "cannot build family 'custom_smooth' from a config file"),
     ("verify", mini_verify_config, ("instance", "family"), "Linear",
      "cannot build family 'Linear' from a config file"),
+    # A field that no reader read in an object that had no list of its
+    # fields, or one that the grid overwrote in each cell.
+    ("sweep", demo_sweep_config, ("sweep", "trails"), 3, "field 'trails'"),
+    ("sweep", huber_grid_config, ("sweep", "trails"), 4, "field 'trails'"),
+    ("sweep", huber_grid_config, ("sweep", "base", "master_seed"), 7, "field 'master_seed'"),
+    ("sweep", huber_grid_config, ("sweep", "base", "trials"), 500, "field 'trials'"),
+    ("sweep", huber_grid_config, ("sweep", "base", "checks"), ["regularity"], "field 'checks'"),
+    ("sweep", demo_sweep_config, ("seeed",), 9, "field 'seeed'"),
+    ("dump", dump_schedule_config, ("dump", "nn"), 40, "field 'nn'"),
+    ("dump", dump_schedule_config, ("dump", "instance"), {"family": "linear", "d": 3},
+     "field 'instance'"),
+    ("dump", dump_schedule_config, ("seeed",), 9, "field 'seeed'"),
 ]
 
 
@@ -1007,3 +1040,50 @@ def test_main_never_raises_on_a_config_with_one_field_replaced(tmp_path_factory,
         status = main([COMMANDS.get(name, name), "--config", write_config(tmp, cfg),
                        "--out", str(tmp / "o")])
     assert status in (0, 1, 2)
+
+
+def dump_dataset_config():
+    return {"dump": {"what": "dataset", "n": 4, "instance": {"family": "linear", "d": 3}}}
+
+
+def object_paths(node, prefix=()):
+    """The path of every JSON object in a config, the config itself included."""
+    if isinstance(node, dict):
+        yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from object_paths(child, prefix + (key,))
+
+
+KEPT_CONFIGS = {
+    **{path.stem: lambda path=path: json.loads(path.read_text())
+       for path in [*sorted(CONFIG_DIR.glob("*.json")), PAIRED_LARGE_N]},
+    "test-verify": mini_verify_config,
+    "test-demo": demo_sweep_config,
+    "test-grid": huber_grid_config,
+    "test-dump-schedule": dump_schedule_config,
+    "test-dump-dataset": dump_dataset_config,
+    "test-dump-trajectory": FUZZ_BASES["trajectory"],
+}
+INJECTIONS = [
+    (name, path) for name, config in KEPT_CONFIGS.items() for path in object_paths(config())
+]
+
+
+@pytest.mark.parametrize(
+    "name, path", INJECTIONS,
+    ids=[f"{name}-{'.'.join(map(str, path)) or 'top'}" for name, path in INJECTIONS],
+)
+def test_every_object_of_every_kept_config_refuses_an_unknown_field(
+    tmp_path, capsys, name, path
+):
+    cfg = KEPT_CONFIGS[name]()
+    functools.reduce(lambda node, key: node[key], path, cfg)["bogus"] = 1
+    out = tmp_path / "o"
+    assert main([command_of(cfg), "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "'bogus'" in err
+    assert not any(out.glob("*"))

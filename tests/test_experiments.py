@@ -1,5 +1,6 @@
 """Monte Carlo estimators, seed discipline, and the verification runner."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from batchstab.engine import constant_plan
 from batchstab import experiments
 from batchstab.errors import CapabilityError, ConfigError, DivergenceError
 from batchstab.experiments import (
-    ExperimentConfig,
     config_from_dict,
     estimate_gen_error,
     estimate_stability,
@@ -359,22 +359,21 @@ def custom_config(checks, bound_class=None):
         scales=[1.0, 1.0],
         beta=1.0,
     )
-    n, T = 6, 5
-    return ExperimentConfig(
-        name="custom",
-        instance=inst,
-        n=n,
-        plan=constant_plan(0.3, T),
-        schedules=(
-            ScheduleSpec("round_robin", n=n, m=1, T=T),
-            ScheduleSpec("full_batch", n=n, m=n, T=T),
-        ),
-        trials=4,
-        master_seed=3,
-        checks=checks,
-        stability_trials=2,
-        bound_class=bound_class,
-    )
+    # No config can name custom_smooth: it replaces the instance of a config
+    # that takes every other field, defaults included, from the loader.
+    config = config_from_dict({
+        "name": "custom",
+        "instance": {"family": "linear", "d": 2},
+        "n": 6,
+        "plan": {"kind": "constant", "eta": 0.3, "T": 5},
+        "schedules": [{"kind": "round_robin", "m": 1}, {"kind": "full_batch"}],
+        "trials": 4,
+        "master_seed": 3,
+        "checks": list(checks),
+        "stability_trials": 2,
+        "class": bound_class,
+    })
+    return dataclasses.replace(config, instance=inst)
 
 
 def test_missing_gradient_bound_skips_both_paired_checks():
@@ -528,6 +527,28 @@ def test_the_equivalence_spread_reads_only_defined_means():
     })
     assert fields["passed"] is True and fields["spread"] == 0.25
     assert fields["per_schedule"]["c"] == {"status": "skipped", "reason": "stderr undefined"}
+
+
+def test_an_estimate_whose_trials_all_agree_passes_within_rounding():
+    # One example of two-point signs: every trial has the same generalization
+    # error, and the mean misses the oracle by 3 ulps of rounding.
+    config = small_config(
+        instance={"family": "convex_huber", "d": 3, "L": 1.0, "beta": 1.0},
+        n=1, plan={"kind": "constant", "eta": 0.5, "T": 5},
+        schedules=[{"kind": "full_batch"}], trials=3, stability_trials=2,
+        regularity_trials=3, master_seed=1,
+    )
+    report = run_full_verification(config)
+    gen = report["schedules"]["full_batch"]["gen_error_mc"]
+    assert gen["status"] == "pass" and gen["stderr"] < 1e-15
+    assert gen["mean"] != gen["oracle"]
+    assert report["passed"] and report["failures"] == []
+    # The slack is rounding's: a zero-variance mean off by 1e-6 still fails.
+    oracle = gen["oracle"]
+    est = experiments.MonteCarloEstimate
+    assert est(mean=oracle * (1 + 1e-12), stderr=0.0, trials=3).agrees_with(oracle)
+    assert not est(mean=oracle * (1 + 1e-6), stderr=0.0, trials=3).agrees_with(oracle)
+    assert not est(mean=oracle * (1 - 1e-6), stderr=0.0, trials=3).agrees_with(oracle)
 
 
 def _per_trial_gen_errors(instance, n, etas, spec, master_seed, trials, s_idx=0):

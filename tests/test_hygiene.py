@@ -1,13 +1,16 @@
 """Source hygiene: no module imports a name it never uses, no private name
-of ``src/`` is dead, and no code in ``src/`` branches on a family's name.
+of ``src/`` is dead, no code in ``src/`` branches on a family's name, and
+no config field is read outside its object's table.
 
 AST scans.  Of every module in ``src/`` and ``tests/``: each name an import
 binds must be read somewhere in its module.  A package's ``__init__.py``
 imports to re-export, so it is not scanned.  Of ``src/`` as a whole: each
 private module-level function, class or constant (one leading underscore)
-must be read somewhere in ``src/``, as a name or as an attribute; and a
-loss family's facts are read from its class, never by testing its name,
-except in the one registry lookup of ``problems``.
+must be read somewhere in ``src/``, as a name or as an attribute; a loss
+family's facts are read from its class, never by testing its name, except
+in the one registry lookup of ``problems``; and ``config_field`` is called
+only by ``read_config``, which refuses every field its table does not name,
+except to read the field that picks a table.
 """
 
 import ast
@@ -204,3 +207,75 @@ def test_no_code_in_src_branches_on_a_family_name():
         for _, where in family_branches(path.read_text())
     ]
     assert found == ["src/batchstab/problems.py: family_class"]
+
+
+# The fields read before their object's table, since they pick it: an
+# instance's family, a sweep's mode, a dump's what.
+TABLE_PICKERS = ("family", "mode", "what")
+
+
+def stray_config_reads(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every use of ``config_field`` outside
+    ``read_config`` other than a call that reads a field of TABLE_PICKERS
+    by its literal name."""
+
+    def is_reader(node):
+        return (isinstance(node, ast.Name) and node.id == "config_field") or (
+            isinstance(node, ast.Attribute) and node.attr == "config_field"
+        )
+
+    def picks_a_table(call):
+        names = call.args[1:2] + [k.value for k in call.keywords if k.arg == "name"]
+        return any(
+            isinstance(n, ast.Constant) and n.value in TABLE_PICKERS for n in names
+        )
+
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = node.name
+        if where == "read_config":
+            return
+        if isinstance(node, ast.Call) and is_reader(node.func) and picks_a_table(node):
+            children = [*node.args, *node.keywords]
+        else:
+            if is_reader(node):
+                found.append((node.lineno, where))
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_scan_finds_each_config_read_outside_the_table_reader():
+    source = (
+        "from m import config_field\n"
+        "def read_config(cfg, table, where):\n"
+        "    return {k: config_field(cfg, k, *r) for k, r in table.items()}\n"
+        "def pick(cfg):\n"
+        "    return config_field(cfg, 'family', str), m.config_field(cfg, name='mode')\n"
+        "def stray(cfg):\n"
+        "    return config_field(cfg, 'trials', int)\n"
+        "def aliased(cfg):\n"
+        "    read = config_field\n"
+        "    return m.config_field(cfg, 'what' + 's', str)\n"
+        "def nested(cfg):\n"
+        "    return config_field(config_field(cfg, 'sweep', dict), 'mode', str)\n"
+    )
+    assert stray_config_reads(source) == [
+        (7, "stray"), (9, "aliased"), (10, "aliased"), (12, "nested"),
+    ]
+
+
+def test_every_config_field_in_src_is_read_through_its_table():
+    # A field read beside its table would escape the table's refusal of the
+    # fields it does not name.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {where}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, where in stray_config_reads(path.read_text())
+    ]
+    assert found == []

@@ -8,6 +8,7 @@ import pytest
 
 from batchstab import problems
 from batchstab.errors import AnalyticRegionError, CapabilityError, ConfigError
+from batchstab.experiments import instance_from_config
 from batchstab.problems import (
     Dataset,
     convex_huber_instance,
@@ -385,3 +386,31 @@ def test_dataset_csv_roundtrip(tmp_path):
     with open(path, newline="") as fh:
         back = [[float(v) for v in row] for row in csv.reader(fh)]
     assert np.array_equal(np.asarray(back), S.examples)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: linear_instance(3),
+        lambda: linear_instance(2, beta=2.5, w1=[0.5, -1.0]),
+        lambda: convex_huber_instance(d=3, L=1.0, beta=2.0, tau=0.1, w1=[0.0, 0.2, 0.3]),
+        lambda: quadratic_nonconvex_instance(d=3, beta=1.0, lam=[-0.5, -1.0, -0.25]),
+        lambda: quadratic_strongly_convex_instance(
+            d=4, L=1.0, beta=1.5, gamma=1.0, w1=[0.1, 0.0, -0.2, 0.0]
+        ),
+    ],
+    ids=["linear", "linear-w1", "convex_huber-tau-w1", "quadratic_nonconvex-lam",
+         "quadratic_strongly_convex-w1"],
+)
+def test_an_instance_rebuilds_from_its_to_config(make):
+    # A report's ``instance`` is ``to_config``: it loads back as a config.
+    inst = make()
+    again = instance_from_config(inst.to_config())
+    assert type(again) is type(inst) and again.to_config() == inst.to_config()
+    np.testing.assert_array_equal(again.scales, inst.scales)
+    np.testing.assert_array_equal(again.w1, inst.w1)
+    rng = np.random.default_rng(0)
+    W = inst.w1 + rng.normal(scale=0.1, size=(6, inst.d))
+    Z = sample_examples(inst, 6, rng)
+    np.testing.assert_array_equal(again.loss(W, Z), inst.loss(W, Z))
+    np.testing.assert_array_equal(again.grad(W, Z), inst.grad(W, Z))
