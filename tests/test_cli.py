@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import batchstab
 from batchstab import cli
@@ -1022,6 +1022,7 @@ def field_paths(node, prefix=()):
             yield prefix + (key,)
 
 
+@seed(19055227726458531448239483725838006125193955626181579494770955565573096564197854354067666240917544179006948534259801)
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_main_never_raises_on_a_config_with_one_field_replaced(tmp_path_factory, data):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from batchstab import engine
 from batchstab.engine import (
@@ -450,6 +450,7 @@ def _instance_of(family, d, beta):
     }[family]()
 
 
+@seed(5552568976131527447537813082421662586647285889278857037232327274745311638918541784517762056797467003552621047065052)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     family=st.sampled_from(
@@ -700,6 +701,7 @@ def test_convex_huber_runs_are_bitwise_equal_to_the_step_by_step_references(d, t
     _assert_runs_equal_the_references(inst, S, repl, inverse_t_plan(0.6, T), (1, 3, 8, n), rng)
 
 
+@seed(34286074268203966056548835370498081176811854711909874822690337571128821704126117725482914115648671415764095869193448)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     beta=st.floats(min_value=1e-3, max_value=1e3),
@@ -759,6 +761,7 @@ _BAND_EDGES = (
 )
 
 
+@seed(21715335210894976360435022723475372310168552053325816299342375769150910782878501843507814634956085374574069684568728)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     beta=st.floats(min_value=1e-3, max_value=1e3),
@@ -909,6 +912,7 @@ def _repeated_schedule(shape, n, m, T, rng):
     return realize(ScheduleSpec("custom", n=n, m=m, T=T, custom_indices=custom))
 
 
+@seed(12383972258120437314733759290234982595508671153543053776075507077323516340393968417633817855701497725847145796705654)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     family=st.sampled_from(
@@ -1002,6 +1006,7 @@ def test_a_single_huber_run_steps_its_clipped_steps_in_scalar_steps():
         mapped.append(W.shape)
         return step_map(self, W, terms)
 
+    @seed(31785483901744109689539607910056927143385848427189122610929684876863886591680875374983534930345879948191497328428247)
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         beta=st.floats(min_value=0.25, max_value=4.0),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from batchstab import schedule as schedule_mod
 from batchstab.errors import ConfigError
@@ -124,6 +124,7 @@ def _counting_verdict_by_rows(sched):
     return CountingVerdict(not bad, bad[0] if bad else None, counts)
 
 
+@seed(7214903860642835768241332934145088733065536755527097052598939533808951718261379686085006050130627764925372374840539)
 @settings(max_examples=300, derandomize=True)
 @given(
     n=st.integers(min_value=1, max_value=6),
@@ -181,6 +182,7 @@ def test_csv_roundtrip_is_one_based(tmp_path):
     assert lines == ["1", "2", "3", "1", "2"]
 
 
+@seed(37401192345043279960453784005127829460116326089880262818474136544487890644798357323556592619478328443611695200044325)
 @settings(max_examples=60, derandomize=True)
 @given(
     kind=st.sampled_from(
@@ -245,6 +247,7 @@ _shuffle_cases = given(
 )
 
 
+@seed(8818939505327065337215148317371258269532639278523370963970468431899726057358614281280592255169050480965999869731560)
 @settings(max_examples=100, derandomize=True)
 @_shuffle_cases
 def test_reshuffle_epoch_e_is_the_e_th_permutation_of_one_stream(n, m_frac, T, seed):
@@ -255,6 +258,7 @@ def test_reshuffle_epoch_e_is_the_e_th_permutation_of_one_stream(n, m_frac, T, s
     assert np.array_equal(sched.batches, expected)
 
 
+@seed(26659976839766099656146987682289953644868930725558559417606781075428350392371833447187562189526827160231193159690424)
 @settings(max_examples=100, derandomize=True)
 @_shuffle_cases
 def test_single_shuffle_recycles_the_first_permutation_of_its_stream(n, m_frac, T, seed):
@@ -266,6 +270,7 @@ def test_single_shuffle_recycles_the_first_permutation_of_its_stream(n, m_frac, 
     assert np.array_equal(sched.batches, _shuffled_epochs(seed, n, m, 1, T))
 
 
+@seed(24930718223225659054051447558334961519318998702920762885514089484592928676703185996399037320719248595127819490741095)
 @settings(max_examples=100, derandomize=True)
 @_shuffle_cases
 def test_reshuffles_are_prefix_stable_in_the_horizon(n, m_frac, T, seed):
