@@ -50,17 +50,15 @@ from batchstab.experiments import (
     uniform_stability_failure_demo,
 )
 from batchstab.problems import (
+    FAMILIES,
     Dataset,
-    LossParams,
     ProblemInstance,
     convex_huber_instance,
     custom_smooth_instance,
     empirical_risk,
     linear_instance,
-    neighbor,
     quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
-    sample_dataset,
     verify_regularity,
 )
 from batchstab.schedule import (

@@ -49,9 +49,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _require_constants(what: str, **constants) -> None:
-    """ConfigError naming each constant that is None; a gamma of 0 (a loss
-    that is not strongly convex) counts as missing."""
-    missing = [k for k, v in constants.items() if v is None or (k == "gamma" and not v)]
+    """ConfigError naming each constant that is None."""
+    missing = [k for k, v in constants.items() if v is None]
     if missing:
         raise ConfigError(f"{what} requires {' and '.join(missing)}")
 
@@ -258,18 +257,18 @@ def assemble_bound_set(
     """Evaluate whichever of upper/lower/oracle apply to (class, family)."""
     if cls not in BOUND_CLASSES:
         raise ConfigError(f"unknown bound class {cls!r}")
-    p = instance.params
-    Ltilde = path_gradient_bound(cls, p.L)
+    L, beta, gamma = instance.L, instance.beta, instance.gamma
+    Ltilde = path_gradient_bound(cls, L)
     out = BoundSet(cls=cls)
     try:
         out.upper = gen_error_upper(
-            cls, plan, n, L=p.L, beta=p.beta, gamma=p.gamma, Ltilde=Ltilde
+            cls, plan, n, L=L, beta=beta, gamma=gamma, Ltilde=Ltilde
         )
     except (RegimeError, CapabilityError) as e:
         out.reasons["upper"] = str(e)
     try:
         out.lower = gen_error_lower(
-            cls, plan, n, L=p.L, beta=p.beta, gamma=p.gamma, Ltilde=Ltilde, d=p.d
+            cls, plan, n, L=L, beta=beta, gamma=gamma, Ltilde=Ltilde, d=instance.d
         )
     except (RegimeError, CapabilityError) as e:
         out.reasons["lower"] = str(e)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from batchstab.engine import run, trajectory_to_csv
+from batchstab.engine import run
 from batchstab.errors import ConfigError, DivergenceError
 from batchstab.experiments import (
     REQUIRED,
@@ -35,8 +35,8 @@ from batchstab.experiments import (
     schedule_spec_from_dict,
     uniform_stability_failure_demo,
 )
-from batchstab.problems import Dataset, dataset_to_csv, sample_examples
-from batchstab.schedule import realize, schedule_to_csv
+from batchstab.problems import Dataset, sample_examples
+from batchstab.schedule import realize
 from batchstab.seeding import rng_at
 
 
@@ -164,9 +164,11 @@ def _summary_rows(report: dict):
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """The rows, under the header unless it is None (a dump has none)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        if header is not None:
+            writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
@@ -311,25 +313,31 @@ def _cmd_dump(cfg: dict, args, out_dir: Path) -> int:
         raise ConfigError(f"unknown dump target {what!r}")
     dump = read_config(top["dump"], _DUMP_FIELDS[what], f"'dump' of target {what!r}")
     seed, n = top["master_seed"], dump["n"]
+    # The master seed is the default seed of the dumped schedule; a null seed
+    # is absent, as every null field is.
+    schedule = dump.get("schedule")
+    if schedule is not None and schedule.get("seed") is None:
+        schedule = dict(schedule, seed=seed)
     if what == "schedule":
-        # The master seed is the default seed of the dumped schedule.
-        spec = schedule_spec_from_dict({"seed": seed, **dump["schedule"]}, n=n, T=dump["T"])
-        schedule_to_csv(realize(spec), out_dir / "schedule.csv")
+        spec = schedule_spec_from_dict(schedule, n=n, T=dump["T"])
+        # one step per row, 1-based indices
+        _write_csv(out_dir / "schedule.csv", None, (realize(spec).batches + 1).tolist())
         print(f"wrote schedule.csv ({spec.T} rows)")
         return 0
     instance = instance_from_config(dump["instance"])
-    dataset = Dataset(examples=sample_examples(instance, n, rng_at(seed, 0)))
+    examples = sample_examples(instance, n, rng_at(seed, 0))
     if what == "dataset":
-        dataset_to_csv(dataset, out_dir / "dataset.csv")
+        _write_csv(out_dir / "dataset.csv", None, examples.tolist())
         print(f"wrote dataset.csv ({n} rows)")
         return 0
     plan = plan_from_dict(dump["plan"], instance)
-    spec = schedule_spec_from_dict({"seed": seed, **dump["schedule"]}, n=n, T=plan.T)
+    spec = schedule_spec_from_dict(schedule, n=n, T=plan.T)
     try:
-        traj = run(instance, dataset, realize(spec), plan)
+        traj = run(instance, Dataset(examples=examples), realize(spec), plan)
     except DivergenceError as e:
         raise ConfigError(f"the dumped trajectory diverges: {e}") from None
-    trajectory_to_csv(traj, out_dir / "trajectory.csv")
+    # one row per iterate, T+1 rows of d coordinates
+    _write_csv(out_dir / "trajectory.csv", None, traj.iterates.tolist())
     print(f"wrote trajectory.csv ({plan.T + 1} rows)")
     return 0
 

@@ -125,10 +125,6 @@ class Trajectory:
     etas: np.ndarray
 
     @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
-
-    @property
     def T(self) -> int:
         return self.iterates.shape[0] - 1
 
@@ -553,13 +549,3 @@ def closed_form_final(
     batch_sums = S.examples[sched.batches].sum(axis=1)  # (T, d)
     driven = (etas[:, None] * tail * e * batch_sums).sum(axis=0) / sched.m
     return c + factors.prod(axis=0) * (instance.w1 - c) - driven
-
-
-def trajectory_to_csv(traj: Trajectory, path: str) -> None:
-    """One CSV row per iterate, T+1 rows of d coordinates."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in traj.iterates:
-            writer.writerow([repr(float(v)) for v in row])

@@ -379,7 +379,7 @@ def uniform_stability_failure_demo(
         instance = linear_instance(d)
         flat = bounds_mod.uniform_stability_constant(epochs, d, float(etas[0]))
         decaying = bounds_mod.gen_error_upper(
-            instance.bound_class, plan, n, L=instance.params.L, beta=instance.params.beta
+            instance.bound_class, plan, n, L=instance.L, beta=instance.beta
         )
         sspec = ScheduleSpec(kind="round_robin", n=n, m=1, T=T)
         est = estimate_gen_error(
@@ -431,7 +431,7 @@ class _Context:
         self.excluded_trials = 0
         self._audit: tuple[int, dict] = (-1, {})
         self.proven_gradient_bound = bounds_mod.path_gradient_bound(
-            self.cls, config.instance.params.L
+            self.cls, config.instance.L
         )
 
     def gradient_bound(self, observed: float | None) -> float:
@@ -526,8 +526,7 @@ def _check_growth_recursion(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     audit = refusal = None
     try:
         audit = stability_mod.GrowthRecursionAudit(
-            ctx.rec_class, plan.etas(), sched, instance.params.beta,
-            instance.params.gamma,
+            ctx.rec_class, plan.etas(), sched, instance.beta, instance.gamma
         )
     except (RegimeError, ConfigError) as e:
         refusal = e
@@ -556,7 +555,6 @@ def _check_stability_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     if ctx.rec_class is None:
         raise CapabilityError("no stability class for this family")
     config = ctx.config
-    p = config.instance.params
     est = estimate_stability(
         config.instance, config.n, config.plan, spec, config.stability_trials,
         config.master_seed, s_idx=s_idx, jobs=config.jobs,
@@ -564,7 +562,7 @@ def _check_stability_mc(ctx: _Context, s_idx: int, spec: ScheduleSpec):
     L = ctx.gradient_bound(est.grad_sup_max)
     bound = stability_mod.stability_bound(
         ctx.rec_class, L, config.plan.etas(), config.n, spec.m,
-        beta=p.beta, gamma=p.gamma,
+        beta=config.instance.beta, gamma=config.instance.gamma,
     )
     ok = est.max_value <= bound * (1.0 + 1e-9) + 1e-12
     cap = None
@@ -859,7 +857,7 @@ def plan_from_dict(cfg: dict, instance: ProblemInstance) -> StepSizePlan:
             # eta_t = c / (beta t), resolved against the instance smoothness
             if fields["c"] is None:
                 raise ConfigError("inverse_t plan requires field 'coeff' or 'c'")
-            coeff = fields["c"] / instance.params.beta
+            coeff = fields["c"] / instance.beta
         plan = StepSizePlan(kind="inverse_t", T=T, coeff=coeff)
     elif kind == "custom":
         plan = StepSizePlan(kind="custom", T=T, values=tuple(fields["values"]))

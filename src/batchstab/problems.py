@@ -10,6 +10,12 @@ class and its regularity facts.  The public constructors
 (``linear_instance``, ...) are these classes, and ``family_class`` maps the
 family name a config gives to its class.
 
+The constants the bounds are stated in are attributes of the instance: d,
+the smoothness beta and the start w1 of every family, and the Lipschitz
+constant L, the strong-convexity modulus gamma, the Huber width tau and the
+quadratic diagonal lam where the family has one, None where it has not.  So
+gamma is None unless the family is strongly convex.
+
 Examples are drawn coordinatewise from symmetric two-point laws: each
 coordinate equals +/- its configured scale with probability 1/2, all
 coordinates independent.  That makes the population risk of every built-in
@@ -33,7 +39,6 @@ coordinate of one run through a whole block in ``scalar_steps``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -54,23 +59,6 @@ REL_SLACK = 1e-9
 ABS_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class LossParams:
-    """Scalar parameters of a loss family.
-
-    gamma is 0 for families without strong convexity; tau applies to
-    convex_huber only; lam is the diagonal of the quadratic families.
-    """
-
-    d: int
-    L: float | None = None
-    beta: float = 1.0
-    gamma: float = 0.0
-    tau: float | None = None
-    lam: tuple[float, ...] | None = None
-    w1: tuple[float, ...] | None = None
-
-
 class ProblemInstance:
     """A loss family plus its data distribution, immutable after construction.
 
@@ -85,22 +73,34 @@ class ProblemInstance:
     tracks_grad_sup = False  # paired runs track ``grad_sup_norm``
     lipschitz_checked = False  # ``verify_regularity`` checks L
     scalar_step = False  # a single run steps by ``scalar_steps``
+    # A constant the family lacks stays None; each constructor sets its own.
+    L: float | None = None
+    gamma: float | None = None
+    tau: float | None = None
+    lam: np.ndarray | None = None
     # The config fields the constructor reads beside family, d and w1, as
     # name -> (kind,) for a required field or (kind, default), each the name
-    # of a ``LossParams`` field, from which ``to_config`` writes it.
+    # of the attribute from which ``to_config`` writes it.
     config_fields: dict = {}
 
-    def __init__(self, params: LossParams, scales, grad_free_coords: int = 0):
-        self.params = params
-        self.d = params.d
+    def __init__(self, d: int, beta: float, scales, w1=None, grad_free_coords: int = 0):
+        self.d, self.beta = d, beta
+        # copies, which a caller's later change to its arrays does not reach
+        self.w1 = np.zeros(d) if w1 is None else np.array(w1, dtype=float).reshape(-1)
+        if self.w1.shape != (d,):
+            raise ConfigError(f"w1 must have length d={d}")
         self.scales = np.asarray(scales, dtype=float)
-        self.w1 = np.asarray(params.w1, dtype=float)
-        self.lam = None if params.lam is None else np.asarray(params.lam, dtype=float)
         # The leading gradient coordinates that are the example itself, which
         # the engine updates a block of steps at a time (``engine._evolve``).
         self.grad_free_coords = grad_free_coords
-        if self.scales.shape != (self.d,):
-            raise ConfigError(f"scales must have length d={self.d}")
+        if self.scales.shape != (d,):
+            raise ConfigError(f"scales must have length d={d}")
+
+    @property
+    def params(self) -> ProblemInstance:
+        """The instance itself, which holds the constants (``perfbench``
+        reads them through it)."""
+        return self
 
     def batch_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Mean gradient over a batch: W is (..., d), Z is (..., m, d).
@@ -180,10 +180,10 @@ class ProblemInstance:
         w1 when it is nonzero, and each of its ``config_fields``."""
         cfg = {"family": self.family, "d": self.d}
         if np.any(self.w1 != 0.0):
-            cfg["w1"] = [float(v) for v in self.w1]
+            cfg["w1"] = self.w1.tolist()
         for name in self.config_fields:
-            value = getattr(self.params, name)
-            cfg[name] = list(value) if isinstance(value, tuple) else value
+            value = getattr(self, name)
+            cfg[name] = value.tolist() if isinstance(value, np.ndarray) else value
         return cfg
 
 
@@ -201,8 +201,8 @@ class LinearInstance(ProblemInstance):
     def __init__(self, d: int, beta: float = 1.0, w1=None):
         if d < 1:
             raise ConfigError("linear family requires d >= 1")
-        params = LossParams(d=d, L=math.sqrt(d), beta=beta, w1=_w1_tuple(w1, d))
-        super().__init__(params, np.ones(d), grad_free_coords=d)
+        self.L = math.sqrt(d)
+        super().__init__(d, beta, np.ones(d), w1, grad_free_coords=d)
 
     def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         return (w * z).sum(axis=-1)
@@ -268,14 +268,14 @@ class ConvexHuberInstance(ProblemInstance):
             )
         scales = np.full(d, L / math.sqrt(d))
         scales[-1] = L / (2.0 * beta * math.sqrt(d))
-        params = LossParams(d=d, L=L, beta=beta, tau=tau, w1=_w1_tuple(w1, d))
-        super().__init__(params, scales, grad_free_coords=d - 1)
+        self.L, self.tau = L, tau
+        super().__init__(d, beta, scales, w1, grad_free_coords=d - 1)
         # the Huber slope's cap beta tau, and w1^d as a float
-        self._huber_cap = params.beta * params.tau
+        self._huber_cap = beta * tau
         self._w1d = float(self.w1[-1])
 
     def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        beta, tau = self.params.beta, self.params.tau
+        beta, tau = self.beta, self.tau
         lin = (w[..., :-1] * z[..., :-1]).sum(axis=-1)
         u = w[..., -1] - self.w1[-1] - z[..., -1]
         au = np.abs(u)
@@ -313,7 +313,7 @@ class ConvexHuberInstance(ProblemInstance):
         (c - max_j z_j^d) beta >= -beta tau and
         (c - min_j z_j^d) beta <= beta tau.  A NaN fails either test.
         """
-        beta, cap, m = self.params.beta, self._huber_cap, terms.shape[-1]
+        beta, cap, m = self.beta, self._huber_cap, terms.shape[-1]
         c = W[..., -1:] - self._w1d
         g = (c - np.add.reduce(terms, -1, keepdims=True) / m) * beta
         u = c - terms
@@ -339,7 +339,7 @@ class ConvexHuberInstance(ProblemInstance):
         reduces the clipped slopes of its fresh (m,) row u, as
         :meth:`step_map` does for a (1, m) row.
         """
-        w1d, beta, cap = self._w1d, self.params.beta, self._huber_cap
+        w1d, beta, cap = self._w1d, self.beta, self._huber_cap
         m = terms.shape[-1]
         zbar = (np.add.reduce(terms, -1) / m).tolist()
         lo = np.minimum.reduce(terms, -1).tolist()
@@ -370,14 +370,14 @@ class ConvexHuberInstance(ProblemInstance):
         |u| = tau on, where the loss is C^1.
         """
         cap = self._huber_cap
-        np.multiply(u, self.params.beta, out=u)
+        np.multiply(u, self.beta, out=u)
         np.maximum(u, -cap, out=u)
         return np.minimum(u, cap, out=u)
 
     def affine_form(self, etas: np.ndarray | None = None):
         d = self.d
         a, e, c = np.zeros(d), np.ones(d), np.zeros(d)
-        a[-1], e[-1], c[-1] = self.params.beta, -self.params.beta, self.w1[-1]
+        a[-1], e[-1], c[-1] = self.beta, -self.beta, self.w1[-1]
         if etas is not None and self.huber_region_limit(etas) is None:
             raise RegimeError(
                 "the convex_huber closed forms require eta_t <= 1/beta and tau >= "
@@ -388,17 +388,16 @@ class ConvexHuberInstance(ProblemInstance):
     def huber_region_limit(self, etas: np.ndarray) -> float | None:
         """tau/2: the band |w^d - w1^d| <= tau/2 is invariant when every
         eta_t <= 1/beta and tau >= 2 s_d; None when either fails."""
-        p = self.params
-        if etas.size and etas.max() > (1.0 / p.beta) * (1.0 + REL_SLACK):
+        if etas.size and etas.max() > (1.0 / self.beta) * (1.0 + REL_SLACK):
             return None
-        if p.tau < 2.0 * self.scales[-1] * (1.0 - REL_SLACK):
+        if self.tau < 2.0 * self.scales[-1] * (1.0 - REL_SLACK):
             return None
-        return 0.5 * p.tau
+        return 0.5 * self.tau
 
     def check_analytic_region(self, W: np.ndarray) -> None:
         """Every example keeps |u| <= tau while |w^d - w1^d| <= tau - s_d."""
         v = W[..., -1] - self.w1[-1]
-        limit = self.params.tau - self.scales[-1]
+        limit = self.tau - self.scales[-1]
         if np.any(np.abs(v) > limit * (1.0 + REL_SLACK) + ABS_SLACK):
             raise AnalyticRegionError(
                 "population risk queried outside the analytic region "
@@ -407,7 +406,7 @@ class ConvexHuberInstance(ProblemInstance):
 
     def near_kink(self, w: np.ndarray, z: np.ndarray) -> bool:
         u = w[-1] - self.w1[-1] - z[-1]
-        return abs(abs(u) - self.params.tau) < 1e-4
+        return abs(abs(u) - self.tau) < 1e-4
 
 
 class _DiagonalQuadratic(ProblemInstance):
@@ -453,16 +452,15 @@ class QuadraticNonconvexInstance(_DiagonalQuadratic):
     def __init__(self, d: int, beta: float, lam=None, w1=None):
         if d < 1 or beta <= 0:
             raise ConfigError("quadratic_nonconvex requires d >= 1 and beta > 0")
-        lam = np.full(d, -beta) if lam is None else np.asarray(lam, dtype=float)
+        lam = np.full(d, -float(beta)) if lam is None else np.array(lam, dtype=float)
         if lam.shape != (d,):
             raise ConfigError(f"lam must have length d={d}")
         if np.any(lam >= 0) or np.any(np.abs(lam) > beta * (1 + REL_SLACK)):
             raise ConfigError(
                 "quadratic_nonconvex requires lam_k < 0 and |lam_k| <= beta"
             )
-        lam = tuple(float(v) for v in lam)
-        params = LossParams(d=d, beta=beta, lam=lam, w1=_w1_tuple(w1, d))
-        super().__init__(params, np.full(d, 1.0 / math.sqrt(beta * d)))
+        self.lam = lam
+        super().__init__(d, beta, np.full(d, 1.0 / math.sqrt(beta * d)), w1)
 
     def check_oracle_plan(self, plan) -> None:
         if plan.kind != "inverse_t":
@@ -494,14 +492,13 @@ class QuadraticStronglyConvexInstance(_DiagonalQuadratic):
             raise ConfigError(
                 f"dimension d={d} below the path-gradient threshold {d_min!r}"
             )
-        lam = (float(beta),) + (float(gamma),) * (d - 1)
-        params = LossParams(
-            d=d, L=L, beta=beta, gamma=gamma, lam=lam, w1=_w1_tuple(w1, d)
-        )
-        super().__init__(params, np.full(d, L / (gamma * math.sqrt(d))))
+        self.L, self.gamma = L, gamma
+        self.lam = np.full(d, float(gamma))
+        self.lam[0] = beta
+        super().__init__(d, beta, np.full(d, L / (gamma * math.sqrt(d))), w1)
 
     def check_oracle_plan(self, plan) -> None:
-        beta, gamma = self.params.beta, self.params.gamma
+        beta, gamma = self.beta, self.gamma
         if plan.kind != "constant":
             raise RegimeError(
                 "the strongly-convex oracle requires a constant step size"
@@ -526,8 +523,8 @@ class CustomSmoothInstance(ProblemInstance):
         self, d: int, loss_fn: Callable, grad_fn: Callable, scales, beta: float,
         L: float | None = None, w1=None,
     ):
-        params = LossParams(d=d, L=L, beta=beta, w1=_w1_tuple(w1, d))
-        super().__init__(params, scales)
+        self.L = L
+        super().__init__(d, beta, scales, w1)
         self.loss_fn, self.grad_fn = loss_fn, grad_fn
 
     def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -576,15 +573,6 @@ def family_class(family: str) -> type[ProblemInstance]:
     return cls
 
 
-def _w1_tuple(w1, d: int) -> tuple[float, ...]:
-    if w1 is None:
-        return (0.0,) * d
-    arr = np.asarray(w1, dtype=float).reshape(-1)
-    if arr.shape != (d,):
-        raise ConfigError(f"w1 must have length d={d}")
-    return tuple(float(v) for v in arr)
-
-
 # -- datasets ----------------------------------------------------------------
 
 
@@ -602,34 +590,10 @@ class Dataset:
         return self.examples.shape[0]
 
 
-def sample_dataset(
-    instance: ProblemInstance,
-    n: int,
-    seed: int | None = None,
-    rng: Generator | None = None,
-) -> Dataset:
-    """Draw n i.i.d. examples: independent symmetric signs times the scales."""
-    if n < 1:
-        raise ConfigError(f"dataset size n must be >= 1, got {n}")
-    if rng is None:
-        if seed is None:
-            raise ConfigError("sample_dataset needs a seed or an rng")
-        rng = rng_at(seed)
-    return Dataset(examples=sample_examples(instance, n, rng))
-
-
 def sample_examples(instance: ProblemInstance, count: int, rng: Generator) -> np.ndarray:
+    """count i.i.d. examples: independent symmetric signs times the scales."""
     signs = np.where(rng.random((count, instance.d)) < 0.5, -1.0, 1.0)
     return signs * instance.scales
-
-
-def neighbor(dataset: Dataset, i: int, replacement: np.ndarray) -> Dataset:
-    """Copy of the dataset with only position i (1-based) replaced."""
-    if not 1 <= i <= dataset.n:
-        raise ValueError(f"index i must be in [1, {dataset.n}], got {i}")
-    examples = dataset.examples.copy()
-    examples[i - 1] = np.asarray(replacement, dtype=float)
-    return Dataset(examples=examples)
 
 
 def empirical_risk(instance: ProblemInstance, w: np.ndarray, S: Dataset) -> float:
@@ -637,14 +601,6 @@ def empirical_risk(instance: ProblemInstance, w: np.ndarray, S: Dataset) -> floa
     if S.n == 0:
         raise ConfigError("empirical risk of an empty dataset is undefined")
     return float(instance.loss(np.asarray(w, dtype=float), S.examples).mean())
-
-
-def dataset_to_csv(dataset: Dataset, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in dataset.examples:
-            writer.writerow([repr(float(v)) for v in row])
-
 
 # -- regularity checks -------------------------------------------------------
 
@@ -665,7 +621,7 @@ def verify_regularity(
     Checks, each on every sampled pair:
       * |f(w,z) - f(u,z)| <= L ||w-u||   (``lipschitz_checked`` families with an L)
       * ||grad f(w,z) - grad f(u,z)|| <= beta ||w-u||
-      * <grad f(w,z) - grad f(u,z), w-u> >= gamma ||w-u||^2   (gamma > 0)
+      * <grad f(w,z) - grad f(u,z), w-u> >= gamma ||w-u||^2   (families with a gamma)
       * gradient vs central finite difference, step 1e-6 (1 + ||w||),
         tolerance 1e-6 relative to (1 + |component|), at points not
         ``near_kink``.
@@ -673,13 +629,13 @@ def verify_regularity(
     if trials < 1:
         raise ConfigError("verify_regularity requires trials >= 1")
     rng = rng_at(seed)
-    p = instance.params
+    L, beta, gamma = instance.L, instance.beta, instance.gamma
     failures: list[str] = []
     max_lip = 0.0
     max_smooth = 0.0
     slack = 1.0 + REL_SLACK
 
-    lipschitz = p.L is not None and instance.lipschitz_checked
+    lipschitz = L is not None and instance.lipschitz_checked
 
     for k in range(trials):
         w = instance.w1 + rng.normal(scale=1.0, size=instance.d)
@@ -695,19 +651,19 @@ def verify_regularity(
         if lipschitz:
             ratio = abs(fw - fu) / dw
             max_lip = max(max_lip, ratio)
-            if ratio > p.L * slack + ABS_SLACK:
+            if ratio > L * slack + ABS_SLACK:
                 failures.append(
                     f"Lipschitz violated at trial {k}: |df|/||dw|| = {ratio!r} > L"
                 )
         sratio = float(np.linalg.norm(gw - gu)) / dw
         max_smooth = max(max_smooth, sratio)
-        if sratio > p.beta * slack + ABS_SLACK:
+        if sratio > beta * slack + ABS_SLACK:
             failures.append(
                 f"smoothness violated at trial {k}: ratio {sratio!r} > beta"
             )
-        if p.gamma > 0:
+        if gamma is not None:
             inner = float((gw - gu) @ (w - u))
-            if inner < p.gamma * dw * dw * (1.0 - REL_SLACK) - ABS_SLACK:
+            if inner < gamma * dw * dw * (1.0 - REL_SLACK) - ABS_SLACK:
                 failures.append(
                     f"strong convexity violated at trial {k}: "
                     f"<dg, dw> = {inner!r} < gamma ||dw||^2"

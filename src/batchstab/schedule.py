@@ -19,14 +19,13 @@ Supported rules:
                       indices
     custom            an explicit T x m matrix supplied by the caller
 
-Indices are 0-based internally.  CSV exports, ``custom_indices``, and the
-1-based helpers follow the {1, ..., n} convention used in reports.
+Indices are 0-based internally.  ``custom_indices`` and the schedules that
+``batchstab dump`` writes follow the {1, ..., n} convention used in reports.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -131,12 +130,6 @@ class RealizedSchedule:
     def m(self) -> int:
         return self.batches.shape[1]
 
-    def row(self, t: int) -> tuple[int, ...]:
-        """Indices selected at step t (both t and the result are 1-based)."""
-        if not 1 <= t <= self.T:
-            raise ValueError(f"step t must be in [1, {self.T}], got {t}")
-        return tuple(sorted(int(i) + 1 for i in self.batches[t - 1]))
-
 
 def realize(spec: ScheduleSpec) -> RealizedSchedule:
     """Realize a schedule specification into a concrete index matrix.
@@ -202,10 +195,6 @@ def _smallest(keys: np.ndarray, m: int) -> np.ndarray:
 class CountingVerdict:
     passed: bool
     first_violation_t: int | None = None
-    counts: tuple[int, ...] = field(default_factory=tuple)
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def check_counting_lemma(sched: RealizedSchedule) -> CountingVerdict:
@@ -227,13 +216,5 @@ def check_counting_lemma(sched: RealizedSchedule) -> CountingVerdict:
     counts = new.sum(axis=1)
     bad = np.nonzero(counts != sched.m)[0]
     if bad.size:
-        return CountingVerdict(False, int(bad[0]) + 1, tuple(int(c) for c in counts))
-    return CountingVerdict(True, None, tuple(int(c) for c in counts))
-
-
-def schedule_to_csv(sched: RealizedSchedule, path: str) -> None:
-    """Dump the realized matrix as CSV, one step per row, 1-based indices."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for t in range(sched.T):
-            writer.writerow([int(i) + 1 for i in sched.batches[t]])
+        return CountingVerdict(False, int(bad[0]) + 1)
+    return CountingVerdict(True)

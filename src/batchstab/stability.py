@@ -177,8 +177,8 @@ def growth_factors(
     """Per-step factors of the growth recursion of one loss class.
 
     1 for convex (requires eta_t < 2/beta), 1 + beta eta_t for nonconvex,
-    1 - gamma eta_t / 2 for strongly convex (requires eta_t <= 2/(beta+gamma)).
-    A gamma of 0 means the loss is not strongly convex and counts as missing.
+    1 - gamma eta_t / 2 for strongly convex (requires eta_t <= 2/(beta+gamma)
+    and gamma > 0).
     """
     if loss_class not in LOSS_CLASSES:
         raise ConfigError(f"loss_class must be one of {LOSS_CLASSES}")
@@ -195,7 +195,7 @@ def growth_factors(
         return np.ones_like(etas)
     if loss_class == "nonconvex":
         return 1.0 + beta * etas
-    if not gamma:
+    if gamma is None or not gamma > 0:
         raise ConfigError("strongly_convex growth recursion requires gamma > 0")
     if top > (2.0 / (beta + gamma)) * (1.0 + REL_SLACK):
         raise RegimeError(

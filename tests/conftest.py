@@ -6,6 +6,8 @@ error of a built-in construction exactly, by averaging over every one of the
 closed-form bound formulas, so it is an independent route against
 ``analytic_gen_error`` and against Monte Carlo estimates.
 
+``sample_dataset`` draws a dataset of a family's examples from a seed.
+
 ``reference_path`` steps one run step by step, on the same per-step map as
 the engine: the reference that the engine's blocked loop and ``dump`` must
 match bit for bit.
@@ -41,7 +43,9 @@ import numpy as np
 from batchstab import engine
 from batchstab._series import suffix_products
 from batchstab.engine import run_final, run_paired
-from batchstab.problems import Dataset, empirical_risk
+from batchstab.errors import ConfigError
+from batchstab.problems import Dataset, empirical_risk, sample_examples
+from batchstab.seeding import rng_at
 from batchstab.stability import GrowthRecursionAudit, growth_factors
 
 
@@ -61,6 +65,18 @@ def assert_pinned_digests(outputs):
     assert not moved, "\n".join(
         moved + [f"numpy {np.__version__}, Python {platform.python_version()}"]
     )
+
+
+def sample_dataset(instance, n: int, seed: int | None = None, rng=None) -> Dataset:
+    """n i.i.d. examples of ``instance``, drawn from ``rng``, or else from the
+    generator of ``seed``."""
+    if n < 1:
+        raise ConfigError(f"dataset size n must be >= 1, got {n}")
+    if rng is None:
+        if seed is None:
+            raise ConfigError("sample_dataset needs a seed or an rng")
+        rng = rng_at(seed)
+    return Dataset(examples=sample_examples(instance, n, rng))
 
 
 def nonconvex_step_sum(etas, beta) -> float:

@@ -47,7 +47,6 @@ from batchstab.problems import (
     linear_instance,
     quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
-    sample_dataset,
     sample_examples,
 )
 from batchstab.schedule import ScheduleSpec, check_counting_lemma, realize
@@ -57,7 +56,7 @@ from batchstab.stability import (
     nonconvex_step_sum_cap,
     stability_bound,
 )
-from conftest import assert_pinned_digests, nonconvex_step_sum
+from conftest import assert_pinned_digests, nonconvex_step_sum, sample_dataset
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KINDS = ("full_batch", "round_robin", "random_reshuffle", "single_shuffle", "uniform_random")
@@ -128,17 +127,15 @@ def recursion_grid():
                 ScheduleSpec(kind, n=n, m=m, T=T, seed=int(rng.integers(0, 2**31)))
             )
             track = inst.family.startswith("quadratic")
-            audit = GrowthRecursionAudit(
-                cls, plan.etas(), sched, inst.params.beta, inst.params.gamma or None
-            )
+            audit = GrowthRecursionAudit(cls, plan.etas(), sched, inst.beta, inst.gamma)
             pt = run_paired(
                 inst, S, repl, sched, plan, track_grad_sup=track, on_block=audit
             )
-            L_rec = inst.params.L if cls == "convex" else pt.grad_sup
+            L_rec = inst.L if cls == "convex" else pt.grad_sup
             verdict = audit.verdict(L_rec)
             bound = stability_bound(
                 cls, L_rec, plan.etas(), n, m,
-                beta=inst.params.beta, gamma=inst.params.gamma or None,
+                beta=inst.beta, gamma=inst.gamma,
             )
             results[cls].append(
                 {
@@ -148,8 +145,8 @@ def recursion_grid():
                     "n": n,
                     "etas": plan.etas(),
                     "L": L_rec,
-                    "beta": inst.params.beta,
-                    "gamma": inst.params.gamma,
+                    "beta": inst.beta,
+                    "gamma": inst.gamma,
                 }
             )
     return results
@@ -329,7 +326,7 @@ def test_criterion_7_stability_bounds(recursion_grid):
         values = {
             m: stability_bound(
                 cls, row["L"], row["etas"], n, m,
-                beta=row["beta"], gamma=row["gamma"] or None,
+                beta=row["beta"], gamma=row["gamma"],
             )
             for m in (1, max(1, n // 2), n)
         }

@@ -390,6 +390,48 @@ def test_dump_dataset_is_reproducible(tmp_path):
     assert (out1 / "dataset.csv").read_bytes() == (out2 / "dataset.csv").read_bytes()
 
 
+def test_dump_dataset_writes_the_sampled_examples_bit_for_bit(tmp_path):
+    # one headerless row per example, each float as its repr
+    payload = {
+        "master_seed": 41,
+        "dump": {
+            "what": "dataset",
+            "n": 5,
+            "instance": {"family": "convex_huber", "d": 3, "L": 1.0, "beta": 1.0},
+        },
+    }
+    out = tmp_path / "d"
+    assert main(["dump", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    instance = instance_from_config(payload["dump"]["instance"])
+    examples = sample_examples(instance, 5, rng_at(41, 0))
+    with open(out / "dataset.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [[repr(v) for v in row] for row in examples.tolist()]
+
+
+def _dumped_lines(tmp_path, dump, name):
+    """The lines of the CSV that ``dump`` writes at master seed 5."""
+    cfg = write_config(tmp_path, {"master_seed": 5, "dump": dump}, f"{name}.json")
+    assert main(["dump", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    return (tmp_path / name / f"{dump['what']}.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("what", ["schedule", "trajectory"])
+def test_a_dumped_schedule_with_a_null_seed_draws_from_the_master_seed(tmp_path, what):
+    # A null seed is an absent one, as in every config field; 0 is seed 0.
+    dump = {"what": what, "n": 6, "T": 3}
+    if what == "trajectory":
+        dump = {"what": what, "n": 6, "instance": {"family": "linear", "d": 2},
+                "plan": {"kind": "constant", "eta": 0.5, "T": 3}}
+    lines = {}
+    for name, seed in (("omitted", {}), ("null", {"seed": None}), ("zero", {"seed": 0})):
+        schedule = {"kind": "uniform_random", "m": 2, **seed}
+        lines[name] = _dumped_lines(tmp_path, dict(dump, schedule=schedule), name)
+    assert lines["null"] == lines["omitted"] != lines["zero"]
+    if what == "schedule":
+        assert lines["omitted"] == ["4,3", "4,1", "3,2"]
+        assert lines["zero"] == ["4,2", "1,6", "6,3"]
+
+
 def test_dump_trajectory_matches_linear_closed_form(tmp_path):
     payload = {
         "master_seed": 31,

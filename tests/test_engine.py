@@ -34,7 +34,6 @@ from batchstab.problems import (
     linear_instance,
     quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
-    sample_dataset,
     sample_examples,
 )
 from batchstab.schedule import (
@@ -50,6 +49,7 @@ from conftest import (
     chunk_of,
     paired_with_path,
     reference_path,
+    sample_dataset,
     selected,
 )
 
@@ -65,7 +65,7 @@ def test_linear_final_iterate_coordinatewise():
     for t in range(8):
         batch = S.examples[sched.batches[t]]
         expected = expected - etas[t] / 2 * batch.sum(axis=0)
-    assert traj.final == pytest.approx(list(expected), abs=1e-14)
+    assert traj.iterates[-1] == pytest.approx(list(expected), abs=1e-14)
 
 
 def test_zero_step_sizes_freeze_the_iterates():
@@ -101,7 +101,7 @@ def test_nonconvex_run_matches_the_explicit_product_form():
         expected = expected + (c / (m * beta)) * (1.0 / t) * prod * lam * batch_sum
 
     traj = run(inst, S, sched, plan)
-    rel = np.linalg.norm(traj.final - expected) / (1 + np.linalg.norm(expected))
+    rel = np.linalg.norm(traj.iterates[-1] - expected) / (1 + np.linalg.norm(expected))
     assert rel < 1e-10
 
 
@@ -367,7 +367,7 @@ def test_trajectories_diverge_only_after_first_selection():
 
 def test_huber_iterates_stay_inside_the_invariant_region():
     inst = convex_huber_instance(d=3, L=1.0, beta=2.0)
-    tau = inst.params.tau
+    tau = inst.tau
     n, T = 8, 200
     S = sample_dataset(inst, n, seed=13)
     plan = constant_plan(1.0 / 2.0, T)  # eta = 1/beta, the regime edge
@@ -420,7 +420,7 @@ def test_custom_smooth_runs_but_has_no_closed_form():
     S = sample_dataset(inst, 3, seed=19)
     sched = realize(ScheduleSpec("round_robin", n=3, m=1, T=4))
     traj = run(inst, S, sched, constant_plan(0.5, 4))
-    assert np.isfinite(traj.final).all()
+    assert np.isfinite(traj.iterates[-1]).all()
     from batchstab.errors import CapabilityError
 
     with pytest.raises(CapabilityError):
@@ -432,7 +432,7 @@ def test_t_zero_returns_the_start_point():
     S = sample_dataset(inst, 3, seed=20)
     sched = realize(ScheduleSpec("round_robin", n=3, m=1, T=0))
     plan = constant_plan(0.5, 0)
-    assert np.array_equal(run(inst, S, sched, plan).final, inst.w1)
+    assert np.array_equal(run(inst, S, sched, plan).iterates[-1], inst.w1)
     assert np.array_equal(closed_form_final(inst, S, sched, plan), inst.w1)
     # the engine starts from instance.w1 but hands out none of its memory
     assert not np.shares_memory(run_final(inst, S, sched, plan), inst.w1)

@@ -624,7 +624,7 @@ def test_a_final_outside_the_huber_region_skips_with_the_region_reason(monkeypat
     config = small_config(
         plan={"kind": "constant", "eta": 1e6, "T": 20}, checks=["gen_error_mc"]
     )
-    limit = config.instance.params.tau - config.instance.scales[-1]
+    limit = config.instance.tau - config.instance.scales[-1]
     reason = (
         "population risk queried outside the analytic region "
         f"|w^d - w1^d| <= {float(limit)!r}; iterates should never leave it"

@@ -1,17 +1,25 @@
-"""Source hygiene: no module imports a name it never uses, no private name
-of ``src/`` is dead, no code in ``src/`` branches on a family's name, and
-no config field is read outside its object's table.
+"""Source hygiene: no module imports a name it never uses, no name of
+``src/`` is dead, nothing reads an instance's constants through
+``.params``, no code in ``src/`` branches on a family's name, and no config
+field is read outside its object's table.
 
 AST scans.  Of every module in ``src/`` and ``tests/``: each name an import
 binds must be read somewhere in its module.  A package's ``__init__.py``
 imports to re-export, so it is not scanned.  Of ``src/`` as a whole: each
-private module-level function, class or constant (one leading underscore)
-must be read somewhere in ``src/``, as a name or as an attribute; a loss
-family's facts are read from its class, never by testing its name, except
-in the one registry lookup of ``problems``; and ``config_field`` is called
-only by ``read_config``, which refuses every field its table does not name,
-except to read the field that picks a table.
+module-level function, class or constant, and each method, property or
+attribute of a class, must be read in ``src/`` or in ``perfbench/*.py`` (as
+a name, as an attribute or, in ``perfbench``, as a string naming it), or be
+exported by ``batchstab/__init__.py``, whose exports README's API section
+lists; a name only tests read belongs to the tests.  Of ``src/`` and
+``tests/``: no code reads ``.params``, which only ``perfbench`` still
+does.  A loss family's facts are read from its class, never by testing its
+name, except in the one registry lookup of ``problems``; and
+``config_field`` is called only by ``read_config``, which refuses every
+field its table does not name, except to read the field that picks a
+table.
 """
+
+import re
 
 import ast
 from pathlib import Path
@@ -63,60 +71,149 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
-def private_names(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every private module-level function, class or constant."""
+def defined_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every module-level function, class or constant, and
+    of every method, property or attribute a class defines, named
+    ``Class.name``.  Dunder names, which the language reads, are left out."""
+
+    def names(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        return []
+
     found = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        found += [
-            (node.lineno, name) for name in names
-            if name.startswith("_") and not name.startswith("__")
-        ]
-    return found
+        found += [(node.lineno, name) for name in names(node)]
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (member.lineno, f"{node.name}.{name}")
+                for member in node.body for name in names(member)
+            ]
+    return [(line, name) for line, name in found
+            if not re.fullmatch(r"__\w+__", name.rpartition(".")[2])]
 
 
-def read_names(source: str) -> set[str]:
-    """Every name the source reads, bare or as an attribute."""
+def read_names(source: str, strings: bool = False) -> set[str]:
+    """Every name the source reads, bare or as an attribute, and with
+    ``strings`` every string constant that is an identifier: a name looked
+    up in a table of names."""
     read = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and str(node.value).isidentifier():
+            read.add(node.value)
     return read
 
 
-def test_the_scan_finds_a_dead_private_name_and_passes_a_read_one():
+def exported_names(source: str) -> list[str]:
+    """The names a package's ``__init__`` imports, to export them."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(source).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def dead_names(sources: dict, perfbench: list[str], init: str) -> list[str]:
+    """``path:line: name`` of every name ``defined_names`` finds in the
+    sources (path -> text) that none of them reads, nor a ``perfbench``
+    source, and that ``init`` does not export."""
+    read = set().union(
+        *(read_names(text) for text in sources.values()),
+        *(read_names(text, strings=True) for text in perfbench),
+        exported_names(init),
+    )
+    return [
+        f"{path}:{line}: {name}"
+        for path, text in sources.items()
+        for line, name in defined_names(text)
+        if name.rpartition(".")[2] not in read
+    ]
+
+
+def test_the_scan_finds_a_dead_name_and_passes_a_read_one():
     source = (
         "import m\n"
         "def _used(): pass\n"
         "def _dead(): pass\n"
+        "def dead(): pass\n"
+        "def exported(): pass\n"
         "_CONST, __dunder__ = 1, 2\n"
-        "class _Kind: pass\n"
+        "class Kind:\n"
+        "    size: int\n"
+        "    def __bool__(self): return True\n"
+        "    def method(self): pass\n"
+        "    @property\n"
+        "    def prop(self): return self.size\n"
+        "    def timed(self): pass\n"
+        "    def unread(self): pass\n"
         "_table: dict = {}\n"
-        "x = _used(), m._table\n"
+        "print(_used(), m._table, Kind().method(), 'prop')\n"
     )
-    read = read_names(source)
-    dead = [(line, name) for line, name in private_names(source) if name not in read]
-    assert dead == [(3, "_dead"), (4, "_CONST"), (5, "_Kind")]
-
-
-def test_every_private_module_level_name_in_src_is_read_in_src():
-    sources = {path: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
-    read = set().union(*(read_names(source) for source in sources.values()))
-    dead = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path, source in sources.items()
-        for line, name in private_names(source)
-        if name not in read
+    perfbench = "METHODS = (('mod', 'Kind', 'timed'),)\n"
+    init = "from mod import exported\n"
+    assert dead_names({"mod.py": source}, [perfbench], init) == [
+        "mod.py:3: _dead", "mod.py:4: dead", "mod.py:6: _CONST", "mod.py:12: Kind.prop",
+        "mod.py:14: Kind.unread",
     ]
-    assert dead == []
+
+
+def test_every_name_in_src_is_read_in_src_or_perfbench_or_exported():
+    # A name only tests read is test code: it lives in the tests.
+    sources = {
+        path.relative_to(ROOT): path.read_text()
+        for path in sorted((ROOT / "src").rglob("*.py"))
+    }
+    perfbench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    init = (ROOT / "src" / "batchstab" / "__init__.py").read_text()
+    assert dead_names(sources, perfbench, init) == []
+
+
+def test_every_exported_name_is_listed_in_the_readme_api_section():
+    readme = (ROOT / "README.md").read_text()
+    api = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`(\w+)`", api))
+    init = (ROOT / "src" / "batchstab" / "__init__.py").read_text()
+    assert [name for name in exported_names(init) if name not in listed] == []
+
+
+def params_reads(source: str) -> list[int]:
+    """The line of every read of an attribute named ``params``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "params"
+        and not isinstance(node.ctx, ast.Store)
+    ]
+
+
+def test_the_scan_finds_each_params_read():
+    source = (
+        "class P:\n"
+        "    @property\n"
+        "    def params(self): return self\n"
+        "def f(inst, params):\n"
+        "    p = inst.params\n"
+        "    return params, inst.params.beta, P().params\n"
+    )
+    assert params_reads(source) == [5, 6, 6]
+
+
+def test_nothing_in_src_or_tests_reads_params():
+    # An instance holds its constants as attributes; ``params``, the
+    # instance itself, is kept for perfbench alone.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for top in ("src", "tests")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for line in params_reads(path.read_text())
+    ]
+    assert found == []
 
 
 def family_branches(source: str) -> list[tuple[int, str]]:

@@ -1,6 +1,5 @@
 """Loss families: data laws, gradients, risks, and regularity constants."""
 
-import csv
 import math
 
 import numpy as np
@@ -13,17 +12,14 @@ from batchstab.problems import (
     Dataset,
     convex_huber_instance,
     custom_smooth_instance,
-    dataset_to_csv,
     empirical_risk,
     linear_instance,
-    neighbor,
     quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
-    sample_dataset,
     sample_examples,
     verify_regularity,
 )
-from conftest import exact_population_risk_by_enumeration
+from conftest import exact_population_risk_by_enumeration, sample_dataset
 
 
 def test_linear_examples_are_sign_vectors():
@@ -31,7 +27,7 @@ def test_linear_examples_are_sign_vectors():
     S = sample_dataset(inst, 1, seed=0)
     assert S.examples.shape == (1, 2)
     assert set(np.abs(S.examples).ravel().tolist()) == {1.0}
-    assert inst.params.L == pytest.approx(math.sqrt(2))
+    assert inst.L == pytest.approx(math.sqrt(2))
 
 
 def test_huber_example_scales():
@@ -50,25 +46,10 @@ def test_coordinate_means_vanish_by_law_of_large_numbers():
     assert np.abs(normalized.mean(axis=0)).max() < 4.0 / math.sqrt(N)
 
 
-def test_neighbor_touches_exactly_one_position():
-    inst = linear_instance(d=3)
-    S = sample_dataset(inst, 3, seed=2)
-    repl = -S.examples[0]
-    S1 = neighbor(S, 1, repl)
-    assert np.array_equal(S1.examples[1:], S.examples[1:])
-    assert np.array_equal(S1.examples[0], repl)
-    same = neighbor(S, 2, S.examples[1])
-    assert np.array_equal(same.examples, S.examples)
-    hamming = (S1.examples != S.examples).any(axis=1).sum()
-    assert hamming <= 1
-    with pytest.raises(ValueError):
-        neighbor(S, 4, repl)
-
-
 def test_huber_gradient_at_the_start_point():
     beta = 2.0
     inst = convex_huber_instance(d=3, L=1.0, beta=beta)
-    tau = inst.params.tau
+    tau = inst.tau
     z = inst.scales.copy()
     z[-1] = tau / 2.0
     g = inst.grad(inst.w1, z)
@@ -110,7 +91,7 @@ def test_gradients_match_central_finite_differences(make):
         z = inst.scales * rng.choice([-1.0, 1.0], size=inst.d)
         if inst.family == "convex_huber":
             u = w[-1] - inst.w1[-1] - z[-1]
-            if abs(abs(u) - inst.params.tau) < 1e-3:
+            if abs(abs(u) - inst.tau) < 1e-3:
                 continue
         h = 1e-6 * (1.0 + np.linalg.norm(w))
         g = inst.grad(w, z)
@@ -140,7 +121,7 @@ def test_affine_form_is_the_gradient_on_the_analytic_region(make):
     for _ in range(25):
         w = inst.w1 + rng.normal(size=inst.d)
         if inst.family == "convex_huber":
-            half_width = inst.params.tau - inst.scales[-1]
+            half_width = inst.tau - inst.scales[-1]
             w[-1] = inst.w1[-1] + rng.uniform(-1.0, 1.0) * half_width
         z = sample_examples(inst, 1, rng)[0]
         np.testing.assert_allclose(
@@ -240,7 +221,7 @@ def test_population_risk_matches_monte_carlo():
 def test_population_risk_errors_outside_huber_region():
     inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
     w = inst.w1.copy()
-    w[-1] += inst.params.tau  # beyond tau/2
+    w[-1] += inst.tau  # beyond tau/2
     with pytest.raises(AnalyticRegionError):
         inst.population_risk(w)
 
@@ -288,7 +269,7 @@ def _per_coordinate_mismatch(instance, w, z, tol):
     coordinate: the reference for the stacked check."""
     if instance.family == "convex_huber":
         u = w[-1] - instance.w1[-1] - z[-1]
-        if abs(abs(u) - instance.params.tau) < 1e-4:
+        if abs(abs(u) - instance.tau) < 1e-4:
             return None
     h = 1e-6 * (1.0 + float(np.linalg.norm(w)))
     g = instance.grad(w, z)
@@ -333,7 +314,7 @@ def test_the_stacked_finite_differences_are_the_per_coordinate_loop(make):
     assert None in messages and len(messages) > 2
     if inst.family == "convex_huber":
         # within 1e-4 of the kink neither differences: no mismatch at tol 0
-        w[-1] = inst.w1[-1] + z[-1] + inst.params.tau - 5e-5
+        w[-1] = inst.w1[-1] + z[-1] + inst.tau - 5e-5
         assert problems._finite_difference_mismatch(inst, w, z, 0.0) is None
         assert _per_coordinate_mismatch(inst, w, z, 0.0) is None
 
@@ -356,7 +337,6 @@ def test_the_methods_the_span_tracer_wraps_are_stated_once_on_the_base_class():
 def test_an_integer_gamma_keeps_a_fractional_beta_in_the_strongly_convex_spectrum():
     inst = quadratic_strongly_convex_instance(d=3, L=1, beta=2.5, gamma=1)
     assert inst.lam.tolist() == [2.5, 1.0, 1.0]
-    assert inst.params.lam == (2.5, 1.0, 1.0)
 
 
 def test_constructor_invariants():
@@ -378,35 +358,53 @@ def test_constructor_invariants():
         quadratic_strongly_convex_instance(d=0, L=1.0, beta=1.0, gamma=1.0)
 
 
-def test_dataset_csv_roundtrip(tmp_path):
-    inst = convex_huber_instance(d=3, L=1.0, beta=1.0)
-    S = sample_dataset(inst, 5, seed=41)
-    path = tmp_path / "data.csv"
-    dataset_to_csv(S, str(path))
-    with open(path, newline="") as fh:
-        back = [[float(v) for v in row] for row in csv.reader(fh)]
-    assert np.array_equal(np.asarray(back), S.examples)
+# Each family's constants as attributes, None where the family has none.
+_NO_CONSTANTS = dict(L=None, gamma=None, tau=None, lam=None)
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, constants",
     [
-        lambda: linear_instance(3),
-        lambda: linear_instance(2, beta=2.5, w1=[0.5, -1.0]),
-        lambda: convex_huber_instance(d=3, L=1.0, beta=2.0, tau=0.1, w1=[0.0, 0.2, 0.3]),
-        lambda: quadratic_nonconvex_instance(d=3, beta=1.0, lam=[-0.5, -1.0, -0.25]),
-        lambda: quadratic_strongly_convex_instance(
-            d=4, L=1.0, beta=1.5, gamma=1.0, w1=[0.1, 0.0, -0.2, 0.0]
+        (lambda: linear_instance(3), dict(_NO_CONSTANTS, d=3, beta=1.0, L=math.sqrt(3))),
+        (
+            lambda: linear_instance(2, beta=2.5, w1=[0.5, -1.0]),
+            dict(_NO_CONSTANTS, d=2, beta=2.5, L=math.sqrt(2)),
+        ),
+        (
+            lambda: convex_huber_instance(d=4, L=2.0, beta=1.0),
+            dict(_NO_CONSTANTS, d=4, beta=1.0, L=2.0, tau=1.0),  # tau resolved
+        ),
+        (
+            lambda: convex_huber_instance(
+                d=3, L=1.0, beta=2.0, tau=0.1, w1=[0.0, 0.2, 0.3]
+            ),
+            dict(_NO_CONSTANTS, d=3, beta=2.0, L=1.0, tau=0.1),
+        ),
+        (
+            lambda: quadratic_nonconvex_instance(d=3, beta=1.0, lam=[-0.5, -1.0, -0.25]),
+            dict(_NO_CONSTANTS, d=3, beta=1.0, lam=[-0.5, -1.0, -0.25]),
+        ),
+        (
+            lambda: quadratic_strongly_convex_instance(
+                d=4, L=1.0, beta=1.5, gamma=1.0, w1=[0.1, 0.0, -0.2, 0.0]
+            ),
+            dict(d=4, beta=1.5, L=1.0, gamma=1.0, tau=None, lam=[1.5, 1.0, 1.0, 1.0]),
         ),
     ],
-    ids=["linear", "linear-w1", "convex_huber-tau-w1", "quadratic_nonconvex-lam",
-         "quadratic_strongly_convex-w1"],
+    ids=["linear", "linear-w1", "convex_huber", "convex_huber-tau-w1",
+         "quadratic_nonconvex-lam", "quadratic_strongly_convex-w1"],
 )
-def test_an_instance_rebuilds_from_its_to_config(make):
-    # A report's ``instance`` is ``to_config``: it loads back as a config.
+def test_an_instance_rebuilds_from_its_to_config(make, constants):
+    # A report's ``instance`` is ``to_config``: it loads back as a config,
+    # and both hold the family's constants as attributes.
     inst = make()
     again = instance_from_config(inst.to_config())
     assert type(again) is type(inst) and again.to_config() == inst.to_config()
+    for built in (inst, again):
+        lam = None if built.lam is None else built.lam.tolist()
+        held = dict(d=built.d, beta=built.beta, L=built.L, gamma=built.gamma,
+                    tau=built.tau, lam=lam)
+        assert held == constants
     np.testing.assert_array_equal(again.scales, inst.scales)
     np.testing.assert_array_equal(again.w1, inst.w1)
     rng = np.random.default_rng(0)
@@ -414,3 +412,13 @@ def test_an_instance_rebuilds_from_its_to_config(make):
     Z = sample_examples(inst, 6, rng)
     np.testing.assert_array_equal(again.loss(W, Z), inst.loss(W, Z))
     np.testing.assert_array_equal(again.grad(W, Z), inst.grad(W, Z))
+
+
+def test_an_instance_keeps_its_own_copy_of_the_arrays_it_is_given():
+    w1, lam = np.array([0.1, 0.2, 0.3]), np.array([-0.5, -1.0, -0.25])
+    quadratic = quadratic_nonconvex_instance(d=3, beta=1.0, lam=lam, w1=w1)
+    huber = convex_huber_instance(d=3, L=1.0, beta=2.0, w1=w1)
+    w1[:], lam[:] = 9.0, -0.75
+    assert quadratic.w1.tolist() == huber.w1.tolist() == [0.1, 0.2, 0.3]
+    assert quadratic.lam.tolist() == [-0.5, -1.0, -0.25]
+    assert huber.to_config()["w1"] == [0.1, 0.2, 0.3]

@@ -12,13 +12,13 @@ from batchstab.schedule import (
     ScheduleSpec,
     check_counting_lemma,
     realize,
-    schedule_to_csv,
 )
 from batchstab.seeding import substream
 
 
 def rows(sched):
-    return [sched.row(t) for t in range(1, sched.T + 1)]
+    """The indices each step selects, 1-based and sorted."""
+    return [tuple(sorted(i + 1 for i in row)) for row in sched.batches.tolist()]
 
 
 def test_full_batch_selects_everything():
@@ -41,8 +41,9 @@ def test_round_robin_blocks_wrap_and_stay_distinct():
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_random_reshuffle_epochs_partition(seed):
     sched = realize(ScheduleSpec("random_reshuffle", n=4, m=2, T=4, seed=seed))
-    first = set(sched.row(1)) | set(sched.row(2))
-    second = set(sched.row(3)) | set(sched.row(4))
+    steps = rows(sched)
+    first = set(steps[0]) | set(steps[1])
+    second = set(steps[2]) | set(steps[3])
     assert first == {1, 2, 3, 4}
     assert second == {1, 2, 3, 4}
 
@@ -97,13 +98,17 @@ def test_indicator_row_sums_equal_batch_size():
         ("uniform_random", 5),
     ):
         sched = realize(ScheduleSpec(kind, n=8, m=m, T=13, seed=2))
-        assert check_counting_lemma(sched).counts == (m,) * sched.T
+        indicator = np.zeros((sched.T, sched.n), dtype=int)
+        indicator[np.arange(sched.T)[:, None], sched.batches] = 1
+        assert (indicator.sum(axis=1) == m).all()
+        assert check_counting_lemma(sched).passed
 
 
 def test_counting_lemma_passes_on_realized_schedules():
-    assert check_counting_lemma(realize(ScheduleSpec("full_batch", n=5, m=5, T=3)))
+    full = realize(ScheduleSpec("full_batch", n=5, m=5, T=3))
+    assert check_counting_lemma(full) == CountingVerdict(True, None)
     verdict = check_counting_lemma(realize(ScheduleSpec("round_robin", n=3, m=1, T=5)))
-    assert verdict.passed and verdict.counts == (1, 1, 1, 1, 1)
+    assert verdict == CountingVerdict(True, None)
 
 
 def test_counting_lemma_catches_corrupted_matrix():
@@ -121,7 +126,7 @@ def _counting_verdict_by_rows(sched):
         int(np.unique(row[(row >= 0) & (row < sched.n)]).size) for row in sched.batches
     )
     bad = [t + 1 for t, c in enumerate(counts) if c != sched.m]
-    return CountingVerdict(not bad, bad[0] if bad else None, counts)
+    return CountingVerdict(not bad, bad[0] if bad else None)
 
 
 @seed(7214903860642835768241332934145088733065536755527097052598939533808951718261379686085006050130627764925372374840539)
@@ -143,7 +148,7 @@ def test_the_counting_lemma_counts_as_the_per_row_loop(n, T, m, data):
     sched = RealizedSchedule(batches=np.array(batches, dtype=np.int64).reshape(T, m), n=n)
     verdict = check_counting_lemma(sched)
     assert verdict == _counting_verdict_by_rows(sched)
-    assert all(type(c) is int for c in verdict.counts)
+    assert verdict.first_violation_t is None or type(verdict.first_violation_t) is int
 
 
 def test_round_robin_per_index_totals_over_full_epochs():
@@ -173,13 +178,6 @@ def test_truncated_final_epoch():
     sched = realize(ScheduleSpec("random_reshuffle", n=4, m=2, T=3, seed=0))
     assert sched.batches.shape == (3, 2)
 
-
-def test_csv_roundtrip_is_one_based(tmp_path):
-    sched = realize(ScheduleSpec("round_robin", n=3, m=1, T=5))
-    path = tmp_path / "sched.csv"
-    schedule_to_csv(sched, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines == ["1", "2", "3", "1", "2"]
 
 
 @seed(37401192345043279960453784005127829460116326089880262818474136544487890644798357323556592619478328443611695200044325)

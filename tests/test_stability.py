@@ -25,7 +25,6 @@ from batchstab.problems import (
     linear_instance,
     quadratic_nonconvex_instance,
     quadratic_strongly_convex_instance,
-    sample_dataset,
     sample_examples,
 )
 from batchstab.schedule import (
@@ -43,7 +42,8 @@ from batchstab.stability import (
     stability_bound,
 )
 from conftest import (
-    audit_path, block_of, nonconvex_step_sum, paired_with_path, selected,
+    audit_path, block_of, nonconvex_step_sum, paired_with_path, sample_dataset,
+    selected,
 )
 
 
@@ -132,7 +132,7 @@ def test_convex_recursion_on_seeded_configs():
         _, _, audit = audited(
             inst, n, T, "uniform_random", m, plan, 100 + rep, "convex", beta
         )
-        verdict = audit.verdict(inst.params.L)
+        verdict = audit.verdict(inst.L)
         assert verdict, verdict.violations[:3]
 
 
@@ -452,9 +452,8 @@ def test_streamed_audit_equals_the_step_by_step_check(
     plan = custom_plan(rng.uniform(0.0, 1.0 / beta, size=T))
     sched = _schedule(kind, n, m, T, rng, seed)
     pt, path = paired_with_path(inst, S, repl, sched, plan, track_grad_sup=True)
-    p = inst.params
-    args = (_CLASS_OF[family], p.beta, p.gamma)
-    L = p.L if p.L is not None else 1.0
+    args = (_CLASS_OF[family], inst.beta, inst.gamma)
+    L = inst.L if inst.L is not None else 1.0
     if bound == "observed" and pt.grad_sup is not None:
         L = pt.grad_sup
     elif bound == "shrunk":
