@@ -336,7 +336,6 @@ def _cmd_dump(cfg: dict, args, out_dir: Path) -> int:
         traj = run(instance, Dataset(examples=examples), realize(spec), plan)
     except DivergenceError as e:
         raise ConfigError(f"the dumped trajectory diverges: {e}") from None
-    # one row per iterate, T+1 rows of d coordinates
     _write_csv(out_dir / "trajectory.csv", None, traj.iterates.tolist())
     print(f"wrote trajectory.csv ({plan.T + 1} rows)")
     return 0

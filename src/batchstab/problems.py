@@ -602,6 +602,7 @@ def empirical_risk(instance: ProblemInstance, w: np.ndarray, S: Dataset) -> floa
         raise ConfigError("empirical risk of an empty dataset is undefined")
     return float(instance.loss(np.asarray(w, dtype=float), S.examples).mean())
 
+
 # -- regularity checks -------------------------------------------------------
 
 

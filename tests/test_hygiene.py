@@ -19,9 +19,8 @@ field its table does not name, except to read the field that picks a
 table.
 """
 
-import re
-
 import ast
+import re
 from pathlib import Path
 
 from batchstab.problems import FAMILIES
@@ -106,8 +105,9 @@ def read_names(source: str, strings: bool = False) -> set[str]:
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             read.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) and str(node.value).isidentifier():
-            read.add(node.value)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                read.add(node.value)
     return read
 
 
