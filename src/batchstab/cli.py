@@ -26,6 +26,7 @@ from batchstab.errors import ConfigError, DivergenceError
 from batchstab.experiments import (
     REQUIRED,
     VERIFY_FIELDS,
+    _SCHEDULE_CHECKS,
     config_field,
     config_from_dict,
     instance_from_config,
@@ -141,10 +142,8 @@ def _cmd_verify(cfg: dict, args, out_dir: Path) -> int:
     return 0 if report["passed"] else 1
 
 
-_SUMMARY_STATUSES = (
-    "counting_lemma", "oracle_equivalence", "growth_recursion", "stability_mc",
-    "gen_error_mc",
-)
+# The status of each per-schedule check, in the order the checks run.
+_SUMMARY_STATUSES = tuple(name for name, _ in _SCHEDULE_CHECKS)
 _SUMMARY_HEADER = (
     "schedule", "gen_mean", "gen_stderr", "oracle", "lower", "upper",
     "stability_mean", "stability_max", "stability_bound", *_SUMMARY_STATUSES,

@@ -269,20 +269,19 @@ def _evolve(
     step writes the iterates of the P stepped rows into one (B, P, d)
     buffer.  The batch gradient is split as ``ProblemInstance`` states it:
     the ``free_grad_mean`` of the first f = ``grad_free_coords``
-    coordinates, and the ``step_map`` of the other d - f, which reads w and
-    the ``step_terms`` of the batch.  A single run takes both once per
-    block, from the gathered (B, m, d) batches.  A paired block takes the
-    terms of its P rows from those of the base batch and of the m patched
-    batches of each step (``_stepped_terms``), so no step copies its batch
-    per row, unless its terms are the batch itself.
+    coordinates, and the other d - f, which read w and the ``step_terms``
+    of the batch.  A single run takes both once per block, from the
+    gathered (B, m, d) batches.  A paired block takes the terms of its P
+    rows from those of the base batch and of the m patched batches of each
+    step (``_stepped_terms``), so no step copies its batch per row, unless
+    its terms are the batch itself.
 
     When every row of the index matrix is the same batch (full_batch,
     round_robin with m = n, a constant custom matrix), that batch is
     gathered once and its terms, those of the first step, taken once before
     the first block: they are the terms of every step, and so is the set of
     stepped rows, since every neighbor it selects joins at step 1.  Each
-    block reads them for each of its steps, and ``scalar_steps`` takes that
-    one (1, m) column for all the block's steps.
+    block reads them for each of its steps.
 
     The buffer is filled in two parts, by coordinate:
 
@@ -290,11 +289,8 @@ def _evolve(
       multiply makes them eta_k g_k, the first row becomes W - eta_0 g_0,
       and ``np.subtract.accumulate`` along the step axis finishes
       w_{k+1} = w_k - eta_k g_k;
-    * the other d - f coordinates, one step at a time: row k reads w_k from
-      the row before, whose first f coordinates are already final, through
-      ``step_map`` on its rows' terms.  A single run of a ``scalar_step``
-      family steps its one such coordinate through the block by
-      ``scalar_steps`` instead.
+    * the other d - f coordinates: one ``step_block`` call on the block's
+      (B, P, ...) terms, the family's own step.
 
     Either part is bit for bit the per-step update.  The checks then run
     once over the buffer and raise at the first offending step, with its
@@ -357,16 +353,15 @@ def _evolve(
     if on_block is not None:
         on_block(W[None], order[:1])
     eta = etas.tolist()
-    # Coordinates [:f] step a block at a time and [f:] one step at a time.
+    # Coordinates [:f] step a block at a time, [f:] by ``step_block``.
     f = instance.grad_free_coords
-    step = instance.step_map
-    scalar = replacements is None and instance.scalar_step
 
     def batch_terms(idx: np.ndarray, P: int):
         gathered = data[idx]
         if replacements is None:
             free = instance.free_grad_mean(gathered)[:, None] if f else None
-            return free, instance.step_terms(gathered)
+            terms = instance.step_terms(gathered)
+            return free, None if terms is None else terms[:, None]
         return _stepped_terms(
             instance, gathered, idx, replacements[idx], rank[1 + idx], P
         )
@@ -390,18 +385,8 @@ def _evolve(
             head *= etas[t0:t1, None, None]
             np.subtract(W[:, :f], head[0], out=head[0])
             np.subtract.accumulate(head, axis=0, out=head)
-        if scalar:
-            # The one coordinate of a single run that reads w, as a float.
-            block[:, 0, -1] = instance.scalar_steps(float(W[0, -1]), eta[t0:t1], terms)
-        elif f < d:
-            # Row k reads w_k from the row before, whose first f coordinates
-            # are already final.
-            stepped = block[..., f:]
-            prev = W
-            for k in range(t1 - t0):
-                g = step(prev, terms[0 if repeated else k])
-                np.subtract(prev[:, f:], eta[t0 + k] * g, out=stepped[k])
-                prev = block[k]
+        if f < d:
+            instance.step_block(block, W, eta[t0:t1], terms)
         # W must not alias the buffer the next block reuses.
         W = block[-1].copy()
 

@@ -32,9 +32,9 @@ compute apart (``ProblemInstance.batch_grad_mean``): ``free_grad_mean``,
 the batch mean of the coordinates of z that do not read w, and ``step_map``,
 the coordinates that read w, as a map of w and of the batch's
 ``step_terms``, which do not read w; ``step_terms_size`` counts the terms
-of one batch, by which the engine sizes a paired block.  A family whose
-step reads a single coordinate of w (``scalar_step``) steps that
-coordinate of one run through a whole block in ``scalar_steps``.
+of one batch, by which the engine sizes a paired block.  ``step_block``
+steps the coordinates that read w through a block: by ``step_map`` a step
+at a time, or by a faster rule of the family's with the same bits.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class ProblemInstance:
     bound_class: str | None = None  # one of ``bounds.BOUND_CLASSES``
     tracks_grad_sup = False  # paired runs track ``grad_sup_norm``
     lipschitz_checked = False  # ``verify_regularity`` checks L
-    scalar_step = False  # a single run steps by ``scalar_steps``
     # A constant the family lacks stays None; each constructor sets its own.
     L: float | None = None
     gamma: float | None = None
@@ -119,6 +118,19 @@ class ProblemInstance:
         g[..., :f] = self.free_grad_mean(Z)
         g[..., f:] = reading
         return g
+
+    def step_block(self, block: np.ndarray, W: np.ndarray, etas, terms) -> None:
+        """Write the last d - f coordinates of the (b, P, d) iterates of a
+        block of b steps, whose first f = ``grad_free_coords`` are final,
+        from the rows W (P, d) before it, the step sizes ``etas`` (floats)
+        and the rows' (b, P, ...) ``step_terms``, or one step's (1, P, ...)
+        when every step reads the same batch: w_{k+1} = w_k - eta_k
+        ``step_map``(w_k, terms[k]), one step at a time."""
+        f = self.grad_free_coords
+        for k, eta in enumerate(etas):
+            prev = block[k - 1] if k else W
+            g = self.step_map(prev, terms[k % len(terms)])
+            np.subtract(prev[:, f:], eta * g, out=block[k, :, f:])
 
     def free_grad_mean(self, Z: np.ndarray) -> np.ndarray:
         """The first ``grad_free_coords`` coordinates of the mean gradient over
@@ -191,7 +203,7 @@ class LinearInstance(ProblemInstance):
     """linear: f(w, z) = <w, z> with sign-vector examples in {-1, +1}^d and
     the Lipschitz constant forced to sqrt(d).  The affine form is a = 0,
     e = 1, c = 0 everywhere: no gradient coordinate reads w, so there are no
-    ``step_terms`` and ``step_map`` is empty."""
+    ``step_terms``."""
 
     family = "linear"
     bound_class = "convex"
@@ -216,9 +228,6 @@ class LinearInstance(ProblemInstance):
     def step_terms_size(self, m: int) -> int:
         return 0
 
-    def step_map(self, W: np.ndarray, terms) -> np.ndarray:
-        return np.empty(W.shape[:-1] + (0,))
-
     def affine_form(self, etas: np.ndarray | None = None):
         return np.zeros(self.d), np.ones(self.d), np.zeros(self.d)
 
@@ -242,13 +251,13 @@ class ConvexHuberInstance(ProblemInstance):
     the iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
     (:meth:`huber_region_limit`).  Only the last gradient coordinate reads
     w, through the z^d column of the batch, by the one rule of
-    :meth:`step_map`, which :meth:`scalar_steps` applies to floats.
+    :meth:`step_map`, which :meth:`step_block` applies from each batch's
+    mean and extremes.
     """
 
     family = "convex_huber"
     bound_class = "convex"
     lipschitz_checked = True
-    scalar_step = True
     config_fields = {"beta": (float,), "L": (float,), "tau": (float, None)}
 
     def __init__(
@@ -301,15 +310,14 @@ class ConvexHuberInstance(ProblemInstance):
         """The mean slope of the Huber coordinate at W (..., d), as a (..., 1)
         array, from the z^d column of its batch.
 
-        The batch slope takes one rule, row by row, which
-        :meth:`scalar_steps` applies to floats.  With c = w^d - w1^d and
+        The batch slope takes one rule, row by row.  With c = w^d - w1^d and
         u_j = c - z_j^d, a batch is in band when every beta u_j lies in
         [-beta tau, beta tau].  The clip is then the identity and the slope
         linear in z^d, so the mean slope is the slope at the batch mean,
         (c - zbar^d) beta with zbar^d = ``np.add.reduce(z^d) / m``.
         Otherwise it is the mean of the clipped slopes.  Rounding is
         monotone, so testing the extreme u_j tests every one: here
-        beta max_j |u_j| <= beta tau, in :meth:`scalar_steps`
+        beta max_j |u_j| <= beta tau, in :meth:`_band_slope`
         (c - max_j z_j^d) beta >= -beta tau and
         (c - min_j z_j^d) beta <= beta tau.  A NaN fails either test.
         """
@@ -325,39 +333,46 @@ class ConvexHuberInstance(ProblemInstance):
             g = np.where(band, g, np.add.reduce(slopes, -1, keepdims=True) / m)
         return g
 
-    def scalar_steps(self, w: float, etas, terms: np.ndarray) -> list[float]:
-        """Step the Huber coordinate of one run through a block from w: the
-        iterates after each of its b steps, :meth:`step_map`'s bit for bit,
-        so a single run steps that coordinate here alone.
+    def step_block(self, block: np.ndarray, W: np.ndarray, etas, terms) -> None:
+        """:meth:`ProblemInstance.step_block` on the z^d columns ``terms``,
+        :meth:`step_map`'s update bit for bit.  Each row's zbar^d, min and
+        max are taken once per block; :meth:`_band_slope` then tests each
+        step's band and gives its in-band slope, on floats for one row and
+        on (P,) arrays for P.  A row out of band takes its mean clipped
+        slope, reduced over the step's rows as :meth:`step_map` reduces it."""
+        r = len(terms)  # 1 when one step's terms stand for every step
+        stats = (
+            np.add.reduce(terms, -1) / terms.shape[-1],
+            np.minimum.reduce(terms, -1), np.maximum.reduce(terms, -1),
+        )
+        if W.shape[0] == 1:
+            w, path = float(W[0, -1]), []
+            zbar, lo, hi = (x[:, 0].tolist() * (len(etas) // r) for x in stats)
+            for k, eta in enumerate(etas):
+                g, band = self._band_slope(w, zbar[k], lo[k], hi[k])
+                w = w - eta * (g if band else self._clipped_mean(w, terms[k % r]).item())
+                path.append(w)
+            block[:, 0, -1] = path
+            return
+        w = W[:, -1]
+        for k, eta in enumerate(etas):
+            g, band = self._band_slope(w, *(x[k % r] for x in stats))
+            if np.count_nonzero(band) < band.size:  # band.all(), faster
+                g = np.where(band, g, self._clipped_mean(w, terms[k % r]))
+            w = np.subtract(w, eta * g, out=block[k, :, -1])
 
-        ``etas`` holds the block's b step sizes as floats and ``terms`` its
-        (b, m) z^d column (:meth:`step_terms`), or the (1, m) column of one
-        batch that every step reads.  Each row's zbar^d, min and max are
-        taken once, as arrays.  A step whose batch is in band is then
-        float operations only, those of :meth:`step_map`'s in-band slope and
-        of the update w - eta g, in their order.  A step whose batch is not
-        reduces the clipped slopes of its fresh (m,) row u, as
-        :meth:`step_map` does for a (1, m) row.
-        """
-        w1d, beta, cap = self._w1d, self.beta, self._huber_cap
-        m = terms.shape[-1]
-        zbar = (np.add.reduce(terms, -1) / m).tolist()
-        lo = np.minimum.reduce(terms, -1).tolist()
-        hi = np.maximum.reduce(terms, -1).tolist()
-        if len(terms) < len(etas):
-            b = len(etas)
-            zbar, lo, hi = zbar * b, lo * b, hi * b
-            terms = np.broadcast_to(terms, (b, m))
-        path = []
-        for e, zb, a, b in zip(etas, zbar, lo, hi):
-            c = w - w1d
-            if (c - b) * beta >= -cap and (c - a) * beta <= cap:
-                g = (c - zb) * beta
-            else:
-                g = float(np.add.reduce(self._huber_slope(c - terms[len(path)])) / m)
-            w = w - e * g
-            path.append(w)
-        return path
+    def _band_slope(self, w, zbar, lo, hi):
+        """The in-band slope (c - zbar^d) beta at w^d = w, c = w - w1^d, and
+        whether a batch whose z^d lie in [lo, hi] is in band: the rule of
+        :meth:`step_map`, on floats or (P,) arrays alike."""
+        beta, cap = self.beta, self._huber_cap
+        c = w - self._w1d
+        return (c - zbar) * beta, ((c - hi) * beta >= -cap) & ((c - lo) * beta <= cap)
+
+    def _clipped_mean(self, w, terms: np.ndarray) -> np.ndarray:
+        """Each (P, m) z^d row's mean clipped slope at w^d = w, float or (P,)."""
+        c = np.reshape(np.subtract(w, self._w1d), (-1, 1))
+        return np.add.reduce(self._huber_slope(c - terms), -1) / terms.shape[-1]
 
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the Huber term in u: beta u clipped to

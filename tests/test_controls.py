@@ -28,7 +28,7 @@ def _control_config(checks, schedules=_SCHEDULES):
 
 
 _free_grad_mean = ProblemInstance.free_grad_mean
-_scalar_steps = ConvexHuberInstance.scalar_steps
+_step_block = ConvexHuberInstance.step_block
 
 
 def _free_mean_over_m_plus_1(self, Z):
@@ -37,17 +37,17 @@ def _free_mean_over_m_plus_1(self, Z):
     return _free_grad_mean(self, Z) * (m / (m + 1))
 
 
-def _scalar_mean_over_m_plus_1(self, w, etas, terms):
-    """scalar_steps stepping the Huber coordinate by its batch mean over
+def _huber_mean_over_m_plus_1(self, block, W, etas, terms):
+    """step_block stepping the Huber coordinate by its batch mean over
     m + 1: eta m / (m + 1) times the mean over m."""
     m = terms.shape[-1]
-    return _scalar_steps(self, w, [e * (m / (m + 1)) for e in etas], terms)
+    return _step_block(self, block, W, [e * (m / (m + 1)) for e in etas], terms)
 
 
 # Each mutant with the class that defines the method it replaces.
 _MUTANTS = {
     "free_grad_mean": (ProblemInstance, _free_mean_over_m_plus_1),
-    "scalar_steps": (ConvexHuberInstance, _scalar_mean_over_m_plus_1),
+    "step_block": (ConvexHuberInstance, _huber_mean_over_m_plus_1),
 }
 
 
@@ -61,13 +61,13 @@ def test_the_controls_pass_without_a_mutant():
     [
         # The whole batch mean over m + 1: a run_final that keeps to the
         # Huber band takes its first d - 1 coordinates from free_grad_mean
-        # and steps its Huber coordinate by scalar_steps, so each of its
+        # and steps its Huber coordinate by step_block, so each of its
         # coordinates is mutated once.
-        (("free_grad_mean", "scalar_steps"), ["oracle_equivalence", "gen_error_mc"]),
+        (("free_grad_mean", "step_block"), ["oracle_equivalence", "gen_error_mc"]),
         # Only the Huber coordinate.  Its share of the generalization error
         # is too small for 200 trials to see, so only the exact check is
         # asked to fail.
-        (("scalar_steps",), ["oracle_equivalence"]),
+        (("step_block",), ["oracle_equivalence"]),
     ],
     ids=["whole-mean", "huber-coordinate"],
 )

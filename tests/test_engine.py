@@ -741,14 +741,18 @@ def test_the_clipped_huber_slope_is_the_where_form_bit_for_bit(beta, tau, us):
             np.add.reduce(slope[:, None], -1) / 1,
         )
         by_map = inst.step_map(W, one)[:, 0]
-        # a one-step block of each w^d with eta = 1 by scalar_steps, clipped
-        # or not: step_map's update
+        # a one-step block with eta = 1 by step_block, clipped or not:
+        # step_map's update, for each w^d as one row (floats) and for all of
+        # them as a stack of rows ((P,) arrays)
         by_steps = np.array([
-            inst.scalar_steps(float(v), [1.0], z[None])[0] for v, z in zip(u, one)
+            _huber_steps(inst, W[i : i + 1], [1.0], one[None, i : i + 1])[0, 0]
+            for i in range(len(u))
         ])
+        by_stack = _huber_steps(inst, W, [1.0], one[None])[0]
         expected_steps = u - 1.0 * batch
     for got, expected in (
-        (by_grad, slope), (by_map, batch), (by_steps, expected_steps)
+        (by_grad, slope), (by_map, batch), (by_steps, expected_steps),
+        (by_stack, expected_steps),
     ):
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
@@ -778,9 +782,12 @@ _BAND_EDGES = (
 def test_the_min_max_band_test_is_the_per_example_test(beta, tau, w, w1d, m, cells, etas):
     # (b, m) z^d columns with ties, signed zeros, infinities, NaN and values
     # next to both band edges of c = w - w1d.  step_map is the per-example
-    # rule row by row at c.  Each of scalar_steps' b iterates is the
-    # per-example rule on its row from the iterate before; a zero step size
-    # keeps c, and so the band edges, for the row after it.
+    # rule row by row at c.  step_block steps one row through the b batches
+    # on floats, and a stack of b rows on (P,) arrays, row p reading batch
+    # (p + k) mod b at step k, so a step mixes rows in and out of band.
+    # Each iterate is the per-example rule on its batch from the iterate
+    # before; a zero step size keeps c, and so the band edges, for the step
+    # after it.
     inst = convex_huber_instance(
         d=2, L=tau * math.sqrt(2) * beta, beta=beta, tau=tau, w1=(0.0, w1d)
     )
@@ -807,21 +814,33 @@ def test_the_min_max_band_test_is_the_per_example_test(beta, tau, w, w1d, m, cel
     with np.errstate(invalid="ignore", over="ignore"):
         expected = np.array([rule(c, k) for k in range(b)])
         got = inst.step_map(np.tile([0.0, w], (b, 1)), terms)[:, 0]
-        path = np.array(inst.scalar_steps(w, steps, terms))
-        prev = [w, *path[:-1].tolist()]
-        stepped = np.array([
-            v - e * rule(v - w1d, k) for k, (v, e) in enumerate(zip(prev, steps))
-        ])
-    for got, expected in ((got, expected), (path, stepped)):
+        W = np.array([[0.0, w]])
+        path = _huber_steps(inst, W, steps, terms[:, None])[:, 0]
+        read = (np.arange(b)[:, None] + np.arange(b)) % b
+        stack = _huber_steps(inst, np.repeat(W, b, axis=0), steps, terms[read])
+        stepped = np.empty((b, b))
+        v = np.full(b, w)
+        for k, e in enumerate(steps):
+            v = stepped[k] = [x - e * rule(x - w1d, j) for x, j in zip(v, read[k])]
+    for got, expected in ((got, expected), (path, stepped[:, 0]), (stack, stepped)):
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
 
+def _huber_steps(inst, W, etas, terms):
+    """The (b, P) Huber coordinates that step_block writes for a block of b
+    steps from the P rows of W (P, d), their z^d columns ``terms``."""
+    block = np.zeros((len(etas),) + W.shape)
+    inst.step_block(block, W, etas, terms)
+    return block[..., -1]
+
+
 def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     # A structural guard on the convex_huber block update: the first d - 1
     # coordinates, the z^d column and the Huber coordinate's steps come from
-    # one call each per block, and step_map is never called.
+    # one call each per block, on the one row of the run, and step_map is
+    # never called.
     d, n, m, T = 4, 50, 5, 2000
     inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
     S = sample_dataset(inst, n, seed=64)
@@ -833,14 +852,16 @@ def test_convex_huber_run_final_takes_one_full_batch_mean_per_block():
     blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
     assert len(blocks) > 1
     assert calls["free_grad_mean"] == calls["step_terms"] == [((b, m, d),) for b in blocks]
-    assert calls["scalar_steps"] == [(float, (b,), (b, m)) for b in blocks]
+    assert calls["step_block"] == [
+        ((b, 1, d), (1, d), (b,), (b, 1, m)) for b in blocks
+    ]
     assert calls["step_map"] == []
 
 
 def test_a_full_batch_huber_run_takes_its_batch_terms_once():
     # A structural guard on the repeated batch: a full_batch run gathers its
     # one (1, n, d) batch once, takes its free means and z^d column once,
-    # and each block's scalar_steps reads that (1, n) column for all its
+    # and each block's step_block reads that (1, 1, n) column for all its
     # steps.  Its blocks are sized by the iterates alone.
     d, n, T = 4, 50, 10_000
     inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
@@ -852,7 +873,9 @@ def test_a_full_batch_huber_run_takes_its_batch_terms_once():
     blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
     assert len(blocks) > 1
     assert calls["free_grad_mean"] == calls["step_terms"] == [((1, n, d),)]
-    assert calls["scalar_steps"] == [(float, (b,), (1, n)) for b in blocks]
+    assert calls["step_block"] == [
+        ((b, 1, d), (1, d), (b,), (1, 1, n)) for b in blocks
+    ]
     assert calls["step_map"] == []
 
 
@@ -865,14 +888,17 @@ def test_a_full_batch_huber_run_at_the_shipped_shape_is_one_block():
     sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=T))
     with _batch_term_calls() as calls:
         run_final(inst, S, sched, constant_plan(0.5, T))
-    assert calls["scalar_steps"] == [(float, (T,), (1, n))]
+    assert calls["step_block"] == [((T, 1, d), (1, d), (T,), (1, 1, n))]
 
 
 @contextlib.contextmanager
 def _batch_term_calls():
     """The argument shapes (a float's type) of every call of the batch-term
     methods of convex_huber instances, by name, made inside the block."""
-    calls = {"free_grad_mean": [], "step_terms": [], "scalar_steps": [], "step_map": []}
+    calls = {
+        "free_grad_mean": [], "step_terms": [], "step_block": [], "step_map": [],
+        "_clipped_mean": [],
+    }
 
     def counted(name):
         method = getattr(ConvexHuberInstance, name)
@@ -889,6 +915,40 @@ def _batch_term_calls():
         ConvexHuberInstance, **{name: counted(name) for name in calls}
     ):
         yield calls
+
+
+@pytest.mark.parametrize("kind", ["full_batch", "uniform_random"])
+def test_a_paired_huber_run_never_calls_step_map(kind):
+    # A structural guard on the paired block update: each block steps the
+    # Huber coordinate of its P rows by one step_block call, and step_map,
+    # the reference the tests check step_block against, is never called,
+    # though rows leave the band: tau = 0.3 against z^d = +/-2.
+    d, n, T, B = 3, 12, 40, 7
+    inst = convex_huber_instance(d=d, L=4.0 * math.sqrt(d), beta=1.0, tau=0.3)
+    S = sample_dataset(inst, n, seed=67)
+    repl = sample_examples(inst, n, np.random.default_rng(68))
+    m = n if kind == "full_batch" else 3
+    sched = realize(ScheduleSpec(kind, n=n, m=m, T=T, seed=69))
+    with _batch_term_calls() as calls, block_of(B):
+        run_paired(inst, S, repl, sched, constant_plan(0.5, T))
+    blocks = [min(t0 + B, T) - t0 for t0 in range(0, T, B)]
+    assert [c[2] for c in calls["step_block"]] == [(b,) for b in blocks]
+    assert all(c[0][1] > 1 for c in calls["step_block"])
+    assert calls["_clipped_mean"] and calls["step_map"] == []
+
+
+def test_a_full_batch_paired_huber_run_holds_its_terms_once():
+    # A full_batch paired run holds the (n + 1, n) z^d columns of its rows
+    # once.  Its steps take each row's batch mean and extremes once and then
+    # step (n + 1,) rows, so no step builds another array of that size.
+    d, n, T = 8, 1000, 50
+    inst = convex_huber_instance(d=d, L=1.0, beta=1.0)
+    S = sample_dataset(inst, n, seed=70)
+    repl = sample_examples(inst, n, np.random.default_rng(71))
+    sched = realize(ScheduleSpec("full_batch", n=n, m=n, T=T))
+    plan = constant_plan(0.5, T)
+    peak = _peak_bytes(lambda: run_paired(inst, S, repl, sched, plan))
+    assert peak <= 1.6 * (n + 1) * n * 8
 
 
 def _repeated_schedule(shape, n, m, T, rng):
@@ -992,7 +1052,7 @@ def _first_clip_tau(inst, S, sched, etas, target):
     return float(top[:s].max(initial=0.0) + top[s]) / 2.0
 
 
-def test_a_single_huber_run_steps_its_clipped_steps_in_scalar_steps():
+def test_a_single_huber_run_steps_its_clipped_steps_in_step_block():
     # run (the dump path) and run_final are bitwise the step-by-step
     # reference, or name its step of divergence or of leaving the Huber
     # band, wherever a clipped step falls in a block, and never call
