@@ -158,14 +158,16 @@ def _parallel_map(fn, items, jobs: int) -> list:
         return list(ex.map(fn, items))
 
 
-def _trial_schedule(
-    sspec: ScheduleSpec, master_seed: int, trial: int, s_idx: int
-):
-    if sspec.kind in STOCHASTIC_KINDS:
-        sspec = dataclasses.replace(
-            sspec, seed=seed_at(master_seed, trial, SCHEDULE, s_idx)
-        )
-    return realize(sspec)
+def _trial_schedules(sspec: ScheduleSpec, master_seed: int, s_idx: int, trials: range):
+    """An iterator over the realized schedules of the trials.  A kind that is
+    not stochastic ignores the trial, so it is realized once for them all:
+    no run mutates a ``RealizedSchedule``."""
+    if sspec.kind not in STOCHASTIC_KINDS:
+        return iter([realize(sspec)] * len(trials))
+    return (
+        realize(dataclasses.replace(sspec, seed=seed_at(master_seed, t, SCHEDULE, s_idx)))
+        for t in trials
+    )
 
 
 def _trial_dataset(instance: ProblemInstance, n: int, master_seed: int, trial: int):
@@ -191,9 +193,10 @@ def _gen_error_block(args) -> tuple[np.ndarray, int]:
     values = np.full(t1 - t0, np.nan)
     ran = np.zeros(t1 - t0, dtype=bool)
     diverged = None
-    for k, trial in enumerate(range(t0, t1)):
+    trials = range(t0, t1)
+    schedules = _trial_schedules(sspec, master_seed, s_idx, trials)
+    for k, (trial, sched) in enumerate(zip(trials, schedules)):
         S = _trial_dataset(instance, n, master_seed, trial)
-        sched = _trial_schedule(sspec, master_seed, trial, s_idx)
         try:
             finals[k] = run_final(instance, S, sched, etas)
         except DivergenceError as e:
@@ -242,13 +245,14 @@ def estimate_gen_error(
 ) -> MonteCarloEstimate:
     """Monte Carlo mean and standard error of the generalization error.
 
-    Per trial: sample a dataset, realize the schedule from the trial's own
-    substream, run, and evaluate population risk minus empirical risk at the
-    final iterate.  The population side is analytic, so dataset sampling and
-    schedule randomness are the only noise sources.  A population risk
-    queried outside the analytic region is refused with ``CapabilityError``.
-    A trial that diverges, or whose risk overflows, raises
-    ``DivergenceError`` unless ``allow_divergence`` excludes it.
+    Per trial: sample a dataset, realize a stochastic schedule from the
+    trial's own substream (any other once per block), run, and evaluate
+    population risk minus empirical risk at the final iterate.  The
+    population side is analytic, so dataset sampling and schedule randomness
+    are the only noise sources.  A population risk queried outside the
+    analytic region is refused with ``CapabilityError``.  A trial that
+    diverges, or whose risk overflows, raises ``DivergenceError`` unless
+    ``allow_divergence`` excludes it.
     """
     if trials < 1:
         raise ConfigError("estimate_gen_error requires trials >= 1")
@@ -271,10 +275,10 @@ def _stability_block(args) -> tuple[np.ndarray, np.ndarray]:
     (instance, n, plan, sspec, s_idx, master_seed, t0, t1) = args
     finals = np.empty(t1 - t0)
     sups = np.full(t1 - t0, np.nan)
-    for trial in range(t0, t1):
+    trials = range(t0, t1)
+    for trial, sched in zip(trials, _trial_schedules(sspec, master_seed, s_idx, trials)):
         S = _trial_dataset(instance, n, master_seed, trial)
         repl = sample_examples(instance, n, rng_at(master_seed, trial, REPLACEMENTS))
-        sched = _trial_schedule(sspec, master_seed, trial, s_idx)
         pt = run_paired(instance, S, repl, sched, plan, track_grad_sup=True)
         finals[trial - t0] = stability_mod.final_on_average_gap(pt)
         if pt.grad_sup is not None:
@@ -467,7 +471,7 @@ class _Context:
     def audit_schedule(self, s_idx: int, spec: ScheduleSpec):
         return self._audit_fact(
             s_idx, "schedule",
-            lambda: _trial_schedule(spec, self.config.master_seed, 0, s_idx),
+            lambda: next(_trial_schedules(spec, self.config.master_seed, s_idx, range(1))),
         )
 
 

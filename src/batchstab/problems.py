@@ -2,13 +2,12 @@
 
 Each loss family is a subclass of ``ProblemInstance`` that states every fact
 of the family once, in its own class: its constructor checks and the config
-fields it reads, its loss and its exact gradient in w (``loss(w, z)`` and
-``grad(w, z)``, on float arrays that broadcast over leading dimensions), the
-split of its batch gradient, its affine form and analytic region, the plans
-its generalization-error oracle admits, its population risk, its bound
-class and its regularity facts.  The public constructors
-(``linear_instance``, ...) are these classes, and ``family_class`` maps the
-family name a config gives to its class.
+fields it reads, its loss ``loss(w, z)`` on float arrays that broadcast over
+leading dimensions, the split of its batch gradient, its affine form and
+analytic region, the plans its generalization-error oracle admits, its
+population risk, its bound class and its regularity facts.  The public
+constructors (``linear_instance``, ...) are these classes, and
+``family_class`` maps the family name a config gives to its class.
 
 The constants the bounds are stated in are attributes of the instance: d,
 the smoothness beta and the start w1 of every family, and the Lipschitz
@@ -34,7 +33,10 @@ the coordinates that read w, as a map of w and of the batch's
 ``step_terms``, which do not read w; ``step_terms_size`` counts the terms
 of one batch, by which the engine sizes a paired block.  ``step_block``
 steps the coordinates that read w through a block: by ``step_map`` a step
-at a time, or by a faster rule of the family's with the same bits.
+at a time, or by a faster rule of the family's with the same bits.  The
+gradient of one example, ``grad(w, z)``, is that split on a batch of one, so
+``verify_regularity`` checks the split the engine runs; only custom_smooth,
+whose split is built from its ``grad_fn``, states a gradient of its own.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ class ProblemInstance:
         """The instance itself, which holds the constants (``perfbench``
         reads them through it)."""
         return self
+
+    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The gradient of f(., z) at w, on w (..., d) and z (..., d) that
+        broadcast: :meth:`batch_grad_mean` on a batch of one example."""
+        w, z = np.broadcast_arrays(w, z)
+        return self.batch_grad_mean(w, z[..., None, :])
 
     def batch_grad_mean(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """Mean gradient over a batch: W is (..., d), Z is (..., m, d).
@@ -219,9 +227,6 @@ class LinearInstance(ProblemInstance):
     def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         return (w * z).sum(axis=-1)
 
-    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(z, np.broadcast_shapes(w.shape, z.shape)).copy()
-
     def step_terms(self, Z: np.ndarray) -> None:
         return None
 
@@ -250,9 +255,9 @@ class ConvexHuberInstance(ProblemInstance):
     c = (0, ..., 0, w1^d), on the analytic region |w^d - w1^d - z^d| <= tau;
     the iterates never leave it when every eta_t <= 1/beta and tau >= 2 s_d
     (:meth:`huber_region_limit`).  Only the last gradient coordinate reads
-    w, through the z^d column of the batch, by the one rule of
-    :meth:`step_map`, which :meth:`step_block` applies from each batch's
-    mean and extremes.
+    w, through the z^d column of the batch, by the one band rule of
+    :meth:`_band_slope`, which :meth:`step_map` and :meth:`step_block` apply
+    from each batch's mean and extremes.
     """
 
     family = "convex_huber"
@@ -292,14 +297,6 @@ class ConvexHuberInstance(ProblemInstance):
         ramp = beta * tau * (au - 0.5 * tau)
         return lin + np.where(au <= tau, quad, ramp)
 
-    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(w.shape, z.shape)
-        g = np.empty(shape, dtype=float)
-        g[..., :-1] = np.broadcast_to(z[..., :-1], shape[:-1] + (self.d - 1,))
-        u = np.asarray(w[..., -1] - self.w1[-1] - z[..., -1])
-        g[..., -1] = self._huber_slope(u)
-        return g
-
     def step_terms(self, Z: np.ndarray) -> np.ndarray:
         return Z[..., -1]
 
@@ -308,30 +305,17 @@ class ConvexHuberInstance(ProblemInstance):
 
     def step_map(self, W: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """The mean slope of the Huber coordinate at W (..., d), as a (..., 1)
-        array, from the z^d column of its batch.
-
-        The batch slope takes one rule, row by row.  With c = w^d - w1^d and
-        u_j = c - z_j^d, a batch is in band when every beta u_j lies in
-        [-beta tau, beta tau].  The clip is then the identity and the slope
-        linear in z^d, so the mean slope is the slope at the batch mean,
-        (c - zbar^d) beta with zbar^d = ``np.add.reduce(z^d) / m``.
-        Otherwise it is the mean of the clipped slopes.  Rounding is
-        monotone, so testing the extreme u_j tests every one: here
-        beta max_j |u_j| <= beta tau, in :meth:`_band_slope`
-        (c - max_j z_j^d) beta >= -beta tau and
-        (c - min_j z_j^d) beta <= beta tau.  A NaN fails either test.
-        """
-        beta, cap, m = self.beta, self._huber_cap, terms.shape[-1]
-        c = W[..., -1:] - self._w1d
-        g = (c - np.add.reduce(terms, -1, keepdims=True) / m) * beta
-        u = c - terms
-        reach = np.abs(u)
-        # Every row is in band when the largest |u_j| of all rows is.
-        if not np.maximum.reduce(reach, None) * beta <= cap:
-            band = np.maximum.reduce(reach, -1, keepdims=True) * beta <= cap
-            slopes = self._huber_slope(u)
-            g = np.where(band, g, np.add.reduce(slopes, -1, keepdims=True) / m)
-        return g
+        array, from the z^d column of its batch by the rule of
+        :meth:`_band_slope`, row by row: a batch in band takes its in-band
+        slope, any other its :meth:`_clipped_mean`."""
+        w, m = W[..., -1], terms.shape[-1]
+        g, band = self._band_slope(
+            w, np.add.reduce(terms, -1) / m,
+            np.minimum.reduce(terms, -1), np.maximum.reduce(terms, -1),
+        )
+        if not band.all():
+            g = np.where(band, g, self._clipped_mean(w, terms))
+        return g[..., None]
 
     def step_block(self, block: np.ndarray, W: np.ndarray, etas, terms) -> None:
         """:meth:`ProblemInstance.step_block` on the z^d columns ``terms``,
@@ -363,22 +347,32 @@ class ConvexHuberInstance(ProblemInstance):
 
     def _band_slope(self, w, zbar, lo, hi):
         """The in-band slope (c - zbar^d) beta at w^d = w, c = w - w1^d, and
-        whether a batch whose z^d lie in [lo, hi] is in band: the rule of
-        :meth:`step_map`, on floats or (P,) arrays alike."""
+        whether a batch with z^d mean zbar and extremes lo and hi is in band,
+        on floats or arrays alike: the one band rule of the Huber coordinate.
+
+        With u_j = c - z_j^d, a batch is in band when every beta u_j lies in
+        [-beta tau, beta tau].  The clip is then the identity and the slope
+        linear in z^d, so the mean slope is the slope at the batch mean,
+        zbar^d = ``np.add.reduce(z^d) / m``; otherwise it is the mean of the
+        clipped slopes (:meth:`_clipped_mean`).  Rounding is monotone, so
+        testing the extreme u_j tests every one: (c - hi) beta >= -beta tau
+        and (c - lo) beta <= beta tau.  A NaN fails either test.
+        """
         beta, cap = self.beta, self._huber_cap
         c = w - self._w1d
         return (c - zbar) * beta, ((c - hi) * beta >= -cap) & ((c - lo) * beta <= cap)
 
     def _clipped_mean(self, w, terms: np.ndarray) -> np.ndarray:
-        """Each (P, m) z^d row's mean clipped slope at w^d = w, float or (P,)."""
-        c = np.reshape(np.subtract(w, self._w1d), (-1, 1))
+        """The mean clipped slope of each (..., m) z^d row at w^d = w, of
+        the rows' leading shape ((1,) for a float w and one row)."""
+        c = np.subtract(w, self._w1d)[..., None]
         return np.add.reduce(self._huber_slope(c - terms), -1) / terms.shape[-1]
 
     def _huber_slope(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the Huber term in u: beta u clipped to
         [-beta tau, beta tau], written over u, which callers pass as a
         temporary.  On that interval, its linear piece, the clip is the
-        identity (see :meth:`step_map`).
+        identity (see :meth:`_band_slope`).
 
         Rounding is monotone, so this is ``where(|u| <= tau, beta u,
         beta tau sign(u))`` bit for bit: both give +/- fl(beta tau) from
@@ -437,9 +431,6 @@ class _DiagonalQuadratic(ProblemInstance):
     def loss(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         diff = w - z
         return 0.5 * (diff * diff * self.lam).sum(axis=-1)
-
-    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.lam * (w - z)
 
     def step_terms(self, Z: np.ndarray) -> np.ndarray:
         return np.add.reduce(Z, -2) / Z.shape[-2]
@@ -713,6 +704,6 @@ def _finite_difference_mismatch(
         if abs(fd - g[k]) > tol * (1.0 + abs(g[k])):
             return (
                 f"finite-difference mismatch in coordinate {k}: "
-                f"analytic {g[k]!r} vs central difference {fd!r}"
+                f"analytic {float(g[k])!r} vs central difference {fd!r}"
             )
     return None

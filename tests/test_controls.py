@@ -7,17 +7,18 @@ import pytest
 
 from batchstab import bounds, experiments
 from batchstab.experiments import config_from_dict, run_full_verification
-from batchstab.problems import ConvexHuberInstance, ProblemInstance
+from batchstab.problems import ConvexHuberInstance, ProblemInstance, _DiagonalQuadratic
 from batchstab.schedule import RealizedSchedule
 
 # small batches, where m / (m + 1) is far from 1
 _SCHEDULES = [{"kind": "round_robin", "m": 1}, {"kind": "random_reshuffle", "m": 2}]
+_HUBER = {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0}
 
 
-def _control_config(checks, schedules=_SCHEDULES):
+def _control_config(checks, schedules=_SCHEDULES, instance=_HUBER):
     return config_from_dict({
         "name": "control",
-        "instance": {"family": "convex_huber", "d": 4, "L": 1.0, "beta": 1.0},
+        "instance": instance,
         "n": 10,
         "plan": {"kind": "constant", "eta": 0.5, "T": 20},
         "schedules": schedules,
@@ -158,6 +159,44 @@ def test_a_mis_scaled_gradient_fails_the_regularity_check(monkeypatch):
         ConvexHuberInstance, "grad", lambda self, w, z: grad(self, w, z) * 1.1
     )
     _run_check_fails(run_full_verification(_control_config(checks)), "regularity")
+
+
+_band_slope = ConvexHuberInstance._band_slope
+_quadratic_step_map = _DiagonalQuadratic.step_map
+
+
+def _band_slope_times_1_001(self, *args):
+    slope, band = _band_slope(self, *args)
+    return slope * 1.001, band
+
+
+# Each part of the batch split that ``grad`` runs, scaled by 1.001, with the
+# class that defines it and a family whose gradient reads it.
+_SPLIT_MUTANTS = {
+    "free_grad_mean": (
+        ProblemInstance, lambda self, Z: _free_grad_mean(self, Z) * 1.001, _HUBER
+    ),
+    "_band_slope": (ConvexHuberInstance, _band_slope_times_1_001, _HUBER),
+    "step_map": (
+        _DiagonalQuadratic,
+        lambda self, W, terms: _quadratic_step_map(self, W, terms) * 1.001,
+        {"family": "quadratic_strongly_convex", "d": 4, "L": 1.0, "beta": 2.0,
+         "gamma": 1.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_MUTANTS))
+def test_a_batch_split_scaled_by_1_001_fails_the_regularity_check(monkeypatch, name):
+    # The regularity check takes each gradient from the batch split the
+    # engine runs, so a split off by 1.001 is a gradient off by 1.001.
+    owner, mutant, instance = _SPLIT_MUTANTS[name]
+    checks = ["regularity"]
+    report = run_full_verification(_control_config(checks, instance=instance))
+    assert report["checks"]["regularity"]["status"] == "pass" and report["passed"]
+    monkeypatch.setattr(owner, name, mutant)
+    report = run_full_verification(_control_config(checks, instance=instance))
+    _run_check_fails(report, "regularity")
 
 
 def test_a_halved_gradient_bound_fails_the_stability_check(monkeypatch):

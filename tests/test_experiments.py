@@ -110,6 +110,22 @@ def test_stability_estimator_and_gradient_tracking():
     assert est.grad_sup_max is not None and est.grad_sup_max <= 4.0
 
 
+@pytest.mark.parametrize("kind, realized", [("round_robin", 1), ("uniform_random", 5)])
+def test_a_deterministic_schedule_is_realized_once_per_block(monkeypatch, kind, realized):
+    # A round_robin schedule ignores the trial, so the 5 trials of one block
+    # share one realization; a stochastic one is realized per trial.
+    inst = quadratic_strongly_convex_instance(d=3, L=1.0, beta=1.0, gamma=1.0)
+    plan = constant_plan(0.5, 12)
+    spec = ScheduleSpec(kind, n=8, m=2, T=12)
+    realize = experiments.realize
+    calls = []
+    monkeypatch.setattr(experiments, "realize", lambda s: calls.append(s) or realize(s))
+    for estimate in (estimate_gen_error, estimate_stability):
+        calls.clear()
+        estimate(inst, 8, plan, spec, trials=5, master_seed=19, jobs=1)
+        assert len(calls) == realized, estimate.__name__
+
+
 def test_schedule_equivalence_passes_and_full_batch_seeds_coincide():
     config = small_config(trials=400, checks=["gen_error_mc", "schedule_equivalence"])
     eq = run_full_verification(config)["checks"]["schedule_equivalence"]
@@ -233,7 +249,8 @@ def test_a_trial_whose_risk_overflows_at_a_finite_final_is_divergent():
         with np.errstate(over="ignore", invalid="ignore"):
             final = experiments.run_final(
                 config.instance, experiments._trial_dataset(config.instance, 8, 1, 0),
-                experiments._trial_schedule(config.schedules[0], 1, 0, 0), config.plan,
+                next(experiments._trial_schedules(config.schedules[0], 1, 0, range(1))),
+                config.plan,
             )
             report = run_full_verification(config)
         assert np.isfinite(final).all()
@@ -557,7 +574,8 @@ def _per_trial_gen_errors(instance, n, etas, spec, master_seed, trials, s_idx=0)
     values = []
     for trial in range(trials):
         S = experiments._trial_dataset(instance, n, master_seed, trial)
-        sched = experiments._trial_schedule(spec, master_seed, trial, s_idx)
+        trial_only = range(trial, trial + 1)
+        sched = next(experiments._trial_schedules(spec, master_seed, s_idx, trial_only))
         try:
             w = experiments.run_final(instance, S, sched, etas)
         except DivergenceError:

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no name of
 ``src/`` is dead, nothing reads an instance's constants through
-``.params``, no code in ``src/`` branches on a family's name, and no config
-field is read outside its object's table.
+``.params``, no family but custom_smooth states a second gradient, no code
+in ``src/`` branches on a family's name, and no config field is read
+outside its object's table.
 
 AST scans.  Of every module in ``src/`` and ``tests/``: each name an import
 binds must be read somewhere in its module.  A package's ``__init__.py``
@@ -12,11 +13,12 @@ a name, as an attribute or, in ``perfbench``, as a string naming it), or be
 exported by ``batchstab/__init__.py``, whose exports README's API section
 lists; a name only tests read belongs to the tests.  Of ``src/`` and
 ``tests/``: no code reads ``.params``, which only ``perfbench`` still
-does.  A loss family's facts are read from its class, never by testing its
-name, except in the one registry lookup of ``problems``; and
-``config_field`` is called only by ``read_config``, which refuses every
-field its table does not name, except to read the field that picks a
-table.
+does.  Of ``src/``: no class but the base class and custom_smooth defines
+``grad``, so a family's gradient is its batch split.  A loss family's facts
+are read from its class, never by testing its name, except in the one
+registry lookup of ``problems``; and ``config_field`` is called only by
+``read_config``, which refuses every field its table does not name, except
+to read the field that picks a table.
 """
 
 import ast
@@ -181,6 +183,46 @@ def test_every_exported_name_is_listed_in_the_readme_api_section():
     listed = set(re.findall(r"`(\w+)`", api))
     init = (ROOT / "src" / "batchstab" / "__init__.py").read_text()
     assert [name for name in exported_names(init) if name not in listed] == []
+
+
+# The classes that state a per-example gradient: the base class derives it
+# from the batch split, and custom_smooth builds its split from it.
+GRAD_OWNERS = ("ProblemInstance", "CustomSmoothInstance")
+
+
+def grad_overrides(source: str) -> list[str]:
+    """``Class.grad`` of every class outside GRAD_OWNERS that defines a
+    ``grad``."""
+    return [
+        name for _, name in defined_names(source)
+        if name.endswith(".grad") and name.partition(".")[0] not in GRAD_OWNERS
+    ]
+
+
+def test_the_scan_finds_a_grad_override():
+    source = (
+        "class ProblemInstance:\n"
+        "    def grad(self, w, z): return self.batch_grad_mean(w, z)\n"
+        "class CustomSmoothInstance(ProblemInstance):\n"
+        "    def grad(self, w, z): return self.grad_fn(w, z)\n"
+        "class LinearInstance(ProblemInstance):\n"
+        "    def grad(self, w, z): return z\n"
+        "    def step_terms(self, Z): return None\n"
+        "class Quadratic(ProblemInstance):\n"
+        "    grad = ProblemInstance.step_map\n"
+    )
+    assert grad_overrides(source) == ["LinearInstance.grad", "Quadratic.grad"]
+
+
+def test_only_the_base_class_and_custom_smooth_define_grad():
+    # Every built-in family's gradient is its batch split on one example,
+    # so the regularity check certifies the split the engine runs.
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in grad_overrides(path.read_text())
+    ]
+    assert found == []
 
 
 def params_reads(source: str) -> list[int]:

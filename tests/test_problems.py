@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from batchstab import problems
 from batchstab.errors import AnalyticRegionError, CapabilityError, ConfigError
@@ -71,6 +72,92 @@ def test_diagonal_quadratic_gradient():
     z = np.zeros(2)
     w = np.ones(2)
     assert inst.grad(w, z) == pytest.approx([3.0, 2.0])
+
+
+# Each built-in family's gradient of one example, written out apart from the
+# batch split that ``grad`` runs.
+def _linear_grad(inst, w, z):
+    return np.broadcast_to(z, np.broadcast_shapes(w.shape, z.shape))
+
+
+def _huber_grad(inst, w, z):
+    # z in the first d - 1 coordinates; in the last the Huber slope
+    # (w^d - w1^d - z^d) beta clipped to [-beta tau, beta tau]
+    g = np.empty(np.broadcast_shapes(w.shape, z.shape))
+    g[..., :-1] = z[..., :-1]
+    cap = inst.beta * inst.tau
+    slope = (w[..., -1] - inst.w1[-1] - z[..., -1]) * inst.beta
+    g[..., -1] = np.minimum(np.maximum(slope, -cap), cap)
+    return g
+
+
+def _quadratic_grad(inst, w, z):
+    return inst.lam * (w - z)
+
+
+_PER_EXAMPLE_GRADS = {
+    "linear": _linear_grad, "convex_huber": _huber_grad,
+    "quadratic_nonconvex": _quadratic_grad, "quadratic_strongly_convex": _quadratic_grad,
+}
+_FLOATS = st.floats(min_value=-10.0, max_value=10.0)
+# w^d at the Huber band's edges +/- tau and their neighbours, where u is w^d
+# exactly when w1^d = z^d = 0
+_EDGES = ("tau", "-tau", "tau+", "tau-", "-tau+", "-tau-")
+
+
+@seed(230502247)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(sorted(_PER_EXAMPLE_GRADS)),
+    d=st.integers(min_value=2, max_value=4),
+    k=st.integers(min_value=1, max_value=3),
+    stacked=st.tuples(st.booleans(), st.booleans()),
+    beta=st.floats(min_value=0.1, max_value=10.0),
+    tau=st.floats(min_value=1e-3, max_value=5.0),
+    data=st.data(),
+)
+def test_grad_is_each_family_per_example_gradient_bit_for_bit(
+    family, d, k, stacked, beta, tau, data
+):
+    # w and z are (d,) or (k, d) each.  The batch split sums a batch from
+    # +0.0, so it reads the one example as z + 0.0, which is z except that
+    # -0.0 becomes +0.0; the reference reads the same.
+    cell = st.just(0.0) | _FLOATS
+    w1 = data.draw(st.lists(_FLOATS, min_size=d - 1, max_size=d - 1)) + [data.draw(cell)]
+    if family == "linear":
+        inst = linear_instance(d=d, w1=w1)
+    elif family == "convex_huber":
+        inst = convex_huber_instance(d=d, L=2.0 * tau * math.sqrt(d) * beta, beta=beta,
+                                     tau=tau, w1=w1)
+    elif family == "quadratic_nonconvex":
+        lam = data.draw(st.lists(st.floats(min_value=-beta, max_value=-1e-3),
+                                 min_size=d, max_size=d))
+        inst = quadratic_nonconvex_instance(d=d, beta=beta, lam=lam, w1=w1)
+    else:
+        inst = quadratic_strongly_convex_instance(d=d, L=1.0, beta=1.0 + beta / 10,
+                                                  gamma=1.0, w1=w1)
+    near = {
+        "tau": tau, "-tau": -tau, "tau+": np.nextafter(tau, math.inf),
+        "tau-": np.nextafter(tau, 0.0), "-tau+": np.nextafter(-tau, 0.0),
+        "-tau-": np.nextafter(-tau, -math.inf),
+    }
+
+    def draw(rows, last):
+        shape = (k, d) if rows else (d,)
+        size = math.prod(shape)
+        x = np.array(data.draw(st.lists(_FLOATS, min_size=size, max_size=size)))
+        x = x.reshape(shape)
+        for row in x.reshape(-1, d):
+            v = data.draw(last)
+            row[-1] = near.get(v, v) if isinstance(v, str) else v
+        return x
+
+    w = draw(stacked[0], st.sampled_from(_EDGES) | _FLOATS)
+    z = draw(stacked[1], cell)
+    got = inst.grad(w, z)
+    expected = _PER_EXAMPLE_GRADS[family](inst, w, z + 0.0)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -240,6 +327,18 @@ def test_quadratic_risk_gap_is_zero_mean_over_fresh_datasets():
     assert abs(gaps.mean()) < 4 * stderr
 
 
+def test_a_finite_difference_failure_prints_its_gradient_as_a_float(monkeypatch):
+    inst = convex_huber_instance(d=8, L=1.0, beta=1.0)
+    grad = problems.ConvexHuberInstance.grad
+    monkeypatch.setattr(
+        problems.ConvexHuberInstance, "grad", lambda self, w, z: grad(self, w, z) * 1.001
+    )
+    verdict = verify_regularity(inst, trials=200, seed=3)
+    assert not verdict.passed
+    message = " ".join(verdict.failures)
+    assert "finite-difference mismatch" in message and "np.float64" not in message
+
+
 def test_verify_regularity_families():
     hub = convex_huber_instance(d=4, L=1.0, beta=1.0)
     verdict = verify_regularity(hub, trials=10_000, seed=29)
@@ -280,7 +379,7 @@ def _per_coordinate_mismatch(instance, w, z, tol):
         if abs(fd - g[k]) > tol * (1.0 + abs(g[k])):
             return (
                 f"finite-difference mismatch in coordinate {k}: "
-                f"analytic {g[k]!r} vs central difference {fd!r}"
+                f"analytic {float(g[k])!r} vs central difference {fd!r}"
             )
     return None
 
